@@ -1,6 +1,6 @@
 """Command-line front end: run programs, compare engines, verify bounds, sweep.
 
-Exit codes: 0 success, 1 parse/validate failure, 2 update clash,
+Exit codes: 0 success, 1 usage/parse/validate failure, 2 update clash,
 3 fuel exhausted, 4 engine divergence, 5 bound violation.
 """
 
@@ -331,6 +331,22 @@ def cmd_examples(args) -> int:
     return EXIT_OK
 
 
+_FLAGS = {
+    "--input": dict(action="append", default=[], metavar="NAME=TERM",
+                    help="input binding; repeatable"),
+    "--nat": dict(action="store_true",
+                  help="treat inputs/outputs as numerals via the program codec"),
+    "--fuel": dict(type=int, default=10**6),
+    "--engine": dict(choices=["critical", "reference"], default="critical"),
+    "--oracle-cost": dict(choices=["unit", "inline"], default="inline"),
+    "--report": dict(metavar="PATH"),
+    "--format": dict(choices=["json", "csv"], default="json"),
+    "--seed": dict(type=int, default=0),
+    "--sweep": dict(metavar="LO:HI"),
+    "--random": dict(type=int, metavar="COUNT"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="esm",
@@ -338,37 +354,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, program=True):
-        if program:
-            p.add_argument("program", help="program file or bundled example name")
-        p.add_argument("--input", action="append", default=[], metavar="NAME=TERM",
-                       help="input binding; repeatable")
-        p.add_argument("--nat", action="store_true",
-                       help="treat inputs/outputs as numerals via the program codec")
-        p.add_argument("--fuel", type=int, default=10**6)
-        p.add_argument("--engine", choices=["critical", "reference"], default="critical")
-        p.add_argument("--oracle-cost", choices=["unit", "inline"], default="inline")
-        p.add_argument("--report", metavar="PATH")
-        p.add_argument("--format", choices=["json", "csv"], default="json")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--sweep", metavar="LO:HI")
-        p.add_argument("--random", type=int, metavar="COUNT")
+    def command(name, fn, help, *names):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("program", help="program file or bundled example name")
+        for flag in names:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(fn=fn)
 
-    run_p = sub.add_parser("run", help="execute a program")
-    common(run_p)
-    run_p.set_defaults(fn=cmd_run)
-
-    cmp_p = sub.add_parser("compare", help="differentially test the two engines")
-    common(cmp_p)
-    cmp_p.set_defaults(fn=cmd_compare)
-
-    ver_p = sub.add_parser("verify", help="check the cost bounds on runs")
-    common(ver_p)
-    ver_p.set_defaults(fn=cmd_verify)
-
-    bench_p = sub.add_parser("bench", help="sweep input sizes and emit CSV")
-    common(bench_p)
-    bench_p.set_defaults(fn=cmd_bench)
+    # Each subcommand takes exactly the flags it reads.
+    command("run", cmd_run, "execute a program",
+            "--input", "--nat", "--fuel", "--engine", "--oracle-cost", "--report", "--format")
+    command("compare", cmd_compare, "differentially test the two engines",
+            "--input", "--nat", "--fuel", "--seed", "--random")
+    command("verify", cmd_verify, "check the cost bounds on runs",
+            "--input", "--nat", "--fuel", "--oracle-cost", "--report", "--format", "--sweep")
+    command("bench", cmd_bench, "sweep input sizes and emit CSV",
+            "--fuel", "--oracle-cost", "--report", "--sweep")
 
     ex_p = sub.add_parser("examples", help="list bundled programs")
     ex_p.set_defaults(fn=cmd_examples)
@@ -377,7 +378,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on usage errors, 0 after --help
+        return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.fn(args)
     except SystemExit as exc:

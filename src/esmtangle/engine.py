@@ -1,4 +1,4 @@
-"""Two interpreters for guarded-assignment programs over shared term stores.
+"""Two interpreters for guarded-assignment programs over one term store.
 
 The fast engine keeps exactly one value per tracked term (the program's terms
 and their subterms, ordered small to big) inside a maximally shared graph
@@ -12,14 +12,24 @@ undef.
 The reference engine executes the same programs over a full location map with
 recursive lookup and no tracked-value machinery.  It is the semantic oracle
 the fast engine is differentially tested against; `compare_engines` runs both
-in lockstep and reports the first step where any tracked term's value differs.
+in lockstep over one shared store and reports the first step where any
+tracked term's value differs, which with maximal sharing is an id comparison.
+
+Both engines take one path.  `_setup` checks the arguments, compiles the plan,
+makes the run core and initializes through `_init_state`, the one initializer
+(nested oracle runs use it too).  One step body, behind `step_critical` and
+`step_ref`, evaluates guards, builds the update set, writes it back when the
+state carries a location map (the reference engine), recomputes, commits and
+traces; `_drive` steps a run to its end.  The engines differ only in whether a
+state carries that map.
 
 Oracle symbols are realized by nested runs of their body programs over the
-same store.  In "unit" cost mode a call charges one operation (and its inner
-transitions are left out of the reported step count); in "inline" mode the
-nested run's full metered cost and transitions are charged.  Results are
-memoized per (oracle, argument ids) within a run; memo hits charge one
-operation in both modes.
+same store and meter, through one call path.  In "unit" cost mode the meter
+and the per-step series are paused for the nested run and the call charges one
+operation, so its inner transitions are left out of the reported step count
+and the trace; in "inline" mode the nested run's full metered cost and
+transitions are charged.  Results are memoized per (oracle, argument ids)
+within a run; memo hits charge one operation in both modes.
 """
 
 from __future__ import annotations
@@ -217,13 +227,16 @@ def build_plan(program: Program) -> ExecPlan:
 # --- Run context --------------------------------------------------------------
 
 
-class _FuelSignal(Exception):
-    pass
+class _Halt(Exception):
+    """A run stopped early: fuel ran out with assignments still enabled, or an
+    update clashed.  Raised from any depth of nested oracle runs."""
 
+    def __init__(self, outcome: str, clash: ClashInfo | None = None):
+        self.outcome = outcome  # FUEL_EXHAUSTED | CLASH
+        self.clash = clash
 
-class _ClashSignal(Exception):
-    def __init__(self, info: ClashInfo):
-        self.info = info
+    def __str__(self):
+        return self.outcome if self.clash is None else f"clash {self.clash}"
 
 
 @dataclass
@@ -262,28 +275,25 @@ class RunContext:
 
 
 @dataclass
-class CriticalState:
-    """Fast-engine state: one value (node id or None for undef) per tracked term."""
+class EngineState:
+    """One value (node id, or None for undef) per tracked term.  The reference
+    engine also keeps its finite location map in `store`; the fast engine has
+    none."""
 
     ctx: RunContext
     values: list[NodeId | None]
+    store: dict[tuple[str, tuple[NodeId, ...]], NodeId] | None = None
     step_index: int = 0
 
 
-@dataclass
-class RefState:
-    """Reference state: finite location map; values kept for comparison."""
-
-    ctx: RunContext
-    store: dict[tuple[str, tuple[NodeId, ...]], NodeId]
-    values: list[NodeId | None]
-    step_index: int = 0
+# Both engines' states are one class; the per-engine names remain for callers.
+CriticalState = RefState = EngineState
 
 
 @dataclass(frozen=True)
 class StepOutcome:
     kind: str  # next | terminal | clash
-    state: "CriticalState | RefState | None" = None
+    state: EngineState | None = None
     clash: ClashInfo | None = None
 
 
@@ -352,61 +362,50 @@ def _build_updates(ctx: RunContext, enabled, values):
     return updates, None
 
 
-# --- Value recomputation --------------------------------------------------------
+# --- Oracle calls -----------------------------------------------------------------
 
 
 def _invoke(ctx: RunContext, name: str, argids: tuple[NodeId, ...]) -> NodeId | None:
-    """An oracle call inside a run: memo probe, then a nested run on a miss."""
+    """An oracle call inside a run: memo probe, then the call on a miss."""
     core = ctx.core
-    meter = core.meter
-    oplan = ctx.plan.oracle_plans[name]
     key = (name, argids)
-    meter.charge_probe()
+    core.meter.charge_probe()
     if core.memoize and key in core.memo:
         return core.memo[key]
-
-    nested_ctx = RunContext(core, oplan.plan, ctx.engine)
-    if core.mode == MODE_UNIT:
-        saved_meter, saved_record = core.meter, core.record
-        throwaway = CostMeter()
-        core.meter = throwaway
-        core.tangle.meter = throwaway
-        core.record = False
-        try:
-            value = _run_nested(nested_ctx, argids)
-        finally:
-            core.meter, core.record = saved_meter, saved_record
-            core.tangle.meter = saved_meter
-        core.meter.charge_read()  # the single charged operation for the call
-    else:
-        value = _run_nested(nested_ctx, argids)
+    nested = RunContext(core, ctx.plan.oracle_plans[name].plan, ctx.engine)
+    value = _call_oracle(nested, argids)
     if core.memoize:
         core.memo[key] = value
     return value
 
 
+def _call_oracle(ctx: RunContext, argids: tuple[NodeId, ...]) -> NodeId | None:
+    """Run an oracle body (the plan of `ctx`) on defined argument ids.
+
+    Inline mode meters, records and traces the nested run like the host's own
+    steps.  Unit mode pauses the run's meter and its per-step series for the
+    nested run and charges the call as one read.
+    """
+    core = ctx.core
+    if core.mode != MODE_UNIT:
+        return _run_nested(ctx, argids)
+    meter = core.meter
+    saved = meter.enabled, core.record
+    meter.enabled = core.record = False
+    try:
+        value = _run_nested(ctx, argids)
+    finally:
+        meter.enabled, core.record = saved
+    meter.charge_read()  # the single charged operation for the call
+    return value
+
+
 def _run_nested(ctx: RunContext, argids: tuple[NodeId, ...]) -> NodeId | None:
-    if ctx.engine == "critical":
-        state = _init_state(ctx, input_ids=argids, keep_store=False)
-        step = step_critical
-    else:
-        state = _init_state(ctx, input_ids=argids, keep_store=True)
-        step = step_ref
-    ctx.core.record_point()
-    while True:
-        if ctx.core.fuel_left <= 0:
-            enabled: list = []
-            _collect_enabled(ctx.core.meter, ctx.plan.crules, state.values, enabled)
-            if enabled:
-                raise _FuelSignal()
-            break
-        out = step(ctx.plan.program, state)
-        if out.kind == TERMINAL:
-            break
-        if out.kind == STEP_CLASH:
-            raise _ClashSignal(out.clash)
-        state = out.state
-    return state.values[ctx.plan.z_slot]
+    state = _init_state(ctx, input_ids=argids)
+    return _drive(ctx, state).values[ctx.plan.z_slot]
+
+
+# --- Value recomputation --------------------------------------------------------
 
 
 def _new_values(ctx: RunContext, values, updates, store=None):
@@ -471,36 +470,7 @@ def _check_state(ctx: RunContext, values):
         core.meter.enabled = saved
 
 
-# --- Initialization --------------------------------------------------------------
-
-
-def _make_core(
-    program: Program,
-    plan: ExecPlan,
-    *,
-    tangle: Tangle | None,
-    meter: CostMeter | None,
-    fuel: int,
-    oracle_mode: str,
-    trace=None,
-    check_invariants: bool = False,
-    memoize_oracles: bool = True,
-) -> _RunCore:
-    if oracle_mode not in (MODE_UNIT, MODE_INLINE):
-        raise ValueError(f"unknown oracle cost mode {oracle_mode!r}")
-    if meter is None:
-        meter = tangle.meter if tangle is not None else CostMeter()
-    if tangle is None:
-        tangle = new_tangle(program.vocab, meter)
-    else:
-        tangle.meter = meter
-    core = _RunCore(
-        tangle=tangle, meter=meter, mode=oracle_mode, fuel_left=fuel,
-        memoize=memoize_oracles,
-    )
-    core.trace = trace
-    core.check = check_invariants
-    return core
+# --- Setup and initialization ------------------------------------------------------
 
 
 def _check_inputs(program: Program, inputs: Sequence[Term]):
@@ -518,15 +488,59 @@ def _check_inputs(program: Program, inputs: Sequence[Term]):
                 )
 
 
+def _setup(
+    program: Program,
+    inputs: Sequence[Term],
+    engine: str,
+    *,
+    fuel: int,
+    oracle_mode: str,
+    plan: ExecPlan | None = None,
+    tangle: Tangle | None = None,
+    meter: CostMeter | None = None,
+    trace=None,
+    check_invariants: bool = False,
+    memoize_oracles: bool = True,
+) -> tuple[RunContext, EngineState | None, _Halt | None]:
+    """Everything before the first step of a run: check the arguments, compile
+    the plan (unless one is given), make the run core over a new or given store
+    (metered by `meter`, else by the store's own meter) and initialize.
+
+    Returns the run context, the initial state, and the halt that stopped
+    initialization (an oracle call that clashed or ran out of fuel), if any.
+    """
+    if engine not in ("critical", "reference"):
+        raise ValueError(f"unknown engine {engine!r}")
+    _check_inputs(program, inputs)
+    if plan is None:
+        plan = build_plan(program)
+    if oracle_mode not in (MODE_UNIT, MODE_INLINE):
+        raise ValueError(f"unknown oracle cost mode {oracle_mode!r}")
+    if tangle is None:
+        tangle = new_tangle(program.vocab, meter)
+    elif meter is not None:
+        tangle.meter = meter
+    core = _RunCore(
+        tangle=tangle, meter=tangle.meter, mode=oracle_mode, fuel_left=fuel,
+        trace=trace, check=check_invariants, n=sum(compact_size(t) for t in inputs),
+        memoize=memoize_oracles,
+    )
+    ctx = RunContext(core, plan, engine)
+    try:
+        return ctx, _init_state(ctx, input_terms=inputs), None
+    except _Halt as halt:
+        return ctx, None, halt
+
+
 def _init_state(
     ctx: RunContext,
     *,
-    input_terms: Sequence[Term] | None = None,
+    input_terms: Sequence[Term] = (),
     input_ids: Sequence[NodeId] | None = None,
-    keep_store: bool,
-):
-    """Shared initialization: bind inputs, load the init block, then evaluate
-    the tracked terms small to big against the initial location map."""
+) -> EngineState:
+    """The one initializer, for runs and nested oracle runs alike: bind inputs,
+    load the init block, evaluate the tracked terms small to big against the
+    initial location map, and record the initial point of the series."""
     core = ctx.core
     meter = core.meter
     tangle = core.tangle
@@ -534,7 +548,7 @@ def _init_state(
 
     store: dict[tuple[str, tuple[NodeId, ...]], NodeId] = {}
     if input_ids is None:
-        input_ids = [tangle.import_term(t) for t in (input_terms or ())]
+        input_ids = [tangle.import_term(t) for t in input_terms]
     for sym, nid in zip(program.inputs, input_ids):
         store[(sym.name, ())] = nid
         meter.charge_write()
@@ -548,9 +562,8 @@ def _init_state(
     values = _new_values(ctx, [None] * ctx.plan.m, {}, store=store)
     if core.check:
         _check_state(ctx, values)
-    if keep_store:
-        return RefState(ctx, store, values)
-    return CriticalState(ctx, values)
+    core.record_point()
+    return EngineState(ctx, values, None if ctx.engine == "critical" else store)
 
 
 def init_critical(
@@ -562,18 +575,14 @@ def init_critical(
     fuel: int = 10**6,
     oracle_mode: str = MODE_INLINE,
     check_invariants: bool = False,
-) -> CriticalState:
+) -> EngineState:
     """Initial fast-engine state for the given input terms."""
-    _check_inputs(program, inputs)
-    plan = build_plan(program)
-    core = _make_core(
-        program, plan, tangle=tangle, meter=meter, fuel=fuel,
+    _, state, halt = _setup(
+        program, inputs, "critical", tangle=tangle, meter=meter, fuel=fuel,
         oracle_mode=oracle_mode, check_invariants=check_invariants,
     )
-    ctx = RunContext(core, plan, "critical")
-    core.n = sum(compact_size(t) for t in inputs)
-    state = _init_state(ctx, input_terms=inputs, keep_store=False)
-    core.record_point()
+    if halt is not None:
+        raise halt
     return state
 
 
@@ -586,33 +595,27 @@ def init_ref(
     fuel: int = 10**6,
     oracle_mode: str = MODE_INLINE,
     check_invariants: bool = False,
-) -> RefState:
+) -> EngineState:
     """Initial reference-engine state (full location map)."""
-    _check_inputs(program, inputs)
-    plan = build_plan(program)
-    core = _make_core(
-        program, plan, tangle=tangle, meter=meter, fuel=fuel,
+    _, state, halt = _setup(
+        program, inputs, "reference", tangle=tangle, meter=meter, fuel=fuel,
         oracle_mode=oracle_mode, check_invariants=check_invariants,
     )
-    ctx = RunContext(core, plan, "reference")
-    core.n = sum(compact_size(t) for t in inputs)
-    state = _init_state(ctx, input_terms=inputs, keep_store=True)
-    core.record_point()
+    if halt is not None:
+        raise halt
     return state
 
 
 # --- Transitions -----------------------------------------------------------------
 
 
-def _commit(core: _RunCore):
-    core.fuel_left -= 1
-    if core.record:
-        core.steps_reported += 1
-    core.record_point()
+def _step(state: EngineState) -> StepOutcome:
+    """One transition of either engine; Terminal when no assignment is enabled.
 
-
-def step_critical(program: Program, state: CriticalState) -> StepOutcome:
-    """One fast-engine transition; Terminal when no assignment is enabled."""
+    A state with a store (reference engine) writes the update set into a copy
+    of its location map before the tracked values are recomputed.  Only steps
+    that land in the per-step series are counted and traced.
+    """
     ctx = state.ctx
     core = ctx.core
     values = state.values
@@ -623,43 +626,36 @@ def step_critical(program: Program, state: CriticalState) -> StepOutcome:
     updates, clash = _build_updates(ctx, enabled, values)
     if clash is not None:
         return StepOutcome(STEP_CLASH, clash=clash)
-    new = _new_values(ctx, values, updates, store=None)
-    if core.check:
-        _check_state(ctx, new)
-    nxt = CriticalState(ctx, new, state.step_index + 1)
-    _commit(core)
-    if core.trace is not None:
-        _trace_line(core, nxt.step_index, enabled, updates)
-    return StepOutcome(NEXT, nxt)
-
-
-def step_ref(program: Program, state: RefState) -> StepOutcome:
-    """One reference-engine transition over the full location map."""
-    ctx = state.ctx
-    core = ctx.core
-    values = state.values
-    enabled: list = []
-    _collect_enabled(core.meter, ctx.plan.crules, values, enabled)
-    if not enabled:
-        return StepOutcome(TERMINAL)
-    updates, clash = _build_updates(ctx, enabled, values)
-    if clash is not None:
-        return StepOutcome(STEP_CLASH, clash=clash)
-    store = dict(state.store)
-    for key, val in updates.items():
-        core.meter.charge_write()
-        if val is None:
-            store.pop(key, None)  # undef means the location leaves the finite support
-        else:
-            store[key] = val
+    store = state.store
+    if store is not None:
+        store = dict(store)
+        for key, val in updates.items():
+            core.meter.charge_write()
+            if val is None:
+                store.pop(key, None)  # undef means the location leaves the finite support
+            else:
+                store[key] = val
     new = _new_values(ctx, values, updates, store=store)
     if core.check:
         _check_state(ctx, new)
-    nxt = RefState(ctx, store, new, state.step_index + 1)
-    _commit(core)
-    if core.trace is not None:
-        _trace_line(core, nxt.step_index, enabled, updates)
-    return StepOutcome(NEXT, nxt)
+    index = state.step_index + 1
+    core.fuel_left -= 1
+    if core.record:
+        core.steps_reported += 1
+        core.record_point()
+        if core.trace is not None:
+            _trace_line(core, index, enabled, updates)
+    return StepOutcome(NEXT, EngineState(ctx, new, store, index))
+
+
+def step_critical(program: Program, state: EngineState) -> StepOutcome:
+    """One fast-engine transition; Terminal when no assignment is enabled."""
+    return _step(state)
+
+
+def step_ref(program: Program, state: EngineState) -> StepOutcome:
+    """One reference-engine transition over the full location map."""
+    return _step(state)
 
 
 def _trace_line(core: _RunCore, index: int, enabled, updates):
@@ -672,6 +668,27 @@ def _trace_line(core: _RunCore, index: int, enabled, updates):
         f"i={index} enabled={len(enabled)} updates={';'.join(parts)} "
         f"vertices={st.vertices} edges={st.edges} ops={core.meter.ram_ops}\n"
     )
+
+
+def _drive(ctx: RunContext, state: EngineState) -> EngineState:
+    """Step until no assignment is enabled and return the last state.  Fuel
+    exhaustion with assignments still enabled, or a clash, raises _Halt."""
+    core = ctx.core
+    plan = ctx.plan
+    step = step_critical if ctx.engine == "critical" else step_ref
+    while True:
+        if core.fuel_left <= 0:
+            enabled: list = []
+            _collect_enabled(core.meter, plan.crules, state.values, enabled)
+            if enabled:
+                raise _Halt(FUEL_EXHAUSTED)
+            return state
+        out = step(plan.program, state)
+        if out.kind == TERMINAL:
+            return state
+        if out.kind == STEP_CLASH:
+            raise _Halt(CLASH, out.clash)
+        state = out.state
 
 
 # --- Whole runs ------------------------------------------------------------------
@@ -696,52 +713,19 @@ def run(
     included, in both cost modes; the reported step count excludes nested
     transitions in unit mode.
     """
-    if engine == "critical":
-        init, step = init_critical, step_critical
-        keep_store = False
-    elif engine == "reference":
-        init, step = init_ref, step_ref
-        keep_store = True
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
-    _check_inputs(program, inputs)
-    plan = build_plan(program)
-    core = _make_core(
-        program, plan, tangle=tangle, meter=meter, fuel=fuel,
+    ctx, state, halt = _setup(
+        program, inputs, engine, tangle=tangle, meter=meter, fuel=fuel,
         oracle_mode=oracle_mode, trace=trace, check_invariants=check_invariants,
         memoize_oracles=memoize_oracles,
     )
-    ctx = RunContext(core, plan, engine)
-    core.n = sum(compact_size(t) for t in inputs)
-
-    outcome = None
-    clash = None
-    state = None
+    core = ctx.core
     baseline_index = -1
-    try:
-        state = _init_state(ctx, input_terms=inputs, keep_store=keep_store)
-        core.record_point()
+    if halt is None:
         baseline_index = len(core.series) - 1
-        while True:
-            if core.fuel_left <= 0:
-                probe: list = []
-                _collect_enabled(core.meter, plan.crules, state.values, probe)
-                outcome = UNDEF_OUTPUT if not probe else FUEL_EXHAUSTED
-                break
-            out = step(program, state)
-            if out.kind == TERMINAL:
-                outcome = UNDEF_OUTPUT
-                break
-            if out.kind == STEP_CLASH:
-                outcome = CLASH
-                clash = out.clash
-                break
-            state = out.state
-    except _FuelSignal:
-        outcome = FUEL_EXHAUSTED
-    except _ClashSignal as sig:
-        outcome = CLASH
-        clash = sig.info
+        try:
+            state = _drive(ctx, state)
+        except _Halt as stop:
+            halt = stop
 
     # Fold trailing guard-probe ops (terminal detection) into the last record
     # so that total_ops is exactly the sum of the per-step series.  init_ops
@@ -755,12 +739,13 @@ def run(
             core.last_ops = core.meter.ram_ops
     init_ops = sum(rec.ops for rec in core.series[: baseline_index + 1])
 
-    output_term = None
-    if outcome == UNDEF_OUTPUT:
-        z = state.values[plan.z_slot]
+    outcome, output_term = UNDEF_OUTPUT, None
+    if halt is not None:
+        outcome = halt.outcome
+    else:
+        z = state.values[ctx.plan.z_slot]
         if z is not None:
-            outcome = OUTPUT
-            output_term = core.tangle.extract_term(z)
+            outcome, output_term = OUTPUT, core.tangle.extract_term(z)
 
     report = CostReport(
         n=core.n,
@@ -768,9 +753,10 @@ def run(
         init_ops=init_ops,
         total_ops=core.meter.ram_ops,
         word_bits_max=core.meter.word_bits_max,
-        c_program=plan.c_program,
+        c_program=ctx.plan.c_program,
         per_step=core.series,
     )
+    clash = None if halt is None else halt.clash
     return RunResult(outcome, output_term, core.steps_reported, core.n, report, clash)
 
 
@@ -785,7 +771,8 @@ def invoke_oracle(
     """Run an oracle body on argument ids already in `tangle`.
 
     Returns the result id (None for undef) and the RAM operations charged:
-    the nested run's full cost in inline mode, exactly one in unit mode.
+    the nested run's full cost in inline mode, exactly one in unit mode.  The
+    call is metered on a meter of its own; the store's meter is put back after.
     """
     if len(args) != odef.symbol.arity:
         raise ValueError(
@@ -795,28 +782,13 @@ def invoke_oracle(
     for a in args:
         if a.index == 0:
             raise ValueError("oracle arguments must be defined")
-    meter = CostMeter()
+    plan = build_plan(odef.body)
     saved = tangle.meter
-    tangle.meter = meter
+    tangle.meter = meter = CostMeter()
     try:
-        core = _RunCore(tangle=tangle, meter=meter, mode=mode, fuel_left=fuel)
-        core.record = False
-        plan = build_plan(odef.body)
-        ctx = RunContext(core, plan, engine)
-        before = meter.ram_ops
-        if mode == MODE_UNIT:
-            throwaway = CostMeter()
-            core.meter = throwaway
-            tangle.meter = throwaway
-            try:
-                value = _run_nested(ctx, args)
-            finally:
-                core.meter = meter
-                tangle.meter = meter
-            meter.charge_read()
-        else:
-            value = _run_nested(ctx, args)
-        return value, meter.ram_ops - before
+        core = _RunCore(tangle=tangle, meter=meter, mode=mode, fuel_left=fuel, record=False)
+        value = _call_oracle(RunContext(core, plan, engine), args)
+        return value, meter.ram_ops
     finally:
         tangle.meter = saved
 
@@ -841,25 +813,28 @@ class EngineComparison:
     divergence: Divergence | None = None
 
 
-def _valuation_divergence(step, plan, sc: CriticalState, sr: RefState) -> Divergence | None:
-    tc = sc.ctx.core.tangle
-    tr = sr.ctx.core.tangle
-    for i, term in enumerate(plan.criticals.terms):
-        a, b = sc.values[i], sr.values[i]
-        if a is None and b is None:
-            continue
-        if (a is None) != (b is None):
-            return Divergence(
-                step, term,
-                "undef" if a is None else format_term(tc.extract_term(a)),
-                "undef" if b is None else format_term(tr.extract_term(b)),
-                "definedness differs",
-            )
-        ta = tc.extract_term(a)
-        tb = tr.extract_term(b)
-        if ta != tb:
-            return Divergence(step, term, format_term(ta), format_term(tb), "value differs")
+def _valuation_divergence(step, ctx: RunContext, sc: EngineState, sr: EngineState):
+    """The first tracked term whose two values differ, or None.  Both states
+    live in one maximally shared store, so equal values have equal ids; terms
+    are extracted only to describe a difference."""
+    tangle = ctx.core.tangle
+
+    def show(v):
+        return "undef" if v is None else format_term(tangle.extract_term(v))
+
+    for i, (a, b) in enumerate(zip(sc.values, sr.values)):
+        if a != b:
+            reason = "definedness differs" if a is None or b is None else "value differs"
+            return Divergence(step, ctx.plan.criticals.terms[i], show(a), show(b), reason)
     return None
+
+
+def _step_or_halt(step, program: Program, state: EngineState) -> StepOutcome:
+    """A step whose nested oracle run halted has that halt as its outcome."""
+    try:
+        return step(program, state)
+    except _Halt as halt:
+        return StepOutcome(halt.outcome, clash=halt.clash)
 
 
 def compare_engines(
@@ -868,45 +843,33 @@ def compare_engines(
     fuel: int = 10**6,
     oracle_mode: str = MODE_INLINE,
 ) -> EngineComparison:
-    """Run both engines in lockstep; report the first step where they differ."""
-    plan = build_plan(program)
+    """Run both engines in lockstep; report the first step where they differ.
 
-    def guarded_init(fn):
-        try:
-            return fn(program, inputs, fuel=fuel, oracle_mode=oracle_mode), None
-        except _FuelSignal:
-            return None, FUEL_EXHAUSTED
-        except _ClashSignal as sig:
-            return None, f"clash {sig.info}"
-
-    sc, fail_c = guarded_init(init_critical)
-    sr, fail_r = guarded_init(init_ref)
-    if fail_c is not None or fail_r is not None:
+    The engines share one plan, one store and one meter, each with its own
+    fuel and oracle memo, so their values are compared as node ids.
+    """
+    ctx, sc, halt_c = _setup(program, inputs, "critical", fuel=fuel, oracle_mode=oracle_mode)
+    _, sr, halt_r = _setup(
+        program, inputs, "reference", fuel=fuel, oracle_mode=oracle_mode,
+        plan=ctx.plan, tangle=ctx.core.tangle,
+    )
+    if halt_c is not None or halt_r is not None:
+        fail_c, fail_r = (None if h is None else str(h) for h in (halt_c, halt_r))
         if fail_c == fail_r:
             return EngineComparison(True, 0, f"init {fail_c}")
         return EngineComparison(
             False, 0, "diverged",
             Divergence(0, None, str(fail_c), str(fail_r), "initialization differs"),
         )
-    div = _valuation_divergence(0, plan, sc, sr)
+    div = _valuation_divergence(0, ctx, sc, sr)
     if div is not None:
         return EngineComparison(False, 0, "diverged", div)
     steps = 0
     while True:
         if fuel <= 0:
             return EngineComparison(True, steps, "fuel_limited")
-        try:
-            oc = step_critical(program, sc)
-        except (_FuelSignal,):
-            oc = StepOutcome(FUEL_EXHAUSTED)
-        except _ClashSignal as sig:
-            oc = StepOutcome(STEP_CLASH, clash=sig.info)
-        try:
-            orf = step_ref(program, sr)
-        except (_FuelSignal,):
-            orf = StepOutcome(FUEL_EXHAUSTED)
-        except _ClashSignal as sig:
-            orf = StepOutcome(STEP_CLASH, clash=sig.info)
+        oc = _step_or_halt(step_critical, program, sc)
+        orf = _step_or_halt(step_ref, program, sr)
         if oc.kind != orf.kind:
             return EngineComparison(
                 False, steps, "diverged",
@@ -927,6 +890,6 @@ def compare_engines(
         sc, sr = oc.state, orf.state
         steps += 1
         fuel -= 1
-        div = _valuation_divergence(steps, plan, sc, sr)
+        div = _valuation_divergence(steps, ctx, sc, sr)
         if div is not None:
             return EngineComparison(False, steps, "diverged", div)

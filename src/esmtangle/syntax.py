@@ -32,12 +32,13 @@ from .terms import (
     KIND_ORACLE,
     Symbol,
     Term,
-    TermSyntaxError,
+    TokenCursor,
     UNDEF_WORD,
     Vocabulary,
     compact_size,
     distinct_subterms,
     format_term,
+    read_term,
 )
 
 KEYWORDS = frozenset(
@@ -147,65 +148,10 @@ _TOKEN_RE = re.compile(
 )
 
 
-class _Cursor:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens: list[tuple[str, str, int]] = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if m is None:
-                self._err_at(pos, f"unexpected character {text[pos]!r}")
-            if m.lastgroup is not None:
-                self.tokens.append((m.lastgroup, m.group(), m.start()))
-            pos = m.end()
-        self.i = 0
-
-    def _err_at(self, pos: int, msg: str):
-        line = self.text.count("\n", 0, pos) + 1
-        col = pos - self.text.rfind("\n", 0, pos)
-        raise TermSyntaxError(msg, line, col)
-
-    def err(self, msg: str, pos: int | None = None):
-        if pos is None:
-            pos = self.tokens[self.i][2] if self.i < len(self.tokens) else len(self.text)
-        self._err_at(pos, msg)
-
-    def peek(self) -> str | None:
-        return self.tokens[self.i][1] if self.i < len(self.tokens) else None
-
-    def peek_kind(self) -> str | None:
-        return self.tokens[self.i][0] if self.i < len(self.tokens) else None
-
-    def next(self, expect: str | None = None) -> tuple[str, str, int]:
-        if self.i >= len(self.tokens):
-            self.err("unexpected end of input")
-        kind, value, pos = self.tokens[self.i]
-        if expect is not None and value != expect:
-            self.err(f"expected {expect!r}, found {value!r}", pos)
-        self.i += 1
-        return kind, value, pos
-
-    def take(self, value: str) -> bool:
-        if self.peek() == value:
-            self.i += 1
-            return True
-        return False
-
-    def at_end(self) -> bool:
-        return self.i >= len(self.tokens)
-
-    def ident(self, what: str) -> tuple[str, int]:
-        kind, value, pos = self.next()
-        if kind != "ID":
-            self.err(f"expected {what}, found {value!r}", pos)
-        return value, pos
-
-
 # --- Parser ------------------------------------------------------------------
 
 
-def _parse_sig(cur: _Cursor, kind: str, names: dict[str, Symbol]) -> Symbol:
+def _parse_sig(cur: TokenCursor, kind: str, names: dict[str, Symbol]) -> Symbol:
     name, pos = cur.ident("a symbol name")
     if name in KEYWORDS:
         cur.err(f"{name!r} is a reserved word", pos)
@@ -220,7 +166,7 @@ def _parse_sig(cur: _Cursor, kind: str, names: dict[str, Symbol]) -> Symbol:
     return sym
 
 
-def _parse_sig_block(cur: _Cursor, kind: str, names: dict[str, Symbol]) -> list[Symbol]:
+def _parse_sig_block(cur: TokenCursor, kind: str, names: dict[str, Symbol]) -> list[Symbol]:
     cur.next("{")
     out = []
     if cur.peek() != "}":
@@ -233,59 +179,35 @@ def _parse_sig_block(cur: _Cursor, kind: str, names: dict[str, Symbol]) -> list[
     return out
 
 
-def _parse_term(cur: _Cursor, symbols: dict[str, Symbol]) -> Term:
+def _parse_term(cur: TokenCursor, symbols: dict[str, Symbol]) -> Term:
     """A term from the token stream, resolved against the program's symbols."""
-    stack: list[tuple[Symbol, int, list[Term]]] = []
-    while True:
-        name, pos = cur.ident("a term")
+
+    def resolve(name: str, pos: int) -> Symbol:
         if name in KEYWORDS:
             cur.err(f"{name!r} is a reserved word, not a term", pos)
         sym = symbols.get(name)
         if sym is None:
             cur.err(f"undeclared symbol {name!r}", pos)
-        if cur.peek() == "(" and sym.arity > 0:
-            cur.next("(")
-            stack.append((sym, pos, []))
-            continue
-        if sym.arity != 0:
-            cur.err(f"symbol {sym.name}/{sym.arity} used without arguments", pos)
-        node = Term(sym)
-        while True:
-            if not stack:
-                return node
-            head, head_pos, children = stack[-1]
-            children.append(node)
-            kind, value, pos = cur.next()
-            if value == ",":
-                break
-            if value == ")":
-                stack.pop()
-                if len(children) != head.arity:
-                    cur.err(
-                        f"symbol {head.name}/{head.arity} applied to "
-                        f"{len(children)} arguments",
-                        head_pos,
-                    )
-                node = Term(head, children)
-                continue
-            cur.err(f"expected ',' or ')', found {value!r}", pos)
+        return sym
+
+    return read_term(cur, resolve, "a term")
 
 
-def _parse_term_or_undef(cur: _Cursor, symbols: dict[str, Symbol]) -> Term | None:
+def _parse_term_or_undef(cur: TokenCursor, symbols: dict[str, Symbol]) -> Term | None:
     if cur.peek() == UNDEF_WORD:
         cur.next()
         return None
     return _parse_term(cur, symbols)
 
 
-def _parse_atom(cur: _Cursor, symbols: dict[str, Symbol]) -> GAtom:
+def _parse_atom(cur: TokenCursor, symbols: dict[str, Symbol]) -> GAtom:
     lhs = _parse_term_or_undef(cur, symbols)
     cur.next("=")
     rhs = _parse_term_or_undef(cur, symbols)
     return GAtom(lhs, rhs)
 
 
-def _parse_guard_unit(cur: _Cursor, symbols: dict[str, Symbol]) -> Guard:
+def _parse_guard_unit(cur: TokenCursor, symbols: dict[str, Symbol]) -> Guard:
     if cur.take("not"):
         return GNot(_parse_guard_unit(cur, symbols))
     if cur.take("("):
@@ -295,22 +217,22 @@ def _parse_guard_unit(cur: _Cursor, symbols: dict[str, Symbol]) -> Guard:
     return _parse_atom(cur, symbols)
 
 
-def _parse_guard_and(cur: _Cursor, symbols: dict[str, Symbol]) -> Guard:
+def _parse_guard_and(cur: TokenCursor, symbols: dict[str, Symbol]) -> Guard:
     g = _parse_guard_unit(cur, symbols)
     while cur.take("and"):
         g = GAnd(g, _parse_guard_unit(cur, symbols))
     return g
 
 
-def _parse_guard(cur: _Cursor, symbols: dict[str, Symbol]) -> Guard:
+def _parse_guard(cur: TokenCursor, symbols: dict[str, Symbol]) -> Guard:
     g = _parse_guard_and(cur, symbols)
     while cur.take("or"):
         g = GOr(g, _parse_guard_and(cur, symbols))
     return g
 
 
-def _parse_assign(cur: _Cursor, symbols: dict[str, Symbol]) -> Assign:
-    pos = cur.tokens[cur.i][2] if cur.i < len(cur.tokens) else len(cur.text)
+def _parse_assign(cur: TokenCursor, symbols: dict[str, Symbol]) -> Assign:
+    pos = cur.pos()
     head_term = _parse_term(cur, symbols)
     if head_term.head.kind == KIND_CONSTRUCTOR:
         cur.err(f"cannot assign to constructor {head_term.head.name!r}", pos)
@@ -321,7 +243,7 @@ def _parse_assign(cur: _Cursor, symbols: dict[str, Symbol]) -> Assign:
     return Assign(head_term.head, head_term.args, rhs)
 
 
-def _parse_stmt(cur: _Cursor, symbols: dict[str, Symbol]) -> Stmt:
+def _parse_stmt(cur: TokenCursor, symbols: dict[str, Symbol]) -> Stmt:
     if cur.take("if"):
         guard = _parse_guard(cur, symbols)
         cur.next("then")
@@ -348,7 +270,7 @@ def parse_program(
     _stack: tuple[str, ...] = (),
 ) -> Program:
     """Parse a program.  Oracle bodies are loaded from files relative to base_dir."""
-    cur = _Cursor(text)
+    cur = TokenCursor(text, _TOKEN_RE)
     names: dict[str, Symbol] = {}
 
     cur.next("vocab")

@@ -193,97 +193,119 @@ def symbol_count(t: Term) -> int:
 # Concrete syntax: term := IDENT | IDENT "(" term ("," term)* ")"
 
 
-def _line_col(text: str, pos: int) -> tuple[int, int]:
-    line = text.count("\n", 0, pos) + 1
-    last_nl = text.rfind("\n", 0, pos)
-    return line, pos - last_nl
-
-
 _TERM_TOKEN_RE = re.compile(r"\s+|(?P<ID>[A-Za-z_][A-Za-z0-9_]*)|(?P<PUNCT>[(),])")
 
 
-def _tokenize_term(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TERM_TOKEN_RE.match(text, pos)
-        if m is None:
-            line, col = _line_col(text, pos)
-            raise TermSyntaxError(f"unexpected character {text[pos]!r}", line, col)
-        if m.lastgroup is not None:
-            tokens.append((m.lastgroup, m.group(), m.start()))
-        pos = m.end()
-    return tokens
+class TokenCursor:
+    """A token stream over `text`, cut by `token_re` (whose unnamed matches,
+    such as whitespace, are skipped), with errors placed at a 1-based line and
+    column."""
 
+    def __init__(self, text: str, token_re: re.Pattern = _TERM_TOKEN_RE):
+        self.text = text
+        self.tokens: list[tuple[str, str, int]] = []
+        pos = 0
+        while pos < len(text):
+            m = token_re.match(text, pos)
+            if m is None:
+                self.err(f"unexpected character {text[pos]!r}", pos)
+            if m.lastgroup is not None:
+                self.tokens.append((m.lastgroup, m.group(), m.start()))
+            pos = m.end()
+        self.i = 0
 
-def parse_term(text: str, vocab: Vocabulary) -> Term:
-    """Parse a term; every symbol must be declared in vocab with matching arity."""
-    tokens = _tokenize_term(text)
+    def pos(self) -> int:
+        """Source offset of the next token, or the end of the text."""
+        return self.tokens[self.i][2] if self.i < len(self.tokens) else len(self.text)
 
-    def err(msg: str, pos: int):
-        line, col = _line_col(text, pos)
-        raise TermSyntaxError(msg, line, col)
+    def err(self, msg: str, pos: int | None = None):
+        if pos is None:
+            pos = self.pos()
+        line = self.text.count("\n", 0, pos) + 1
+        raise TermSyntaxError(msg, line, pos - self.text.rfind("\n", 0, pos))
 
-    def resolve(name: str, pos: int) -> Symbol:
-        if name == UNDEF_WORD:
-            err(f"{UNDEF_WORD!r} is not a term", pos)
-        sym = vocab.get(name)
-        if sym is None:
-            err(f"unknown symbol {name!r}", pos)
-        return sym
+    def peek(self) -> str | None:
+        return self.tokens[self.i][1] if self.i < len(self.tokens) else None
 
-    i = 0
-
-    def next_token(expect: str | None = None):
-        nonlocal i
-        if i >= len(tokens):
-            err("unexpected end of input", len(text))
-        kind, value, pos = tokens[i]
+    def next(self, expect: str | None = None) -> tuple[str, str, int]:
+        if self.i >= len(self.tokens):
+            self.err("unexpected end of input")
+        kind, value, pos = self.tokens[self.i]
         if expect is not None and value != expect:
-            err(f"expected {expect!r}, found {value!r}", pos)
-        i += 1
+            self.err(f"expected {expect!r}, found {value!r}", pos)
+        self.i += 1
         return kind, value, pos
 
-    def peek_value() -> str | None:
-        return tokens[i][1] if i < len(tokens) else None
+    def take(self, value: str) -> bool:
+        if self.peek() == value:
+            self.i += 1
+            return True
+        return False
 
-    # Iterative shift-reduce over the one-production grammar.
-    stack: list[tuple[Symbol, int, list[Term]]] = []
-    node: Term | None = None
-    while True:
-        kind, value, pos = next_token()
+    def at_end(self) -> bool:
+        return self.i >= len(self.tokens)
+
+    def ident(self, what: str) -> tuple[str, int]:
+        kind, value, pos = self.next()
         if kind != "ID":
-            err(f"expected a symbol name, found {value!r}", pos)
-        sym = resolve(value, pos)
-        if peek_value() == "(":
-            next_token("(")
+            self.err(f"expected {what}, found {value!r}", pos)
+        return value, pos
+
+
+def read_term(cur: TokenCursor, resolve, what: str) -> Term:
+    """Read one term from the cursor; `resolve(name, pos)` maps a name to its
+    symbol or raises, and `what` names a term in the message for a missing one.
+
+    Iterative shift-reduce over the one-production grammar, so nesting depth
+    is not bounded by Python's call stack.
+    """
+    stack: list[tuple[Symbol, int, list[Term]]] = []
+    while True:
+        name, pos = cur.ident(what)
+        sym = resolve(name, pos)
+        if cur.take("("):
             stack.append((sym, pos, []))
             continue
         if sym.arity != 0:
-            err(f"symbol {sym.name}/{sym.arity} used without arguments", pos)
+            cur.err(f"symbol {sym.name}/{sym.arity} used without arguments", pos)
         node = Term(sym)
         while True:
             if not stack:
-                if i != len(tokens):
-                    _, value, pos = tokens[i]
-                    err(f"unexpected {value!r} after term", pos)
                 return node
             head, head_pos, children = stack[-1]
             children.append(node)
-            kind, value, pos = next_token()
+            _, value, pos = cur.next()
             if value == ",":
                 break
             if value == ")":
                 stack.pop()
                 if len(children) != head.arity:
-                    err(
+                    cur.err(
                         f"symbol {head.name}/{head.arity} applied to "
                         f"{len(children)} arguments",
                         head_pos,
                     )
                 node = Term(head, children)
                 continue
-            err(f"expected ',' or ')', found {value!r}", pos)
+            cur.err(f"expected ',' or ')', found {value!r}", pos)
+
+
+def parse_term(text: str, vocab: Vocabulary) -> Term:
+    """Parse a term; every symbol must be declared in vocab with matching arity."""
+    cur = TokenCursor(text)
+
+    def resolve(name: str, pos: int) -> Symbol:
+        if name == UNDEF_WORD:
+            cur.err(f"{UNDEF_WORD!r} is not a term", pos)
+        sym = vocab.get(name)
+        if sym is None:
+            cur.err(f"unknown symbol {name!r}", pos)
+        return sym
+
+    term = read_term(cur, resolve, "a symbol name")
+    if not cur.at_end():
+        cur.err(f"unexpected {cur.peek()!r} after term")
+    return term
 
 
 def format_term(t: Term) -> str:

@@ -211,3 +211,23 @@ def test_bundled_resolution_prefers_local_file(tmp_path, monkeypatch, capsys):
     code, out, _ = invoke(capsys, "run", "toggle.esm")
     assert code == 0
     assert "output: d0(eps)" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("run", "toggle", "--bogus"), ("run", "toggle", "--fuel", "x"),
+    # Each subcommand rejects the flags it does not read.
+    ("compare", "toggle", "--engine", "reference"), ("compare", "toggle", "--report", "x"),
+    ("bench", "toggle", "--seed", "1"), ("run", "toggle", "--sweep", "4:8"),
+    ("verify", "toggle", "--random", "3"),
+])
+def test_usage_error_exits_one(capsys, argv):
+    # argparse's own exit status 2 would read as "update clash".
+    code, _, err = invoke(capsys, *argv)
+    assert code == 1
+    assert "error:" in err
+
+
+def test_help_exits_zero(capsys):
+    code, out, _ = invoke(capsys, "run", "--help")
+    assert code == 0
+    assert "--oracle-cost" in out

@@ -470,3 +470,17 @@ def test_growth_bound_on_runs(corpus):
         r = run(p, inputs)
         verdict = check_growth(r.cost)
         assert verdict.passed, verdict.detail
+
+
+def test_compare_same_clash_with_arguments_is_equivalent():
+    # Both engines clash at f(c).  Their clash locations hold node ids of one
+    # shared store, so equal locations compare equal.
+    p = parse_program(
+        """
+vocab { constructors { c/0; c1/0; c2/0 } dynamic { f/1; z/0 } }
+inputs { } output { z }
+rules { f(c) := c1  f(c) := c2 }
+"""
+    )
+    cmp = compare_engines(p)
+    assert cmp.equivalent and cmp.outcome == "clash"

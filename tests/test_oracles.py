@@ -218,3 +218,33 @@ def test_oracle_invocations_run_at_init_for_defined_args(mul):
     assert r.cost.init_ops > 1000
     ru = run(mul, inputs, oracle_mode="unit")
     assert ru.cost.init_ops < 1000
+
+
+@pytest.mark.parametrize("mode", ["inline", "unit"])
+def test_trace_has_one_line_per_reported_step(mul, mode):
+    # Unit-mode nested steps are neither counted nor traced, so in both modes
+    # the trace matches the step count and its op totals never fall back.
+    import io
+
+    trace = io.StringIO()
+    r = run(mul, [binary_input(mul.vocab, 3), binary_input(mul.vocab, 2)],
+            oracle_mode=mode, trace=trace)
+    lines = trace.getvalue().splitlines()
+    assert len(lines) == r.steps
+    ops = [int(line.rsplit("ops=", 1)[1]) for line in lines]
+    assert ops == sorted(ops)
+    assert ops[-1] <= r.cost.total_ops
+
+
+def test_unit_mode_engines_agree_on_shared_store(mul):
+    # Both engines pause the one shared meter for their own oracle runs.
+    import random
+
+    from esmtangle.cli import random_input
+    from esmtangle.engine import compare_engines
+
+    rng = random.Random(97)
+    for _ in range(4):
+        inputs = [random_input(mul.vocab, rng) for _ in mul.inputs]
+        res = compare_engines(mul, inputs, oracle_mode="unit")
+        assert res.equivalent and res.outcome == "terminal", res
