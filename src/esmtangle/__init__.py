@@ -20,10 +20,9 @@ from .cost import (
     emit_report,
 )
 from .engine import (
-    CriticalState,
     Divergence,
     EngineComparison,
-    RefState,
+    EngineState,
     RunResult,
     StepOutcome,
     compare_engines,
@@ -65,15 +64,14 @@ __all__ = [
     "Cond",
     "CostMeter",
     "CostReport",
-    "CriticalState",
     "CriticalTerms",
     "Divergence",
     "EngineComparison",
+    "EngineState",
     "FrozenBounds",
     "NodeId",
     "OracleDef",
     "Program",
-    "RefState",
     "RunResult",
     "StepCost",
     "StepOutcome",

@@ -387,6 +387,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE
+    except RecursionError:  # the guard and statement layer still recurses
+        return _fail(f"{args.program}: program is nested too deeply to process")
     except BrokenPipeError:
         return EXIT_OK
 

@@ -21,7 +21,9 @@ makes the run core and initializes through `_init_state`, the one initializer
 `step_ref`, evaluates guards, builds the update set, writes it back when the
 state carries a location map (the reference engine), recomputes, commits and
 traces; `_drive` steps a run to its end.  The engines differ only in whether a
-state carries that map.
+state carries that map.  Every run is metered by its store's meter, which is
+fixed when the store is made: a run reports the operations that meter gains
+during the run, so two runs on one store each report only their own work.
 
 Oracle symbols are realized by nested runs of their body programs over the
 same store and meter, through one call path.  In "unit" cost mode the meter
@@ -118,12 +120,6 @@ class _CCond:
 
 
 @dataclass
-class _OraclePlan:
-    symbol: Symbol
-    plan: "ExecPlan"
-
-
-@dataclass
 class ExecPlan:
     """A program compiled against its ordered tracked-term list."""
 
@@ -132,8 +128,7 @@ class ExecPlan:
     slots: tuple[_Slot, ...]
     crules: tuple
     z_slot: int
-    input_slots: tuple[int, ...]
-    oracle_plans: dict[str, _OraclePlan]
+    oracle_plans: dict[str, ExecPlan]
     c_program: int
     init_weight: int  # growth headroom of this plan's own initialization
 
@@ -195,16 +190,14 @@ def build_plan(program: Program) -> ExecPlan:
         same = tuple(by_symbol.get(t.head.name, ())) if kind == _KIND_DYN else ()
         slots.append(_Slot(kind, t.head, tuple(pos[a] for a in t.args), same))
 
-    oracle_plans = {
-        o.symbol.name: _OraclePlan(o.symbol, build_plan(o.body)) for o in program.oracles
-    }
+    oracle_plans = {o.symbol.name: build_plan(o.body) for o in program.oracles}
 
     # Growth constant: the sum of right-hand-side compact sizes bounds what a
     # transition can intern.  Each oracle adds the headroom of its own nested
     # initialization and transitions (a per-record bound, hence the max).
     c_program = _assignment_rhs_sizes(program.rules)
     for oplan in oracle_plans.values():
-        c_program += max(oplan.plan.c_program, oplan.plan.init_weight)
+        c_program += max(oplan.c_program, oplan.init_weight)
 
     init_weight = sum(compact_size(t) for t in ct.terms)
     for a in program.init:
@@ -217,7 +210,6 @@ def build_plan(program: Program) -> ExecPlan:
         slots=tuple(slots),
         crules=tuple(_compile_stmt(s, pos) for s in program.rules),
         z_slot=pos[Term(program.output)],
-        input_slots=tuple(pos[Term(sym)] for sym in program.inputs),
         oracle_plans=oracle_plans,
         c_program=c_program,
         init_weight=init_weight,
@@ -244,7 +236,6 @@ class _RunCore:
     """State shared by a whole run, nested oracle runs included."""
 
     tangle: Tangle
-    meter: CostMeter
     mode: str
     fuel_left: int
     memo: dict = field(default_factory=dict)
@@ -254,12 +245,17 @@ class _RunCore:
     trace: object = None
     check: bool = False
     n: int = 0
+    start_ops: int = 0  # the store meter's count when the run began
     last_ops: int = 0
     memoize: bool = True
 
+    def __post_init__(self):
+        if self.mode not in (MODE_UNIT, MODE_INLINE):
+            raise ValueError(f"unknown oracle cost mode {self.mode!r}")
+
     def record_point(self):
         if self.record:
-            ops = self.meter.ram_ops
+            ops = self.tangle.meter.ram_ops
             st = self.tangle.stats()
             self.series.append(
                 StepCost(len(self.series), ops - self.last_ops, st.vertices, st.edges)
@@ -284,10 +280,6 @@ class EngineState:
     values: list[NodeId | None]
     store: dict[tuple[str, tuple[NodeId, ...]], NodeId] | None = None
     step_index: int = 0
-
-
-# Both engines' states are one class; the per-engine names remain for callers.
-CriticalState = RefState = EngineState
 
 
 @dataclass(frozen=True)
@@ -343,7 +335,7 @@ def _collect_enabled(meter: CostMeter, stmts, values, out: list):
 def _build_updates(ctx: RunContext, enabled, values):
     """The update set, or a clash.  Assignments whose location has an undef
     argument name no location and contribute nothing (strictness)."""
-    meter = ctx.core.meter
+    meter = ctx.core.tangle.meter
     updates: dict[tuple[str, tuple[NodeId, ...]], NodeId | None] = {}
     for ca in enabled:
         argvals = tuple(values[s] for s in ca.arg_slots)
@@ -369,10 +361,10 @@ def _invoke(ctx: RunContext, name: str, argids: tuple[NodeId, ...]) -> NodeId | 
     """An oracle call inside a run: memo probe, then the call on a miss."""
     core = ctx.core
     key = (name, argids)
-    core.meter.charge_probe()
+    core.tangle.meter.charge_probe()
     if core.memoize and key in core.memo:
         return core.memo[key]
-    nested = RunContext(core, ctx.plan.oracle_plans[name].plan, ctx.engine)
+    nested = RunContext(core, ctx.plan.oracle_plans[name], ctx.engine)
     value = _call_oracle(nested, argids)
     if core.memoize:
         core.memo[key] = value
@@ -389,7 +381,7 @@ def _call_oracle(ctx: RunContext, argids: tuple[NodeId, ...]) -> NodeId | None:
     core = ctx.core
     if core.mode != MODE_UNIT:
         return _run_nested(ctx, argids)
-    meter = core.meter
+    meter = core.tangle.meter
     saved = meter.enabled, core.record
     meter.enabled = core.record = False
     try:
@@ -415,8 +407,8 @@ def _new_values(ctx: RunContext, values, updates, store=None):
     without one they are resolved within the tracked-value window.
     """
     core = ctx.core
-    meter = core.meter
     tangle = core.tangle
+    meter = tangle.meter
     slots = ctx.plan.slots
     new: list[NodeId | None] = [None] * len(slots)
     for i, slot in enumerate(slots):
@@ -456,8 +448,9 @@ def _new_values(ctx: RunContext, values, updates, store=None):
 def _check_state(ctx: RunContext, values):
     """Debug assertions: strictness and constructor coherence (unmetered)."""
     core = ctx.core
-    saved = core.meter.enabled
-    core.meter.enabled = False
+    meter = core.tangle.meter
+    saved = meter.enabled
+    meter.enabled = False
     try:
         for i, slot in enumerate(ctx.plan.slots):
             childvals = tuple(values[s] for s in slot.child_slots)
@@ -467,7 +460,7 @@ def _check_state(ctx: RunContext, values):
                 expect = core.tangle.intern(slot.sym, childvals)
                 assert values[i] == expect, f"constructor coherence violated at slot {i}"
     finally:
-        core.meter.enabled = saved
+        meter.enabled = saved
 
 
 # --- Setup and initialization ------------------------------------------------------
@@ -493,8 +486,8 @@ def _setup(
     inputs: Sequence[Term],
     engine: str,
     *,
-    fuel: int,
     oracle_mode: str,
+    fuel: int = 10**6,
     plan: ExecPlan | None = None,
     tangle: Tangle | None = None,
     meter: CostMeter | None = None,
@@ -503,8 +496,9 @@ def _setup(
     memoize_oracles: bool = True,
 ) -> tuple[RunContext, EngineState | None, _Halt | None]:
     """Everything before the first step of a run: check the arguments, compile
-    the plan (unless one is given), make the run core over a new or given store
-    (metered by `meter`, else by the store's own meter) and initialize.
+    the plan (unless one is given), make the run core over a given store or a
+    new one metered by `meter`, and initialize.  A given store runs on its own
+    meter; naming a different meter for it is an error.
 
     Returns the run context, the initial state, and the halt that stopped
     initialization (an oracle call that clashed or ran out of fuel), if any.
@@ -514,16 +508,15 @@ def _setup(
     _check_inputs(program, inputs)
     if plan is None:
         plan = build_plan(program)
-    if oracle_mode not in (MODE_UNIT, MODE_INLINE):
-        raise ValueError(f"unknown oracle cost mode {oracle_mode!r}")
     if tangle is None:
         tangle = new_tangle(program.vocab, meter)
-    elif meter is not None:
-        tangle.meter = meter
+    elif meter is not None and meter is not tangle.meter:
+        raise ValueError("a given tangle runs on its own meter; pass one or the other")
+    ops = tangle.meter.ram_ops
     core = _RunCore(
-        tangle=tangle, meter=tangle.meter, mode=oracle_mode, fuel_left=fuel,
-        trace=trace, check=check_invariants, n=sum(compact_size(t) for t in inputs),
-        memoize=memoize_oracles,
+        tangle=tangle, mode=oracle_mode, fuel_left=fuel, trace=trace,
+        check=check_invariants, n=sum(compact_size(t) for t in inputs),
+        start_ops=ops, last_ops=ops, memoize=memoize_oracles,
     )
     ctx = RunContext(core, plan, engine)
     try:
@@ -542,8 +535,8 @@ def _init_state(
     load the init block, evaluate the tracked terms small to big against the
     initial location map, and record the initial point of the series."""
     core = ctx.core
-    meter = core.meter
     tangle = core.tangle
+    meter = tangle.meter
     program = ctx.plan.program
 
     store: dict[tuple[str, tuple[NodeId, ...]], NodeId] = {}
@@ -570,16 +563,12 @@ def init_critical(
     program: Program,
     inputs: Sequence[Term] = (),
     *,
-    tangle: Tangle | None = None,
     meter: CostMeter | None = None,
-    fuel: int = 10**6,
     oracle_mode: str = MODE_INLINE,
-    check_invariants: bool = False,
 ) -> EngineState:
     """Initial fast-engine state for the given input terms."""
     _, state, halt = _setup(
-        program, inputs, "critical", tangle=tangle, meter=meter, fuel=fuel,
-        oracle_mode=oracle_mode, check_invariants=check_invariants,
+        program, inputs, "critical", meter=meter, oracle_mode=oracle_mode
     )
     if halt is not None:
         raise halt
@@ -590,16 +579,12 @@ def init_ref(
     program: Program,
     inputs: Sequence[Term] = (),
     *,
-    tangle: Tangle | None = None,
     meter: CostMeter | None = None,
-    fuel: int = 10**6,
     oracle_mode: str = MODE_INLINE,
-    check_invariants: bool = False,
 ) -> EngineState:
     """Initial reference-engine state (full location map)."""
     _, state, halt = _setup(
-        program, inputs, "reference", tangle=tangle, meter=meter, fuel=fuel,
-        oracle_mode=oracle_mode, check_invariants=check_invariants,
+        program, inputs, "reference", meter=meter, oracle_mode=oracle_mode
     )
     if halt is not None:
         raise halt
@@ -620,7 +605,7 @@ def _step(state: EngineState) -> StepOutcome:
     core = ctx.core
     values = state.values
     enabled: list = []
-    _collect_enabled(core.meter, ctx.plan.crules, values, enabled)
+    _collect_enabled(core.tangle.meter, ctx.plan.crules, values, enabled)
     if not enabled:
         return StepOutcome(TERMINAL)
     updates, clash = _build_updates(ctx, enabled, values)
@@ -630,7 +615,7 @@ def _step(state: EngineState) -> StepOutcome:
     if store is not None:
         store = dict(store)
         for key, val in updates.items():
-            core.meter.charge_write()
+            core.tangle.meter.charge_write()
             if val is None:
                 store.pop(key, None)  # undef means the location leaves the finite support
             else:
@@ -666,7 +651,8 @@ def _trace_line(core: _RunCore, index: int, enabled, updates):
     st = core.tangle.stats()
     core.trace.write(
         f"i={index} enabled={len(enabled)} updates={';'.join(parts)} "
-        f"vertices={st.vertices} edges={st.edges} ops={core.meter.ram_ops}\n"
+        f"vertices={st.vertices} edges={st.edges} "
+        f"ops={core.tangle.meter.ram_ops - core.start_ops}\n"
     )
 
 
@@ -679,7 +665,7 @@ def _drive(ctx: RunContext, state: EngineState) -> EngineState:
     while True:
         if core.fuel_left <= 0:
             enabled: list = []
-            _collect_enabled(core.meter, plan.crules, state.values, enabled)
+            _collect_enabled(core.tangle.meter, plan.crules, state.values, enabled)
             if enabled:
                 raise _Halt(FUEL_EXHAUSTED)
             return state
@@ -719,6 +705,7 @@ def run(
         memoize_oracles=memoize_oracles,
     )
     core = ctx.core
+    meter = core.tangle.meter
     baseline_index = -1
     if halt is None:
         baseline_index = len(core.series) - 1
@@ -732,11 +719,11 @@ def run(
     # is everything up to the post-initialization baseline record (for a
     # zero-step run the terminal probe lands there too).
     if core.series:
-        tail = core.meter.ram_ops - core.last_ops
+        tail = meter.ram_ops - core.last_ops
         if tail:
             last = core.series[-1]
             core.series[-1] = StepCost(last.i, last.ops + tail, last.vertices, last.edges)
-            core.last_ops = core.meter.ram_ops
+            core.last_ops = meter.ram_ops
     init_ops = sum(rec.ops for rec in core.series[: baseline_index + 1])
 
     outcome, output_term = UNDEF_OUTPUT, None
@@ -751,8 +738,8 @@ def run(
         n=core.n,
         steps=core.steps_reported,
         init_ops=init_ops,
-        total_ops=core.meter.ram_ops,
-        word_bits_max=core.meter.word_bits_max,
+        total_ops=meter.ram_ops - core.start_ops,
+        word_bits_max=meter.word_bits_max,
         c_program=ctx.plan.c_program,
         per_step=core.series,
     )
@@ -765,14 +752,12 @@ def invoke_oracle(
     args: Sequence[NodeId],
     tangle: Tangle,
     mode: str = MODE_INLINE,
-    fuel: int = 10**6,
-    engine: str = "critical",
 ) -> tuple[NodeId | None, int]:
     """Run an oracle body on argument ids already in `tangle`.
 
-    Returns the result id (None for undef) and the RAM operations charged:
-    the nested run's full cost in inline mode, exactly one in unit mode.  The
-    call is metered on a meter of its own; the store's meter is put back after.
+    Returns the result id (None for undef) and the RAM operations the call
+    charged to the store's meter: the nested run's full cost in inline mode,
+    exactly one in unit mode, none when that meter is disabled.
     """
     if len(args) != odef.symbol.arity:
         raise ValueError(
@@ -782,15 +767,10 @@ def invoke_oracle(
     for a in args:
         if a.index == 0:
             raise ValueError("oracle arguments must be defined")
-    plan = build_plan(odef.body)
-    saved = tangle.meter
-    tangle.meter = meter = CostMeter()
-    try:
-        core = _RunCore(tangle=tangle, meter=meter, mode=mode, fuel_left=fuel, record=False)
-        value = _call_oracle(RunContext(core, plan, engine), args)
-        return value, meter.ram_ops
-    finally:
-        tangle.meter = saved
+    core = _RunCore(tangle=tangle, mode=mode, fuel_left=10**6, record=False)
+    before = tangle.meter.ram_ops
+    value = _call_oracle(RunContext(core, build_plan(odef.body), "critical"), args)
+    return value, tangle.meter.ram_ops - before
 
 
 # --- Differential testing ---------------------------------------------------------
@@ -845,14 +825,20 @@ def compare_engines(
 ) -> EngineComparison:
     """Run both engines in lockstep; report the first step where they differ.
 
-    The engines share one plan, one store and one meter, each with its own
-    fuel and oracle memo, so their values are compared as node ids.
+    The engines share one plan and one store, each with its own fuel and
+    oracle memo, so their values are compared as node ids.  Nothing reads the
+    cost of a comparison, so the store's meter is disabled and neither engine
+    records a per-step series.
     """
-    ctx, sc, halt_c = _setup(program, inputs, "critical", fuel=fuel, oracle_mode=oracle_mode)
-    _, sr, halt_r = _setup(
+    ctx, sc, halt_c = _setup(
+        program, inputs, "critical", fuel=fuel, oracle_mode=oracle_mode,
+        meter=CostMeter(enabled=False),
+    )
+    ref_ctx, sr, halt_r = _setup(
         program, inputs, "reference", fuel=fuel, oracle_mode=oracle_mode,
         plan=ctx.plan, tangle=ctx.core.tangle,
     )
+    ctx.core.record = ref_ctx.core.record = False
     if halt_c is not None or halt_r is not None:
         fail_c, fail_r = (None if h is None else str(h) for h in (halt_c, halt_r))
         if fail_c == fail_r:

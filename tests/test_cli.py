@@ -57,6 +57,22 @@ def test_run_parse_failure(tmp_path, capsys):
     assert "unexpected end of input" in err
 
 
+def test_run_deep_nesting_exits_one(tmp_path, capsys):
+    deep = tmp_path / "deep.esm"
+    guard = "(" * 600 + "b = undef" + ")" * 600
+    deep.write_text(
+        f"""
+vocab {{ constructors {{ eps/0; d1/1 }} dynamic {{ b/0 }} }}
+inputs {{ }}
+output {{ b }}
+rules {{ if {guard} then {{ b := d1(eps) }} }}
+"""
+    )
+    code, _, err = invoke(capsys, "run", str(deep))
+    assert code == 1
+    assert err.strip() == f"{deep}: program is nested too deeply to process"
+
+
 def test_run_validate_failure(tmp_path, capsys):
     bad = tmp_path / "bad.esm"
     bad.write_text(

@@ -67,6 +67,43 @@ def test_undef_arguments_rejected(mul, addu):
         invoke_oracle(addu, [a], g)
 
 
+def test_invoke_oracle_charges_the_store_meter(mul, addu):
+    for enabled in (True, False):
+        g = new_tangle(mul.vocab, CostMeter(enabled=enabled))
+        a = g.import_term(unary_term(mul.vocab, 1))
+        for mode in ("unit", "inline"):
+            before = g.meter.ram_ops
+            value, charged = invoke_oracle(addu, [a, a], g, mode=mode)
+            assert unary_value(g.extract_term(value)) == 2
+            assert charged == g.meter.ram_ops - before
+            assert (charged > 0) == enabled
+    with pytest.raises(ValueError, match="unknown oracle cost mode"):
+        invoke_oracle(addu, [a, a], g, mode="bogus")
+
+
+def test_second_run_on_one_store_reports_own_ops():
+    p = load_corpus("bin_succ")
+    g = new_tangle(p.vocab, CostMeter())
+    meter = g.meter
+    first = run(p, [binary_input(p.vocab, 6)], tangle=g)
+    before = meter.ram_ops
+    second = run(p, [binary_input(p.vocab, 6)], tangle=g)
+    assert g.meter is meter
+    assert second.cost.total_ops == meter.ram_ops - before
+    assert second.cost.check_additivity()
+    # The second run finds its terms already interned, so it does less work.
+    assert (first.cost.total_ops, first.cost.init_ops) == (2846, 79)
+    assert (second.cost.total_ops, second.cost.init_ops) == (2768, 55)
+
+
+def test_given_tangle_runs_on_its_own_meter():
+    p = load_corpus("bin_succ")
+    g = new_tangle(p.vocab, CostMeter())
+    with pytest.raises(ValueError, match="own meter"):
+        run(p, [binary_input(p.vocab, 6)], tangle=g, meter=CostMeter())
+    assert run(p, [binary_input(p.vocab, 6)], tangle=g, meter=g.meter).outcome == OUTPUT
+
+
 def test_bin_mul_modes_same_output(mul):
     inputs = [binary_input(mul.vocab, 5), binary_input(mul.vocab, 4)]
     ri = run(mul, inputs, oracle_mode="inline")
