@@ -17,7 +17,6 @@ from .engine import CLASH, FUEL_EXHAUSTED, OUTPUT, UNDEF_OUTPUT, compare_engines
 from .syntax import Program, parse_program_file, validate_program
 from .terms import (
     Term,
-    TermSyntaxError,
     Vocabulary,
     decode_nat_binary,
     encode_nat_binary,
@@ -59,18 +58,17 @@ def resolve_program(name: str) -> Path | None:
 
 
 def load_program(name: str) -> Program:
+    """Parse and validate a program; any failure is a ValueError naming the file."""
     path = resolve_program(name)
     if path is None:
-        raise SystemExit(_fail(f"program not found: {name}"))
+        raise ValueError(f"program not found: {name}")
     try:
         program = parse_program_file(path)
-    except TermSyntaxError as exc:
-        raise SystemExit(_fail(f"{path}: {exc}"))
+    except (OSError, ValueError) as exc:  # TermSyntaxError, UnicodeDecodeError
+        raise ValueError(f"{path}: {exc}") from None
     diags = validate_program(program)
     if diags:
-        for d in diags:
-            print(f"{path}: {d}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        raise ValueError("\n".join(f"{path}: {d}" for d in diags))
     return program
 
 
@@ -102,6 +100,8 @@ def encode_size(vocab: Vocabulary, codec: str, size: int) -> Term:
     if codec == "binary":
         return encode_nat_binary(size, vocab)
     if codec == "unary":
+        if size < 0:
+            raise ValueError(f"unary numerals encode natural numbers, got {size}")
         t = Term(vocab.get("zero"))
         for _ in range(size):
             t = Term(vocab.get("s"), (t,))
@@ -112,15 +112,6 @@ def encode_size(vocab: Vocabulary, codec: str, size: int) -> Term:
             t = Term(vocab.get("a" if i % 2 else "b"), (t,))
         return t
     raise ValueError(f"no input codec for {codec!r}")
-
-
-def encode_nat(vocab: Vocabulary, value: int) -> Term:
-    codec = input_codec(vocab)
-    if codec == "binary":
-        return encode_nat_binary(value, vocab)
-    if codec == "unary":
-        return encode_size(vocab, "unary", value)
-    raise ValueError("program has no numeral input codec")
 
 
 def decode_nat(vocab: Vocabulary, t: Term) -> int | None:
@@ -166,7 +157,10 @@ def parse_inputs(program: Program, pairs: list[str], as_nat: bool) -> list[Term]
         if name in given:
             raise ValueError(f"duplicate --input for {name!r}")
         if as_nat:
-            given[name] = encode_nat(program.vocab, int(text))
+            codec = input_codec(program.vocab)
+            if codec not in ("binary", "unary"):
+                raise ValueError("program has no numeral input codec")
+            given[name] = encode_size(program.vocab, codec, int(text))
         else:
             given[name] = parse_term(text, program.vocab)
     missing = [s.name for s in program.inputs if s.name not in given]
@@ -177,7 +171,10 @@ def parse_inputs(program: Program, pairs: list[str], as_nat: bool) -> list[Term]
 
 def sweep_sizes(range_text: str) -> list[int]:
     lo, _, hi = range_text.partition(":")
-    lo_v, hi_v = int(lo), int(hi)
+    try:
+        lo_v, hi_v = int(lo), int(hi)
+    except ValueError:
+        lo_v = hi_v = 0
     if lo_v < 1 or hi_v < lo_v:
         raise ValueError(f"bad sweep range {range_text!r}")
     sizes = []
@@ -186,6 +183,27 @@ def sweep_sizes(range_text: str) -> list[int]:
         sizes.append(size)
         size *= 2
     return sizes
+
+
+def _trials(program: Program, args) -> list[tuple[int | None, list[Term]]]:
+    """The (size, inputs) of every run a subcommand makes: one per --sweep
+    size, else the --input bindings, else one per --random trial."""
+    vocab, inputs = program.vocab, program.inputs
+    sweep, count = getattr(args, "sweep", None), getattr(args, "random", None)
+    if count is not None and count < 1:
+        raise ValueError(f"--random expects a count of at least 1, got {count}")
+    if sweep:
+        codec = input_codec(vocab)
+        if codec is None:
+            raise ValueError("program has no input codec to sweep")
+        return [
+            (size, [encode_size(vocab, codec, size) for _ in inputs])
+            for size in sweep_sizes(sweep)
+        ]
+    if count and not args.input:
+        rng = random.Random(args.seed)
+        return [(None, [random_input(vocab, rng) for _ in inputs]) for _ in range(count)]
+    return [(None, parse_inputs(program, args.input, args.nat))]
 
 
 # --- Subcommands --------------------------------------------------------------------
@@ -208,10 +226,7 @@ def _outcome_exit(result) -> int:
 
 def cmd_run(args) -> int:
     program = load_program(args.program)
-    try:
-        inputs = parse_inputs(program, args.input, args.nat)
-    except (ValueError, TermSyntaxError) as exc:
-        return _fail(str(exc))
+    [(_, inputs)] = _trials(program, args)
     result = run(
         program, inputs, fuel=args.fuel, engine=args.engine,
         oracle_mode=args.oracle_cost,
@@ -236,21 +251,8 @@ def cmd_run(args) -> int:
 
 def cmd_compare(args) -> int:
     program = load_program(args.program)
-    trials: list[list[Term]] = []
-    if args.input:
-        try:
-            trials.append(parse_inputs(program, args.input, args.nat))
-        except (ValueError, TermSyntaxError) as exc:
-            return _fail(str(exc))
-    else:
-        rng = random.Random(args.seed)
-        count = args.random if args.random else 1
-        try:
-            for _ in range(count):
-                trials.append([random_input(program.vocab, rng) for _ in program.inputs])
-        except ValueError as exc:
-            return _fail(str(exc))
-    for i, inputs in enumerate(trials):
+    trials = _trials(program, args)
+    for i, (_, inputs) in enumerate(trials):
         verdict = compare_engines(program, inputs, fuel=args.fuel)
         if not verdict.equivalent:
             d = verdict.divergence
@@ -265,27 +267,12 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def _verify_runs(program, args) -> list:
-    runs = []
-    if args.sweep:
-        codec = input_codec(program.vocab)
-        if codec is None:
-            raise ValueError("program has no input codec; verify needs --input")
-        for size in sweep_sizes(args.sweep):
-            inputs = [encode_size(program.vocab, codec, size) for _ in program.inputs]
-            runs.append(run(program, inputs, fuel=args.fuel, oracle_mode=args.oracle_cost))
-    else:
-        inputs = parse_inputs(program, args.input, args.nat)
-        runs.append(run(program, inputs, fuel=args.fuel, oracle_mode=args.oracle_cost))
-    return runs
-
-
 def cmd_verify(args) -> int:
     program = load_program(args.program)
-    try:
-        runs = _verify_runs(program, args)
-    except (ValueError, TermSyntaxError) as exc:
-        return _fail(str(exc))
+    runs = [
+        run(program, inputs, fuel=args.fuel, oracle_mode=args.oracle_cost)
+        for _, inputs in _trials(program, args)
+    ]
     worst: dict[str, tuple[bool, str]] = {}
     for result in runs:
         verdicts, _ = run_all_checks(result.cost, DEFAULT_BOUNDS)
@@ -297,21 +284,16 @@ def cmd_verify(args) -> int:
         passed, detail = worst[name]
         print(f"{name}: {'PASS' if passed else 'FAIL'}{' - ' + detail if not passed else ''}")
         failed = failed or not passed
-    if args.report and runs:
-        Path(args.report).write_bytes(emit_report(runs[-1].cost, format=args.format))
+    _write_report(args, runs[-1].cost)
     return EXIT_BOUND if failed else EXIT_OK
 
 
 def cmd_bench(args) -> int:
     program = load_program(args.program)
-    codec = input_codec(program.vocab)
-    if codec is None:
-        return _fail("program has no input codec; bench needs a sweepable program")
     if not args.sweep:
-        return _fail("bench requires --sweep LO:HI")
+        raise ValueError("bench requires --sweep LO:HI")
     rows = ["size,n,steps,init_ops,total_ops,word_bits_max"]
-    for size in sweep_sizes(args.sweep):
-        inputs = [encode_size(program.vocab, codec, size) for _ in program.inputs]
+    for size, inputs in _trials(program, args):
         result = run(program, inputs, fuel=args.fuel, oracle_mode=args.oracle_cost)
         c = result.cost
         rows.append(
@@ -343,7 +325,7 @@ _FLAGS = {
     "--format": dict(choices=["json", "csv"], default="json"),
     "--seed": dict(type=int, default=0),
     "--sweep": dict(metavar="LO:HI"),
-    "--random": dict(type=int, metavar="COUNT"),
+    "--random": dict(type=int, default=1, metavar="COUNT"),
 }
 
 
@@ -384,13 +366,14 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.fn(args)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else EXIT_USAGE
+    except ValueError as exc:  # bad program, input, flag value or sweep range
+        return _fail(str(exc))
     except RecursionError:  # the guard and statement layer still recurses
         return _fail(f"{args.program}: program is nested too deeply to process")
     except BrokenPipeError:
         return EXIT_OK
+    except OSError as exc:  # for example an unwritable --report path
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

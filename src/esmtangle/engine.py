@@ -15,12 +15,12 @@ the fast engine is differentially tested against; `compare_engines` runs both
 in lockstep over one shared store and reports the first step where any
 tracked term's value differs, which with maximal sharing is an id comparison.
 
-Both engines take one path.  `_setup` checks the arguments, compiles the plan,
-makes the run core and initializes through `_init_state`, the one initializer
-(nested oracle runs use it too).  One step body, behind `step_critical` and
-`step_ref`, evaluates guards, builds the update set, writes it back when the
-state carries a location map (the reference engine), recomputes, commits and
-traces; `_drive` steps a run to its end.  The engines differ only in whether a
+Both engines take one path.  `_setup` checks the arguments, compiles the plan
+and makes the run core; `_init_state` is the one initializer (nested oracle
+runs use it too).  One step body, behind `step_critical` and `step_ref`,
+evaluates guards, builds the update set, writes it back when the state carries
+a location map (the reference engine), recomputes, commits and traces;
+`_drive` steps a run to its end.  The engines differ only in whether a
 state carries that map.  Every run is metered by its store's meter, which is
 fixed when the store is made: a run reports the operations that meter gains
 during the run, so two runs on one store each report only their own work.
@@ -376,7 +376,8 @@ def _call_oracle(ctx: RunContext, argids: tuple[NodeId, ...]) -> NodeId | None:
 
     Inline mode meters, records and traces the nested run like the host's own
     steps.  Unit mode pauses the run's meter and its per-step series for the
-    nested run and charges the call as one read.
+    nested run and charges the call as one read; the word size still covers
+    the vertices the nested run added to the store.
     """
     core = ctx.core
     if core.mode != MODE_UNIT:
@@ -389,6 +390,7 @@ def _call_oracle(ctx: RunContext, argids: tuple[NodeId, ...]) -> NodeId | None:
     finally:
         meter.enabled, core.record = saved
     meter.charge_read()  # the single charged operation for the call
+    meter.note_vertices(len(core.tangle))  # the store only grows: this is its peak
     return value
 
 
@@ -494,14 +496,11 @@ def _setup(
     trace=None,
     check_invariants: bool = False,
     memoize_oracles: bool = True,
-) -> tuple[RunContext, EngineState | None, _Halt | None]:
-    """Everything before the first step of a run: check the arguments, compile
-    the plan (unless one is given), make the run core over a given store or a
-    new one metered by `meter`, and initialize.  A given store runs on its own
-    meter; naming a different meter for it is an error.
-
-    Returns the run context, the initial state, and the halt that stopped
-    initialization (an oracle call that clashed or ran out of fuel), if any.
+) -> RunContext:
+    """Everything before initialization: check the arguments, compile the plan
+    (unless one is given) and make the run context over a given store or a new
+    one metered by `meter`.  A given store runs on its own meter; naming a
+    different meter for it is an error.
     """
     if engine not in ("critical", "reference"):
         raise ValueError(f"unknown engine {engine!r}")
@@ -518,11 +517,7 @@ def _setup(
         check=check_invariants, n=sum(compact_size(t) for t in inputs),
         start_ops=ops, last_ops=ops, memoize=memoize_oracles,
     )
-    ctx = RunContext(core, plan, engine)
-    try:
-        return ctx, _init_state(ctx, input_terms=inputs), None
-    except _Halt as halt:
-        return ctx, None, halt
+    return RunContext(core, plan, engine)
 
 
 def _init_state(
@@ -533,7 +528,8 @@ def _init_state(
 ) -> EngineState:
     """The one initializer, for runs and nested oracle runs alike: bind inputs,
     load the init block, evaluate the tracked terms small to big against the
-    initial location map, and record the initial point of the series."""
+    initial location map, and record the initial point of the series.  An
+    oracle call that clashes or runs out of fuel raises _Halt."""
     core = ctx.core
     tangle = core.tangle
     meter = tangle.meter
@@ -567,12 +563,8 @@ def init_critical(
     oracle_mode: str = MODE_INLINE,
 ) -> EngineState:
     """Initial fast-engine state for the given input terms."""
-    _, state, halt = _setup(
-        program, inputs, "critical", meter=meter, oracle_mode=oracle_mode
-    )
-    if halt is not None:
-        raise halt
-    return state
+    ctx = _setup(program, inputs, "critical", meter=meter, oracle_mode=oracle_mode)
+    return _init_state(ctx, input_terms=inputs)
 
 
 def init_ref(
@@ -583,12 +575,8 @@ def init_ref(
     oracle_mode: str = MODE_INLINE,
 ) -> EngineState:
     """Initial reference-engine state (full location map)."""
-    _, state, halt = _setup(
-        program, inputs, "reference", meter=meter, oracle_mode=oracle_mode
-    )
-    if halt is not None:
-        raise halt
-    return state
+    ctx = _setup(program, inputs, "reference", meter=meter, oracle_mode=oracle_mode)
+    return _init_state(ctx, input_terms=inputs)
 
 
 # --- Transitions -----------------------------------------------------------------
@@ -699,20 +687,20 @@ def run(
     included, in both cost modes; the reported step count excludes nested
     transitions in unit mode.
     """
-    ctx, state, halt = _setup(
+    ctx = _setup(
         program, inputs, engine, tangle=tangle, meter=meter, fuel=fuel,
         oracle_mode=oracle_mode, trace=trace, check_invariants=check_invariants,
         memoize_oracles=memoize_oracles,
     )
     core = ctx.core
     meter = core.tangle.meter
-    baseline_index = -1
-    if halt is None:
+    baseline_index, halt = -1, None
+    try:
+        state = _init_state(ctx, input_terms=inputs)
         baseline_index = len(core.series) - 1
-        try:
-            state = _drive(ctx, state)
-        except _Halt as stop:
-            halt = stop
+        state = _drive(ctx, state)
+    except _Halt as stop:
+        halt = stop
 
     # Fold trailing guard-probe ops (terminal detection) into the last record
     # so that total_ops is exactly the sum of the per-step series.  init_ops
@@ -809,6 +797,14 @@ def _valuation_divergence(step, ctx: RunContext, sc: EngineState, sr: EngineStat
     return None
 
 
+def _init_or_halt(ctx: RunContext, inputs: Sequence[Term]):
+    """The initial state, or the halt of an oracle call made while initializing."""
+    try:
+        return _init_state(ctx, input_terms=inputs), None
+    except _Halt as halt:
+        return None, halt
+
+
 def _step_or_halt(step, program: Program, state: EngineState) -> StepOutcome:
     """A step whose nested oracle run halted has that halt as its outcome."""
     try:
@@ -830,15 +826,17 @@ def compare_engines(
     cost of a comparison, so the store's meter is disabled and neither engine
     records a per-step series.
     """
-    ctx, sc, halt_c = _setup(
+    ctx = _setup(
         program, inputs, "critical", fuel=fuel, oracle_mode=oracle_mode,
         meter=CostMeter(enabled=False),
     )
-    ref_ctx, sr, halt_r = _setup(
+    ref_ctx = _setup(
         program, inputs, "reference", fuel=fuel, oracle_mode=oracle_mode,
         plan=ctx.plan, tangle=ctx.core.tangle,
     )
     ctx.core.record = ref_ctx.core.record = False
+    sc, halt_c = _init_or_halt(ctx, inputs)
+    sr, halt_r = _init_or_halt(ref_ctx, inputs)
     if halt_c is not None or halt_r is not None:
         fail_c, fail_r = (None if h is None else str(h) for h in (halt_c, halt_r))
         if fail_c == fail_r:

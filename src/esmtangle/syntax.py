@@ -315,15 +315,7 @@ def parse_program(
     if cur.take("oracles"):
         cur.next("{")
         while cur.peek() != "}":
-            oname, opos = cur.ident("an oracle name")
-            if oname in KEYWORDS:
-                cur.err(f"{oname!r} is a reserved word", opos)
-            if oname in names:
-                cur.err(f"duplicate symbol {oname!r}", opos)
-            cur.next("/")
-            nkind, nval, npos = cur.next()
-            if nkind != "NAT":
-                cur.err(f"expected an arity, found {nval!r}", npos)
+            sym = _parse_sig(cur, KIND_ORACLE, names)
             cur.next("=")
             skind, sval, spos = cur.next()
             if skind != "STR":
@@ -331,23 +323,20 @@ def parse_program(
             cur.next(";")
             path = sval[1:-1]
             if base_dir is None:
-                cur.err(f"cannot load oracle {oname!r}: no base directory", spos)
+                cur.err(f"cannot load oracle {sym.name!r}: no base directory", spos)
             full = Path(base_dir) / path
             resolved = str(full.resolve())
             if resolved in _stack:
                 cur.err(f"oracle cycle through {path!r}", spos)
             try:
-                body_text = full.read_text()
-            except OSError as exc:
+                body = parse_program(
+                    full.read_text(encoding="utf-8"),
+                    base_dir=full.parent,
+                    name=path,
+                    _stack=_stack + (resolved,),
+                )
+            except (OSError, ValueError) as exc:  # TermSyntaxError, UnicodeDecodeError
                 cur.err(f"cannot load oracle body {path!r}: {exc}", spos)
-            body = parse_program(
-                body_text,
-                base_dir=full.parent,
-                name=path,
-                _stack=_stack + (resolved,),
-            )
-            sym = Symbol(oname, int(nval), KIND_ORACLE)
-            names[oname] = sym
             oracles.append(OracleDef(sym, path, body))
         cur.next("}")
 
@@ -374,7 +363,7 @@ def parse_program(
 def parse_program_file(path: str | Path) -> Program:
     path = Path(path)
     return parse_program(
-        path.read_text(),
+        path.read_text(encoding="utf-8"),
         base_dir=path.parent,
         name=path.name,
         _stack=(str(path.resolve()),),

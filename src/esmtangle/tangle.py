@@ -165,9 +165,6 @@ class Tangle:
             word_bits=word_bits(len(self._nodes)),
         )
 
-    def node(self, nid: NodeId) -> Node:
-        return self._nodes[self._own(nid).index]
-
     def check_invariants(self):
         """Assert minimality, acyclicity, and the edge bound.  Test hook."""
         seen: dict[tuple[Symbol | None, tuple[NodeId, ...]], int] = {}

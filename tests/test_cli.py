@@ -247,3 +247,60 @@ def test_help_exits_zero(capsys):
     code, out, _ = invoke(capsys, "run", "--help")
     assert code == 0
     assert "--oracle-cost" in out
+
+
+UNARY = """
+vocab { constructors { zero/0; s/1 } dynamic { x/0; z/0 } }
+inputs { x }
+output { z }
+rules { if z = undef then { z := s(x) } }
+"""
+
+HOST = """
+vocab { constructors { eps/0; d0/1; d1/1 } dynamic { b/0 } }
+inputs { }
+output { b }
+oracles { q/1 = "latin.esm"; }
+rules { if b = undef then { b := d1(eps) } }
+"""
+
+
+def _fixtures(tmp_path):
+    (tmp_path / "un.esm").write_text(UNARY)
+    (tmp_path / "latin.esm").write_bytes(b"\xff\xfe vocab")
+    (tmp_path / "host.esm").write_text(HOST)
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("run bin_succ --input x=x", "input x = x uses non-constructor symbol 'x'"),
+    ("compare bin_succ --input x=x", "input x = x uses non-constructor symbol 'x'"),
+    ("bench bin_add --sweep 4:x", "bad sweep range '4:x'"),
+    ("bench bin_add --sweep 8:4", "bad sweep range '8:4'"),
+    ("run {tmp}/latin.esm", "{tmp}/latin.esm: 'utf-8' codec can't decode byte 0xff"),
+    ("run {tmp}/host.esm",
+     "{tmp}/host.esm: line 5, col 17: cannot load oracle body 'latin.esm': 'utf-8'"),
+    ("run toggle --report {tmp}/missing/x.json", "No such file or directory"),
+    ("compare bin_succ --random 0", "--random expects a count of at least 1, got 0"),
+    ("compare bin_succ --random -5", "--random expects a count of at least 1, got -5"),
+    ("run {tmp}/un.esm --input x=-3 --nat", "unary numerals encode natural numbers, got -3"),
+])
+def test_bad_input_exits_one_with_one_line(tmp_path, capsys, argv, message):
+    _fixtures(tmp_path)
+    code, _, err = invoke(capsys, *argv.format(tmp=tmp_path).split())
+    assert code == 1
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert message.format(tmp=tmp_path) in err
+
+
+def test_unary_nat_input(tmp_path, capsys):
+    _fixtures(tmp_path)
+    code, out, _ = invoke(capsys, "run", str(tmp_path / "un.esm"), "--input", "x=3", "--nat")
+    assert code == 0
+    assert "output: 4" in out
+
+
+def test_compare_defaults_to_one_random_trial(capsys):
+    code, out, _ = invoke(capsys, "compare", "bin_succ")
+    assert code == 0
+    assert out == "equivalent (1 trial)\n"

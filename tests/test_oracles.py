@@ -285,3 +285,13 @@ def test_unit_mode_engines_agree_on_shared_store(mul):
         inputs = [random_input(mul.vocab, rng) for _ in mul.inputs]
         res = compare_engines(mul, inputs, oracle_mode="unit")
         assert res.equivalent and res.outcome == "terminal", res
+
+
+@pytest.mark.parametrize("mode", ["inline", "unit"])
+def test_word_bits_cover_the_whole_store(mul, mode):
+    # Vertices a paused nested run allocates still count toward the word size.
+    from esmtangle.cost import word_bits
+
+    r = run(mul, [binary_input(mul.vocab, 16), binary_input(mul.vocab, 16)],
+            oracle_mode=mode)
+    assert r.cost.word_bits_max == word_bits(r.cost.per_step[-1].vertices)

@@ -283,3 +283,49 @@ def test_undef_usable_only_in_rules():
     p = parse_program(MINI.replace("z := d1(eps)", "z := undef"))
     a = p.rules[0].then[0]
     assert isinstance(a, Assign) and a.rhs is None
+
+
+HOST = """
+vocab {
+  constructors { eps/0; d0/1; d1/1 }
+  dynamic { x/0; z/0 }
+}
+inputs { x }
+output { z }
+oracles { probe/1 = "body.esm"; }
+rules { }
+"""
+
+
+@pytest.mark.parametrize("body, inner", [
+    (b"vocab { constructors { c/0 } dynamic { q/0 } } inputs { q } output { w } rules { }",
+     "line 1, col 70: undeclared symbol 'w'"),
+    (b"\xff\xfe vocab", "'utf-8' codec can't decode byte 0xff"),
+])
+def test_oracle_body_failure_names_the_body(tmp_path, body, inner):
+    # A bad body is reported at the host's declaration, naming the body file.
+    (tmp_path / "body.esm").write_bytes(body)
+    (tmp_path / "host.esm").write_text(HOST)
+    with pytest.raises(TermSyntaxError) as info:
+        parse_program_file(tmp_path / "host.esm")
+    assert str(info.value).startswith(
+        f"line 8, col 21: cannot load oracle body 'body.esm': {inner}"
+    )
+
+
+def test_missing_oracle_body_is_reported(tmp_path):
+    (tmp_path / "host.esm").write_text(HOST)
+    with pytest.raises(TermSyntaxError, match="cannot load oracle body 'body.esm'"):
+        parse_program_file(tmp_path / "host.esm")
+
+
+@pytest.mark.parametrize("decl, message", [
+    ("not/1", "'not' is a reserved word"),
+    ("x/1", "duplicate symbol 'x'"),
+    ("probe/q", "expected an arity, found 'q'"),
+])
+def test_oracle_declaration_checks(tmp_path, decl, message):
+    (tmp_path / "body.esm").write_text(MINI)
+    text = HOST.replace("probe/1", decl)
+    with pytest.raises(TermSyntaxError, match=message):
+        parse_program(text, base_dir=tmp_path)
