@@ -187,9 +187,15 @@ def sweep_sizes(range_text: str) -> list[int]:
 
 def _trials(program: Program, args) -> list[tuple[int | None, list[Term]]]:
     """The (size, inputs) of every run a subcommand makes: one per --sweep
-    size, else the --input bindings, else one per --random trial."""
+    size, else the --input bindings, else one per --random trial (one when
+    --random is not given).  Naming two input sources is an error."""
     vocab, inputs = program.vocab, program.inputs
+    given = getattr(args, "input", [])
     sweep, count = getattr(args, "sweep", None), getattr(args, "random", None)
+    if sweep and given:
+        raise ValueError("--sweep and --input are exclusive; give one of them")
+    if count is not None and given:
+        raise ValueError("--random and --input are exclusive; give one of them")
     if count is not None and count < 1:
         raise ValueError(f"--random expects a count of at least 1, got {count}")
     if sweep:
@@ -200,10 +206,10 @@ def _trials(program: Program, args) -> list[tuple[int | None, list[Term]]]:
             (size, [encode_size(vocab, codec, size) for _ in inputs])
             for size in sweep_sizes(sweep)
         ]
-    if count and not args.input:
-        rng = random.Random(args.seed)
-        return [(None, [random_input(vocab, rng) for _ in inputs]) for _ in range(count)]
-    return [(None, parse_inputs(program, args.input, args.nat))]
+    if given or not hasattr(args, "random"):
+        return [(None, parse_inputs(program, given, args.nat))]
+    rng = random.Random(args.seed)
+    return [(None, [random_input(vocab, rng) for _ in inputs]) for _ in range(count or 1)]
 
 
 # --- Subcommands --------------------------------------------------------------------
@@ -325,7 +331,7 @@ _FLAGS = {
     "--format": dict(choices=["json", "csv"], default="json"),
     "--seed": dict(type=int, default=0),
     "--sweep": dict(metavar="LO:HI"),
-    "--random": dict(type=int, default=1, metavar="COUNT"),
+    "--random": dict(type=int, metavar="COUNT", help="random trials (default 1)"),
 }
 
 

@@ -7,13 +7,18 @@ assignments into an update set, and then recomputes the tracked values in
 order: constructor applications intern, dynamic reads are resolved against the
 update set, the unchanged-argument fast path, or a search across same-symbol
 tracked terms whose old argument values match; anything else falls soft to
-undef.
+undef.  A transition recomputes only its dirty slots: the tracked terms of
+every updated dynamic symbol and every oracle application, and then, in
+increasing order so children come first, each term with a child whose value
+changed.  Any other term keeps its value, since its recomputation would return
+it unchanged.  Initialization recomputes every slot.
 
 The reference engine executes the same programs over a full location map with
-recursive lookup and no tracked-value machinery.  It is the semantic oracle
-the fast engine is differentially tested against; `compare_engines` runs both
-in lockstep over one shared store and reports the first step where any
-tracked term's value differs, which with maximal sharing is an id comparison.
+recursive lookup and no tracked-value machinery, and recomputes every tracked
+term on every transition.  It is the semantic oracle the fast engine is
+differentially tested against; `compare_engines` runs both in lockstep over
+one shared store and reports the first step where any tracked term's value
+differs, which with maximal sharing is an id comparison.
 
 Both engines take one path.  `_setup` checks the arguments, compiles the plan
 and makes the run core; `_init_state` is the one initializer (nested oracle
@@ -126,6 +131,9 @@ class ExecPlan:
     program: Program
     criticals: CriticalTerms
     slots: tuple[_Slot, ...]
+    parents: tuple[tuple[int, ...], ...]  # per slot, the slots taking it as a child
+    dyn_slots: dict[str, tuple[int, ...]]  # per dynamic symbol name, its slots
+    oracle_slots: tuple[int, ...]
     crules: tuple
     z_slot: int
     oracle_plans: dict[str, ExecPlan]
@@ -184,11 +192,16 @@ def build_plan(program: Program) -> ExecPlan:
         if t.head.kind == KIND_DYNAMIC:
             by_symbol.setdefault(t.head.name, []).append(i)
 
+    dyn_slots = {name: tuple(found) for name, found in by_symbol.items()}
     slots = []
-    for t in ct.terms:
+    parents: list[list[int]] = [[] for _ in ct.terms]
+    for i, t in enumerate(ct.terms):
         kind = kinds[t.head.kind]
-        same = tuple(by_symbol.get(t.head.name, ())) if kind == _KIND_DYN else ()
-        slots.append(_Slot(kind, t.head, tuple(pos[a] for a in t.args), same))
+        same = dyn_slots.get(t.head.name, ()) if kind == _KIND_DYN else ()
+        child_slots = tuple(pos[a] for a in t.args)
+        slots.append(_Slot(kind, t.head, child_slots, same))
+        for c in set(child_slots):
+            parents[c].append(i)
 
     oracle_plans = {o.symbol.name: build_plan(o.body) for o in program.oracles}
 
@@ -208,6 +221,9 @@ def build_plan(program: Program) -> ExecPlan:
         program=program,
         criticals=ct,
         slots=tuple(slots),
+        parents=tuple(tuple(p) for p in parents),
+        dyn_slots=dyn_slots,
+        oracle_slots=tuple(i for i, s in enumerate(slots) if s.kind == _KIND_ORACLE),
         crules=tuple(_compile_stmt(s, pos) for s in program.rules),
         z_slot=pos[Term(program.output)],
         oracle_plans=oracle_plans,
@@ -402,39 +418,50 @@ def _run_nested(ctx: RunContext, argids: tuple[NodeId, ...]) -> NodeId | None:
 # --- Value recomputation --------------------------------------------------------
 
 
-def _new_values(ctx: RunContext, values, updates, store=None):
-    """Recompute every tracked value, small to big, for the successor state.
+def _new_values(ctx: RunContext, values, updates, store=None, dirty=None):
+    """The tracked values of the successor state, recomputed small to big.
 
     With a store (reference engine) dynamic reads consult the location map;
-    without one they are resolved within the tracked-value window.
+    without one they are resolved within the tracked-value window.  Without a
+    dirty set every slot is recomputed.  With one (a list of flags, one per
+    slot) only the flagged slots are, starting from a copy of `values`; a slot
+    whose value changes flags the slots that take it as a child, charging one
+    read per parent edge and one write per slot newly flagged.
     """
     core = ctx.core
     tangle = core.tangle
     meter = tangle.meter
-    slots = ctx.plan.slots
-    new: list[NodeId | None] = [None] * len(slots)
+    plan = ctx.plan
+    slots = plan.slots
+    if dirty is None:
+        new: list[NodeId | None] = [None] * len(slots)
+    else:
+        new = list(values)
     for i, slot in enumerate(slots):
+        if dirty is not None and not dirty[i]:
+            continue
         kind = slot.kind
         child_slots = slot.child_slots
         childvals = tuple(new[s] for s in child_slots)
+        value = None
         if any(v is None for v in childvals):
-            continue  # strict: undef argument forces undef
-        if kind == _KIND_CONS:
-            new[i] = tangle.intern(slot.sym, childvals)
+            pass  # strict: undef argument forces undef
+        elif kind == _KIND_CONS:
+            value = tangle.intern(slot.sym, childvals)
         elif kind == _KIND_ORACLE:
-            new[i] = _invoke(ctx, slot.sym.name, childvals)
+            value = _invoke(ctx, slot.sym.name, childvals)
         else:
             key = (slot.sym.name, childvals)
             meter.charge_probe()
             if key in updates:
-                new[i] = updates[key]
+                value = updates[key]
             elif store is not None:
                 meter.charge_probe()
-                new[i] = store.get(key)
+                value = store.get(key)
             else:
                 meter.charge_compare(max(1, len(child_slots)))
                 if childvals == tuple(values[s] for s in child_slots):
-                    new[i] = values[i]
+                    value = values[i]
                 else:
                     for j in slot.same_head:
                         cand = slots[j]
@@ -442,9 +469,39 @@ def _new_values(ctx: RunContext, values, updates, store=None):
                         if values[j] is None:
                             continue
                         if childvals == tuple(values[s] for s in cand.child_slots):
-                            new[i] = values[j]
+                            value = values[j]
                             break
+        if dirty is None:
+            new[i] = value
+        elif value != new[i]:
+            new[i] = value
+            parents = plan.parents[i]
+            meter.charge_read(len(parents))
+            for p in parents:
+                if not dirty[p]:
+                    dirty[p] = True
+                    meter.charge_write()
     return new
+
+
+def _dirty_seed(ctx: RunContext, updates) -> list[bool]:
+    """The slots a fast-engine transition must recompute before propagation:
+    every oracle slot, so that unmemoized oracles still run each step, and the
+    dynamic slots of every updated symbol.  The oracle slots are fixed by the
+    plan and flagged free; one probe per update-set key finds its symbol's
+    slots, and each of those newly flagged charges one write."""
+    plan = ctx.plan
+    meter = ctx.core.tangle.meter
+    dirty = [False] * plan.m
+    for i in plan.oracle_slots:
+        dirty[i] = True
+    for name, _ in updates:
+        meter.charge_probe()
+        for i in plan.dyn_slots.get(name, ()):
+            if not dirty[i]:
+                dirty[i] = True
+                meter.charge_write()
+    return dirty
 
 
 def _check_state(ctx: RunContext, values):
@@ -500,10 +557,13 @@ def _setup(
     """Everything before initialization: check the arguments, compile the plan
     (unless one is given) and make the run context over a given store or a new
     one metered by `meter`.  A given store runs on its own meter; naming a
-    different meter for it is an error.
+    different meter for it is an error, and so is a negative fuel (fuel 0
+    runs no transition).
     """
     if engine not in ("critical", "reference"):
         raise ValueError(f"unknown engine {engine!r}")
+    if fuel < 0:
+        raise ValueError(f"fuel must be at least 0, got {fuel}")
     _check_inputs(program, inputs)
     if plan is None:
         plan = build_plan(program)
@@ -586,8 +646,9 @@ def _step(state: EngineState) -> StepOutcome:
     """One transition of either engine; Terminal when no assignment is enabled.
 
     A state with a store (reference engine) writes the update set into a copy
-    of its location map before the tracked values are recomputed.  Only steps
-    that land in the per-step series are counted and traced.
+    of its location map and recomputes every tracked value; a state without
+    one (fast engine) recomputes only the dirty slots.  Only steps that land
+    in the per-step series are counted and traced.
     """
     ctx = state.ctx
     core = ctx.core
@@ -608,7 +669,9 @@ def _step(state: EngineState) -> StepOutcome:
                 store.pop(key, None)  # undef means the location leaves the finite support
             else:
                 store[key] = val
-    new = _new_values(ctx, values, updates, store=store)
+        new = _new_values(ctx, values, updates, store=store)
+    else:
+        new = _new_values(ctx, values, updates, dirty=_dirty_seed(ctx, updates))
     if core.check:
         _check_state(ctx, new)
     index = state.step_index + 1

@@ -283,6 +283,12 @@ def _fixtures(tmp_path):
     ("compare bin_succ --random 0", "--random expects a count of at least 1, got 0"),
     ("compare bin_succ --random -5", "--random expects a count of at least 1, got -5"),
     ("run {tmp}/un.esm --input x=-3 --nat", "unary numerals encode natural numbers, got -3"),
+    ("compare bin_succ --fuel -1", "fuel must be at least 0, got -1"),
+    ("run bin_succ --input x=4 --nat --fuel -1", "fuel must be at least 0, got -1"),
+    ("verify bin_succ --sweep 4:8 --input x=zz --nat", "--sweep and --input are exclusive"),
+    ("compare bin_succ --input x=4 --nat --random 3 --seed 5",
+     "--random and --input are exclusive"),
+    ("compare bin_succ --input x=4 --nat --random 1", "--random and --input are exclusive"),
 ])
 def test_bad_input_exits_one_with_one_line(tmp_path, capsys, argv, message):
     _fixtures(tmp_path)

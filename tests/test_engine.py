@@ -484,3 +484,29 @@ rules { f(c) := c1  f(c) := c2 }
     )
     cmp = compare_engines(p)
     assert cmp.equivalent and cmp.outcome == "clash"
+
+
+def test_dirty_slots_seeded_by_updates_with_arguments():
+    # f(c) is updated while its argument keeps its value, so only the update
+    # set can mark it dirty; k(f(c)) must follow it.  Then p changes while
+    # f(p) keeps its value, so k(f(p)) need not be recomputed.
+    p = data_program("dirty_seed")
+    fast = run(p, check_invariants=True)
+    ref = run(p, engine="reference")
+    assert fast.outcome == ref.outcome == OUTPUT
+    assert fast.steps == ref.steps == 3
+    assert format_term(fast.output) == format_term(ref.output) == "k(e2)"
+    cmp = compare_engines(p)
+    assert cmp.equivalent and cmp.outcome == TERMINAL
+
+
+def test_negative_fuel_is_rejected():
+    p = load_corpus("bin_succ")
+    inputs = [binary_input(p.vocab, 4)]
+    for call in (
+        lambda: run(p, inputs, fuel=-1),
+        lambda: run(p, inputs, fuel=-1, engine="reference"),
+        lambda: compare_engines(p, inputs, fuel=-1),
+    ):
+        with pytest.raises(ValueError, match="fuel must be at least 0, got -1"):
+            call()
