@@ -188,7 +188,8 @@ def sweep_sizes(range_text: str) -> list[int]:
 def _trials(program: Program, args) -> list[tuple[int | None, list[Term]]]:
     """The (size, inputs) of every run a subcommand makes: one per --sweep
     size, else the --input bindings, else one per --random trial (one when
-    --random is not given).  Naming two input sources is an error."""
+    --random is not given).  Naming two input sources is an error, and so is
+    a flag the chosen source would ignore."""
     vocab, inputs = program.vocab, program.inputs
     given = getattr(args, "input", [])
     sweep, count = getattr(args, "sweep", None), getattr(args, "random", None)
@@ -196,6 +197,10 @@ def _trials(program: Program, args) -> list[tuple[int | None, list[Term]]]:
         raise ValueError("--sweep and --input are exclusive; give one of them")
     if count is not None and given:
         raise ValueError("--random and --input are exclusive; give one of them")
+    if getattr(args, "seed", None) is not None and given:
+        raise ValueError("--seed and --input are exclusive; give one of them")
+    if getattr(args, "nat", False) and not given and args.command != "run":
+        raise ValueError("--nat applies only to --input values")  # and to run's output
     if count is not None and count < 1:
         raise ValueError(f"--random expects a count of at least 1, got {count}")
     if sweep:
@@ -208,7 +213,7 @@ def _trials(program: Program, args) -> list[tuple[int | None, list[Term]]]:
         ]
     if given or not hasattr(args, "random"):
         return [(None, parse_inputs(program, given, args.nat))]
-    rng = random.Random(args.seed)
+    rng = random.Random(args.seed or 0)
     return [(None, [random_input(vocab, rng) for _ in inputs]) for _ in range(count or 1)]
 
 
@@ -329,7 +334,7 @@ _FLAGS = {
     "--oracle-cost": dict(choices=["unit", "inline"], default="inline"),
     "--report": dict(metavar="PATH"),
     "--format": dict(choices=["json", "csv"], default="json"),
-    "--seed": dict(type=int, default=0),
+    "--seed": dict(type=int, help="random trial seed (default 0)"),
     "--sweep": dict(metavar="LO:HI"),
     "--random": dict(type=int, metavar="COUNT", help="random trials (default 1)"),
 }

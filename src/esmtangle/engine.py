@@ -1,34 +1,36 @@
 """Two interpreters for guarded-assignment programs over one term store.
 
-The fast engine keeps exactly one value per tracked term (the program's terms
-and their subterms, ordered small to big) inside a maximally shared graph
-store.  A transition evaluates guards by id comparisons, collects the enabled
-assignments into an update set, and then recomputes the tracked values in
-order: constructor applications intern, dynamic reads are resolved against the
-update set, the unchanged-argument fast path, or a search across same-symbol
-tracked terms whose old argument values match; anything else falls soft to
-undef.  A transition recomputes only its dirty slots: the tracked terms of
-every updated dynamic symbol and every oracle application, and then, in
-increasing order so children come first, each term with a child whose value
-changed.  Any other term keeps its value, since its recomputation would return
-it unchanged.  Initialization recomputes every slot.
+Both engines keep one value per tracked term (the program's terms and their
+subterms, ordered small to big) inside a maximally shared graph store, and a
+finite location map from (symbol, argument ids) to value ids outside it.  A
+transition evaluates guards by id comparisons, collects the enabled
+assignments into an update set, writes the update set into the location map
+at one write per entry, and recomputes tracked values in order: constructor
+applications intern, oracle applications call, and a dynamic read probes the
+update set and, on a miss, the location map.  Strictness makes a term with an
+undef argument undef.
 
-The reference engine executes the same programs over a full location map with
-recursive lookup and no tracked-value machinery, and recomputes every tracked
-term on every transition.  It is the semantic oracle the fast engine is
-differentially tested against; `compare_engines` runs both in lockstep over
-one shared store and reports the first step where any tracked term's value
-differs, which with maximal sharing is an id comparison.
+The engines differ only in how a transition treats its state.  The reference
+engine writes into a copy of the map and recomputes every tracked term, so
+its states stay functional; it is the semantic oracle the fast engine is
+differentially tested against.  The fast engine writes into its one map in
+place, so a fast-engine state can be stepped only once, and recomputes only
+its dirty slots: the tracked terms of every updated dynamic symbol and every
+oracle application, and then, in increasing order so children come first,
+each term with a child whose value changed.  Any other term keeps its value,
+since its recomputation would return it unchanged.  Initialization recomputes
+every slot.  `compare_engines` runs both engines in lockstep over one shared
+store and reports the first step where any tracked term's value differs,
+which with maximal sharing is an id comparison.
 
 Both engines take one path.  `_setup` checks the arguments, compiles the plan
 and makes the run core; `_init_state` is the one initializer (nested oracle
 runs use it too).  One step body, behind `step_critical` and `step_ref`,
-evaluates guards, builds the update set, writes it back when the state carries
-a location map (the reference engine), recomputes, commits and traces;
-`_drive` steps a run to its end.  The engines differ only in whether a
-state carries that map.  Every run is metered by its store's meter, which is
-fixed when the store is made: a run reports the operations that meter gains
-during the run, so two runs on one store each report only their own work.
+evaluates guards, builds the update set, writes it into the location map,
+recomputes, commits and traces; `_drive` steps a run to its end.  Every run
+is metered by its store's meter, which is fixed when the store is made: a run
+reports the operations that meter gains during the run, so two runs on one
+store each report only their own work.
 
 Oracle symbols are realized by nested runs of their body programs over the
 same store and meter, through one call path.  In "unit" cost mode the meter
@@ -107,7 +109,6 @@ class _Slot:
     kind: int
     sym: Symbol
     child_slots: tuple[int, ...]
-    same_head: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -187,21 +188,16 @@ def build_plan(program: Program) -> ExecPlan:
     pos = ct.position
     kinds = {KIND_CONSTRUCTOR: _KIND_CONS, KIND_DYNAMIC: _KIND_DYN, KIND_ORACLE: _KIND_ORACLE}
 
-    by_symbol: dict[str, list[int]] = {}
-    for i, t in enumerate(ct.terms):
-        if t.head.kind == KIND_DYNAMIC:
-            by_symbol.setdefault(t.head.name, []).append(i)
-
-    dyn_slots = {name: tuple(found) for name, found in by_symbol.items()}
     slots = []
     parents: list[list[int]] = [[] for _ in ct.terms]
+    by_symbol: dict[str, list[int]] = {}
     for i, t in enumerate(ct.terms):
-        kind = kinds[t.head.kind]
-        same = dyn_slots.get(t.head.name, ()) if kind == _KIND_DYN else ()
         child_slots = tuple(pos[a] for a in t.args)
-        slots.append(_Slot(kind, t.head, child_slots, same))
+        slots.append(_Slot(kinds[t.head.kind], t.head, child_slots))
         for c in set(child_slots):
             parents[c].append(i)
+        if t.head.kind == KIND_DYNAMIC:
+            by_symbol.setdefault(t.head.name, []).append(i)
 
     oracle_plans = {o.symbol.name: build_plan(o.body) for o in program.oracles}
 
@@ -222,7 +218,7 @@ def build_plan(program: Program) -> ExecPlan:
         criticals=ct,
         slots=tuple(slots),
         parents=tuple(tuple(p) for p in parents),
-        dyn_slots=dyn_slots,
+        dyn_slots={name: tuple(found) for name, found in by_symbol.items()},
         oracle_slots=tuple(i for i, s in enumerate(slots) if s.kind == _KIND_ORACLE),
         crules=tuple(_compile_stmt(s, pos) for s in program.rules),
         z_slot=pos[Term(program.output)],
@@ -288,13 +284,14 @@ class RunContext:
 
 @dataclass
 class EngineState:
-    """One value (node id, or None for undef) per tracked term.  The reference
-    engine also keeps its finite location map in `store`; the fast engine has
-    none."""
+    """One value (node id, or None for undef) per tracked term, and the finite
+    location map they were read from.  A reference-engine step copies the map;
+    a fast-engine step updates it in place, so a fast-engine state can be
+    stepped only once."""
 
     ctx: RunContext
     values: list[NodeId | None]
-    store: dict[tuple[str, tuple[NodeId, ...]], NodeId] | None = None
+    store: dict[tuple[str, tuple[NodeId, ...]], NodeId]
     step_index: int = 0
 
 
@@ -418,31 +415,25 @@ def _run_nested(ctx: RunContext, argids: tuple[NodeId, ...]) -> NodeId | None:
 # --- Value recomputation --------------------------------------------------------
 
 
-def _new_values(ctx: RunContext, values, updates, store=None, dirty=None):
+def _new_values(ctx: RunContext, values, updates, store, dirty=None):
     """The tracked values of the successor state, recomputed small to big.
 
-    With a store (reference engine) dynamic reads consult the location map;
-    without one they are resolved within the tracked-value window.  Without a
+    `store` is the location map with `updates` already written into it.  A
+    dynamic read probes the update set and, on a miss, the map.  Without a
     dirty set every slot is recomputed.  With one (a list of flags, one per
-    slot) only the flagged slots are, starting from a copy of `values`; a slot
+    slot) only the flagged slots are, and the rest keep their `values`; a slot
     whose value changes flags the slots that take it as a child, charging one
     read per parent edge and one write per slot newly flagged.
     """
-    core = ctx.core
-    tangle = core.tangle
+    tangle = ctx.core.tangle
     meter = tangle.meter
     plan = ctx.plan
-    slots = plan.slots
-    if dirty is None:
-        new: list[NodeId | None] = [None] * len(slots)
-    else:
-        new = list(values)
-    for i, slot in enumerate(slots):
+    new = list(values)  # without a dirty set every entry is overwritten
+    for i, slot in enumerate(plan.slots):
         if dirty is not None and not dirty[i]:
             continue
         kind = slot.kind
-        child_slots = slot.child_slots
-        childvals = tuple(new[s] for s in child_slots)
+        childvals = tuple(new[s] for s in slot.child_slots)
         value = None
         if any(v is None for v in childvals):
             pass  # strict: undef argument forces undef
@@ -455,22 +446,9 @@ def _new_values(ctx: RunContext, values, updates, store=None, dirty=None):
             meter.charge_probe()
             if key in updates:
                 value = updates[key]
-            elif store is not None:
+            else:
                 meter.charge_probe()
                 value = store.get(key)
-            else:
-                meter.charge_compare(max(1, len(child_slots)))
-                if childvals == tuple(values[s] for s in child_slots):
-                    value = values[i]
-                else:
-                    for j in slot.same_head:
-                        cand = slots[j]
-                        meter.charge_compare(max(1, len(cand.child_slots)))
-                        if values[j] is None:
-                            continue
-                        if childvals == tuple(values[s] for s in cand.child_slots):
-                            value = values[j]
-                            break
         if dirty is None:
             new[i] = value
         elif value != new[i]:
@@ -504,8 +482,9 @@ def _dirty_seed(ctx: RunContext, updates) -> list[bool]:
     return dirty
 
 
-def _check_state(ctx: RunContext, values):
-    """Debug assertions: strictness and constructor coherence (unmetered)."""
+def _check_state(ctx: RunContext, values, store):
+    """Debug assertions (unmetered): strictness, constructor coherence, and
+    agreement of every dynamic slot with the location map."""
     core = ctx.core
     meter = core.tangle.meter
     saved = meter.enabled
@@ -518,6 +497,9 @@ def _check_state(ctx: RunContext, values):
             elif slot.kind == _KIND_CONS:
                 expect = core.tangle.intern(slot.sym, childvals)
                 assert values[i] == expect, f"constructor coherence violated at slot {i}"
+            elif slot.kind == _KIND_DYN:
+                expect = store.get((slot.sym.name, childvals))
+                assert values[i] == expect, f"location map disagrees at slot {i}"
     finally:
         meter.enabled = saved
 
@@ -608,11 +590,11 @@ def _init_state(
         meter.charge_probe()
         meter.charge_write()
 
-    values = _new_values(ctx, [None] * ctx.plan.m, {}, store=store)
+    values = _new_values(ctx, [None] * ctx.plan.m, {}, store)
     if core.check:
-        _check_state(ctx, values)
+        _check_state(ctx, values, store)
     core.record_point()
-    return EngineState(ctx, values, None if ctx.engine == "critical" else store)
+    return EngineState(ctx, values, store)
 
 
 def init_critical(
@@ -645,10 +627,10 @@ def init_ref(
 def _step(state: EngineState) -> StepOutcome:
     """One transition of either engine; Terminal when no assignment is enabled.
 
-    A state with a store (reference engine) writes the update set into a copy
-    of its location map and recomputes every tracked value; a state without
-    one (fast engine) recomputes only the dirty slots.  Only steps that land
-    in the per-step series are counted and traced.
+    The reference engine writes the update set into a copy of the location
+    map and recomputes every tracked value; the fast engine writes it into
+    the state's own map and recomputes only the dirty slots.  Only steps that
+    land in the per-step series are counted and traced.
     """
     ctx = state.ctx
     core = ctx.core
@@ -660,20 +642,18 @@ def _step(state: EngineState) -> StepOutcome:
     updates, clash = _build_updates(ctx, enabled, values)
     if clash is not None:
         return StepOutcome(STEP_CLASH, clash=clash)
-    store = state.store
-    if store is not None:
-        store = dict(store)
-        for key, val in updates.items():
-            core.tangle.meter.charge_write()
-            if val is None:
-                store.pop(key, None)  # undef means the location leaves the finite support
-            else:
-                store[key] = val
-        new = _new_values(ctx, values, updates, store=store)
-    else:
-        new = _new_values(ctx, values, updates, dirty=_dirty_seed(ctx, updates))
+    reference = ctx.engine == "reference"
+    store = dict(state.store) if reference else state.store
+    for key, val in updates.items():
+        core.tangle.meter.charge_write()
+        if val is None:
+            store.pop(key, None)  # undef means the location leaves the finite support
+        else:
+            store[key] = val
+    dirty = None if reference else _dirty_seed(ctx, updates)
+    new = _new_values(ctx, values, updates, store, dirty)
     if core.check:
-        _check_state(ctx, new)
+        _check_state(ctx, new, store)
     index = state.step_index + 1
     core.fuel_left -= 1
     if core.record:

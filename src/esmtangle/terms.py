@@ -97,6 +97,14 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self._by_name)
 
+    def __eq__(self, other):
+        if not isinstance(other, Vocabulary):
+            return NotImplemented
+        return self._by_name == other._by_name
+
+    def __hash__(self):
+        return hash(frozenset(self._by_name.values()))
+
     def __repr__(self):
         return f"Vocabulary({', '.join(map(repr, self._by_name.values()))})"
 

@@ -150,10 +150,29 @@ def test_compare_random(capsys):
     assert "equivalent (5 trials)" in out
 
 
-def test_compare_divergence_exit(capsys):
-    code, _, err = invoke(capsys, "compare", str(DATA / "stale_read.esm"))
-    assert code == 4
-    assert "divergence" in err and "f(p)" in err
+def test_compare_divergence_exit(capsys, monkeypatch):
+    # A fast engine that corrupts the first tracked value (b) after its second
+    # step stands in for an engine bug.
+    import esmtangle.engine as engine_mod
+
+    real = engine_mod.step_critical
+
+    def broken(program, state):
+        out = real(program, state)
+        if out.kind == "next" and out.state.step_index == 2:
+            out.state.values = [None] + out.state.values[1:]
+        return out
+
+    monkeypatch.setattr(engine_mod, "step_critical", broken)
+    code, out, err = invoke(capsys, "compare", "toggle")
+    assert (code, out) == (4, "")
+    assert err == "divergence on trial 0: step 2, b: critical=undef reference=d0(eps)\n"
+
+
+def test_compare_stale_read_is_equivalent(capsys):
+    code, out, _ = invoke(capsys, "compare", str(DATA / "stale_read.esm"))
+    assert code == 0
+    assert out == "equivalent (1 trial)\n"
 
 
 def test_compare_explicit_input(capsys):
@@ -289,6 +308,9 @@ def _fixtures(tmp_path):
     ("compare bin_succ --input x=4 --nat --random 3 --seed 5",
      "--random and --input are exclusive"),
     ("compare bin_succ --input x=4 --nat --random 1", "--random and --input are exclusive"),
+    ("compare bin_succ --input x=4 --nat --seed 5", "--seed and --input are exclusive"),
+    ("verify bin_succ --sweep 4:8 --nat", "--nat applies only to --input values"),
+    ("compare bin_succ --random 3 --nat", "--nat applies only to --input values"),
 ])
 def test_bad_input_exits_one_with_one_line(tmp_path, capsys, argv, message):
     _fixtures(tmp_path)

@@ -236,20 +236,16 @@ def test_strictness_of_undef_arguments():
         """
 vocab { constructors { c0/0; d/1 } dynamic { x/0; z/0 } }
 inputs { } output { z }
-rules { if d(x) = undef then { z := c0 } }
+rules { if d(x) = undef and z = undef then { z := c0 } }
 """
     )
     # x is undef, so d(x) is undef: the definedness atom fires.
-    r = run(p, fuel=1)
-    assert valuation_from_result(p, r) is not None
+    r = run(p)
+    assert r.outcome == OUTPUT and format_term(r.output) == "c0"
     assert r.steps == 1
 
 
-def valuation_from_result(p, r):
-    return r  # placeholder to keep the assertion above readable
-
-
-# --- Window semantics (dynamic reads in the fast engine) ------------------------
+# --- Dynamic reads: update set, then location map --------------------------------
 
 
 def test_crossing_registers_resolve_in_window():
@@ -267,18 +263,34 @@ def test_write_then_read_same_location_values():
     assert r.outcome == OUTPUT and format_term(r.output) == "c2"
 
 
-def test_stale_read_diverges_and_is_reported():
+def test_stale_read_is_exact_on_both_engines():
+    # f(p) is written while p = c1, p leaves c1 and comes back, and only then
+    # is f(p) read: the read finds the location in the map on both engines.
     p = data_program("stale_read")
-    fast = run(p)
-    ref = run(p, engine="reference")
-    assert fast.outcome == UNDEF_OUTPUT      # fast engine lost the location
-    assert ref.outcome == OUTPUT and format_term(ref.output) == "c2"
+    for engine in ("critical", "reference"):
+        r = run(p, engine=engine)
+        assert r.outcome == OUTPUT and format_term(r.output) == "c2", engine
     cmp = compare_engines(p)
-    assert not cmp.equivalent
-    assert cmp.divergence.step == 3
-    assert format_term(cmp.divergence.term) == "f(p)"
-    assert cmp.divergence.critical_value == "undef"
-    assert cmp.divergence.reference_value == "c2"
+    assert cmp.equivalent and cmp.outcome == TERMINAL and cmp.steps == 4
+
+
+@pytest.mark.parametrize("name", ["stale_read", "case3_cross", "dirty_seed"])
+@pytest.mark.parametrize("engine", ["critical", "reference"])
+def test_invariant_checks_hold_the_location_map(name, engine):
+    assert run(data_program(name), engine=engine, check_invariants=True).outcome == OUTPUT
+
+
+def test_invariant_checks_catch_a_slot_left_stale(monkeypatch):
+    # A fast engine that recomputes only oracle slots keeps pc at its old
+    # value while the location map moves on.
+    p = data_program("stale_read")
+
+    def oracles_only(ctx, updates):
+        return [i in ctx.plan.oracle_slots for i in range(ctx.plan.m)]
+
+    monkeypatch.setattr(engine_mod, "_dirty_seed", oracles_only)
+    with pytest.raises(AssertionError, match="location map disagrees"):
+        run(p, check_invariants=True)
 
 
 def test_mutated_fast_engine_is_caught(monkeypatch):

@@ -1,0 +1,147 @@
+"""Property: on random well-formed programs the fast engine agrees with the
+reference engine at every step, and the canonical text form parses back to
+the same program.
+
+Programs draw on a small vocabulary (nullary and unary constructors, dynamic
+symbols of arity 0 and 1), so that locations written at one step are read
+again later under other argument values, and enabled assignments often meet
+at one location, agreeing or clashing.  Oracle bodies are files and stay out.
+
+A program is decoded from one drawn byte string, a byte per decision, so a
+draw is cheap and Hypothesis shrinks a failure toward zero bytes, which
+decode to the first choice everywhere: fewer symbols, atoms, shallow terms.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from esmtangle.engine import compare_engines, run
+from esmtangle.syntax import (
+    Assign,
+    Cond,
+    GAnd,
+    GAtom,
+    GNot,
+    GOr,
+    Program,
+    format_program,
+    parse_program,
+    validate_program,
+)
+from esmtangle.terms import KIND_DYNAMIC, Symbol, Term, Vocabulary, format_term
+
+FUEL = 8  # compare_engines reports fuel_limited, an agreement, beyond this
+
+CONSTRUCTORS = [Symbol("c0", 0), Symbol("c1", 0), Symbol("c2", 0),
+                Symbol("u", 1), Symbol("v", 1)]
+DYNAMICS = [Symbol(n, 0, KIND_DYNAMIC) for n in ("x", "y", "z")] + \
+    [Symbol(n, 1, KIND_DYNAMIC) for n in ("f", "g")]
+
+
+class _Decisions:
+    """Reads decisions from a byte string; past its end every decision is 0."""
+
+    def __init__(self, data: bytes):
+        self.data, self.i = data, 0
+
+    def below(self, n: int) -> int:
+        byte = self.data[self.i] if self.i < len(self.data) else 0
+        self.i += 1
+        return byte % n
+
+    def pick(self, choices):
+        return choices[self.below(len(choices))]
+
+
+def _some(d, symbols, unary):
+    """A non-empty prefix of the nullary symbols and a prefix of at least
+    `unary` of the unary ones."""
+    zero = [s for s in symbols if s.arity == 0]
+    one = [s for s in symbols if s.arity == 1]
+    return zero[: 1 + d.below(len(zero))] + one[: unary + d.below(len(one) + 1 - unary)]
+
+
+def _term(d, symbols, depth):
+    head = d.pick([s for s in symbols if s.arity == 0 or depth > 0])
+    return Term(head, [_term(d, symbols, depth - 1) for _ in range(head.arity)])
+
+
+def _term_or_undef(d, symbols, depth):
+    return None if d.below(5) == 4 else _term(d, symbols, depth)
+
+
+def _guard(d, symbols, depth):
+    op = d.pick(["atom", "test", "not", "and", "or"] if depth else ["atom", "test"])
+    if op == "test":  # a register test, as in `pc = c0`
+        return GAtom(_term(d, symbols, 0), _term(d, symbols, 0))
+    if op == "atom":
+        return GAtom(_term_or_undef(d, symbols, 1), _term_or_undef(d, symbols, 1))
+    if op == "not":
+        return GNot(_guard(d, symbols, depth - 1))
+    left, right = _guard(d, symbols, depth - 1), _guard(d, symbols, depth - 1)
+    return GAnd(left, right) if op == "and" else GOr(left, right)
+
+
+def _assign(d, heads, arg_symbols, rhs_symbols, undef_rhs):
+    head = d.pick(heads)
+    args = tuple(_term(d, arg_symbols, 1) for _ in range(head.arity))
+    rhs = _term_or_undef(d, rhs_symbols, 1) if undef_rhs else _term(d, rhs_symbols, 1)
+    return Assign(head, args, rhs)
+
+
+def _stmts(d, dynamics, symbols, depth):
+    out = []
+    for _ in range(1 + d.below(2)):
+        if depth and d.below(4):
+            then = _stmts(d, dynamics, symbols, depth - 1)
+            orelse = _stmts(d, dynamics, symbols, depth - 1) if d.below(2) else ()
+            out.append(Cond(_guard(d, symbols, 2), then, orelse))
+        else:
+            a = _assign(d, dynamics, symbols, symbols, undef_rhs=True)
+            out.append(a)
+            if d.below(4) == 0:
+                out.append(a)  # the same update twice agrees
+    return tuple(out)
+
+
+def _program(data: bytes) -> Program:
+    d = _Decisions(data)
+    constructors = _some(d, CONSTRUCTORS, unary=0)
+    dynamics = _some(d, DYNAMICS, unary=1)  # at least one location with an argument
+    symbols = constructors + dynamics
+    init = tuple(
+        _assign(d, dynamics, constructors, constructors, undef_rhs=False)
+        for _ in range(d.below(4))
+    )
+    output = d.pick([s for s in dynamics if s.arity == 0])
+    rules = _stmts(d, dynamics, symbols, 2)
+    return Program(vocab=Vocabulary(symbols), inputs=(), output=output, init=init, rules=rules)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(p=st.binary(min_size=64, max_size=256).map(_program))
+def test_engines_agree_on_random_programs(p):
+    text = format_program(p)
+    assert validate_program(p) == [], text
+    assert parse_program(text) == p, text
+    cmp = compare_engines(p, fuel=FUEL)
+    assert cmp.equivalent, (text, cmp.divergence)
+    run(p, fuel=FUEL, check_invariants=True)  # fast-engine slots agree with its map
+
+
+def test_location_written_at_init_is_read_later():
+    # f(c1) is named only in the init block; f(x) reaches it once x = c1.
+    p = parse_program(
+        """
+vocab { constructors { c0/0; c1/0 } dynamic { x/0; z/0; f/1 } }
+inputs { } output { z }
+init { f(c1) := c0; }
+rules {
+  if x = undef then { x := c1 } else { if z = undef then { z := f(x) } }
+}
+"""
+    )
+    for engine in ("critical", "reference"):
+        r = run(p, engine=engine, check_invariants=True)
+        assert (r.outcome, format_term(r.output), r.steps) == ("output", "c0", 2)
+    assert compare_engines(p).equivalent
