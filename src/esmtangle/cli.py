@@ -189,20 +189,25 @@ def _trials(program: Program, args) -> list[tuple[int | None, list[Term]]]:
     """The (size, inputs) of every run a subcommand makes: one per --sweep
     size, else the --input bindings, else one per --random trial (one when
     --random is not given).  Naming two input sources is an error, and so is
-    a flag the chosen source would ignore."""
+    a flag the chosen source would ignore, such as one on a program without
+    inputs."""
     vocab, inputs = program.vocab, program.inputs
-    given = getattr(args, "input", [])
+    given, seed = getattr(args, "input", []), getattr(args, "seed", None)
     sweep, count = getattr(args, "sweep", None), getattr(args, "random", None)
     if sweep and given:
         raise ValueError("--sweep and --input are exclusive; give one of them")
     if count is not None and given:
         raise ValueError("--random and --input are exclusive; give one of them")
-    if getattr(args, "seed", None) is not None and given:
+    if seed is not None and given:
         raise ValueError("--seed and --input are exclusive; give one of them")
     if getattr(args, "nat", False) and not given and args.command != "run":
         raise ValueError("--nat applies only to --input values")  # and to run's output
     if count is not None and count < 1:
         raise ValueError(f"--random expects a count of at least 1, got {count}")
+    for flag, value in (("--sweep", sweep), ("--random", count), ("--seed", seed)):
+        if value is not None and not inputs:
+            raise ValueError(f"{flag} applies only to a program with inputs; "
+                             f"{program.name} has none")
     if sweep:
         codec = input_codec(vocab)
         if codec is None:
@@ -213,7 +218,7 @@ def _trials(program: Program, args) -> list[tuple[int | None, list[Term]]]:
         ]
     if given or not hasattr(args, "random"):
         return [(None, parse_inputs(program, given, args.nat))]
-    rng = random.Random(args.seed or 0)
+    rng = random.Random(seed or 0)
     return [(None, [random_input(vocab, rng) for _ in inputs]) for _ in range(count or 1)]
 
 
@@ -379,7 +384,8 @@ def main(argv: list[str] | None = None) -> int:
         return args.fn(args)
     except ValueError as exc:  # bad program, input, flag value or sweep range
         return _fail(str(exc))
-    except RecursionError:  # the guard and statement layer still recurses
+    except RecursionError:  # the parser on `(`, `not` and nested `if`, and the
+        # rule compiler on nested `if`, still recurse (format_program too)
         return _fail(f"{args.program}: program is nested too deeply to process")
     except BrokenPipeError:
         return EXIT_OK

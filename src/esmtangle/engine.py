@@ -2,13 +2,15 @@
 
 Both engines keep one value per tracked term (the program's terms and their
 subterms, ordered small to big) inside a maximally shared graph store, and a
-finite location map from (symbol, argument ids) to value ids outside it.  A
-transition evaluates guards by id comparisons, collects the enabled
-assignments into an update set, writes the update set into the location map
-at one write per entry, and recomputes tracked values in order: constructor
-applications intern, oracle applications call, and a dynamic read probes the
-update set and, on a miss, the location map.  Strictness makes a term with an
-undef argument undef.
+finite location map from (symbol, argument ids) to value ids outside it.
+`build_plan` compiles the rules once into jumping code, in which each guard
+atom is one id comparison that jumps to one of two targets and each
+assignment names its successor.  A transition runs that code in one loop and
+collects the assignments it passes into an update set, writes the update set
+into the location map at one write per entry, and recomputes tracked values
+in order: constructor applications intern, oracle applications call, and a
+dynamic read probes the update set and, on a miss, the location map.
+Strictness makes a term with an undef argument undef.
 
 The engines differ only in how a transition treats its state.  The reference
 engine writes into a copy of the map and recomputes every tracked term, so
@@ -44,17 +46,15 @@ within a run; memo hits charge one operation in both modes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import NamedTuple, Sequence
 
 from .cost import CostMeter, CostReport, StepCost
 from .syntax import (
     Assign,
-    Cond,
     CriticalTerms,
-    GAtom,
     GAnd,
+    GAtom,
     GNot,
-    GOr,
     OracleDef,
     Program,
     Stmt,
@@ -111,18 +111,18 @@ class _Slot:
     child_slots: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class _CAssign:
+class _Test(NamedTuple):  # a guard atom: jump to `then` if it holds, else `orelse`
+    lhs: int
+    rhs: int
+    then: int
+    orelse: int
+
+
+class _CAssign(NamedTuple):  # an assignment, then its successor
     sym: Symbol
     arg_slots: tuple[int, ...]
     rhs_slot: int
-
-
-@dataclass(frozen=True)
-class _CCond:
-    test: tuple
-    then: tuple
-    orelse: tuple
+    next: int
 
 
 @dataclass
@@ -135,7 +135,7 @@ class ExecPlan:
     parents: tuple[tuple[int, ...], ...]  # per slot, the slots taking it as a child
     dyn_slots: dict[str, tuple[int, ...]]  # per dynamic symbol name, its slots
     oracle_slots: tuple[int, ...]
-    crules: tuple
+    code: tuple[_Test | _CAssign, ...]  # the rules as jumping code, entry 0
     z_slot: int
     oracle_plans: dict[str, ExecPlan]
     c_program: int
@@ -146,41 +146,46 @@ class ExecPlan:
         return len(self.slots)
 
 
-def _compile_guard(g, pos) -> tuple:
-    if isinstance(g, GAtom):
-        l = _UNDEF_SLOT if g.lhs is None else pos[g.lhs]
-        r = _UNDEF_SLOT if g.rhs is None else pos[g.rhs]
-        return ("atom", l, r)
-    if isinstance(g, GNot):
-        return ("not", _compile_guard(g.sub, pos))
-    if isinstance(g, GAnd):
-        return ("and", _compile_guard(g.left, pos), _compile_guard(g.right, pos))
-    if isinstance(g, GOr):
-        return ("or", _compile_guard(g.left, pos), _compile_guard(g.right, pos))
-    raise TypeError(f"unknown guard node {g!r}")
+def _compile_rules(rules: Sequence[Stmt], pos) -> tuple[_Test | _CAssign, ...]:
+    """The rules as jumping code, entry at 0 and exit at the end.  It is
+    emitted back to front, so every jump target exists when it is needed: a
+    label is an index into `out`, -1 is the exit, and reversed, label i lands
+    at last - i.  Both branches of an `if` continue at one label, so an empty
+    branch emits nothing, though its test still runs.  `guard` loops down the
+    left spine of an `and`/`or` chain, so only right operands recurse."""
+    out: list = []
 
+    def slot(t: Term | None) -> int:
+        return _UNDEF_SLOT if t is None else pos[t]
 
-def _compile_stmt(stmt: Stmt, pos) -> object:
-    if isinstance(stmt, Assign):
-        rhs_slot = _UNDEF_SLOT if stmt.rhs is None else pos[stmt.rhs]
-        return _CAssign(stmt.head, tuple(pos[a] for a in stmt.head_args), rhs_slot)
-    assert isinstance(stmt, Cond)
-    return _CCond(
-        _compile_guard(stmt.guard, pos),
-        tuple(_compile_stmt(s, pos) for s in stmt.then),
-        tuple(_compile_stmt(s, pos) for s in stmt.orelse),
+    def guard(g, then: int, orelse: int) -> int:
+        while not isinstance(g, GAtom):
+            if isinstance(g, GNot):
+                g, then, orelse = g.sub, orelse, then
+            elif isinstance(g, GAnd):
+                g, then = g.left, guard(g.right, then, orelse)
+            else:
+                g, orelse = g.left, guard(g.right, then, orelse)
+        out.append(_Test(slot(g.lhs), slot(g.rhs), then, orelse))
+        return len(out) - 1
+
+    def stmts(body: Sequence[Stmt], k: int) -> int:
+        for s in reversed(body):
+            if isinstance(s, Assign):
+                out.append(_CAssign(s.head, tuple(map(slot, s.head_args)), slot(s.rhs), k))
+                k = len(out) - 1
+            else:
+                orelse = stmts(s.orelse, k)
+                k = guard(s.guard, stmts(s.then, k), orelse)
+        return k
+
+    stmts(rules, -1)
+    last = len(out) - 1
+    return tuple(
+        _Test(i.lhs, i.rhs, last - i.then, last - i.orelse) if type(i) is _Test
+        else _CAssign(i.sym, i.arg_slots, i.rhs_slot, last - i.next)
+        for i in reversed(out)
     )
-
-
-def _assignment_rhs_sizes(stmts: Iterable[Stmt]) -> int:
-    total = 0
-    for stmt in stmts:
-        if isinstance(stmt, Assign):
-            total += 0 if stmt.rhs is None else compact_size(stmt.rhs)
-        else:
-            total += _assignment_rhs_sizes(stmt.then)
-            total += _assignment_rhs_sizes(stmt.orelse)
-    return total
 
 
 def build_plan(program: Program) -> ExecPlan:
@@ -200,11 +205,16 @@ def build_plan(program: Program) -> ExecPlan:
             by_symbol.setdefault(t.head.name, []).append(i)
 
     oracle_plans = {o.symbol.name: build_plan(o.body) for o in program.oracles}
+    code = _compile_rules(program.rules, pos)
 
     # Growth constant: the sum of right-hand-side compact sizes bounds what a
-    # transition can intern.  Each oracle adds the headroom of its own nested
-    # initialization and transitions (a per-record bound, hence the max).
-    c_program = _assignment_rhs_sizes(program.rules)
+    # transition can intern; every assignment appears once in the code.  Each
+    # oracle adds the headroom of its own nested initialization and
+    # transitions (a per-record bound, hence the max).
+    c_program = sum(
+        compact_size(ct.terms[i.rhs_slot]) for i in code
+        if type(i) is _CAssign and i.rhs_slot != _UNDEF_SLOT
+    )
     for oplan in oracle_plans.values():
         c_program += max(oplan.c_program, oplan.init_weight)
 
@@ -220,7 +230,7 @@ def build_plan(program: Program) -> ExecPlan:
         parents=tuple(tuple(p) for p in parents),
         dyn_slots={name: tuple(found) for name, found in by_symbol.items()},
         oracle_slots=tuple(i for i, s in enumerate(slots) if s.kind == _KIND_ORACLE),
-        crules=tuple(_compile_stmt(s, pos) for s in program.rules),
+        code=code,
         z_slot=pos[Term(program.output)],
         oracle_plans=oracle_plans,
         c_program=c_program,
@@ -315,34 +325,26 @@ class RunResult:
 # --- Guard evaluation and update collection -----------------------------------
 
 
-def _eval_guard(meter: CostMeter, g: tuple, values) -> bool:
-    tag = g[0]
-    if tag == "atom":
+def _enabled(meter: CostMeter, code, values) -> list[_CAssign]:
+    """Run the jumping code from its entry and return the assignments it
+    passes, in program order.  Each atom evaluated charges one compare: a
+    literal undef equals only undef, and two terms are equal only when both
+    are defined and have one id."""
+    enabled = []
+    pc, end = 0, len(code)
+    while pc < end:
+        ins = code[pc]
+        if type(ins) is _CAssign:
+            enabled.append(ins)
+            pc = ins.next
+            continue
         meter.charge_compare()
-        l, r = g[1], g[2]
-        if l == _UNDEF_SLOT and r == _UNDEF_SLOT:
-            return True
-        if l == _UNDEF_SLOT:
-            return values[r] is None
-        if r == _UNDEF_SLOT:
-            return values[l] is None
-        a, b = values[l], values[r]
-        return a is not None and b is not None and a == b
-    if tag == "not":
-        return not _eval_guard(meter, g[1], values)
-    if tag == "and":
-        return _eval_guard(meter, g[1], values) and _eval_guard(meter, g[2], values)
-    return _eval_guard(meter, g[1], values) or _eval_guard(meter, g[2], values)
-
-
-def _collect_enabled(meter: CostMeter, stmts, values, out: list):
-    for s in stmts:
-        if type(s) is _CAssign:
-            out.append(s)
-        elif _eval_guard(meter, s.test, values):
-            _collect_enabled(meter, s.then, values, out)
-        else:
-            _collect_enabled(meter, s.orelse, values, out)
+        l, r = ins.lhs, ins.rhs
+        a = None if l == _UNDEF_SLOT else values[l]
+        b = None if r == _UNDEF_SLOT else values[r]
+        holds = a == b and (a is not None or l == _UNDEF_SLOT or r == _UNDEF_SLOT)
+        pc = ins.then if holds else ins.orelse
+    return enabled
 
 
 def _build_updates(ctx: RunContext, enabled, values):
@@ -635,8 +637,7 @@ def _step(state: EngineState) -> StepOutcome:
     ctx = state.ctx
     core = ctx.core
     values = state.values
-    enabled: list = []
-    _collect_enabled(core.tangle.meter, ctx.plan.crules, values, enabled)
+    enabled = _enabled(core.tangle.meter, ctx.plan.code, values)
     if not enabled:
         return StepOutcome(TERMINAL)
     updates, clash = _build_updates(ctx, enabled, values)
@@ -695,9 +696,7 @@ def _drive(ctx: RunContext, state: EngineState) -> EngineState:
     step = step_critical if ctx.engine == "critical" else step_ref
     while True:
         if core.fuel_left <= 0:
-            enabled: list = []
-            _collect_enabled(core.tangle.meter, plan.crules, state.values, enabled)
-            if enabled:
+            if _enabled(core.tangle.meter, plan.code, state.values):
                 raise _Halt(FUEL_EXHAUSTED)
             return state
         out = step(plan.program, state)

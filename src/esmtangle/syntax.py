@@ -431,38 +431,27 @@ def validate_program(p: Program) -> list[str]:
 # --- Critical terms ------------------------------------------------------------
 
 
-def _walk_guard_terms(g: Guard, found: list[Term]):
-    if isinstance(g, GAtom):
-        if g.lhs is not None:
-            found.append(g.lhs)
-        if g.rhs is not None:
-            found.append(g.rhs)
-    elif isinstance(g, GNot):
-        _walk_guard_terms(g.sub, found)
-    else:
-        _walk_guard_terms(g.left, found)
-        _walk_guard_terms(g.right, found)
-
-
-def _walk_stmt_terms(stmt: Stmt, found: list[Term]):
-    if isinstance(stmt, Assign):
-        found.append(stmt.head_term())
-        if stmt.rhs is not None:
-            found.append(stmt.rhs)
-    else:
-        _walk_guard_terms(stmt.guard, found)
-        for s in stmt.then:
-            _walk_stmt_terms(s, found)
-        for s in stmt.orelse:
-            _walk_stmt_terms(s, found)
-
-
 def program_terms(p: Program) -> list[Term]:
     """Terms of the program in textual order: inputs, output, then rules."""
     found: list[Term] = [Term(sym) for sym in p.inputs]
     found.append(Term(p.output))
-    for stmt in p.rules:
-        _walk_stmt_terms(stmt, found)
+    stack: list = list(reversed(p.rules))  # statements and guards, next on top
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Assign):
+            found.append(node.head_term())
+            if node.rhs is not None:
+                found.append(node.rhs)
+        elif isinstance(node, Cond):
+            stack.extend(reversed(node.orelse))
+            stack.extend(reversed(node.then))
+            stack.append(node.guard)
+        elif isinstance(node, GAtom):
+            found.extend(t for t in (node.lhs, node.rhs) if t is not None)
+        elif isinstance(node, GNot):
+            stack.append(node.sub)
+        else:
+            stack.extend((node.right, node.left))
     return found
 
 

@@ -73,6 +73,24 @@ rules {{ if {guard} then {{ b := d1(eps) }} }}
     assert err.strip() == f"{deep}: program is nested too deeply to process"
 
 
+@pytest.mark.parametrize("op", ["and", "or"])
+def test_run_long_guard_chain(tmp_path, capsys, op):
+    # A chain is compiled and evaluated by loops, so its length is not a depth.
+    long = tmp_path / "long.esm"
+    guard = f" {op} ".join(["b = undef"] * 100_000)
+    long.write_text(
+        f"""
+vocab {{ constructors {{ eps/0; d1/1 }} dynamic {{ b/0 }} }}
+inputs {{ }}
+output {{ b }}
+rules {{ if {guard} then {{ b := d1(eps) }} }}
+"""
+    )
+    code, out, err = invoke(capsys, "run", str(long))
+    assert (code, err) == (0, "")
+    assert out.startswith("output: d1(eps)\nsteps: 1\n")
+
+
 def test_run_validate_failure(tmp_path, capsys):
     bad = tmp_path / "bad.esm"
     bad.write_text(
@@ -311,6 +329,12 @@ def _fixtures(tmp_path):
     ("compare bin_succ --input x=4 --nat --seed 5", "--seed and --input are exclusive"),
     ("verify bin_succ --sweep 4:8 --nat", "--nat applies only to --input values"),
     ("compare bin_succ --random 3 --nat", "--nat applies only to --input values"),
+    ("compare toggle --seed 5 --random 3",
+     "--random applies only to a program with inputs; toggle.esm has none"),
+    ("compare merge_demo --seed 5",
+     "--seed applies only to a program with inputs; merge_demo.esm has none"),
+    ("verify toggle --sweep 4:16",
+     "--sweep applies only to a program with inputs; toggle.esm has none"),
 ])
 def test_bad_input_exits_one_with_one_line(tmp_path, capsys, argv, message):
     _fixtures(tmp_path)
@@ -330,5 +354,11 @@ def test_unary_nat_input(tmp_path, capsys):
 
 def test_compare_defaults_to_one_random_trial(capsys):
     code, out, _ = invoke(capsys, "compare", "bin_succ")
+    assert code == 0
+    assert out == "equivalent (1 trial)\n"
+
+
+def test_compare_without_inputs_runs_one_trial(capsys):
+    code, out, _ = invoke(capsys, "compare", "toggle")
     assert code == 0
     assert out == "equivalent (1 trial)\n"

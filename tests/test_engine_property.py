@@ -1,6 +1,7 @@
 """Property: on random well-formed programs the fast engine agrees with the
-reference engine at every step, and the canonical text form parses back to
-the same program.
+reference engine at every step, the compiled jumping code enables what a tree
+walk over the rules does, and the canonical text form parses back to the same
+program.
 
 Programs draw on a small vocabulary (nullary and unary constructors, dynamic
 symbols of arity 0 and 1), so that locations written at one step are read
@@ -15,7 +16,7 @@ decode to the first choice everywhere: fewer symbols, atoms, shallow terms.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from esmtangle.engine import compare_engines, run
+from esmtangle.engine import NEXT, _enabled, compare_engines, init_critical, run, step_critical
 from esmtangle.syntax import (
     Assign,
     Cond,
@@ -127,6 +128,90 @@ def test_engines_agree_on_random_programs(p):
     cmp = compare_engines(p, fuel=FUEL)
     assert cmp.equivalent, (text, cmp.divergence)
     run(p, fuel=FUEL, check_invariants=True)  # fast-engine slots agree with its map
+
+
+def _tree_walk(rules, value, out: list) -> int:
+    """Append the enabled assignments in program order by walking the rules'
+    tree, and return the number of atoms evaluated."""
+    atoms = 0
+
+    def holds(g):
+        nonlocal atoms
+        if isinstance(g, GAtom):
+            atoms += 1
+            a, b = value(g.lhs), value(g.rhs)
+            if g.lhs is None or g.rhs is None:  # a literal undef equals only undef
+                return a is None and b is None
+            return a is not None and a == b
+        if isinstance(g, GNot):
+            return not holds(g.sub)
+        if isinstance(g, GAnd):
+            return holds(g.left) and holds(g.right)
+        return holds(g.left) or holds(g.right)
+
+    def walk(stmts):
+        for s in stmts:
+            if isinstance(s, Assign):
+                out.append(s)
+            else:
+                walk(s.then if holds(s.guard) else s.orelse)
+
+    walk(rules)
+    return atoms
+
+
+def _check_jumping_code(p: Program):
+    """In the initial state and after each fast-engine step up to FUEL, the
+    jumping code enables the tree walk's assignments, in its order, at one
+    compare per atom the walk evaluates."""
+    state = init_critical(p)
+    plan, meter = state.ctx.plan, state.ctx.core.tangle.meter
+    pos = plan.criticals.position
+
+    def slot(t):
+        return -1 if t is None else pos[t]
+
+    def value(t):
+        return None if t is None else state.values[pos[t]]
+
+    for _ in range(FUEL + 1):
+        walked: list = []
+        atoms = _tree_walk(p.rules, value, walked)
+        before = meter.ram_ops
+        enabled = _enabled(meter, plan.code, state.values)
+        assert meter.ram_ops - before == atoms
+        assert [(c.sym, c.arg_slots, c.rhs_slot) for c in enabled] == [
+            (a.head, tuple(map(slot, a.head_args)), slot(a.rhs)) for a in walked
+        ]
+        out = step_critical(p, state)
+        if out.kind != NEXT:
+            return
+        state = out.state
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(p=st.binary(min_size=64, max_size=256).map(_program))
+def test_jumping_code_matches_tree_walk(p):
+    _check_jumping_code(p)
+
+
+def test_jumping_code_on_empty_branches_and_double_not():
+    # Empty then and else branches still evaluate their test; `not not` is free.
+    p = parse_program(
+        """
+vocab { constructors { c0/0 } dynamic { x/0; z/0 } }
+inputs { } output { z }
+rules {
+  if x = undef or not z = undef then { } else { z := x }
+  if not not z = undef then { x := c0 } else { }
+  if undef = undef then { } else { }
+}
+"""
+    )
+    _check_jumping_code(p)
+    r = run(p)
+    assert (r.outcome, format_term(r.output), r.steps) == ("output", "c0", 2)
+    assert compare_engines(p).equivalent
 
 
 def test_location_written_at_init_is_read_later():

@@ -5,7 +5,14 @@ A change that alters metering on purpose regenerates the digests with
 
     PYTHONPATH=src python tests/test_golden.py --write
 
-and says so in CHANGES.md.
+and says so in CHANGES.md.  A change that must keep every report unchanged
+compares, before and after, the one digest of the wide corpus sweep printed by
+
+    PYTHONPATH=src python tests/test_golden.py --sweep
+
+which hashes trace + JSON + CSV of every fast-engine run over bin_add and
+bin_succ 4..256 and bin_mul 4..64 (sizes doubling, as `esm --sweep` takes
+them) and str_reverse of every length 1..6, in both oracle modes.
 """
 
 import hashlib
@@ -16,7 +23,7 @@ from pathlib import Path
 
 from conftest import load_corpus
 
-from esmtangle.cli import encode_size, input_codec
+from esmtangle.cli import encode_size, input_codec, sweep_sizes
 from esmtangle.cost import emit_report
 from esmtangle.engine import MODE_INLINE, MODE_UNIT, run
 
@@ -34,24 +41,52 @@ SWEEPS = [
 ]
 
 
+WIDE_SWEEP = [
+    ("bin_add", sweep_sizes("4:256")),
+    ("bin_succ", sweep_sizes("4:256")),
+    ("bin_mul", sweep_sizes("4:64")),
+    ("str_reverse", range(1, 7)),
+]
+
+
+def _inputs(program, size):
+    if size is None:
+        return []
+    codec = input_codec(program.vocab)
+    return [encode_size(program.vocab, codec, size) for _ in program.inputs]
+
+
+def _hash_run(h, program, inputs, engine, mode):
+    trace = io.StringIO()
+    r = run(program, inputs, engine=engine, oracle_mode=mode, trace=trace)
+    h.update(trace.getvalue().encode())
+    h.update(emit_report(r.cost))
+    h.update(emit_report(r.cost, format="csv"))
+
+
 def digests() -> dict[str, str]:
     out = {}
     for name, sizes in SWEEPS:
         program = load_corpus(name)
-        codec = input_codec(program.vocab)
         for size in sizes:
-            inputs = [] if size is None else [
-                encode_size(program.vocab, codec, size) for _ in program.inputs
-            ]
             for engine in ("critical", "reference"):
                 for mode in (MODE_INLINE, MODE_UNIT):
-                    trace = io.StringIO()
-                    r = run(program, inputs, engine=engine, oracle_mode=mode, trace=trace)
-                    h = hashlib.sha256(trace.getvalue().encode())
-                    h.update(emit_report(r.cost))
-                    h.update(emit_report(r.cost, format="csv"))
+                    h = hashlib.sha256()
+                    _hash_run(h, program, _inputs(program, size), engine, mode)
                     out[f"{name}[{size}] {engine} {mode}"] = h.hexdigest()
     return out
+
+
+def sweep_digest() -> tuple[int, str]:
+    """The run count and one sha256 over the wide sweep's fast-engine runs."""
+    h, runs = hashlib.sha256(), 0
+    for name, sizes in WIDE_SWEEP:
+        program = load_corpus(name)
+        for size in sizes:
+            for mode in (MODE_INLINE, MODE_UNIT):
+                _hash_run(h, program, _inputs(program, size), "critical", mode)
+                runs += 1
+    return runs, h.hexdigest()
 
 
 def test_golden_digests():
@@ -63,6 +98,10 @@ def test_golden_digests():
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: python tests/test_golden.py --write")
-    GOLDEN.write_text(json.dumps(digests(), indent=1, sort_keys=True) + "\n")
+    if sys.argv[1:] == ["--write"]:
+        GOLDEN.write_text(json.dumps(digests(), indent=1, sort_keys=True) + "\n")
+    elif sys.argv[1:] == ["--sweep"]:
+        runs, digest = sweep_digest()
+        print(f"{runs} runs sha256={digest}")
+    else:
+        sys.exit("usage: python tests/test_golden.py --write | --sweep")
