@@ -285,12 +285,12 @@ def cmd_compare(args) -> int:
 
 def cmd_verify(args) -> int:
     program = load_program(args.program)
-    runs = [
-        run(program, inputs, fuel=args.fuel, oracle_mode=args.oracle_cost)
-        for _, inputs in _trials(program, args)
-    ]
     worst: dict[str, tuple[bool, str]] = {}
-    for result in runs:
+    for _, inputs in _trials(program, args):
+        result = run(program, inputs, fuel=args.fuel, oracle_mode=args.oracle_cost)
+        code = _outcome_exit(result)
+        if code:
+            return code
         verdicts, _ = run_all_checks(result.cost, DEFAULT_BOUNDS)
         for name, v in verdicts.items():
             if name not in worst or (worst[name][0] and not v.passed):
@@ -300,7 +300,7 @@ def cmd_verify(args) -> int:
         passed, detail = worst[name]
         print(f"{name}: {'PASS' if passed else 'FAIL'}{' - ' + detail if not passed else ''}")
         failed = failed or not passed
-    _write_report(args, runs[-1].cost)
+    _write_report(args, result.cost)
     return EXIT_BOUND if failed else EXIT_OK
 
 
@@ -311,6 +311,9 @@ def cmd_bench(args) -> int:
     rows = ["size,n,steps,init_ops,total_ops,word_bits_max"]
     for size, inputs in _trials(program, args):
         result = run(program, inputs, fuel=args.fuel, oracle_mode=args.oracle_cost)
+        code = _outcome_exit(result)
+        if code:
+            return code
         c = result.cost
         rows.append(
             f"{size},{c.n},{c.steps},{c.init_ops},{c.total_ops},{c.word_bits_max}"

@@ -29,10 +29,15 @@ Both engines take one path.  `_setup` checks the arguments, compiles the plan
 and makes the run core; `_init_state` is the one initializer (nested oracle
 runs use it too).  One step body, behind `step_critical` and `step_ref`,
 evaluates guards, builds the update set, writes it into the location map,
-recomputes, commits and traces; `_drive` steps a run to its end.  Every run
-is metered by its store's meter, which is fixed when the store is made: a run
-reports the operations that meter gains during the run, so two runs on one
-store each report only their own work.
+recomputes, commits and traces.  `_states` is the one loop that steps an
+engine, under one fuel rule: fuel is charged when a transition commits, after
+its clash check and before its writes and oracle calls, and an engine out of
+fuel halts if an assignment is still enabled and has terminated otherwise.
+`_drive` drains it for `run` and for nested oracle runs, and `compare_engines`
+zips two of its trajectories.  Every run is metered by its store's meter,
+which is fixed when the store is made: a run reports the operations that
+meter gains during the run, so two runs on one store each report only their
+own work.
 
 Oracle symbols are realized by nested runs of their body programs over the
 same store and meter, through one call path.  In "unit" cost mode the meter
@@ -78,10 +83,9 @@ UNDEF_OUTPUT = "undef_output"
 CLASH = "clash"
 FUEL_EXHAUSTED = "fuel_exhausted"
 
-# Step outcome kinds.
+# Step outcome kinds (a clash is CLASH).
 NEXT = "next"
 TERMINAL = "terminal"
-STEP_CLASH = "clash"
 
 # Oracle cost modes.
 MODE_UNIT = "unit"
@@ -307,7 +311,7 @@ class EngineState:
 
 @dataclass(frozen=True)
 class StepOutcome:
-    kind: str  # next | terminal | clash
+    kind: str  # NEXT | TERMINAL | CLASH
     state: EngineState | None = None
     clash: ClashInfo | None = None
 
@@ -642,7 +646,8 @@ def _step(state: EngineState) -> StepOutcome:
         return StepOutcome(TERMINAL)
     updates, clash = _build_updates(ctx, enabled, values)
     if clash is not None:
-        return StepOutcome(STEP_CLASH, clash=clash)
+        return StepOutcome(CLASH, clash=clash)
+    core.fuel_left -= 1  # the transition commits: charge it before its oracle calls
     reference = ctx.engine == "reference"
     store = dict(state.store) if reference else state.store
     for key, val in updates.items():
@@ -656,7 +661,6 @@ def _step(state: EngineState) -> StepOutcome:
     if core.check:
         _check_state(ctx, new, store)
     index = state.step_index + 1
-    core.fuel_left -= 1
     if core.record:
         core.steps_reported += 1
         core.record_point()
@@ -688,23 +692,32 @@ def _trace_line(core: _RunCore, index: int, enabled, updates):
     )
 
 
-def _drive(ctx: RunContext, state: EngineState) -> EngineState:
-    """Step until no assignment is enabled and return the last state.  Fuel
-    exhaustion with assignments still enabled, or a clash, raises _Halt."""
+def _states(ctx: RunContext, state: EngineState):
+    """The one transition loop: yield `state` and each successor until no
+    assignment is enabled.  Out of fuel, it stops if none is enabled and
+    raises _Halt otherwise; a clash raises _Halt too."""
     core = ctx.core
     plan = ctx.plan
     step = step_critical if ctx.engine == "critical" else step_ref
     while True:
+        yield state
         if core.fuel_left <= 0:
             if _enabled(core.tangle.meter, plan.code, state.values):
                 raise _Halt(FUEL_EXHAUSTED)
-            return state
+            return
         out = step(plan.program, state)
         if out.kind == TERMINAL:
-            return state
-        if out.kind == STEP_CLASH:
+            return
+        if out.kind == CLASH:
             raise _Halt(CLASH, out.clash)
         state = out.state
+
+
+def _drive(ctx: RunContext, state: EngineState) -> EngineState:
+    """Step to the end and return the last state (see `_states`)."""
+    for state in _states(ctx, state):
+        pass
+    return state
 
 
 # --- Whole runs ------------------------------------------------------------------
@@ -839,20 +852,14 @@ def _valuation_divergence(step, ctx: RunContext, sc: EngineState, sr: EngineStat
     return None
 
 
-def _init_or_halt(ctx: RunContext, inputs: Sequence[Term]):
-    """The initial state, or the halt of an oracle call made while initializing."""
+def _trajectory(ctx: RunContext, inputs: Sequence[Term]):
+    """An engine's states from initialization on, then how it ended:
+    TERMINAL, or the text of the halt that stopped it."""
     try:
-        return _init_state(ctx, input_terms=inputs), None
+        yield from _states(ctx, _init_state(ctx, input_terms=inputs))
+        yield TERMINAL
     except _Halt as halt:
-        return None, halt
-
-
-def _step_or_halt(step, program: Program, state: EngineState) -> StepOutcome:
-    """A step whose nested oracle run halted has that halt as its outcome."""
-    try:
-        return step(program, state)
-    except _Halt as halt:
-        return StepOutcome(halt.outcome, clash=halt.clash)
+        yield str(halt)
 
 
 def compare_engines(
@@ -864,9 +871,13 @@ def compare_engines(
     """Run both engines in lockstep; report the first step where they differ.
 
     The engines share one plan and one store, each with its own fuel and
-    oracle memo, so their values are compared as node ids.  Nothing reads the
-    cost of a comparison, so the store's meter is disabled and neither engine
-    records a per-step series.
+    oracle memo, so their values are compared as node ids.  Fuel bounds each
+    engine's transitions as it bounds a run's, nested oracle runs included, so
+    a comparison ends where `run` at the same fuel ends: "terminal" for an
+    output or undef output, "fuel_limited" (or "init fuel_exhausted") for fuel
+    exhaustion, "clash" for a clash, and in unit mode after as many steps.
+    Nothing reads the cost of a comparison, so the store's meter is disabled
+    and neither engine records a per-step series.
     """
     ctx = _setup(
         program, inputs, "critical", fuel=fuel, oracle_mode=oracle_mode,
@@ -877,45 +888,21 @@ def compare_engines(
         plan=ctx.plan, tangle=ctx.core.tangle,
     )
     ctx.core.record = ref_ctx.core.record = False
-    sc, halt_c = _init_or_halt(ctx, inputs)
-    sr, halt_r = _init_or_halt(ref_ctx, inputs)
-    if halt_c is not None or halt_r is not None:
-        fail_c, fail_r = (None if h is None else str(h) for h in (halt_c, halt_r))
-        if fail_c == fail_r:
-            return EngineComparison(True, 0, f"init {fail_c}")
-        return EngineComparison(
-            False, 0, "diverged",
-            Divergence(0, None, str(fail_c), str(fail_r), "initialization differs"),
-        )
-    div = _valuation_divergence(0, ctx, sc, sr)
-    if div is not None:
-        return EngineComparison(False, 0, "diverged", div)
-    steps = 0
-    while True:
-        if fuel <= 0:
-            return EngineComparison(True, steps, "fuel_limited")
-        oc = _step_or_halt(step_critical, program, sc)
-        orf = _step_or_halt(step_ref, program, sr)
-        if oc.kind != orf.kind:
+    pairs = zip(_trajectory(ctx, inputs), _trajectory(ref_ctx, inputs))
+    for index, (sc, sr) in enumerate(pairs):
+        if type(sc) is EngineState and type(sr) is EngineState:
+            div = _valuation_divergence(index, ctx, sc, sr)
+            if div is not None:
+                return EngineComparison(False, index, "diverged", div)
+            continue
+        end_c, end_r = (NEXT if type(x) is EngineState else x for x in (sc, sr))
+        if end_c != end_r:
+            reason = "outcome differs" if index else "initialization differs"
             return EngineComparison(
-                False, steps, "diverged",
-                Divergence(steps + 1, None, oc.kind, orf.kind, "outcome differs"),
+                False, max(index - 1, 0), "diverged",
+                Divergence(index, None, end_c, end_r, reason),
             )
-        if oc.kind == TERMINAL:
-            return EngineComparison(True, steps, "terminal")
-        if oc.kind == STEP_CLASH:
-            same = oc.clash == orf.clash
-            return EngineComparison(
-                same, steps, "clash",
-                None if same else Divergence(
-                    steps + 1, None, str(oc.clash), str(orf.clash), "clash differs"
-                ),
-            )
-        if oc.kind == FUEL_EXHAUSTED:
-            return EngineComparison(True, steps, "fuel_limited")
-        sc, sr = oc.state, orf.state
-        steps += 1
-        fuel -= 1
-        div = _valuation_divergence(steps, ctx, sc, sr)
-        if div is not None:
-            return EngineComparison(False, steps, "diverged", div)
+        if index == 0:
+            return EngineComparison(True, 0, f"init {end_c}")
+        ending = {TERMINAL: "terminal", FUEL_EXHAUSTED: "fuel_limited"}.get(end_c, CLASH)
+        return EngineComparison(True, index - 1, ending)

@@ -362,3 +362,30 @@ def test_compare_without_inputs_runs_one_trial(capsys):
     code, out, _ = invoke(capsys, "compare", "toggle")
     assert code == 0
     assert out == "equivalent (1 trial)\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "bench"])
+def test_unfinished_run_exits_three_before_any_output(capsys, command):
+    # A run that ran out of fuel gets no verdict and no CSV row.
+    code, out, err = invoke(capsys, command, "bin_add", "--sweep", "4:8", "--fuel", "10")
+    assert (code, out, err) == (3, "", "fuel exhausted\n")
+
+
+@pytest.mark.parametrize("command", ["verify", "bench"])
+def test_clashing_run_exits_two_before_any_output(tmp_path, capsys, command):
+    prog = tmp_path / "clash.esm"
+    prog.write_text(
+        """
+vocab { constructors { eps/0; d0/1; d1/1 } dynamic { x/0; z/0 } }
+inputs { x }
+output { z }
+rules {
+  z := x
+  z := d0(x)
+}
+"""
+    )
+    code, out, err = invoke(capsys, command, str(prog), "--sweep", "4:8")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("clash at location z()") and err.count("\n") == 1

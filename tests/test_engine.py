@@ -522,3 +522,34 @@ def test_negative_fuel_is_rejected():
     ):
         with pytest.raises(ValueError, match="fuel must be at least 0, got -1"):
             call()
+
+
+_COMPARE_ENDINGS = {
+    OUTPUT: ("terminal",),
+    UNDEF_OUTPUT: ("terminal",),
+    FUEL_EXHAUSTED: ("fuel_limited", "init fuel_exhausted"),
+    CLASH: ("clash",),
+}
+
+
+def test_compare_ends_where_run_ends_at_every_fuel():
+    # Both step through one loop under one fuel rule: fuel bounds every
+    # transition, nested oracle runs included, and an engine out of fuel with
+    # nothing enabled has terminated.  In unit mode neither counts nested steps.
+    toggle, mul = load_corpus("toggle"), load_corpus("bin_mul")
+    xy = [binary_input(mul.vocab, 5), binary_input(mul.vocab, 6)]
+    cases = [
+        case
+        for mode in ("unit", "inline")
+        for case in [(toggle, [], fuel, mode) for fuel in range(4)]
+        + [(mul, xy, fuel, mode) for fuel in (0, 10, 73, 74, 82, 155, 156, 157)]
+    ]
+    for p, inputs, fuel, mode in cases:
+        r = run(p, inputs, fuel=fuel, oracle_mode=mode)
+        cmp = compare_engines(p, inputs, fuel=fuel, oracle_mode=mode)
+        case = (p.name, fuel, mode, r.outcome, r.steps, cmp)
+        assert r.steps <= fuel, case
+        assert cmp.equivalent, case
+        assert cmp.outcome in _COMPARE_ENDINGS[r.outcome], case
+        if mode == "unit":
+            assert cmp.steps == r.steps, case

@@ -1,7 +1,7 @@
 """Property: on random well-formed programs the fast engine agrees with the
-reference engine at every step, the compiled jumping code enables what a tree
-walk over the rules does, and the canonical text form parses back to the same
-program.
+reference engine at every step, a comparison ends where a run ends at the
+same fuel, the compiled jumping code enables what a tree walk over the rules
+does, and the canonical text form parses back to the same program.
 
 Programs draw on a small vocabulary (nullary and unary constructors, dynamic
 symbols of arity 0 and 1), so that locations written at one step are read
@@ -16,7 +16,18 @@ decode to the first choice everywhere: fewer symbols, atoms, shallow terms.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from esmtangle.engine import NEXT, _enabled, compare_engines, init_critical, run, step_critical
+from esmtangle.engine import (
+    CLASH,
+    FUEL_EXHAUSTED,
+    NEXT,
+    OUTPUT,
+    UNDEF_OUTPUT,
+    _enabled,
+    compare_engines,
+    init_critical,
+    run,
+    step_critical,
+)
 from esmtangle.syntax import (
     Assign,
     Cond,
@@ -230,3 +241,18 @@ rules {
         r = run(p, engine=engine, check_invariants=True)
         assert (r.outcome, format_term(r.output), r.steps) == ("output", "c0", 2)
     assert compare_engines(p).equivalent
+
+
+_COMPARE_ENDING = {OUTPUT: "terminal", UNDEF_OUTPUT: "terminal",
+                   FUEL_EXHAUSTED: "fuel_limited", CLASH: "clash"}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(p=st.binary(min_size=64, max_size=256).map(_program))
+def test_compare_ends_where_run_ends(p):
+    # With no fuel, and with exactly the fuel the run used, both stop alike.
+    for fuel in (0, run(p, fuel=FUEL).steps):
+        r = run(p, fuel=fuel)
+        cmp = compare_engines(p, fuel=fuel)
+        assert (cmp.outcome, cmp.steps) == (_COMPARE_ENDING[r.outcome], r.steps), \
+            (format_program(p), fuel)
