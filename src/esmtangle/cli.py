@@ -279,6 +279,11 @@ def cmd_compare(args) -> int:
                 file=sys.stderr,
             )
             return EXIT_DIVERGED
+        if verdict.outcome in ("fuel_limited", f"init {FUEL_EXHAUSTED}"):
+            # The engines agreed as far as the fuel took them, which is not
+            # equivalence; a clash both engines hit alike still is.
+            print("fuel exhausted", file=sys.stderr)
+            return EXIT_FUEL
     print(f"equivalent ({len(trials)} trial{'s' if len(trials) != 1 else ''})")
     return EXIT_OK
 

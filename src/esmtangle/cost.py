@@ -15,6 +15,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 PROBE = "probe"
 ALLOC = "alloc"
@@ -67,6 +68,14 @@ class CostMeter:
         if self.enabled:
             self.write += k
 
+    def charge(self, probe: int = 0, read: int = 0, compare: int = 0, write: int = 0):
+        """Charge a routine's summed operations at once."""
+        if self.enabled:
+            self.probe += probe
+            self.read += read
+            self.compare += compare
+            self.write += write
+
     def note_vertices(self, count: int):
         """Track the word size needed to address a store of `count` vertices."""
         if self.enabled:
@@ -79,12 +88,11 @@ class CostMeter:
 
 
 def word_bits(vertices: int) -> int:
-    """Bits needed to address `vertices` distinct ids; at least 1."""
-    return max(1, math.ceil(math.log2(max(vertices, 2))))
+    """Bits needed to address `vertices` distinct ids, ceil(log2), at least 1."""
+    return (max(vertices, 2) - 1).bit_length()
 
 
-@dataclass(frozen=True)
-class StepCost:
+class StepCost(NamedTuple):
     """One record of the per-step series.  Record 0 is the initial state."""
 
     i: int
@@ -253,6 +261,9 @@ def run_all_checks(
     return verdicts, fitted
 
 
+_STEP_JSON = '    {\n      "i": %d,\n      "ops": %d,\n      "vertices": %d,\n      "edges": %d\n    }'
+
+
 def emit_report(
     report: CostReport, format: str = "json", bounds: FrozenBounds = DEFAULT_BOUNDS
 ) -> bytes:
@@ -266,14 +277,17 @@ def emit_report(
             "total_ops": report.total_ops,
             "word_bits_max": report.word_bits_max,
             "c_program": report.c_program,
-            "per_step": [
-                {"i": r.i, "ops": r.ops, "vertices": r.vertices, "edges": r.edges}
-                for r in report.per_step
-            ],
+            "per_step": None,
             "verdicts": {name: v.passed for name, v in verdicts.items()},
             "fitted": fitted,
         }
-        return (json.dumps(doc, indent=2, sort_keys=False) + "\n").encode()
+        # The per-step records, one per transition, are most of a report:
+        # they are formatted here as json.dumps(indent=2) would format them.
+        steps = ",\n".join(_STEP_JSON % r for r in report.per_step)
+        text = json.dumps(doc, indent=2, sort_keys=False).replace(
+            '"per_step": null', f'"per_step": [\n{steps}\n  ]' if steps else '"per_step": []', 1
+        )
+        return (text + "\n").encode()
     if format == "csv":
         # One row per step; the i=0 baseline record is JSON-only.
         buf = io.StringIO()

@@ -46,11 +46,19 @@ operation, so its inner transitions are left out of the reported step count
 and the trace; in "inline" mode the nested run's full metered cost and
 transitions are charged.  Results are memoized per (oracle, argument ids)
 within a run; memo hits charge one operation in both modes.
+
+Charges are batched by one rule: a routine adds up its operations in locals
+and charges them once, and never across an oracle call.  A nested run reads
+the meter when it records a point of the series (inline mode), and unit mode
+switches the meter off for the call, so a charge carried past `_invoke`
+would land in the wrong record or be dropped.  `_new_values` therefore
+charges what it has summed before each oracle call and once at its end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress, count
 from typing import NamedTuple, Sequence
 
 from .cost import CostMeter, CostReport, StepCost
@@ -108,8 +116,7 @@ class ClashInfo:
         return f"{self.symbol}({inner})"
 
 
-@dataclass(frozen=True)
-class _Slot:
+class _Slot(NamedTuple):
     kind: int
     sym: Symbol
     child_slots: tuple[int, ...]
@@ -281,10 +288,10 @@ class _RunCore:
 
     def record_point(self):
         if self.record:
-            ops = self.tangle.meter.ram_ops
-            st = self.tangle.stats()
+            tangle = self.tangle
+            ops = tangle.meter.ram_ops
             self.series.append(
-                StepCost(len(self.series), ops - self.last_ops, st.vertices, st.edges)
+                StepCost(len(self.series), ops - self.last_ops, len(tangle), tangle.edges)
             )
             self.last_ops = ops
 
@@ -309,8 +316,7 @@ class EngineState:
     step_index: int = 0
 
 
-@dataclass(frozen=True)
-class StepOutcome:
+class StepOutcome(NamedTuple):
     kind: str  # NEXT | TERMINAL | CLASH
     state: EngineState | None = None
     clash: ClashInfo | None = None
@@ -335,6 +341,7 @@ def _enabled(meter: CostMeter, code, values) -> list[_CAssign]:
     literal undef equals only undef, and two terms are equal only when both
     are defined and have one id."""
     enabled = []
+    compares = 0
     pc, end = 0, len(code)
     while pc < end:
         ins = code[pc]
@@ -342,35 +349,40 @@ def _enabled(meter: CostMeter, code, values) -> list[_CAssign]:
             enabled.append(ins)
             pc = ins.next
             continue
-        meter.charge_compare()
-        l, r = ins.lhs, ins.rhs
+        compares += 1
+        l, r, then, orelse = ins
         a = None if l == _UNDEF_SLOT else values[l]
         b = None if r == _UNDEF_SLOT else values[r]
         holds = a == b and (a is not None or l == _UNDEF_SLOT or r == _UNDEF_SLOT)
-        pc = ins.then if holds else ins.orelse
+        pc = then if holds else orelse
+    meter.charge_compare(compares)
     return enabled
 
 
-def _build_updates(ctx: RunContext, enabled, values):
+def _build_updates(meter: CostMeter, enabled, values):
     """The update set, or a clash.  Assignments whose location has an undef
-    argument name no location and contribute nothing (strictness)."""
-    meter = ctx.core.tangle.meter
+    argument name no location and contribute nothing (strictness).  Each
+    assignment reads its arguments and its value, a defined location costs
+    one probe, and each new entry one write."""
     updates: dict[tuple[str, tuple[NodeId, ...]], NodeId | None] = {}
+    clash = None
+    reads = probes = 0
+    get = values.__getitem__
     for ca in enabled:
-        argvals = tuple(values[s] for s in ca.arg_slots)
-        meter.charge_read(len(argvals) + 1)
-        if any(v is None for v in argvals):
+        argvals = tuple(map(get, ca.arg_slots))
+        reads += len(argvals) + 1
+        if None in argvals:
             continue
         val = None if ca.rhs_slot == _UNDEF_SLOT else values[ca.rhs_slot]
         key = (ca.sym.name, argvals)
-        meter.charge_probe()
-        if key in updates:
-            if updates[key] != val:
-                return None, ClashInfo(ca.sym.name, argvals)
-        else:
+        probes += 1
+        if key not in updates:
             updates[key] = val
-            meter.charge_write()
-    return updates, None
+        elif updates[key] != val:
+            clash = ClashInfo(ca.sym.name, argvals)
+            break
+    meter.charge(probe=probes, read=reads, write=len(updates))
+    return (updates, None) if clash is None else (None, clash)
 
 
 # --- Oracle calls -----------------------------------------------------------------
@@ -433,38 +445,44 @@ def _new_values(ctx: RunContext, values, updates, store, dirty=None):
     """
     tangle = ctx.core.tangle
     meter = tangle.meter
-    plan = ctx.plan
+    intern = tangle.intern
+    slots, parents = ctx.plan.slots, ctx.plan.parents
     new = list(values)  # without a dirty set every entry is overwritten
-    for i, slot in enumerate(plan.slots):
-        if dirty is not None and not dirty[i]:
-            continue
-        kind = slot.kind
-        childvals = tuple(new[s] for s in slot.child_slots)
-        value = None
-        if any(v is None for v in childvals):
-            pass  # strict: undef argument forces undef
+    get = new.__getitem__
+    probes = reads = writes = 0
+    # Parents come after their children, and compress reads each flag only
+    # when it reaches it, so the flags set on the way are all seen.
+    order = range(len(slots)) if dirty is None else compress(count(), dirty)
+    for i in order:
+        kind, sym, child_slots = slots[i]
+        childvals = tuple(map(get, child_slots))
+        if None in childvals:
+            value = None  # strict: undef argument forces undef
         elif kind == _KIND_CONS:
-            value = tangle.intern(slot.sym, childvals)
+            value = intern(sym, childvals)
         elif kind == _KIND_ORACLE:
-            value = _invoke(ctx, slot.sym.name, childvals)
+            meter.charge(probe=probes, read=reads, write=writes)  # before the call
+            probes = reads = writes = 0
+            value = _invoke(ctx, sym.name, childvals)
         else:
-            key = (slot.sym.name, childvals)
-            meter.charge_probe()
+            key = (sym.name, childvals)
             if key in updates:
                 value = updates[key]
+                probes += 1
             else:
-                meter.charge_probe()
                 value = store.get(key)
+                probes += 2
         if dirty is None:
             new[i] = value
         elif value != new[i]:
             new[i] = value
-            parents = plan.parents[i]
-            meter.charge_read(len(parents))
-            for p in parents:
+            above = parents[i]
+            reads += len(above)
+            for p in above:
                 if not dirty[p]:
                     dirty[p] = True
-                    meter.charge_write()
+                    writes += 1
+    meter.charge(probe=probes, read=reads, write=writes)
     return new
 
 
@@ -475,16 +493,17 @@ def _dirty_seed(ctx: RunContext, updates) -> list[bool]:
     plan and flagged free; one probe per update-set key finds its symbol's
     slots, and each of those newly flagged charges one write."""
     plan = ctx.plan
-    meter = ctx.core.tangle.meter
     dirty = [False] * plan.m
     for i in plan.oracle_slots:
         dirty[i] = True
+    writes = 0
+    dyn_slots = plan.dyn_slots
     for name, _ in updates:
-        meter.charge_probe()
-        for i in plan.dyn_slots.get(name, ()):
+        for i in dyn_slots.get(name, ()):
             if not dirty[i]:
                 dirty[i] = True
-                meter.charge_write()
+                writes += 1
+    ctx.core.tangle.meter.charge(probe=len(updates), write=writes)
     return dirty
 
 
@@ -496,15 +515,15 @@ def _check_state(ctx: RunContext, values, store):
     saved = meter.enabled
     meter.enabled = False
     try:
-        for i, slot in enumerate(ctx.plan.slots):
-            childvals = tuple(values[s] for s in slot.child_slots)
-            if any(v is None for v in childvals):
+        for i, (kind, sym, child_slots) in enumerate(ctx.plan.slots):
+            childvals = tuple(map(values.__getitem__, child_slots))
+            if None in childvals:
                 assert values[i] is None, f"strictness violated at slot {i}"
-            elif slot.kind == _KIND_CONS:
-                expect = core.tangle.intern(slot.sym, childvals)
+            elif kind == _KIND_CONS:
+                expect = core.tangle.intern(sym, childvals)
                 assert values[i] == expect, f"constructor coherence violated at slot {i}"
-            elif slot.kind == _KIND_DYN:
-                expect = store.get((slot.sym.name, childvals))
+            elif kind == _KIND_DYN:
+                expect = store.get((sym.name, childvals))
                 assert values[i] == expect, f"location map disagrees at slot {i}"
     finally:
         meter.enabled = saved
@@ -640,18 +659,19 @@ def _step(state: EngineState) -> StepOutcome:
     """
     ctx = state.ctx
     core = ctx.core
+    meter = core.tangle.meter
     values = state.values
-    enabled = _enabled(core.tangle.meter, ctx.plan.code, values)
+    enabled = _enabled(meter, ctx.plan.code, values)
     if not enabled:
         return StepOutcome(TERMINAL)
-    updates, clash = _build_updates(ctx, enabled, values)
+    updates, clash = _build_updates(meter, enabled, values)
     if clash is not None:
         return StepOutcome(CLASH, clash=clash)
     core.fuel_left -= 1  # the transition commits: charge it before its oracle calls
     reference = ctx.engine == "reference"
     store = dict(state.store) if reference else state.store
+    meter.charge_write(len(updates))
     for key, val in updates.items():
-        core.tangle.meter.charge_write()
         if val is None:
             store.pop(key, None)  # undef means the location leaves the finite support
         else:

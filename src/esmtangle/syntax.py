@@ -39,6 +39,7 @@ from .terms import (
     distinct_subterms,
     format_term,
     read_term,
+    shared_term,
 )
 
 KEYWORDS = frozenset(
@@ -115,6 +116,11 @@ class Program:
     rules: tuple[Stmt, ...]
     oracles: tuple[OracleDef, ...] = ()
     name: str = "<program>"
+    # Every term the parser read, one object per distinct term, keyed by head
+    # and argument objects (see `TokenCursor.terms`).
+    parsed: dict[tuple[Symbol, tuple[Term, ...]], Term] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     def oracle(self, name: str) -> OracleDef | None:
         for o in self.oracles:
@@ -357,6 +363,7 @@ def parse_program(
         rules=tuple(rules),
         oracles=tuple(oracles),
         name=name,
+        parsed=cur.terms,
     )
 
 
@@ -432,14 +439,19 @@ def validate_program(p: Program) -> list[str]:
 
 
 def program_terms(p: Program) -> list[Term]:
-    """Terms of the program in textual order: inputs, output, then rules."""
-    found: list[Term] = [Term(sym) for sym in p.inputs]
-    found.append(Term(p.output))
+    """Terms of the program in textual order: inputs, output, then rules.
+
+    The inputs, the output and assignment heads are built here; each is the
+    parsed object of an equal term when the parser read one, so equal terms
+    of a parsed program are one object."""
+    shared = dict(p.parsed)  # a copy: the program's own table stays as parsed
+    found = [shared_term(shared, sym, ()) for sym in p.inputs]
+    found.append(shared_term(shared, p.output, ()))
     stack: list = list(reversed(p.rules))  # statements and guards, next on top
     while stack:
         node = stack.pop()
         if isinstance(node, Assign):
-            found.append(node.head_term())
+            found.append(shared_term(shared, node.head, node.head_args))
             if node.rhs is not None:
                 found.append(node.rhs)
         elif isinstance(node, Cond):

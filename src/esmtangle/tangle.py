@@ -63,7 +63,8 @@ class Tangle:
         self.meter = meter if meter is not None else CostMeter()
         self.tag = next(_store_tags)
         self._nodes: list[Node] = [Node(None, ())]
-        self._index: dict[tuple[Symbol, tuple[NodeId, ...]], NodeId] = {}
+        self._symbols = {sym.name: sym for sym in vocab}
+        self._index: dict[tuple[str, tuple[NodeId, ...]], NodeId] = {}
         self._edges = 0
         self._extract_cache: dict[int, Term] = {}
         self.meter.note_vertices(1)
@@ -75,6 +76,10 @@ class Tangle:
     def __len__(self) -> int:
         return len(self._nodes)
 
+    @property
+    def edges(self) -> int:
+        return self._edges
+
     def _own(self, nid: NodeId, what: str = "node id") -> NodeId:
         if nid.store != self.tag:
             raise TangleError(f"{what} {nid} belongs to a different tangle")
@@ -83,32 +88,42 @@ class Tangle:
         return nid
 
     def intern(self, label: Symbol, children: Iterable[NodeId]) -> NodeId:
-        """Return the unique vertex for (label, children), allocating on a miss."""
+        """Return the unique vertex for (label, children), allocating on a miss.
+
+        The checks are ordered cheap first: a vocabulary symbol passes on
+        identity, and a child passes on one tag and one range comparison;
+        `_own` runs only to raise.  The index is keyed by the symbol's name,
+        which the vocabulary check makes unique to `label`.
+        """
         children = tuple(children)
         if len(children) != label.arity:
             raise TangleError(
                 f"symbol {label.name}/{label.arity} interned with "
                 f"{len(children)} children"
             )
-        if self.vocab.get(label.name) != label:
+        name = label.name
+        known = self._symbols.get(name)
+        if known is not label and known != label:
             raise TangleError(f"symbol {label!r} is not in this tangle's vocabulary")
+        nodes = self._nodes
+        tag, size = self.tag, len(nodes)
         for c in children:
-            self._own(c, "child id")
-            if c.index == 0:
+            if c.store != tag or not 0 < c.index < size:
+                self._own(c, "child id")
                 raise TangleError("undef cannot be a child; callers handle strictness")
         meter = self.meter
         meter.charge_read(len(children))
         meter.charge_probe()
-        key = (label, children)
+        key = (name, children)
         nid = self._index.get(key)
         if nid is None:
-            nid = NodeId(self.tag, len(self._nodes))
-            self._nodes.append(Node(label, children))
+            nid = NodeId(tag, size)
+            nodes.append(Node(known, children))
             self._edges += len(children)
             self._index[key] = nid
             meter.charge_alloc()
             meter.charge_write(1 + len(children))
-            meter.note_vertices(len(self._nodes))
+            meter.note_vertices(size + 1)
         return nid
 
     def node_eq(self, a: NodeId, b: NodeId) -> bool:

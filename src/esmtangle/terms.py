@@ -207,10 +207,12 @@ _TERM_TOKEN_RE = re.compile(r"\s+|(?P<ID>[A-Za-z_][A-Za-z0-9_]*)|(?P<PUNCT>[(),]
 class TokenCursor:
     """A token stream over `text`, cut by `token_re` (whose unnamed matches,
     such as whitespace, are skipped), with errors placed at a 1-based line and
-    column."""
+    column.  `terms` holds every term read from it, one object per distinct
+    term, keyed by head and argument objects."""
 
     def __init__(self, text: str, token_re: re.Pattern = _TERM_TOKEN_RE):
         self.text = text
+        self.terms: dict[tuple[Symbol, tuple[Term, ...]], Term] = {}
         self.tokens: list[tuple[str, str, int]] = []
         pos = 0
         while pos < len(text):
@@ -260,12 +262,25 @@ class TokenCursor:
         return value, pos
 
 
+def shared_term(table: dict, head: Symbol, args: tuple[Term, ...]) -> Term:
+    """The term head(args) from `table`, which is keyed by head and argument
+    objects, made and added when it is missing.  When the arguments come from
+    the table too, equal terms are one object."""
+    key = (head, args)
+    t = table.get(key)
+    if t is None:
+        t = table[key] = Term(head, args)
+    return t
+
+
 def read_term(cur: TokenCursor, resolve, what: str) -> Term:
     """Read one term from the cursor; `resolve(name, pos)` maps a name to its
     symbol or raises, and `what` names a term in the message for a missing one.
 
     Iterative shift-reduce over the one-production grammar, so nesting depth
-    is not bounded by Python's call stack.
+    is not bounded by Python's call stack.  Equal terms read from one cursor
+    are one object (see `TokenCursor.terms`), so dictionaries keyed by them
+    find each other by identity, without a structural comparison.
     """
     stack: list[tuple[Symbol, int, list[Term]]] = []
     while True:
@@ -276,7 +291,7 @@ def read_term(cur: TokenCursor, resolve, what: str) -> Term:
             continue
         if sym.arity != 0:
             cur.err(f"symbol {sym.name}/{sym.arity} used without arguments", pos)
-        node = Term(sym)
+        node = shared_term(cur.terms, sym, ())
         while True:
             if not stack:
                 return node
@@ -293,7 +308,7 @@ def read_term(cur: TokenCursor, resolve, what: str) -> Term:
                         f"{len(children)} arguments",
                         head_pos,
                     )
-                node = Term(head, children)
+                node = shared_term(cur.terms, head, tuple(children))
                 continue
             cur.err(f"expected ',' or ')', found {value!r}", pos)
 

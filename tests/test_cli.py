@@ -371,6 +371,34 @@ def test_unfinished_run_exits_three_before_any_output(capsys, command):
     assert (code, out, err) == (3, "", "fuel exhausted\n")
 
 
+@pytest.mark.parametrize("argv", [
+    "compare bin_add --fuel 0",  # fuel_limited before the first transition
+    # out of fuel inside initialization's oracle calls: "init fuel_exhausted"
+    "compare bin_mul --input x=5 --input y=6 --nat --fuel 10",
+])
+def test_unfinished_compare_exits_three(capsys, argv):
+    code, out, err = invoke(capsys, *argv.split())
+    assert (code, out, err) == (3, "", "fuel exhausted\n")
+
+
+def test_compare_of_a_shared_clash_is_equivalent(tmp_path, capsys):
+    # Both engines clash at one location: they agree, so the trial passes.
+    prog = tmp_path / "clash.esm"
+    prog.write_text(
+        """
+vocab { constructors { c/0; d/1 } dynamic { z/0 } }
+inputs { }
+output { z }
+rules {
+  z := c
+  z := d(c)
+}
+"""
+    )
+    code, out, err = invoke(capsys, "compare", str(prog))
+    assert (code, out, err) == (0, "equivalent (1 trial)\n", "")
+
+
 @pytest.mark.parametrize("command", ["verify", "bench"])
 def test_clashing_run_exits_two_before_any_output(tmp_path, capsys, command):
     prog = tmp_path / "clash.esm"

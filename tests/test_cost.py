@@ -130,6 +130,28 @@ def test_emit_json_schema():
     assert doc["total_ops"] == sum(rec["ops"] for rec in doc["per_step"])
 
 
+@pytest.mark.parametrize("deltas", [None, [], [1, 0, 2]])
+def test_emit_json_is_json_dumps_of_the_report(deltas):
+    # The per-step records are formatted by hand; json.dumps of the whole
+    # document is the reference, down to the byte.  None: no records at all.
+    rep = synthetic_report(deltas or [], ops=[20, 7 * 10**12, 0][: len(deltas or [])])
+    if deltas is None:
+        rep.per_step = []
+    verdicts, fitted = run_all_checks(rep)
+    doc = {
+        "n": rep.n, "steps": rep.steps, "init_ops": rep.init_ops,
+        "total_ops": rep.total_ops, "word_bits_max": rep.word_bits_max,
+        "c_program": rep.c_program,
+        "per_step": [
+            {"i": r.i, "ops": r.ops, "vertices": r.vertices, "edges": r.edges}
+            for r in rep.per_step
+        ],
+        "verdicts": {name: v.passed for name, v in verdicts.items()},
+        "fitted": fitted,
+    }
+    assert emit_report(rep) == (json.dumps(doc, indent=2) + "\n").encode()
+
+
 def test_emit_csv_rows():
     p = load_corpus("toggle")
     r = run(p)

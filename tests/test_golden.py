@@ -6,13 +6,16 @@ A change that alters metering on purpose regenerates the digests with
     PYTHONPATH=src python tests/test_golden.py --write
 
 and says so in CHANGES.md.  A change that must keep every report unchanged
-compares, before and after, the one digest of the wide corpus sweep printed by
+also checks the one digest of the wide corpus sweep,
 
-    PYTHONPATH=src python tests/test_golden.py --sweep
+    PYTHONPATH=src python tests/test_golden.py --sweep --check
 
 which hashes trace + JSON + CSV of every fast-engine run over bin_add and
 bin_succ 4..256 and bin_mul 4..64 (sizes doubling, as `esm --sweep` takes
-them) and str_reverse of every length 1..6, in both oracle modes.
+them) and str_reverse of every length 1..6, in both oracle modes, prints it
+and exits 1 unless it matches data/golden_sweep.sha256.  `--sweep` alone
+only prints it.  The sweep takes about half a minute, so it is not part of
+the test suite.
 """
 
 import hashlib
@@ -28,6 +31,7 @@ from esmtangle.cost import emit_report
 from esmtangle.engine import MODE_INLINE, MODE_UNIT, run
 
 GOLDEN = Path(__file__).parent / "data" / "golden.json"
+GOLDEN_SWEEP = Path(__file__).parent / "data" / "golden_sweep.sha256"
 
 # (program, sizes); None means the program takes no inputs.  Sizes are
 # numeral values for numeral programs and string lengths for str_reverse.
@@ -77,8 +81,9 @@ def digests() -> dict[str, str]:
     return out
 
 
-def sweep_digest() -> tuple[int, str]:
-    """The run count and one sha256 over the wide sweep's fast-engine runs."""
+def sweep_digest() -> str:
+    """The run count and one sha256 over the wide sweep's fast-engine runs,
+    as the line data/golden_sweep.sha256 holds."""
     h, runs = hashlib.sha256(), 0
     for name, sizes in WIDE_SWEEP:
         program = load_corpus(name)
@@ -86,7 +91,7 @@ def sweep_digest() -> tuple[int, str]:
             for mode in (MODE_INLINE, MODE_UNIT):
                 _hash_run(h, program, _inputs(program, size), "critical", mode)
                 runs += 1
-    return runs, h.hexdigest()
+    return f"{runs} runs sha256={h.hexdigest()}"
 
 
 def test_golden_digests():
@@ -100,8 +105,11 @@ def test_golden_digests():
 if __name__ == "__main__":
     if sys.argv[1:] == ["--write"]:
         GOLDEN.write_text(json.dumps(digests(), indent=1, sort_keys=True) + "\n")
-    elif sys.argv[1:] == ["--sweep"]:
-        runs, digest = sweep_digest()
-        print(f"{runs} runs sha256={digest}")
+        GOLDEN_SWEEP.write_text(sweep_digest() + "\n")
+    elif sys.argv[1:] in (["--sweep"], ["--sweep", "--check"]):
+        line = sweep_digest()
+        print(line)
+        if sys.argv[2:] and line != GOLDEN_SWEEP.read_text().strip():
+            sys.exit(f"sweep digest differs from {GOLDEN_SWEEP}")
     else:
-        sys.exit("usage: python tests/test_golden.py --write | --sweep")
+        sys.exit("usage: python tests/test_golden.py --write | --sweep [--check]")

@@ -6,7 +6,15 @@ import pytest
 
 from esmtangle.cost import CostMeter
 from esmtangle.tangle import NodeId, TangleError, UndefNodeError, new_tangle
-from esmtangle.terms import Symbol, Term, Vocabulary, compact_size, parse_term, symbol_count
+from esmtangle.terms import (
+    KIND_DYNAMIC,
+    Symbol,
+    Term,
+    Vocabulary,
+    compact_size,
+    parse_term,
+    symbol_count,
+)
 
 
 def vocab_fc():
@@ -137,6 +145,58 @@ def test_intern_rejects_undef_child_and_bad_arity():
     g2 = new_tangle(v)
     with pytest.raises(TangleError, match="different tangle"):
         g2.intern(v.get("d0"), (cid,))
+
+
+def test_intern_rejects_a_child_of_another_store():
+    # The id is in range for this store too; only its tag tells them apart.
+    v = vocab_fc()
+    g1, g2 = new_tangle(v), new_tangle(v)
+    g1.import_term(parse_term("c", v))
+    foreign = g2.import_term(parse_term("c", v))
+    assert foreign.index < len(g1)
+    with pytest.raises(TangleError, match=r"child id .* belongs to a different tangle"):
+        g1.intern(v.get("d0"), (foreign,))
+
+
+@pytest.mark.parametrize("index", [2, 99, -1])
+def test_intern_rejects_an_out_of_range_child(index):
+    v = vocab_fc()
+    g = new_tangle(v)
+    g.import_term(parse_term("c", v))
+    assert len(g) == 2
+    with pytest.raises(TangleError, match=r"child id .* is out of range"):
+        g.intern(v.get("d0"), (NodeId(g.tag, index),))
+
+
+@pytest.mark.parametrize("impostor", [
+    Symbol("d0", 2),                    # a vocabulary name with another arity
+    Symbol("d0", 1, KIND_DYNAMIC),      # ... or another kind
+    Symbol("c", 0, KIND_DYNAMIC),
+])
+def test_intern_rejects_a_vocabulary_name_with_another_signature(impostor):
+    # The index is keyed by symbol name, so this check alone keeps the
+    # impostor from finding (or making) a vertex of the vocabulary symbol.
+    v = vocab_fc()
+    g = new_tangle(v)
+    cid = g.import_term(parse_term("c", v))
+    g.intern(v.get("d0"), (cid,))
+    before = len(g), g.meter.ram_ops
+    children = (cid,) * impostor.arity
+    with pytest.raises(TangleError, match="not in this tangle's vocabulary"):
+        g.intern(impostor, children)
+    assert (len(g), g.meter.ram_ops) == before
+
+
+def test_intern_accepts_an_equal_symbol_object():
+    v = vocab_fc()
+    g = new_tangle(v)
+    cid = g.import_term(parse_term("c", v))
+    nid = g.intern(v.get("d0"), (cid,))
+    twin = Symbol("d0", 1)
+    assert twin == v.get("d0") and twin is not v.get("d0")
+    assert g.intern(twin, (cid,)) == nid
+    assert g.intern(Symbol("c", 0), ()) == cid
+    assert len(g) == 3
 
 
 def test_extract_undef_is_distinct_error():
