@@ -5,12 +5,14 @@ subterms, ordered small to big) inside a maximally shared graph store, and a
 finite location map from (symbol, argument ids) to value ids outside it.
 `build_plan` compiles the rules once into jumping code, in which each guard
 atom is one id comparison that jumps to one of two targets and each
-assignment names its successor.  A transition runs that code in one loop and
-collects the assignments it passes into an update set, writes the update set
-into the location map at one write per entry, and recomputes tracked values
-in order: constructor applications intern, oracle applications call, and a
-dynamic read probes the update set and, on a miss, the location map.
-Strictness makes a term with an undef argument undef.
+assignment names its successor, and `codegen` turns the code and the ordered
+tracked terms into Python functions generated for the plan: `code.run` for
+the rules, `slots_all` and `slots_dirty` for the slot passes.  A transition
+runs the rules, which collect the assignments they pass into an update set,
+writes the update set into the location map at one write per entry, and
+recomputes tracked values in order: constructor applications intern, oracle
+applications call, and a dynamic read probes the update set and, on a miss,
+the location map.  Strictness makes a term with an undef argument undef.
 
 The engines differ only in how a transition treats its state.  The reference
 engine writes into a copy of the map and recomputes every tracked term, so
@@ -51,16 +53,30 @@ Charges are batched by one rule: a routine adds up its operations in locals
 and charges them once, and never across an oracle call.  A nested run reads
 the meter when it records a point of the series (inline mode), and unit mode
 switches the meter off for the call, so a charge carried past `_invoke`
-would land in the wrong record or be dropped.  `_new_values` therefore
-charges what it has summed before each oracle call and once at its end.
+would land in the wrong record or be dropped.  The generated slot passes
+therefore charge what they have summed before each oracle call and at their
+end; the rules return their sums, which the step charges.  The generated
+code is cached by plan structure (see `codegen`), and it calls the store's
+`intern` and this module's `_invoke` through their attributes at each call.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
-from itertools import compress, count
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
+from .codegen import (
+    SLOT_CONS,
+    SLOT_DYN,
+    SLOT_ORACLE,
+    UNDEF_SLOT,
+    CAssign,
+    Code,
+    Slot,
+    Test,
+    generate,
+)
 from .cost import CostMeter, CostReport, StepCost
 from .syntax import (
     Assign,
@@ -78,7 +94,6 @@ from .terms import (
     KIND_CONSTRUCTOR,
     KIND_DYNAMIC,
     KIND_ORACLE,
-    Symbol,
     Term,
     compact_size,
     distinct_subterms,
@@ -99,12 +114,6 @@ TERMINAL = "terminal"
 MODE_UNIT = "unit"
 MODE_INLINE = "inline"
 
-_UNDEF_SLOT = -1
-
-_KIND_CONS = 0
-_KIND_DYN = 1
-_KIND_ORACLE = 2
-
 
 @dataclass(frozen=True)
 class ClashInfo:
@@ -116,24 +125,9 @@ class ClashInfo:
         return f"{self.symbol}({inner})"
 
 
-class _Slot(NamedTuple):
-    kind: int
-    sym: Symbol
-    child_slots: tuple[int, ...]
-
-
-class _Test(NamedTuple):  # a guard atom: jump to `then` if it holds, else `orelse`
-    lhs: int
-    rhs: int
-    then: int
-    orelse: int
-
-
-class _CAssign(NamedTuple):  # an assignment, then its successor
-    sym: Symbol
-    arg_slots: tuple[int, ...]
-    rhs_slot: int
-    next: int
+# What the generated functions refer to: this module, whose `_invoke` they
+# call at every oracle call, and the clash record.
+_GENERATED_ENV = {"_e": sys.modules[__name__], "ClashInfo": ClashInfo}
 
 
 @dataclass
@@ -142,32 +136,36 @@ class ExecPlan:
 
     program: Program
     criticals: CriticalTerms
-    slots: tuple[_Slot, ...]
+    slots: tuple[Slot, ...]
     parents: tuple[tuple[int, ...], ...]  # per slot, the slots taking it as a child
     dyn_slots: dict[str, tuple[int, ...]]  # per dynamic symbol name, its slots
     oracle_slots: tuple[int, ...]
-    code: tuple[_Test | _CAssign, ...]  # the rules as jumping code, entry 0
+    code: Code  # the rules as jumping code, entry 0
     z_slot: int
     oracle_plans: dict[str, ExecPlan]
     c_program: int
     init_weight: int  # growth headroom of this plan's own initialization
+    # The generated slot passes (see `codegen`); `code.run` runs the rules.
+    slots_all: Callable = field(repr=False, compare=False)
+    slots_dirty: Callable = field(repr=False, compare=False)
 
     @property
     def m(self) -> int:
         return len(self.slots)
 
 
-def _compile_rules(rules: Sequence[Stmt], pos) -> tuple[_Test | _CAssign, ...]:
+def _compile_rules(rules: Sequence[Stmt], pos) -> Code:
     """The rules as jumping code, entry at 0 and exit at the end.  It is
     emitted back to front, so every jump target exists when it is needed: a
     label is an index into `out`, -1 is the exit, and reversed, label i lands
     at last - i.  Both branches of an `if` continue at one label, so an empty
     branch emits nothing, though its test still runs.  `guard` loops down the
-    left spine of an `and`/`or` chain, so only right operands recurse."""
+    left spine of an `and`/`or` chain, so only right operands recurse.  Every
+    jump goes forward."""
     out: list = []
 
     def slot(t: Term | None) -> int:
-        return _UNDEF_SLOT if t is None else pos[t]
+        return UNDEF_SLOT if t is None else pos[t]
 
     def guard(g, then: int, orelse: int) -> int:
         while not isinstance(g, GAtom):
@@ -177,13 +175,13 @@ def _compile_rules(rules: Sequence[Stmt], pos) -> tuple[_Test | _CAssign, ...]:
                 g, then = g.left, guard(g.right, then, orelse)
             else:
                 g, orelse = g.left, guard(g.right, then, orelse)
-        out.append(_Test(slot(g.lhs), slot(g.rhs), then, orelse))
+        out.append(Test(slot(g.lhs), slot(g.rhs), then, orelse))
         return len(out) - 1
 
     def stmts(body: Sequence[Stmt], k: int) -> int:
         for s in reversed(body):
             if isinstance(s, Assign):
-                out.append(_CAssign(s.head, tuple(map(slot, s.head_args)), slot(s.rhs), k))
+                out.append(CAssign(s.head, tuple(map(slot, s.head_args)), slot(s.rhs), k))
                 k = len(out) - 1
             else:
                 orelse = stmts(s.orelse, k)
@@ -192,9 +190,9 @@ def _compile_rules(rules: Sequence[Stmt], pos) -> tuple[_Test | _CAssign, ...]:
 
     stmts(rules, -1)
     last = len(out) - 1
-    return tuple(
-        _Test(i.lhs, i.rhs, last - i.then, last - i.orelse) if type(i) is _Test
-        else _CAssign(i.sym, i.arg_slots, i.rhs_slot, last - i.next)
+    return Code(
+        Test(i.lhs, i.rhs, last - i.then, last - i.orelse) if type(i) is Test
+        else CAssign(i.sym, i.arg_slots, i.rhs_slot, last - i.next)
         for i in reversed(out)
     )
 
@@ -202,14 +200,14 @@ def _compile_rules(rules: Sequence[Stmt], pos) -> tuple[_Test | _CAssign, ...]:
 def build_plan(program: Program) -> ExecPlan:
     ct = critical_terms(program)
     pos = ct.position
-    kinds = {KIND_CONSTRUCTOR: _KIND_CONS, KIND_DYNAMIC: _KIND_DYN, KIND_ORACLE: _KIND_ORACLE}
+    kinds = {KIND_CONSTRUCTOR: SLOT_CONS, KIND_DYNAMIC: SLOT_DYN, KIND_ORACLE: SLOT_ORACLE}
 
     slots = []
     parents: list[list[int]] = [[] for _ in ct.terms]
     by_symbol: dict[str, list[int]] = {}
     for i, t in enumerate(ct.terms):
         child_slots = tuple(pos[a] for a in t.args)
-        slots.append(_Slot(kinds[t.head.kind], t.head, child_slots))
+        slots.append(Slot(kinds[t.head.kind], t.head, child_slots))
         for c in set(child_slots):
             parents[c].append(i)
         if t.head.kind == KIND_DYNAMIC:
@@ -224,7 +222,7 @@ def build_plan(program: Program) -> ExecPlan:
     # transitions (a per-record bound, hence the max).
     c_program = sum(
         compact_size(ct.terms[i.rhs_slot]) for i in code
-        if type(i) is _CAssign and i.rhs_slot != _UNDEF_SLOT
+        if type(i) is CAssign and i.rhs_slot != UNDEF_SLOT
     )
     for oplan in oracle_plans.values():
         c_program += max(oplan.c_program, oplan.init_weight)
@@ -234,18 +232,24 @@ def build_plan(program: Program) -> ExecPlan:
         init_weight += sum(compact_size(arg) for arg in a.head_args)
         init_weight += 0 if a.rhs is None else compact_size(a.rhs)
 
+    slots = tuple(slots)
+    parents = tuple(tuple(p) for p in parents)
+    fns = generate(program.name, code, slots, parents, _GENERATED_ENV)
+    code.run = fns["rules"]
     return ExecPlan(
         program=program,
         criticals=ct,
-        slots=tuple(slots),
-        parents=tuple(tuple(p) for p in parents),
+        slots=slots,
+        parents=parents,
         dyn_slots={name: tuple(found) for name, found in by_symbol.items()},
-        oracle_slots=tuple(i for i, s in enumerate(slots) if s.kind == _KIND_ORACLE),
+        oracle_slots=tuple(i for i, s in enumerate(slots) if s.kind == SLOT_ORACLE),
         code=code,
         z_slot=pos[Term(program.output)],
         oracle_plans=oracle_plans,
         c_program=c_program,
         init_weight=init_weight,
+        slots_all=fns["slots_all"],
+        slots_dirty=fns["slots_dirty"],
     )
 
 
@@ -332,57 +336,15 @@ class RunResult:
     clash: ClashInfo | None = None
 
 
-# --- Guard evaluation and update collection -----------------------------------
+# --- Guard evaluation -----------------------------------------------------------
 
 
-def _enabled(meter: CostMeter, code, values) -> list[_CAssign]:
-    """Run the jumping code from its entry and return the assignments it
-    passes, in program order.  Each atom evaluated charges one compare: a
-    literal undef equals only undef, and two terms are equal only when both
-    are defined and have one id."""
-    enabled = []
-    compares = 0
-    pc, end = 0, len(code)
-    while pc < end:
-        ins = code[pc]
-        if type(ins) is _CAssign:
-            enabled.append(ins)
-            pc = ins.next
-            continue
-        compares += 1
-        l, r, then, orelse = ins
-        a = None if l == _UNDEF_SLOT else values[l]
-        b = None if r == _UNDEF_SLOT else values[r]
-        holds = a == b and (a is not None or l == _UNDEF_SLOT or r == _UNDEF_SLOT)
-        pc = then if holds else orelse
+def _enabled(meter: CostMeter, code: Code, values) -> list[CAssign]:
+    """The assignments the jumping code passes from its entry, in program
+    order.  Only the compares are charged: one per atom evaluated."""
+    enabled, _, _, compares, _, _ = code.run(values)
     meter.charge_compare(compares)
     return enabled
-
-
-def _build_updates(meter: CostMeter, enabled, values):
-    """The update set, or a clash.  Assignments whose location has an undef
-    argument name no location and contribute nothing (strictness).  Each
-    assignment reads its arguments and its value, a defined location costs
-    one probe, and each new entry one write."""
-    updates: dict[tuple[str, tuple[NodeId, ...]], NodeId | None] = {}
-    clash = None
-    reads = probes = 0
-    get = values.__getitem__
-    for ca in enabled:
-        argvals = tuple(map(get, ca.arg_slots))
-        reads += len(argvals) + 1
-        if None in argvals:
-            continue
-        val = None if ca.rhs_slot == _UNDEF_SLOT else values[ca.rhs_slot]
-        key = (ca.sym.name, argvals)
-        probes += 1
-        if key not in updates:
-            updates[key] = val
-        elif updates[key] != val:
-            clash = ClashInfo(ca.sym.name, argvals)
-            break
-    meter.charge(probe=probes, read=reads, write=len(updates))
-    return (updates, None) if clash is None else (None, clash)
 
 
 # --- Oracle calls -----------------------------------------------------------------
@@ -433,59 +395,6 @@ def _run_nested(ctx: RunContext, argids: tuple[NodeId, ...]) -> NodeId | None:
 # --- Value recomputation --------------------------------------------------------
 
 
-def _new_values(ctx: RunContext, values, updates, store, dirty=None):
-    """The tracked values of the successor state, recomputed small to big.
-
-    `store` is the location map with `updates` already written into it.  A
-    dynamic read probes the update set and, on a miss, the map.  Without a
-    dirty set every slot is recomputed.  With one (a list of flags, one per
-    slot) only the flagged slots are, and the rest keep their `values`; a slot
-    whose value changes flags the slots that take it as a child, charging one
-    read per parent edge and one write per slot newly flagged.
-    """
-    tangle = ctx.core.tangle
-    meter = tangle.meter
-    intern = tangle.intern
-    slots, parents = ctx.plan.slots, ctx.plan.parents
-    new = list(values)  # without a dirty set every entry is overwritten
-    get = new.__getitem__
-    probes = reads = writes = 0
-    # Parents come after their children, and compress reads each flag only
-    # when it reaches it, so the flags set on the way are all seen.
-    order = range(len(slots)) if dirty is None else compress(count(), dirty)
-    for i in order:
-        kind, sym, child_slots = slots[i]
-        childvals = tuple(map(get, child_slots))
-        if None in childvals:
-            value = None  # strict: undef argument forces undef
-        elif kind == _KIND_CONS:
-            value = intern(sym, childvals)
-        elif kind == _KIND_ORACLE:
-            meter.charge(probe=probes, read=reads, write=writes)  # before the call
-            probes = reads = writes = 0
-            value = _invoke(ctx, sym.name, childvals)
-        else:
-            key = (sym.name, childvals)
-            if key in updates:
-                value = updates[key]
-                probes += 1
-            else:
-                value = store.get(key)
-                probes += 2
-        if dirty is None:
-            new[i] = value
-        elif value != new[i]:
-            new[i] = value
-            above = parents[i]
-            reads += len(above)
-            for p in above:
-                if not dirty[p]:
-                    dirty[p] = True
-                    writes += 1
-    meter.charge(probe=probes, read=reads, write=writes)
-    return new
-
-
 def _dirty_seed(ctx: RunContext, updates) -> list[bool]:
     """The slots a fast-engine transition must recompute before propagation:
     every oracle slot, so that unmemoized oracles still run each step, and the
@@ -519,10 +428,10 @@ def _check_state(ctx: RunContext, values, store):
             childvals = tuple(map(values.__getitem__, child_slots))
             if None in childvals:
                 assert values[i] is None, f"strictness violated at slot {i}"
-            elif kind == _KIND_CONS:
+            elif kind == SLOT_CONS:
                 expect = core.tangle.intern(sym, childvals)
                 assert values[i] == expect, f"constructor coherence violated at slot {i}"
-            elif kind == _KIND_DYN:
+            elif kind == SLOT_DYN:
                 expect = store.get((sym.name, childvals))
                 assert values[i] == expect, f"location map disagrees at slot {i}"
     finally:
@@ -615,7 +524,7 @@ def _init_state(
         meter.charge_probe()
         meter.charge_write()
 
-    values = _new_values(ctx, [None] * ctx.plan.m, {}, store)
+    values = ctx.plan.slots_all(ctx, {}, store)
     if core.check:
         _check_state(ctx, values, store)
     core.record_point()
@@ -659,25 +568,30 @@ def _step(state: EngineState) -> StepOutcome:
     """
     ctx = state.ctx
     core = ctx.core
+    plan = ctx.plan
     meter = core.tangle.meter
     values = state.values
-    enabled = _enabled(meter, ctx.plan.code, values)
+    enabled, updates, clash, compares, probes, reads = plan.code.run(values)
     if not enabled:
+        meter.charge_compare(compares)
         return StepOutcome(TERMINAL)
-    updates, clash = _build_updates(meter, enabled, values)
     if clash is not None:
+        meter.charge(probe=probes, read=reads, compare=compares, write=len(updates))
         return StepOutcome(CLASH, clash=clash)
     core.fuel_left -= 1  # the transition commits: charge it before its oracle calls
+    # Each update-set entry is written once into the set, once into the map.
+    meter.charge(probe=probes, read=reads, compare=compares, write=2 * len(updates))
     reference = ctx.engine == "reference"
     store = dict(state.store) if reference else state.store
-    meter.charge_write(len(updates))
     for key, val in updates.items():
         if val is None:
             store.pop(key, None)  # undef means the location leaves the finite support
         else:
             store[key] = val
-    dirty = None if reference else _dirty_seed(ctx, updates)
-    new = _new_values(ctx, values, updates, store, dirty)
+    if reference:
+        new = plan.slots_all(ctx, updates, store)
+    else:
+        new = plan.slots_dirty(ctx, values, updates, store, _dirty_seed(ctx, updates))
     if core.check:
         _check_state(ctx, new, store)
     index = state.step_index + 1

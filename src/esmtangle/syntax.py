@@ -151,6 +151,7 @@ _TOKEN_RE = re.compile(
     r"|(?P<NAT>\d+)"
     r"|(?P<STR>\"[^\"\n]*\")"
     r"|(?P<OP>:=|[{}(),;/=])"
+    r"|(?P<BAD>[\s\S])"
 )
 
 

@@ -201,27 +201,28 @@ def symbol_count(t: Term) -> int:
 # Concrete syntax: term := IDENT | IDENT "(" term ("," term)* ")"
 
 
-_TERM_TOKEN_RE = re.compile(r"\s+|(?P<ID>[A-Za-z_][A-Za-z0-9_]*)|(?P<PUNCT>[(),])")
+_TERM_TOKEN_RE = re.compile(
+    r"\s+|(?P<ID>[A-Za-z_][A-Za-z0-9_]*)|(?P<PUNCT>[(),])|(?P<BAD>[\s\S])"
+)
 
 
 class TokenCursor:
-    """A token stream over `text`, cut by `token_re` (whose unnamed matches,
-    such as whitespace, are skipped), with errors placed at a 1-based line and
-    column.  `terms` holds every term read from it, one object per distinct
-    term, keyed by head and argument objects."""
+    """A token stream over `text`, cut by `token_re` in one scan, with errors
+    placed at a 1-based line and column.  The pattern's unnamed matches, such
+    as whitespace, are skipped, and its last alternative, BAD, takes one
+    character that no token starts with, which is an error.  `terms` holds
+    every term read from it, one object per distinct term, keyed by head and
+    argument objects."""
 
     def __init__(self, text: str, token_re: re.Pattern = _TERM_TOKEN_RE):
         self.text = text
         self.terms: dict[tuple[Symbol, tuple[Term, ...]], Term] = {}
-        self.tokens: list[tuple[str, str, int]] = []
-        pos = 0
-        while pos < len(text):
-            m = token_re.match(text, pos)
-            if m is None:
-                self.err(f"unexpected character {text[pos]!r}", pos)
-            if m.lastgroup is not None:
-                self.tokens.append((m.lastgroup, m.group(), m.start()))
-            pos = m.end()
+        self.tokens: list[tuple[str, str, int]] = [
+            (m.lastgroup, m[0], m.start()) for m in token_re.finditer(text) if m.lastgroup
+        ]
+        for kind, value, pos in self.tokens:
+            if kind == "BAD":
+                self.err(f"unexpected character {value!r}", pos)
         self.i = 0
 
     def pos(self) -> int:

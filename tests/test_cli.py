@@ -91,6 +91,33 @@ rules {{ if {guard} then {{ b := d1(eps) }} }}
     assert out.startswith("output: d1(eps)\nsteps: 1\n")
 
 
+@pytest.mark.parametrize(
+    "rules",
+    [
+        "if " + "(" * 300 + "b = undef" + ")" * 300 + " then { b := d1(eps) }",
+        "if " + "not " * 900 + "b = undef then { b := d1(eps) }",
+        "if b = undef then { " * 900 + "b := d1(eps)" + " }" * 900,
+    ],
+    ids=["300 parentheses", "900 not", "900 if"],
+)
+def test_run_deep_programs(tmp_path, capsys, rules):
+    # Nesting that parses runs: the code generated from it is flat, so
+    # Python's own limits on nested code do not apply to it.
+    deep = tmp_path / "deep.esm"
+    deep.write_text(
+        f"""
+vocab {{ constructors {{ eps/0; d1/1 }} dynamic {{ b/0 }} }}
+inputs {{ }}
+output {{ b }}
+rules {{ {rules} }}
+"""
+    )
+    code, out, err = invoke(capsys, "run", str(deep))
+    assert (code, err) == (0, "")
+    assert out.startswith("output: d1(eps)\nsteps: 1\n")
+    assert invoke(capsys, "compare", str(deep)) == (0, "equivalent (1 trial)\n", "")
+
+
 def test_run_validate_failure(tmp_path, capsys):
     bad = tmp_path / "bad.esm"
     bad.write_text(

@@ -1,0 +1,104 @@
+"""The functions generated per plan: their cache, their lookups of the store's
+`intern`, their life span and their source lines (see `esmtangle.codegen`)."""
+
+import gc
+import io
+import linecache
+import weakref
+
+import pytest
+
+from conftest import binary_input, load_corpus
+
+from esmtangle import codegen
+from esmtangle.cost import emit_report
+from esmtangle.engine import (
+    NEXT,
+    build_plan,
+    init_critical,
+    init_ref,
+    run,
+    step_critical,
+    step_ref,
+)
+from esmtangle.tangle import Tangle
+
+
+def _report(program, inputs):
+    trace = io.StringIO()
+    r = run(program, inputs, trace=trace)
+    return trace.getvalue(), emit_report(r.cost), emit_report(r.cost, format="csv")
+
+
+def test_a_reparsed_program_compiles_nothing_new(monkeypatch):
+    first = load_corpus("bin_mul")  # oracle plans are generated too
+    inputs = [binary_input(first.vocab, 3), binary_input(first.vocab, 5)]
+    before = _report(first, inputs)
+
+    def no_compile(*args):
+        raise AssertionError("a plan of a known structure was compiled again")
+
+    monkeypatch.setattr(codegen, "_compile", no_compile)
+    again = load_corpus("bin_mul")
+    assert again is not first
+    assert _report(again, inputs) == before
+
+
+def _step_interns(monkeypatch, program, inputs, init, step, wrap_first):
+    """The intern calls of the transitions of a run, seen by a wrapper put on
+    the class before the run starts (`wrap_first`) or after initialization."""
+    calls = []
+    real = Tangle.intern
+
+    def counted(self, label, children):
+        calls.append(label.name)
+        return real(self, label, children)
+
+    if wrap_first:
+        monkeypatch.setattr(Tangle, "intern", counted)
+    state = init(program, inputs)
+    monkeypatch.setattr(Tangle, "intern", counted)
+    calls.clear()
+    while (out := step(program, state)).kind == NEXT:
+        state = out.state
+    monkeypatch.setattr(Tangle, "intern", real)
+    return calls
+
+
+@pytest.mark.parametrize("init, step", [(init_critical, step_critical), (init_ref, step_ref)])
+def test_a_class_level_intern_wrapper_sees_every_call(monkeypatch, init, step):
+    # The wrapper is put on before any code for the plan is generated, or
+    # after the plan and its functions exist: the generated code looks
+    # `intern` up on the store at each call, so both see the same calls.
+    p = load_corpus("bin_add")
+    inputs = [binary_input(p.vocab, 5), binary_input(p.vocab, 6)]
+    monkeypatch.setattr(codegen, "_compiled", {})
+    first = _step_interns(monkeypatch, p, inputs, init, step, wrap_first=True)
+    later = _step_interns(monkeypatch, p, inputs, init, step, wrap_first=False)
+    assert len(first) > 100
+    assert later == first
+
+
+def test_the_cache_keeps_no_plan_alive():
+    p = load_corpus("bin_succ")
+    state = init_critical(p, [binary_input(p.vocab, 5)])
+    plan = weakref.ref(state.ctx.plan)
+    rules = weakref.ref(state.ctx.plan.code.run)
+    for _ in range(3):
+        state = step_critical(p, state).state
+    del state
+    gc.collect()
+    assert plan() is None and rules() is None
+
+
+@pytest.mark.parametrize("name", ["bin_add", "str_reverse"])
+def test_generated_source_is_registered_with_linecache(name):
+    plan = build_plan(load_corpus(name))
+    for fn, head in [
+        (plan.code.run, "def rules("),
+        (plan.slots_all, "def slots_all("),
+        (plan.slots_dirty, "def slots_dirty("),
+    ]:
+        code = fn.__code__
+        assert code.co_filename.startswith(f"<esmtangle plan {name}.esm")
+        assert linecache.getline(code.co_filename, code.co_firstlineno).startswith(head)

@@ -297,6 +297,20 @@ rules { }
 """
 
 
+@pytest.mark.parametrize("bad, message", [
+    ("rules { }\n#", "line 9, col 1: unexpected character '#'"),
+    ('oracles { probe/1 = "body.esm }', "line 8, col 21: unexpected character '\"'"),
+    ("rules { x := d0(eps) }$", "line 8, col 23: unexpected character '$'"),
+])
+def test_tokenizer_errors_have_positions(bad, message):
+    # The whole text is cut into tokens before it is parsed, so a character
+    # no token starts with is reported wherever it is, at its line and column.
+    text = HOST.replace('oracles { probe/1 = "body.esm"; }\nrules { }', bad)
+    with pytest.raises(TermSyntaxError) as info:
+        parse_program(text)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("body, inner", [
     (b"vocab { constructors { c/0 } dynamic { q/0 } } inputs { q } output { w } rules { }",
      "line 1, col 70: undeclared symbol 'w'"),

@@ -99,6 +99,18 @@ def test_parse_errors_have_positions():
         parse_term("f", v)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("f(c,\n  c#)", "line 2, col 4: unexpected character '#'"),
+    ("c c", "line 1, col 3: unexpected 'c' after term"),
+    ("\n\n 9", "line 3, col 2: unexpected character '9'"),
+    ("f(c, é)", "line 1, col 6: unexpected character 'é'"),
+])
+def test_tokenizer_errors_have_positions(text, message):
+    with pytest.raises(TermSyntaxError) as info:
+        parse_term(text, vocab_fc())
+    assert str(info.value) == message
+
+
 def test_format_roundtrip_random():
     v = vocab_fc()
     rng = random.Random(11)
