@@ -1,11 +1,13 @@
-"""The plan's rules and slot passes as Python functions generated for it.
+"""The plan: a program compiled once, and the Python functions generated for it.
 
-`engine.build_plan` compiles a program's rules into jumping code, a tuple of
-`Test` atoms (an id comparison that jumps to one of two targets) and
-`CAssign` assignments (each naming its successor), and lists its tracked
-terms as `Slot`s, small to big.  `generate` turns that plan into three
-functions, so a transition runs straight-line code instead of interpreting
-the plan's data:
+`build_plan` is the one place a plan is made.  It lists the program's
+critical terms (`syntax.critical_terms`) as `Slot`s, compiles the rules into
+jumping code, a tuple of `Test` atoms (an id comparison that jumps to one of
+two targets) and `CAssign` assignments (each naming its successor), builds
+the oracles' plans, and takes its growth constants from the terms' compact
+sizes.  `generate` turns the code and the slots into three functions, so a
+transition runs straight-line code instead of interpreting the plan's data;
+the engine only runs them:
 
 * `rules(values)` runs the jumping code and returns the enabled assignments,
   the update set (or the first clash) and the compares, probes and reads it
@@ -19,14 +21,17 @@ the plan's data:
   block: its children, the strictness test, then an intern, a dynamic read or
   an oracle call, then, with dirty flags, the flagging of its parents.
 
-They charge the operations of the cost model (see the README), under one
-batching rule: a function adds up its operations in locals and puts them on
-the meter at once, and never across an oracle call, so the slot passes
-charge what they have summed before every call of `engine._invoke`.  A nested run reads the
-meter when it records a point of the series, and unit cost mode switches the
-meter off for the call, so a charge carried past it would land in the wrong
-record or be dropped.  The store's `intern` and `engine._invoke` are looked up
-at every call, so wrappers put on them later see every call.
+They charge the operations of the cost model (see the README) under the one
+batching rule, which the engine's own routines keep too: a routine adds up
+its operations in locals and puts them on the meter at once, and never across
+an oracle call.  A nested run reads the meter when it records a point of the
+series, and unit cost mode switches the meter off for the call, so a charge
+carried past it would land in the wrong record or be dropped.  So the slot
+passes charge what they have summed before every oracle call and at the end
+of each piece, and `rules` returns its sums for the step to charge.  The
+generated code refers to no module: it calls the store's `intern` and the run
+context's `invoke` (an oracle call: memo probe, then a nested run) through
+their attributes at every call, so wrappers put on them later see every call.
 
 The code objects are cached by plan structure, the (jumping code, slots,
 parents) tuples, so a plan of a structure seen before compiles nothing.  Each
@@ -43,11 +48,14 @@ profilers and debuggers show the generated lines.
 from __future__ import annotations
 
 import linecache
+from dataclasses import dataclass, field
 from itertools import count
 from types import CodeType, FunctionType
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
-from .terms import Symbol
+from .syntax import Assign, CriticalTerms, GAnd, GAtom, GNot, Program, Stmt, critical_terms
+from .tangle import NodeId
+from .terms import KIND_CONSTRUCTOR, KIND_DYNAMIC, KIND_ORACLE, Symbol, Term, compact_size
 
 UNDEF_SLOT = -1
 
@@ -83,6 +91,143 @@ class Code(tuple):
     run: Callable
 
 
+@dataclass(frozen=True)
+class ClashInfo:
+    symbol: str
+    args: tuple[NodeId, ...]
+
+    def __str__(self):
+        inner = ",".join(str(a.index) for a in self.args)
+        return f"{self.symbol}({inner})"
+
+
+@dataclass
+class ExecPlan:
+    """A program compiled against its ordered tracked-term list."""
+
+    program: Program
+    criticals: CriticalTerms
+    slots: tuple[Slot, ...]
+    parents: tuple[tuple[int, ...], ...]  # per slot, the slots taking it as a child
+    dyn_slots: dict[str, tuple[int, ...]]  # per dynamic symbol name, its slots
+    oracle_slots: tuple[int, ...]
+    code: Code  # the rules as jumping code, entry 0
+    z_slot: int
+    oracle_plans: dict[str, ExecPlan]
+    c_program: int
+    init_weight: int  # growth headroom of this plan's own initialization
+    # The generated slot passes; `code.run` runs the rules.
+    slots_all: Callable = field(repr=False, compare=False)
+    slots_dirty: Callable = field(repr=False, compare=False)
+
+    @property
+    def m(self) -> int:
+        return len(self.slots)
+
+
+# --- The plan ------------------------------------------------------------------
+
+
+def _compile_rules(rules: Sequence[Stmt], pos) -> Code:
+    """The rules as jumping code, entry at 0 and exit at the end.  It is
+    emitted back to front, so every jump target exists when it is needed: a
+    label is an index into `out`, -1 is the exit, and reversed, label i lands
+    at last - i.  Both branches of an `if` continue at one label, so an empty
+    branch emits nothing, though its test still runs.  `guard` loops down the
+    left spine of an `and`/`or` chain, so only right operands recurse.  Every
+    jump goes forward."""
+    out: list = []
+
+    def slot(t: Term | None) -> int:
+        return UNDEF_SLOT if t is None else pos[t]
+
+    def guard(g, then: int, orelse: int) -> int:
+        while not isinstance(g, GAtom):
+            if isinstance(g, GNot):
+                g, then, orelse = g.sub, orelse, then
+            elif isinstance(g, GAnd):
+                g, then = g.left, guard(g.right, then, orelse)
+            else:
+                g, orelse = g.left, guard(g.right, then, orelse)
+        out.append(Test(slot(g.lhs), slot(g.rhs), then, orelse))
+        return len(out) - 1
+
+    def stmts(body: Sequence[Stmt], k: int) -> int:
+        for s in reversed(body):
+            if isinstance(s, Assign):
+                out.append(CAssign(s.head, tuple(map(slot, s.head_args)), slot(s.rhs), k))
+                k = len(out) - 1
+            else:
+                orelse = stmts(s.orelse, k)
+                k = guard(s.guard, stmts(s.then, k), orelse)
+        return k
+
+    stmts(rules, -1)
+    last = len(out) - 1
+    return Code(
+        Test(i.lhs, i.rhs, last - i.then, last - i.orelse) if type(i) is Test
+        else CAssign(i.sym, i.arg_slots, i.rhs_slot, last - i.next)
+        for i in reversed(out)
+    )
+
+
+_SLOT_KINDS = {KIND_CONSTRUCTOR: SLOT_CONS, KIND_DYNAMIC: SLOT_DYN, KIND_ORACLE: SLOT_ORACLE}
+
+
+def build_plan(program: Program) -> ExecPlan:
+    ct = critical_terms(program)
+    pos, sizes = ct.position, ct.sizes
+
+    slots = []
+    parents: list[list[int]] = [[] for _ in ct.terms]
+    by_symbol: dict[str, list[int]] = {}
+    for i, t in enumerate(ct.terms):
+        child_slots = tuple(pos[a] for a in t.args)
+        slots.append(Slot(_SLOT_KINDS[t.head.kind], t.head, child_slots))
+        for c in set(child_slots):
+            parents[c].append(i)
+        if t.head.kind == KIND_DYNAMIC:
+            by_symbol.setdefault(t.head.name, []).append(i)
+
+    oracle_plans = {o.symbol.name: build_plan(o.body) for o in program.oracles}
+    code = _compile_rules(program.rules, pos)
+
+    # Growth constant: the sum of right-hand-side compact sizes bounds what a
+    # transition can intern; every assignment appears once in the code.  Each
+    # oracle adds the headroom of its own nested initialization and
+    # transitions (a per-record bound, hence the max).
+    c_program = sum(
+        sizes[i.rhs_slot] for i in code if type(i) is CAssign and i.rhs_slot != UNDEF_SLOT
+    )
+    for oplan in oracle_plans.values():
+        c_program += max(oplan.c_program, oplan.init_weight)
+
+    init_weight = sum(sizes)
+    for a in program.init:
+        init_weight += sum(compact_size(arg) for arg in a.head_args)
+        init_weight += 0 if a.rhs is None else compact_size(a.rhs)
+
+    slots = tuple(slots)
+    parents = tuple(tuple(p) for p in parents)
+    fns = generate(program.name, code, slots, parents)
+    code.run = fns["rules"]
+    return ExecPlan(
+        program=program,
+        criticals=ct,
+        slots=slots,
+        parents=parents,
+        dyn_slots={name: tuple(found) for name, found in by_symbol.items()},
+        oracle_slots=tuple(i for i, s in enumerate(slots) if s.kind == SLOT_ORACLE),
+        code=code,
+        z_slot=pos[Term(program.output)],
+        oracle_plans=oracle_plans,
+        c_program=c_program,
+        init_weight=init_weight,
+        slots_all=fns["slots_all"],
+        slots_dirty=fns["slots_dirty"],
+    )
+
+
 # --- Generation ------------------------------------------------------------------
 
 # Compiling a function costs time and memory in proportion to its size, so a
@@ -100,11 +245,11 @@ _COMPILED_MAX = 256
 _file_serial = count(2)  # tells apart two structures generated for one name
 
 
-def generate(name: str, code: Code, slots, parents, env: dict) -> dict[str, Callable]:
-    """The functions generated for a plan, by name, bound to `env` and to the
-    plan's constants: its assignments as `A<index>`, the symbols of its
-    constructor slots as `S<index>`.  Code objects come from the cache when a
-    plan of the same structure was generated before."""
+def generate(name: str, code: Code, slots, parents) -> dict[str, Callable]:
+    """The functions generated for a plan, by name, bound to the clash record
+    and to the plan's constants: its assignments as `A<index>`, the symbols of
+    its constructor slots as `S<index>`.  Code objects come from the cache
+    when a plan of the same structure was generated before."""
     key = (tuple(code), slots, parents)
     codes = _compiled.get(key)
     if codes is None:
@@ -115,7 +260,7 @@ def generate(name: str, code: Code, slots, parents, env: dict) -> dict[str, Call
             *_slots_source(slots, parents, dirty=False),
             *_slots_source(slots, parents, dirty=True),
         ])
-    ns = dict(env)
+    ns = {"ClashInfo": ClashInfo}
     ns.update((f"A{k}", ins) for k, ins in enumerate(code) if type(ins) is CAssign)
     ns.update((f"S{i}", s.sym) for i, s in enumerate(slots) if s.kind == SLOT_CONS)
     for c in codes:
@@ -319,7 +464,7 @@ def _slot_block(i: int, slot: Slot, parents, sure, dirty: bool) -> list[str]:
         lines += [
             f"{pad}meter.charge(probe=p, read=r, write=w)",
             f"{pad}p = r = w = 0",
-            f"{pad}{target} = _e._invoke(ctx, {name}, {args})",
+            f"{pad}{target} = ctx.invoke({name}, {args})",
         ]
     else:
         lines += [

@@ -2,10 +2,11 @@
 
 The abstract cost menu is declared once and used everywhere: one operation per
 lookup-structure probe, per vertex allocation, per child-id read, per id
-comparison, and per table write.  Word size is the bit width of the largest
-live node id, tracked as a running maximum.  Hash probes are counted as one
-operation each (their expected cost); pathological chaining would show up as
-wall-clock skew, not as hidden ops.
+comparison, and per table write.  A run's word size is the bit width that
+addresses every vertex of its store at its end; the store only grows, so no
+id it used is wider.  Hash probes are counted as one operation each (their
+expected cost); pathological chaining would show up as wall-clock skew, not
+as hidden ops.
 """
 
 from __future__ import annotations
@@ -27,13 +28,13 @@ CATEGORIES = (PROBE, ALLOC, READ, COMPARE, WRITE)
 
 
 class CostMeter:
-    """Cumulative per-category operation counts plus the word-size maximum.
+    """Cumulative per-category operation counts.
 
     Metering is observational: disabling a meter must never change what the
     metered code computes.
     """
 
-    __slots__ = ("enabled", "probe", "alloc", "read", "compare", "write", "word_bits_max")
+    __slots__ = ("enabled", "probe", "alloc", "read", "compare", "write")
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
@@ -42,7 +43,6 @@ class CostMeter:
         self.read = 0
         self.compare = 0
         self.write = 0
-        self.word_bits_max = 0
 
     @property
     def ram_ops(self) -> int:
@@ -75,13 +75,6 @@ class CostMeter:
             self.read += read
             self.compare += compare
             self.write += write
-
-    def note_vertices(self, count: int):
-        """Track the word size needed to address a store of `count` vertices."""
-        if self.enabled:
-            bits = word_bits(count)
-            if bits > self.word_bits_max:
-                self.word_bits_max = bits
 
     def categories(self) -> dict[str, int]:
         return {c: getattr(self, c) for c in CATEGORIES}

@@ -3,16 +3,15 @@
 Both engines keep one value per tracked term (the program's terms and their
 subterms, ordered small to big) inside a maximally shared graph store, and a
 finite location map from (symbol, argument ids) to value ids outside it.
-`build_plan` compiles the rules once into jumping code, in which each guard
-atom is one id comparison that jumps to one of two targets and each
-assignment names its successor, and `codegen` turns the code and the ordered
-tracked terms into Python functions generated for the plan: `code.run` for
-the rules, `slots_all` and `slots_dirty` for the slot passes.  A transition
-runs the rules, which collect the assignments they pass into an update set,
-writes the update set into the location map at one write per entry, and
-recomputes tracked values in order: constructor applications intern, oracle
-applications call, and a dynamic read probes the update set and, on a miss,
-the location map.  Strictness makes a term with an undef argument undef.
+They run a plan, which `codegen.build_plan` makes once per program: the
+tracked terms as slots, the rules as jumping code, and the functions
+generated from them, `code.run` for the rules, `slots_all` and `slots_dirty`
+for the slot passes.  A transition runs the rules, which collect the
+assignments they pass into an update set, writes the update set into the
+location map at one write per entry, and recomputes tracked values in order:
+constructor applications intern, oracle applications call, and a dynamic read
+probes the update set and, on a miss, the location map.  Strictness makes a
+term with an undef argument undef.
 
 The engines differ only in how a transition treats its state.  The reference
 engine writes into a copy of the map and recomputes every tracked term, so
@@ -42,63 +41,26 @@ meter gains during the run, so two runs on one store each report only their
 own work.
 
 Oracle symbols are realized by nested runs of their body programs over the
-same store and meter, through one call path.  In "unit" cost mode the meter
-and the per-step series are paused for the nested run and the call charges one
-operation, so its inner transitions are left out of the reported step count
-and the trace; in "inline" mode the nested run's full metered cost and
-transitions are charged.  Results are memoized per (oracle, argument ids)
-within a run; memo hits charge one operation in both modes.
-
-Charges are batched by one rule: a routine adds up its operations in locals
-and charges them once, and never across an oracle call.  A nested run reads
-the meter when it records a point of the series (inline mode), and unit mode
-switches the meter off for the call, so a charge carried past `_invoke`
-would land in the wrong record or be dropped.  The generated slot passes
-therefore charge what they have summed before each oracle call and at their
-end; the rules return their sums, which the step charges.  The generated
-code is cached by plan structure (see `codegen`), and it calls the store's
-`intern` and this module's `_invoke` through their attributes at each call.
+same store and meter, through one call path: the generated slot passes call
+`RunContext.invoke`.  In "unit" cost mode the meter and the per-step series
+are paused for the nested run and the call charges one operation, so its
+inner transitions are left out of the reported step count and the trace; in
+"inline" mode the nested run's full metered cost and transitions are charged.
+Results are memoized per (oracle, argument ids) within a run; memo hits charge
+one operation in both modes.  Charges are batched by the one rule `codegen`
+states: summed in locals, charged at once, never across an oracle call.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
-from .codegen import (
-    SLOT_CONS,
-    SLOT_DYN,
-    SLOT_ORACLE,
-    UNDEF_SLOT,
-    CAssign,
-    Code,
-    Slot,
-    Test,
-    generate,
-)
-from .cost import CostMeter, CostReport, StepCost
-from .syntax import (
-    Assign,
-    CriticalTerms,
-    GAnd,
-    GAtom,
-    GNot,
-    OracleDef,
-    Program,
-    Stmt,
-    critical_terms,
-)
+from .codegen import SLOT_CONS, SLOT_DYN, ClashInfo, ExecPlan, build_plan
+from .cost import CostMeter, CostReport, StepCost, word_bits
+from .syntax import OracleDef, Program
 from .tangle import NodeId, Tangle, new_tangle
-from .terms import (
-    KIND_CONSTRUCTOR,
-    KIND_DYNAMIC,
-    KIND_ORACLE,
-    Term,
-    compact_size,
-    distinct_subterms,
-    format_term,
-)
+from .terms import KIND_CONSTRUCTOR, Term, compact_size, distinct_subterms, format_term
 
 # Run outcomes.
 OUTPUT = "output"
@@ -113,144 +75,6 @@ TERMINAL = "terminal"
 # Oracle cost modes.
 MODE_UNIT = "unit"
 MODE_INLINE = "inline"
-
-
-@dataclass(frozen=True)
-class ClashInfo:
-    symbol: str
-    args: tuple[NodeId, ...]
-
-    def __str__(self):
-        inner = ",".join(str(a.index) for a in self.args)
-        return f"{self.symbol}({inner})"
-
-
-# What the generated functions refer to: this module, whose `_invoke` they
-# call at every oracle call, and the clash record.
-_GENERATED_ENV = {"_e": sys.modules[__name__], "ClashInfo": ClashInfo}
-
-
-@dataclass
-class ExecPlan:
-    """A program compiled against its ordered tracked-term list."""
-
-    program: Program
-    criticals: CriticalTerms
-    slots: tuple[Slot, ...]
-    parents: tuple[tuple[int, ...], ...]  # per slot, the slots taking it as a child
-    dyn_slots: dict[str, tuple[int, ...]]  # per dynamic symbol name, its slots
-    oracle_slots: tuple[int, ...]
-    code: Code  # the rules as jumping code, entry 0
-    z_slot: int
-    oracle_plans: dict[str, ExecPlan]
-    c_program: int
-    init_weight: int  # growth headroom of this plan's own initialization
-    # The generated slot passes (see `codegen`); `code.run` runs the rules.
-    slots_all: Callable = field(repr=False, compare=False)
-    slots_dirty: Callable = field(repr=False, compare=False)
-
-    @property
-    def m(self) -> int:
-        return len(self.slots)
-
-
-def _compile_rules(rules: Sequence[Stmt], pos) -> Code:
-    """The rules as jumping code, entry at 0 and exit at the end.  It is
-    emitted back to front, so every jump target exists when it is needed: a
-    label is an index into `out`, -1 is the exit, and reversed, label i lands
-    at last - i.  Both branches of an `if` continue at one label, so an empty
-    branch emits nothing, though its test still runs.  `guard` loops down the
-    left spine of an `and`/`or` chain, so only right operands recurse.  Every
-    jump goes forward."""
-    out: list = []
-
-    def slot(t: Term | None) -> int:
-        return UNDEF_SLOT if t is None else pos[t]
-
-    def guard(g, then: int, orelse: int) -> int:
-        while not isinstance(g, GAtom):
-            if isinstance(g, GNot):
-                g, then, orelse = g.sub, orelse, then
-            elif isinstance(g, GAnd):
-                g, then = g.left, guard(g.right, then, orelse)
-            else:
-                g, orelse = g.left, guard(g.right, then, orelse)
-        out.append(Test(slot(g.lhs), slot(g.rhs), then, orelse))
-        return len(out) - 1
-
-    def stmts(body: Sequence[Stmt], k: int) -> int:
-        for s in reversed(body):
-            if isinstance(s, Assign):
-                out.append(CAssign(s.head, tuple(map(slot, s.head_args)), slot(s.rhs), k))
-                k = len(out) - 1
-            else:
-                orelse = stmts(s.orelse, k)
-                k = guard(s.guard, stmts(s.then, k), orelse)
-        return k
-
-    stmts(rules, -1)
-    last = len(out) - 1
-    return Code(
-        Test(i.lhs, i.rhs, last - i.then, last - i.orelse) if type(i) is Test
-        else CAssign(i.sym, i.arg_slots, i.rhs_slot, last - i.next)
-        for i in reversed(out)
-    )
-
-
-def build_plan(program: Program) -> ExecPlan:
-    ct = critical_terms(program)
-    pos = ct.position
-    kinds = {KIND_CONSTRUCTOR: SLOT_CONS, KIND_DYNAMIC: SLOT_DYN, KIND_ORACLE: SLOT_ORACLE}
-
-    slots = []
-    parents: list[list[int]] = [[] for _ in ct.terms]
-    by_symbol: dict[str, list[int]] = {}
-    for i, t in enumerate(ct.terms):
-        child_slots = tuple(pos[a] for a in t.args)
-        slots.append(Slot(kinds[t.head.kind], t.head, child_slots))
-        for c in set(child_slots):
-            parents[c].append(i)
-        if t.head.kind == KIND_DYNAMIC:
-            by_symbol.setdefault(t.head.name, []).append(i)
-
-    oracle_plans = {o.symbol.name: build_plan(o.body) for o in program.oracles}
-    code = _compile_rules(program.rules, pos)
-
-    # Growth constant: the sum of right-hand-side compact sizes bounds what a
-    # transition can intern; every assignment appears once in the code.  Each
-    # oracle adds the headroom of its own nested initialization and
-    # transitions (a per-record bound, hence the max).
-    c_program = sum(
-        compact_size(ct.terms[i.rhs_slot]) for i in code
-        if type(i) is CAssign and i.rhs_slot != UNDEF_SLOT
-    )
-    for oplan in oracle_plans.values():
-        c_program += max(oplan.c_program, oplan.init_weight)
-
-    init_weight = sum(compact_size(t) for t in ct.terms)
-    for a in program.init:
-        init_weight += sum(compact_size(arg) for arg in a.head_args)
-        init_weight += 0 if a.rhs is None else compact_size(a.rhs)
-
-    slots = tuple(slots)
-    parents = tuple(tuple(p) for p in parents)
-    fns = generate(program.name, code, slots, parents, _GENERATED_ENV)
-    code.run = fns["rules"]
-    return ExecPlan(
-        program=program,
-        criticals=ct,
-        slots=slots,
-        parents=parents,
-        dyn_slots={name: tuple(found) for name, found in by_symbol.items()},
-        oracle_slots=tuple(i for i, s in enumerate(slots) if s.kind == SLOT_ORACLE),
-        code=code,
-        z_slot=pos[Term(program.output)],
-        oracle_plans=oracle_plans,
-        c_program=c_program,
-        init_weight=init_weight,
-        slots_all=fns["slots_all"],
-        slots_dirty=fns["slots_dirty"],
-    )
 
 
 # --- Run context --------------------------------------------------------------
@@ -306,6 +130,19 @@ class RunContext:
     plan: ExecPlan
     engine: str  # "critical" | "reference"
 
+    def invoke(self, name: str, argids: tuple[NodeId, ...]) -> NodeId | None:
+        """An oracle call inside a run: memo probe, then the call on a miss.
+        The generated slot passes make every oracle call through this."""
+        core = self.core
+        key = (name, argids)
+        core.tangle.meter.charge_probe()
+        if core.memoize and key in core.memo:
+            return core.memo[key]
+        value = _call_oracle(RunContext(core, self.plan.oracle_plans[name], self.engine), argids)
+        if core.memoize:
+            core.memo[key] = value
+        return value
+
 
 @dataclass
 class EngineState:
@@ -339,7 +176,7 @@ class RunResult:
 # --- Guard evaluation -----------------------------------------------------------
 
 
-def _enabled(meter: CostMeter, code: Code, values) -> list[CAssign]:
+def _enabled(meter: CostMeter, code, values) -> list:
     """The assignments the jumping code passes from its entry, in program
     order.  Only the compares are charged: one per atom evaluated."""
     enabled, _, _, compares, _, _ = code.run(values)
@@ -350,27 +187,13 @@ def _enabled(meter: CostMeter, code: Code, values) -> list[CAssign]:
 # --- Oracle calls -----------------------------------------------------------------
 
 
-def _invoke(ctx: RunContext, name: str, argids: tuple[NodeId, ...]) -> NodeId | None:
-    """An oracle call inside a run: memo probe, then the call on a miss."""
-    core = ctx.core
-    key = (name, argids)
-    core.tangle.meter.charge_probe()
-    if core.memoize and key in core.memo:
-        return core.memo[key]
-    nested = RunContext(core, ctx.plan.oracle_plans[name], ctx.engine)
-    value = _call_oracle(nested, argids)
-    if core.memoize:
-        core.memo[key] = value
-    return value
-
-
 def _call_oracle(ctx: RunContext, argids: tuple[NodeId, ...]) -> NodeId | None:
     """Run an oracle body (the plan of `ctx`) on defined argument ids.
 
     Inline mode meters, records and traces the nested run like the host's own
     steps.  Unit mode pauses the run's meter and its per-step series for the
-    nested run and charges the call as one read; the word size still covers
-    the vertices the nested run added to the store.
+    nested run and charges the call as one read; the vertices the nested run
+    adds still count toward the run's word size, that of its store at its end.
     """
     core = ctx.core
     if core.mode != MODE_UNIT:
@@ -383,7 +206,6 @@ def _call_oracle(ctx: RunContext, argids: tuple[NodeId, ...]) -> NodeId | None:
     finally:
         meter.enabled, core.record = saved
     meter.charge_read()  # the single charged operation for the call
-    meter.note_vertices(len(core.tangle))  # the store only grows: this is its peak
     return value
 
 
@@ -716,7 +538,7 @@ def run(
         steps=core.steps_reported,
         init_ops=init_ops,
         total_ops=meter.ram_ops - core.start_ops,
-        word_bits_max=meter.word_bits_max,
+        word_bits_max=word_bits(len(core.tangle)),  # the store only grows
         c_program=ctx.plan.c_program,
         per_step=core.series,
     )

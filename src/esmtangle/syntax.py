@@ -131,10 +131,12 @@ class Program:
 
 @dataclass(frozen=True)
 class CriticalTerms:
-    """The program's terms and subterms, ordered small to big."""
+    """The program's terms and subterms, ordered small to big, with their
+    compact sizes and their positions."""
 
     terms: tuple[Term, ...]
-    position: dict[Term, int] = field(compare=False, default_factory=dict)
+    sizes: tuple[int, ...] = field(compare=False)
+    position: dict[Term, int] = field(compare=False)
 
     def __len__(self):
         return len(self.terms)
@@ -474,15 +476,20 @@ def critical_terms(p: Program) -> CriticalTerms:
     Order is ascending compact size with ties broken by first textual
     occurrence (subterms count as occurring inside their first host term,
     innermost first).  Proper subterms are strictly smaller, so the order is
-    automatically subterm-closed.
+    automatically subterm-closed.  A term collected before is skipped, since
+    its subterms are in too, and each term's compact size is computed once.
     """
     occurrence: dict[Term, int] = {}
     for t in program_terms(p):
-        for sub in distinct_subterms(t):
-            if sub not in occurrence:
-                occurrence[sub] = len(occurrence)
-    ordered = sorted(occurrence, key=lambda t: (compact_size(t), occurrence[t]))
-    return CriticalTerms(tuple(ordered), {t: i for i, t in enumerate(ordered)})
+        if t not in occurrence:
+            for sub in distinct_subterms(t):
+                occurrence.setdefault(sub, len(occurrence))
+    size = {t: compact_size(t) for t in occurrence}
+    ordered = sorted(occurrence, key=lambda t: (size[t], occurrence[t]))
+    return CriticalTerms(
+        tuple(ordered), tuple(map(size.__getitem__, ordered)),
+        {t: i for i, t in enumerate(ordered)},
+    )
 
 
 # --- Canonical printing ---------------------------------------------------------

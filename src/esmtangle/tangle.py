@@ -67,7 +67,6 @@ class Tangle:
         self._index: dict[tuple[str, tuple[NodeId, ...]], NodeId] = {}
         self._edges = 0
         self._extract_cache: dict[int, Term] = {}
-        self.meter.note_vertices(1)
 
     @property
     def undef(self) -> NodeId:
@@ -123,7 +122,6 @@ class Tangle:
             self._index[key] = nid
             meter.charge_alloc()
             meter.charge_write(1 + len(children))
-            meter.note_vertices(size + 1)
         return nid
 
     def node_eq(self, a: NodeId, b: NodeId) -> bool:

@@ -5,6 +5,7 @@ import gc
 import io
 import linecache
 import weakref
+from types import ModuleType
 
 import pytest
 
@@ -14,6 +15,7 @@ from esmtangle import codegen
 from esmtangle.cost import emit_report
 from esmtangle.engine import (
     NEXT,
+    RunContext,
     build_plan,
     init_critical,
     init_ref,
@@ -77,6 +79,53 @@ def test_a_class_level_intern_wrapper_sees_every_call(monkeypatch, init, step):
     later = _step_interns(monkeypatch, p, inputs, init, step, wrap_first=False)
     assert len(first) > 100
     assert later == first
+
+
+def _step_oracle_calls(monkeypatch, program, inputs, mode, wrap_first):
+    """The oracle calls of the transitions of a fast-engine run, seen by a
+    wrapper put on `RunContext.invoke` before the run starts (`wrap_first`)
+    or after initialization, and the run's memo."""
+    calls = []
+    real = RunContext.invoke
+
+    def counted(ctx, name, argids):
+        calls.append((name, tuple(a.index for a in argids)))
+        return real(ctx, name, argids)
+
+    if wrap_first:
+        monkeypatch.setattr(RunContext, "invoke", counted)
+    state = init_critical(program, inputs, oracle_mode=mode)
+    monkeypatch.setattr(RunContext, "invoke", counted)
+    seen_at_init = list(calls)
+    calls.clear()
+    while (out := step_critical(program, state)).kind == NEXT:
+        state = out.state
+    monkeypatch.setattr(RunContext, "invoke", real)
+    return seen_at_init, calls, state.ctx.core.memo
+
+
+@pytest.mark.parametrize("mode", ["inline", "unit"])
+def test_a_class_level_invoke_wrapper_sees_every_oracle_call(monkeypatch, mode):
+    # Every oracle call, nested ones included, goes through the run context's
+    # `invoke`, looked up at each call: a wrapper put on before the plan's
+    # code is generated and one put on after see the same calls, and each
+    # call the memo holds.
+    p = load_corpus("bin_mul")
+    inputs = [binary_input(p.vocab, 3), binary_input(p.vocab, 5)]
+    monkeypatch.setattr(codegen, "_compiled", {})
+    at_init, first, memo = _step_oracle_calls(monkeypatch, p, inputs, mode, wrap_first=True)
+    _, later, _ = _step_oracle_calls(monkeypatch, p, inputs, mode, wrap_first=False)
+    assert len(first) > 10
+    assert later == first
+    assert set(at_init + first) == {(n, tuple(a.index for a in args)) for n, args in memo}
+
+
+def test_generated_code_refers_to_no_module():
+    plans = [build_plan(load_corpus("bin_mul"))]
+    plans += plans[0].oracle_plans.values()
+    for plan in plans:
+        for fn in (plan.code.run, plan.slots_all, plan.slots_dirty):
+            assert not any(type(v) is ModuleType for v in fn.__globals__.values())
 
 
 def test_the_cache_keeps_no_plan_alive():

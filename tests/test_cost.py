@@ -50,11 +50,23 @@ def test_meter_categories_sum():
     assert sum(m.categories().values()) == m.ram_ops
 
 
+def test_a_reused_meter_reports_each_run_its_own_word_size():
+    # The word size is the run's store's at its end, not the largest the
+    # meter has seen: a run after a larger one on the same meter reports as
+    # it does on a fresh meter.
+    p = load_corpus("bin_add")
+    meter = CostMeter()
+    big = run(p, [binary_input(p.vocab, 32)] * 2, meter=meter)
+    small = run(p, [binary_input(p.vocab, 1)] * 2, meter=meter)
+    fresh = run(p, [binary_input(p.vocab, 1)] * 2)
+    assert big.cost.word_bits_max > small.cost.word_bits_max == 5
+    assert emit_report(small.cost) == emit_report(fresh.cost)
+
+
 def test_meter_disabled_charges_nothing():
     m = CostMeter(enabled=False)
     m.charge_probe(5)
-    m.note_vertices(1000)
-    assert m.ram_ops == 0 and m.word_bits_max == 0
+    assert m.ram_ops == 0
 
 
 def test_growth_passes_within_constant():

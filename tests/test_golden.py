@@ -15,23 +15,39 @@ bin_succ 4..256 and bin_mul 4..64 (sizes doubling, as `esm --sweep` takes
 them) and str_reverse of every length 1..6, in both oracle modes, prints it
 and exits 1 unless it matches data/golden_sweep.sha256.  `--sweep` alone
 only prints it.  The sweep takes about half a minute, so it is not part of
-the test suite.
+the test suite.  A change to how plans are built checks that they come out
+the same with
+
+    PYTHONPATH=src python tests/test_golden.py --plans --check
+
+which hashes the plan of every bundled program and of PLAN_PROGRAMS random
+programs decoded as the property test decodes them (a fixed seed): critical
+terms, slots, parents, jumping code, dynamic and oracle slots, output slot,
+growth constants and oracle plans.  It prints the digest and exits 1 unless
+it matches data/golden_plans.sha256; `--plans` alone only prints it.
 """
 
 import hashlib
 import io
 import json
+import random
 import sys
 from pathlib import Path
 
-from conftest import load_corpus
+from conftest import PROGRAMS_DIR, load_corpus
+from test_engine_property import _program
 
 from esmtangle.cli import encode_size, input_codec, sweep_sizes
 from esmtangle.cost import emit_report
-from esmtangle.engine import MODE_INLINE, MODE_UNIT, run
+from esmtangle.codegen import CAssign
+from esmtangle.engine import MODE_INLINE, MODE_UNIT, build_plan, run
+from esmtangle.syntax import parse_program_file
+from esmtangle.terms import format_term
 
 GOLDEN = Path(__file__).parent / "data" / "golden.json"
 GOLDEN_SWEEP = Path(__file__).parent / "data" / "golden_sweep.sha256"
+GOLDEN_PLANS = Path(__file__).parent / "data" / "golden_plans.sha256"
+PLAN_PROGRAMS = 3000
 
 # (program, sizes); None means the program takes no inputs.  Sizes are
 # numeral values for numeral programs and string lengths for str_reverse.
@@ -94,6 +110,39 @@ def sweep_digest() -> str:
     return f"{runs} runs sha256={h.hexdigest()}"
 
 
+def _plan_lines(plan):
+    """A plan as text lines, its oracle plans after it."""
+    yield f"plan {plan.program.name}"
+    yield from (format_term(t) for t in plan.criticals.terms)
+    for kind, sym, kids in plan.slots:
+        yield f"slot {kind} {sym!r} {kids}"
+    yield f"parents {plan.parents}"
+    for ins in plan.code:
+        if type(ins) is CAssign:
+            yield f"assign {ins.sym!r} {ins.arg_slots} {ins.rhs_slot} {ins.next}"
+        else:
+            yield f"test {ins.lhs} {ins.rhs} {ins.then} {ins.orelse}"
+    yield f"dyn {list(plan.dyn_slots.items())} oracle {plan.oracle_slots} z {plan.z_slot}"
+    yield f"c_program {plan.c_program} init_weight {plan.init_weight}"
+    for name, oplan in plan.oracle_plans.items():
+        yield f"oracle {name}"
+        yield from _plan_lines(oplan)
+
+
+def plans_digest() -> str:
+    """The plan count and one sha256 over the plans, as the line
+    data/golden_plans.sha256 holds."""
+    h, plans = hashlib.sha256(), 0
+    rng = random.Random(2012)
+    programs = [parse_program_file(path) for path in sorted(PROGRAMS_DIR.glob("*.esm"))]
+    programs += [_program(rng.randbytes(rng.randint(64, 256))) for _ in range(PLAN_PROGRAMS)]
+    for program in programs:
+        for line in _plan_lines(build_plan(program)):
+            h.update(line.encode() + b"\n")
+        plans += 1
+    return f"{plans} plans sha256={h.hexdigest()}"
+
+
 def test_golden_digests():
     expected = json.loads(GOLDEN.read_text())
     got = digests()
@@ -111,5 +160,11 @@ if __name__ == "__main__":
         print(line)
         if sys.argv[2:] and line != GOLDEN_SWEEP.read_text().strip():
             sys.exit(f"sweep digest differs from {GOLDEN_SWEEP}")
+    elif sys.argv[1:] in (["--plans"], ["--plans", "--check"]):
+        line = plans_digest()
+        print(line)
+        if sys.argv[2:] and line != GOLDEN_PLANS.read_text().strip():
+            sys.exit(f"plan digest differs from {GOLDEN_PLANS}")
     else:
-        sys.exit("usage: python tests/test_golden.py --write | --sweep [--check]")
+        sys.exit("usage: python tests/test_golden.py "
+                 "--write | --sweep [--check] | --plans [--check]")

@@ -1,8 +1,11 @@
 """Program DSL: parsing, validation, critical-term extraction, round-trip."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import CORPUS, corpus_path, load_corpus
+from test_engine_property import _program
 
 from esmtangle.syntax import (
     Assign,
@@ -14,9 +17,16 @@ from esmtangle.syntax import (
     format_program,
     parse_program,
     parse_program_file,
+    program_terms,
     validate_program,
 )
-from esmtangle.terms import KIND_DYNAMIC, TermSyntaxError, compact_size, format_term
+from esmtangle.terms import (
+    KIND_DYNAMIC,
+    TermSyntaxError,
+    compact_size,
+    distinct_subterms,
+    format_term,
+)
 
 
 MINI = """
@@ -261,6 +271,37 @@ rules {
     ca = critical_terms(parse_program(a))
     cb = critical_terms(parse_program(b))
     assert set(ca.terms) == set(cb.terms)
+
+
+def _check_against_definition(p):
+    """critical_terms is the distinct subterms of every program term, in
+    first-occurrence order, sorted by (compact size, first occurrence), with
+    each term's compact size and position."""
+    occurrence = {}
+    for t in program_terms(p):
+        for sub in distinct_subterms(t):
+            occurrence.setdefault(sub, len(occurrence))
+    want = sorted(occurrence, key=lambda t: (compact_size(t), occurrence[t]))
+    ct = critical_terms(p)
+    assert ct.terms == tuple(want)
+    assert ct.sizes == tuple(compact_size(t) for t in ct.terms)
+    assert ct.position == {t: i for i, t in enumerate(ct.terms)}
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(p=st.binary(min_size=64, max_size=256).map(_program))
+def test_critical_terms_match_their_definition(p):
+    _check_against_definition(p)
+
+
+def test_critical_terms_of_a_large_term_repeated():
+    big = "eps"
+    for k in range(300):
+        big = f"d{k % 2}({big})"
+    rules = "\n".join(f"if x = {big} then {{ z := d1({big}) }}" for _ in range(100))
+    p = parse_program(MINI.replace("if x = eps then { z := d1(eps) }", rules))
+    _check_against_definition(p)
+    assert len(critical_terms(p)) == 304  # x, z, eps, 300 wrappings, d1(big)
 
 
 def test_inputs_and_output_always_critical():

@@ -320,5 +320,4 @@ def test_word_bits_tracks_growth():
     for _ in range(100):
         nid = g.intern(d0, (nid,))
     st = g.stats()
-    assert st.word_bits == g.meter.word_bits_max
     assert 2 ** st.word_bits >= st.vertices
