@@ -5,7 +5,7 @@ critical terms (`syntax.critical_terms`) as `Slot`s, compiles the rules into
 jumping code, a tuple of `Test` atoms (an id comparison that jumps to one of
 two targets) and `CAssign` assignments (each naming its successor), builds
 the oracles' plans, and takes its growth constants from the terms' compact
-sizes.  `generate` turns the code and the slots into three functions, so a
+sizes.  `generate` turns the code and the slots into four functions, so a
 transition runs straight-line code instead of interpreting the plan's data;
 the engine only runs them:
 
@@ -14,24 +14,40 @@ the engine only runs them:
   charged.  Every jump goes forward, so the code runs top to bottom over a
   program counter; a run of tests that short-circuits as one `and` or `or`
   chain is one expression, and assignments that follow one another are one
-  block with its read and probe counts folded into constants.
+  block with its read and probe counts folded into constants.  A slot that
+  holds a constructor term is never undef, so no test checks it for undef.
 * `slots_all(ctx, updates, store)` computes every slot (initialization and
-  the reference engine); `slots_dirty(ctx, values, updates, store, dirty)`
-  recomputes the flagged ones (the fast engine).  Each slot is an unrolled
-  block: its children, the strictness test, then an intern, a dynamic read or
-  an oracle call, then, with dirty flags, the flagging of its parents.
+  the reference engine).  Each slot is an unrolled block: its children, the
+  strictness test, then an intern, a dynamic read or an oracle call, then,
+  in the fast engine's pass, the flagging of its parents.
+* `step_critical(state)` and `step_ref(state)` are one transition of each
+  engine, start to end: the rules, the fuel commit, the update-set write
+  into the location map, the fast engine's dirty seed (its per-symbol slots
+  written in as constants) and dirty pass (inline), or the reference
+  engine's call of `slots_all`, the invariant-check hook, and the record of
+  the per-step series and the trace line.
 
-They charge the operations of the cost model (see the README) under the one
-batching rule, which the engine's own routines keep too: a routine adds up
-its operations in locals and puts them on the meter at once, and never across
-an oracle call.  A nested run reads the meter when it records a point of the
-series, and unit cost mode switches the meter off for the call, so a charge
-carried past it would land in the wrong record or be dropped.  So the slot
-passes charge what they have summed before every oracle call and at the end
-of each piece, and `rules` returns its sums for the step to charge.  The
-generated code refers to no module: it calls the store's `intern` and the run
-context's `invoke` (an oracle call: memo probe, then a nested run) through
-their attributes at every call, so wrappers put on them later see every call.
+An intern hit is one probe of the store's index, inline, charged as
+`Tangle.intern` charges it (a read per child and a probe); only a miss calls
+`intern`, which allocates and charges itself.  So a wrapper put on
+`Tangle.intern` sees the misses only, and since the probe skips `intern`'s
+vocabulary check, the engine checks every symbol a plan interns (`interned`,
+its oracle plans' included) against a given store once, when a run is set
+up.  The generated code reads the store's index and its size counters
+directly.
+
+The functions charge the operations of the cost model (see the README) under
+the one batching rule, which the engine's own routines keep too: a routine
+adds up its operations in locals and puts them on the meter at once, and
+never across an oracle call.  A nested run reads the meter when it records a
+point of the series, and unit cost mode switches the meter off for the call,
+so a charge carried past it would land in the wrong record or be dropped.
+So the slot passes charge what they have summed before every oracle call and
+at the end of each piece, `rules` returns its sums, and a step adds them to
+its own.  The generated code refers to no module: it calls the store's
+`intern` and the run context's `invoke` (an oracle call: memo probe, then a
+nested run) and `check_state` through their attributes, looked up at every
+pass, so wrappers put on them later see every call.
 
 The code objects are cached by plan structure, the (jumping code, slots,
 parents) tuples, so a plan of a structure seen before compiles nothing.  Each
@@ -53,6 +69,7 @@ from itertools import count
 from types import CodeType, FunctionType
 from typing import Callable, NamedTuple, Sequence
 
+from .cost import StepCost
 from .syntax import Assign, CriticalTerms, GAnd, GAtom, GNot, Program, Stmt, critical_terms
 from .tangle import NodeId
 from .terms import KIND_CONSTRUCTOR, KIND_DYNAMIC, KIND_ORACLE, Symbol, Term, compact_size
@@ -62,6 +79,11 @@ UNDEF_SLOT = -1
 SLOT_CONS = 0
 SLOT_DYN = 1
 SLOT_ORACLE = 2
+
+# Step outcome kinds.
+NEXT = "next"
+TERMINAL = "terminal"
+CLASH = "clash"
 
 
 class Slot(NamedTuple):
@@ -102,6 +124,25 @@ class ClashInfo:
 
 
 @dataclass
+class EngineState:
+    """One value (node id, or None for undef) per tracked term, and the finite
+    location map they were read from.  A reference-engine step copies the map;
+    a fast-engine step updates it in place, so a fast-engine state can be
+    stepped only once."""
+
+    ctx: RunContext  # engine.RunContext, which this module does not import
+    values: list[NodeId | None]
+    store: dict[tuple[str, tuple[NodeId, ...]], NodeId]
+    step_index: int = 0
+
+
+class StepOutcome(NamedTuple):
+    kind: str  # NEXT | TERMINAL | CLASH
+    state: EngineState | None = None
+    clash: ClashInfo | None = None
+
+
+@dataclass
 class ExecPlan:
     """A program compiled against its ordered tracked-term list."""
 
@@ -116,13 +157,12 @@ class ExecPlan:
     oracle_plans: dict[str, ExecPlan]
     c_program: int
     init_weight: int  # growth headroom of this plan's own initialization
-    # The generated slot passes; `code.run` runs the rules.
+    interned: tuple[Symbol, ...]  # the constructors it and its oracle plans intern
+    # The generated functions besides `code.run`, the rules: the slot pass
+    # that computes every slot, and one transition of each engine.
     slots_all: Callable = field(repr=False, compare=False)
-    slots_dirty: Callable = field(repr=False, compare=False)
-
-    @property
-    def m(self) -> int:
-        return len(self.slots)
+    step_critical: Callable = field(repr=False, compare=False)
+    step_ref: Callable = field(repr=False, compare=False)
 
 
 # --- The plan ------------------------------------------------------------------
@@ -174,20 +214,26 @@ def _compile_rules(rules: Sequence[Stmt], pos) -> Code:
 _SLOT_KINDS = {KIND_CONSTRUCTOR: SLOT_CONS, KIND_DYNAMIC: SLOT_DYN, KIND_ORACLE: SLOT_ORACLE}
 
 
+def _dyn_slots(slots) -> dict[str, list[int]]:
+    """Per dynamic symbol name, its slots in increasing order."""
+    found: dict[str, list[int]] = {}
+    for i, s in enumerate(slots):
+        if s.kind == SLOT_DYN:
+            found.setdefault(s.sym.name, []).append(i)
+    return found
+
+
 def build_plan(program: Program) -> ExecPlan:
     ct = critical_terms(program)
     pos, sizes = ct.position, ct.sizes
 
     slots = []
     parents: list[list[int]] = [[] for _ in ct.terms]
-    by_symbol: dict[str, list[int]] = {}
     for i, t in enumerate(ct.terms):
         child_slots = tuple(pos[a] for a in t.args)
         slots.append(Slot(_SLOT_KINDS[t.head.kind], t.head, child_slots))
         for c in set(child_slots):
             parents[c].append(i)
-        if t.head.kind == KIND_DYNAMIC:
-            by_symbol.setdefault(t.head.name, []).append(i)
 
     oracle_plans = {o.symbol.name: build_plan(o.body) for o in program.oracles}
     code = _compile_rules(program.rules, pos)
@@ -207,6 +253,10 @@ def build_plan(program: Program) -> ExecPlan:
         init_weight += sum(compact_size(arg) for arg in a.head_args)
         init_weight += 0 if a.rhs is None else compact_size(a.rhs)
 
+    interned = {s.sym: None for s in slots if s.kind == SLOT_CONS}
+    for oplan in oracle_plans.values():
+        interned.update(dict.fromkeys(oplan.interned))
+
     slots = tuple(slots)
     parents = tuple(tuple(p) for p in parents)
     fns = generate(program.name, code, slots, parents)
@@ -216,15 +266,17 @@ def build_plan(program: Program) -> ExecPlan:
         criticals=ct,
         slots=slots,
         parents=parents,
-        dyn_slots={name: tuple(found) for name, found in by_symbol.items()},
+        dyn_slots={name: tuple(found) for name, found in _dyn_slots(slots).items()},
         oracle_slots=tuple(i for i, s in enumerate(slots) if s.kind == SLOT_ORACLE),
         code=code,
         z_slot=pos[Term(program.output)],
         oracle_plans=oracle_plans,
         c_program=c_program,
         init_weight=init_weight,
+        interned=tuple(interned),
         slots_all=fns["slots_all"],
-        slots_dirty=fns["slots_dirty"],
+        step_critical=fns["step_critical"],
+        step_ref=fns["step_ref"],
     )
 
 
@@ -232,9 +284,11 @@ def build_plan(program: Program) -> ExecPlan:
 
 # Compiling a function costs time and memory in proportion to its size, so a
 # plan is generated as pieces of at most _PIECE instructions (or slots) and
-# about _PIECE_LINES lines, which one entry function calls in order.
+# about _PIECE_LINES lines, which one entry function calls in order.  The
+# bundled programs' passes fit in one piece, so their steps run as one
+# function with no piece calls.
 _PIECE = 256
-_PIECE_LINES = 200
+_PIECE_LINES = 400
 
 # (jumping code, slots, parents) -> the code objects generated for them.  Only
 # code objects: each plan binds them to its own symbols and assignments, so
@@ -246,21 +300,27 @@ _file_serial = count(2)  # tells apart two structures generated for one name
 
 
 def generate(name: str, code: Code, slots, parents) -> dict[str, Callable]:
-    """The functions generated for a plan, by name, bound to the clash record
-    and to the plan's constants: its assignments as `A<index>`, the symbols of
-    its constructor slots as `S<index>`.  Code objects come from the cache
-    when a plan of the same structure was generated before."""
+    """The functions generated for a plan, by name, bound to the classes they
+    make and to the plan's constants: its assignments as `A<index>`, the
+    symbols of its constructor slots as `S<index>` and, as SEED, the first
+    slot of each dynamic symbol.  Code objects come from the cache when a
+    plan of the same structure was generated before."""
     key = (tuple(code), slots, parents)
     codes = _compiled.get(key)
     if codes is None:
         if len(_compiled) >= _COMPILED_MAX:
             linecache.cache.pop(_compiled.pop(next(iter(_compiled)))[0].co_filename, None)
         codes = _compiled[key] = _compile(name, [
-            *_rules_source(code),
-            *_slots_source(slots, parents, dirty=False),
-            *_slots_source(slots, parents, dirty=True),
+            *_rules_source(code, _sure(slots)),
+            *_slots_all_source(slots, parents),
+            *_step_source(slots, parents, reference=True),
+            *_step_source(slots, parents, reference=False),
         ])
-    ns = {"ClashInfo": ClashInfo}
+    # `new_tuple` makes the steps' named tuples without their Python-level
+    # `__new__`, which would cost a call each.
+    ns = {"ClashInfo": ClashInfo, "EngineState": EngineState, "StepOutcome": StepOutcome,
+          "StepCost": StepCost, "new_tuple": tuple.__new__}
+    ns["SEED"] = {name: found[0] for name, found in _dyn_slots(slots).items()}
     ns.update((f"A{k}", ins) for k, ins in enumerate(code) if type(ins) is CAssign)
     ns.update((f"S{i}", s.sym) for i, s in enumerate(slots) if s.kind == SLOT_CONS)
     for c in codes:
@@ -285,17 +345,36 @@ def _compile(name: str, functions: list[list[str]]) -> tuple[CodeType, ...]:
     return tuple(codes)
 
 
-def _atom(lhs: int, rhs: int) -> str:
+def _sure(slots) -> list[bool]:
+    """Per slot, whether it is a constructor term, so never undef."""
+    sure: list[bool] = []
+    for kind, _, kids in slots:
+        sure.append(kind == SLOT_CONS and all(sure[c] for c in kids))
+    return sure
+
+
+def _defined(slots, sure, on: str = "new") -> str | None:
+    """The strictness test on the slots' values in `on`, None if they are
+    all sure."""
+    unsure = [c for c in dict.fromkeys(slots) if not sure[c]]
+    return " and ".join(f"{on}[{c}] is not None" for c in unsure) or None
+
+
+def _atom(lhs: int, rhs: int, sure) -> str:
     """A guard atom on `values`: a literal undef equals only undef, and two
-    terms are equal only when both are defined and have one id."""
+    terms are equal only when both are defined and have one id.  A sure
+    slot is defined."""
     if lhs == rhs:
-        return "True" if lhs == UNDEF_SLOT else f"values[{lhs}] is not None"
+        return "True" if lhs == UNDEF_SLOT else _defined((lhs,), sure, "values") or "True"
     if UNDEF_SLOT in (lhs, rhs):
-        return f"values[{max(lhs, rhs)}] is None"
+        other = max(lhs, rhs)
+        return "False" if sure[other] else f"values[{other}] is None"
+    if sure[lhs] or sure[rhs]:
+        return f"values[{lhs}] == values[{rhs}]"
     return f"values[{lhs}] == values[{rhs}] is not None"
 
 
-def _test_run(code, k: int, end: int, entries) -> tuple[int, list[str]]:
+def _test_run(code, k: int, end: int, entries, sure) -> tuple[int, list[str]]:
     """The run of tests from k that short-circuits as one `or` (or `and`)
     chain, as one block.  The run grows while the last test falls through to
     the next one on failure (on success), the next one jumps where the run
@@ -318,18 +397,18 @@ def _test_run(code, k: int, end: int, entries) -> tuple[int, list[str]]:
             break
         j += 1
     if op is None:
-        return j, ["c += 1", f"pc = {then} if {_atom(first.lhs, first.rhs)} else {orelse}"]
+        return j, ["c += 1", f"pc = {then} if {_atom(first.lhs, first.rhs, sure)} else {orelse}"]
     neg = "not " if op == "and" else ""
     seen, found = set(), []
     for n, t in enumerate(code[k:j], 1):
-        if (atom := _atom(t.lhs, t.rhs)) not in seen:
+        if (atom := _atom(t.lhs, t.rhs, sure)) not in seen:
             seen.add(atom)
             found.append(f"{neg}{atom} and {n}")
     exits = (then, orelse) if op == "or" else (orelse, then)
     return j, [f"k = {' or '.join(found)}", f"c += k or {j - k}", "pc = {} if k else {}".format(*exits)]
 
 
-def _assign_block(code, k: int, end: int, entries, fresh) -> tuple[int, list[str]]:
+def _assign_block(code, k: int, end: int, entries, fresh, sure) -> tuple[int, list[str]]:
     """The assignments from k that follow one another with no other way in,
     as one block: they are enabled together and each goes into the update
     set (strictness: an undef argument names no location).  Each reads its
@@ -351,12 +430,15 @@ def _assign_block(code, k: int, end: int, entries, fresh) -> tuple[int, list[str
         value = "None" if a.rhs_slot == UNDEF_SLOT else f"values[{a.rhs_slot}]"
         reads += len(a.arg_slots) + 1
         pad, key = "", f"({name}, ())"
-        if a.arg_slots:
-            lines += [f"t = ({''.join(f'values[{s}], ' for s in a.arg_slots)})", "if None not in t:",
-                      "    p += 1"]
-            pad, key = "    ", f"({name}, t)"
+        defined = _defined(a.arg_slots, sure, "values")
+        if defined:
+            lines += [f"if {defined}:", "    p += 1"]
+            pad = "    "
         else:
             probes += 1
+        if a.arg_slots:
+            lines.append(f"{pad}t = ({''.join(f'values[{s}], ' for s in a.arg_slots)})")
+            key = f"({name}, t)"
         if fresh[i]:
             lines.append(f"{pad}updates[{key}] = {value}")
             continue
@@ -371,7 +453,7 @@ def _assign_block(code, k: int, end: int, entries, fresh) -> tuple[int, list[str
     return j, lines
 
 
-def _rules_source(code: Code) -> list[list[str]]:
+def _rules_source(code: Code, sure) -> list[list[str]]:
     """`rules(values)`: the jumping code as straight-line code over a
     program counter `pc`, returning (enabled assignments, update set, clash,
     compares, probes, reads).  Each block is a run of tests or of
@@ -400,9 +482,9 @@ def _rules_source(code: Code) -> list[list[str]]:
         end, body = min(n, k + _PIECE), []
         while k < end and len(body) < _PIECE_LINES:
             if type(code[k]) is CAssign:
-                j, block = _assign_block(code, k, end, entries, fresh)
+                j, block = _assign_block(code, k, end, entries, fresh, sure)
             else:
-                j, block = _test_run(code, k, end, entries)
+                j, block = _test_run(code, k, end, entries, sure)
             if guarded[k]:
                 body.append(f"    if pc == {k}:")
                 body += [f"        {line}" for line in block]
@@ -440,50 +522,77 @@ def _rules_source(code: Code) -> list[list[str]]:
     return out
 
 
+# A pass puts the charges it sums on the meter at its end, and before every
+# oracle call, after which it sums from zero again (a flush).  A step's
+# inline pass carries on the step's sums, compares included.
+_CHARGE = "meter.charge(probe=p, read=r, compare=c, write=w)"
+_FLUSH = _CHARGE + "; p = r = c = w = 0"
+# The step's last charge and its record point run once per transition, so
+# they spell out `CostMeter.charge` and `CostMeter.ram_ops` on the meter's
+# counters instead of calling them.
+_STEP_CHARGE = [
+    "if meter.enabled:",
+    "    meter.probe += p; meter.read += r; meter.compare += c; meter.write += w",
+]
+_RAM_OPS = "meter.probe + meter.alloc + meter.read + meter.compare + meter.write"
+# What a slot pass reads from the store besides its meter: `intern`, looked
+# up at each pass so that a wrapper put on later sees every miss, and the
+# index an intern hit is probed in.
+_PASS_HEAD = ["intern = tangle.intern", "index = tangle._index"]
+_PIECE_HEAD = ["meter = tangle.meter", *_PASS_HEAD, "p = r = c = w = 0"]
+
+
 def _slot_block(i: int, slot: Slot, parents, sure, dirty: bool) -> list[str]:
     """Recompute slot i: its children, the strictness test, then an intern,
     a dynamic read (the update set, else the location map) or an oracle call,
-    whose summed charges are put on the meter first.  With dirty flags the
-    value goes to `v`, and a changed value flags the slot's parents at one
-    read per parent edge and one write per parent newly flagged."""
+    before which the summed charges are flushed.  An intern hit is one probe
+    of the store's index, charged as `Tangle.intern` charges it, a read per
+    child and a probe; only a miss calls `intern`, which charges itself.
+    With dirty flags, a changed value flags the slot's parents at one read
+    per parent edge and one write per parent newly flagged."""
     kind, sym, kids = slot
     name = repr(sym.name)
-    target = "v" if dirty else f"new[{i}]"
     lines, pad = [], ""
-    if kids:
-        lines.append(f"t = ({''.join(f'new[{c}], ' for c in kids)})")
-    if not all(sure[c] for c in kids):
+    defined = _defined(kids, sure)
+    if defined:
         if dirty:
             lines.append("v = None")
-        lines.append("if None not in t:")
+        lines.append(f"if {defined}:")
         pad = "    "
+    if kids:
+        lines.append(f"{pad}t = ({''.join(f'new[{c}], ' for c in kids)})")
     args = "t" if kids else "()"
     if kind == SLOT_CONS:
-        lines.append(f"{pad}{target} = intern(S{i}, {args})")
-    elif kind == SLOT_ORACLE:
         lines += [
-            f"{pad}meter.charge(probe=p, read=r, write=w)",
-            f"{pad}p = r = w = 0",
-            f"{pad}{target} = ctx.invoke({name}, {args})",
+            f"{pad}v = index.get(({name}, {args}))",
+            f"{pad}if v is None:",
+            f"{pad}    v = intern(S{i}, {args})",
+            f"{pad}else:",
+            f"{pad}    p += 1" + (f"; r += {len(kids)}" if kids else ""),
         ]
+    elif kind == SLOT_ORACLE:
+        lines += [f"{pad}{_FLUSH}", f"{pad}v = ctx.invoke({name}, {args})"]
+    elif dirty and not kids:
+        # Only the seed flags it, for an update of its one location.
+        lines += [f"v = updates[({name}, ())]", "p += 1"]
     else:
         lines += [
             f"{pad}key = ({name}, {args})",
             f"{pad}if key in updates:",
-            f"{pad}    {target} = updates[key]",
+            f"{pad}    v = updates[key]",
             f"{pad}    p += 1",
             f"{pad}else:",
-            f"{pad}    {target} = store.get(key)",
+            f"{pad}    v = store.get(key)",
             f"{pad}    p += 2",
         ]
     if not dirty:
-        return lines
+        return lines + [f"{pad}new[{i}] = v"]
     above = parents[i]
     if not above:
-        return [f"if dirty[{i}]:", *(f"    {line}" for line in lines), f"    new[{i}] = v"]
+        return [f"if dirty[{i}]:", *_indent(lines), f"    new[{i}] = v"]
     return [
         f"if dirty[{i}]:",
-        *(f"    {line}" for line in lines),
+        *_indent(lines),
         f"    if v != new[{i}]:",
         f"        new[{i}] = v",
         f"        r += {len(above)}",
@@ -491,39 +600,146 @@ def _slot_block(i: int, slot: Slot, parents, sure, dirty: bool) -> list[str]:
     ]
 
 
-def _slots_source(slots, parents, dirty: bool) -> list[list[str]]:
-    """`slots_all(ctx, updates, store)`, which computes every slot small to
-    big, or `slots_dirty(ctx, values, updates, store, dirty)`, which
-    recomputes the flagged ones and keeps the rest of `values`; both return
-    the new values.  A slot whose subterms are all constructors never
-    changes, so the dirty pass leaves it out (it is never flagged).  Charges
-    are summed per piece and put on the meter before every oracle call and
-    at the end of the piece."""
-    sure: list[bool] = []  # the slot is a constructor term, never undef
-    for kind, _, kids in slots:
-        sure.append(kind == SLOT_CONS and all(sure[c] for c in kids))
-    name = "slots_dirty" if dirty else "slots_all"
+def _slot_pieces(slots, parents, dirty: bool) -> list[list[str]]:
+    """A slot pass as blocks, small to big, cut into pieces of bounded size.
+    A slot whose subterms are all constructors never changes, so the dirty
+    pass leaves it out (it is never flagged)."""
+    sure = _sure(slots)
     pieces, i = [], 0
     while not pieces or i < len(slots):
         end, body = min(len(slots), i + _PIECE), []
         while i < end and len(body) < _PIECE_LINES:
             if not (dirty and sure[i]):
-                body += [f"    {line}" for line in _slot_block(i, slots[i], parents, sure, dirty)]
+                body += _slot_block(i, slots[i], parents, sure, dirty)
             i += 1
         pieces.append(body)
-    if dirty:
-        head = [f"def {name}(ctx, values, updates, store, dirty):", "    new = list(values)"]
+    return pieces
+
+
+def _indent(lines, pad: str = "    ") -> list[str]:
+    return [pad + line for line in lines]
+
+
+def _piece_functions(name: str, pieces) -> list[list[str]]:
+    """The pieces of a long slot pass as functions `_NAME_<i>(ctx, new,
+    updates, store, dirty, tangle)`, each charging what it sums."""
+    return [
+        [f"def _{name}_{i}(ctx, new, updates, store, dirty, tangle):",
+         *_indent([*_PIECE_HEAD, *body, _CHARGE])]
+        for i, body in enumerate(pieces)
+    ]
+
+
+def _piece_calls(name: str, pieces, flags: str) -> list[str]:
+    return [f"_{name}_{i}(ctx, new, updates, store, {flags}, tangle)" for i in range(len(pieces))]
+
+
+def _slots_all_source(slots, parents) -> list[list[str]]:
+    """`slots_all(ctx, updates, store)`, which computes every slot small to
+    big and returns the values (initialization and the reference engine).
+    Charges are summed per piece and put on the meter before every oracle
+    call and at the end of the piece."""
+    pieces = _slot_pieces(slots, parents, dirty=False)
+    head = ["def slots_all(ctx, updates, store):",
+            f"    new = [None] * {len(slots)}", "    tangle = ctx.core.tangle"]
+    if len(pieces) > 1:
+        return [head + _indent(_piece_calls("slots_all", pieces, "None")) + ["    return new"],
+                *_piece_functions("slots_all", pieces)]
+    body = [*_PIECE_HEAD, *pieces[0], _CHARGE, "return new"]
+    return [head + _indent(body)]
+
+
+def _dirty_seed(slots) -> list[str]:
+    """The lines that flag, as `dirty`, the slots a fast-engine transition
+    recomputes before propagation: every oracle slot, so that unmemoized
+    oracles still run each step, and the dynamic slots of every updated
+    symbol.  The oracle slots are flagged free.  One probe per update-set key
+    in SEED (per dynamic symbol name, its first slot) flags that slot, at
+    one write if it is newly flagged; then each symbol with more slots
+    flags the rest along with its first, as constants.  Before the pass only
+    the seed flags slots, so a first slot flagged means its symbol was
+    updated."""
+    lines = [f"dirty = [False] * {len(slots)}"]
+    oracles = [i for i, s in enumerate(slots) if s.kind == SLOT_ORACLE]
+    if oracles:
+        lines.append(f"{''.join(f'dirty[{i}] = ' for i in oracles)}True")
+    lines.append("p += len(updates)")
+    found = _dyn_slots(slots)
+    if found:
+        lines += [
+            "for name, _ in updates:",
+            "    i = SEED.get(name)",
+            "    if i is not None and not dirty[i]:",
+            "        dirty[i] = True",
+            "        w += 1",
+        ]
+    for first, *rest in found.values():
+        if rest:
+            lines += [
+                f"if dirty[{first}]:",
+                f"    {''.join(f'dirty[{i}] = ' for i in rest)}True",
+                f"    w += {len(rest)}",
+            ]
+    return lines
+
+
+def _step_source(slots, parents, reference: bool) -> list[list[str]]:
+    """`step_critical(state)` or `step_ref(state)`: one transition of an
+    engine, returning its `StepOutcome`.  It runs the rules; a transition
+    that commits charges its fuel, writes the update set into the location
+    map at one write per entry (into a copy for the reference engine, in
+    place for the fast engine) and recomputes: every slot for the reference
+    engine, the dirty slots for the fast engine, whose pass is inline.  Then
+    come the invariant check (unmetered, off unless asked for) and, for a
+    step that lands in the per-step series, its record and trace line.  The
+    rules' charges, the update-set writes, the seed's and the inline pass's
+    are summed and charged at once, before an oracle call or at the end."""
+    name = "step_ref" if reference else "step_critical"
+    lines = [
+        "ctx = state.ctx",
+        "enabled, updates, clash, c, p, r = rules(state.values)",
+        "core = ctx.core",
+        "tangle = core.tangle",
+        "meter = tangle.meter",
+        "if not enabled:",
+        "    meter.charge_compare(c)",
+        f"    return StepOutcome({TERMINAL!r})",
+        "if clash is not None:",
+        "    meter.charge(probe=p, read=r, compare=c, write=len(updates))",
+        f"    return StepOutcome({CLASH!r}, None, clash)",
+        "core.fuel_left -= 1  # the transition commits: charge it before its oracle calls",
+        "store = dict(state.store)" if reference else "store = state.store",
+        "store.update(updates)",
+        "if None in updates.values():  # undef: the location leaves the finite support",
+        "    for key, v in updates.items():",
+        "        if v is None:",
+        "            del store[key]",
+        "w = 2 * len(updates)  # each entry is written into the set and into the map",
+    ]
+    out = []
+    if reference:
+        lines += [_CHARGE, "new = slots_all(ctx, updates, store)"]
     else:
-        head = [f"def {name}(ctx, updates, store):", f"    new = [None] * {len(slots)}"]
-    head += ["    tangle = ctx.core.tangle", "    meter = tangle.meter", "    intern = tangle.intern"]
-    flags = "dirty" if dirty else "None"
-    start, end = ["    p = r = w = 0"], ["    meter.charge(probe=p, read=r, write=w)"]
-    if len(pieces) == 1:
-        return [head + start + pieces[0] + end + ["    return new"]]
-    out = [head + [
-        f"    _{name}_{i}(ctx, new, updates, store, {flags}, intern, meter)"
-        for i in range(len(pieces))
-    ] + ["    return new"]]
-    for i, body in enumerate(pieces):
-        out.append([f"def _{name}_{i}(ctx, new, updates, store, dirty, intern, meter):", *start, *body, *end])
-    return out
+        lines += [*_dirty_seed(slots), "new = list(state.values)"]
+        pieces = _slot_pieces(slots, parents, dirty=True)
+        if len(pieces) > 1:
+            lines += [_CHARGE, *_piece_calls("slots_dirty", pieces, "dirty")]
+            out = _piece_functions("slots_dirty", pieces)
+        else:
+            lines += [*_PASS_HEAD, *pieces[0], *_STEP_CHARGE]
+    lines += [
+        "if core.check:",
+        "    ctx.check_state(new, store)",
+        "at = state.step_index + 1",
+        "if core.record:",
+        "    core.steps_reported += 1",
+        f"    ops = {_RAM_OPS}",
+        "    series = core.series",
+        "    series.append(new_tuple(StepCost, (len(series), ops - core.last_ops,",
+        "                                       len(tangle._nodes), tangle._edges)))",
+        "    core.last_ops = ops",
+        "    if core.trace is not None:",
+        "        core.trace_line(at, enabled, updates)",
+        f"return new_tuple(StepOutcome, ({NEXT!r}, EngineState(ctx, new, store, at), None))",
+    ]
+    return [[f"def {name}(state):", *_indent(lines)], *out]

@@ -5,13 +5,16 @@ subterms, ordered small to big) inside a maximally shared graph store, and a
 finite location map from (symbol, argument ids) to value ids outside it.
 They run a plan, which `codegen.build_plan` makes once per program: the
 tracked terms as slots, the rules as jumping code, and the functions
-generated from them, `code.run` for the rules, `slots_all` and `slots_dirty`
-for the slot passes.  A transition runs the rules, which collect the
-assignments they pass into an update set, writes the update set into the
-location map at one write per entry, and recomputes tracked values in order:
-constructor applications intern, oracle applications call, and a dynamic read
-probes the update set and, on a miss, the location map.  Strictness makes a
-term with an undef argument undef.
+generated from them, `code.run` for the rules, `slots_all` for the pass that
+computes every slot, and `step_critical` and `step_ref`, one transition of
+each engine.  A transition runs the rules, which collect the assignments
+they pass into an update set, writes the update set into the location map at
+one write per entry, and recomputes tracked values in order: constructor
+applications intern, oracle applications call, and a dynamic read probes the
+update set and, on a miss, the location map.  Strictness makes a term with an
+undef argument undef.  An intern hit is one inline probe of the store's
+index, and only a miss calls `Tangle.intern`, so a wrapper on it sees the
+misses only.
 
 The engines differ only in how a transition treats its state.  The reference
 engine writes into a copy of the map and recomputes every tracked term, so
@@ -27,18 +30,23 @@ store and reports the first step where any tracked term's value differs,
 which with maximal sharing is an id comparison.
 
 Both engines take one path.  `_setup` checks the arguments, compiles the plan
-and makes the run core; `_init_state` is the one initializer (nested oracle
-runs use it too).  One step body, behind `step_critical` and `step_ref`,
-evaluates guards, builds the update set, writes it into the location map,
-recomputes, commits and traces.  `_states` is the one loop that steps an
-engine, under one fuel rule: fuel is charged when a transition commits, after
-its clash check and before its writes and oracle calls, and an engine out of
-fuel halts if an assignment is still enabled and has terminated otherwise.
-`_drive` drains it for `run` and for nested oracle runs, and `compare_engines`
-zips two of its trajectories.  Every run is metered by its store's meter,
-which is fixed when the store is made: a run reports the operations that
-meter gains during the run, so two runs on one store each report only their
-own work.
+and makes the run core; since an inline intern hit skips `Tangle.intern`'s
+vocabulary check, it checks once that every symbol the plan and its oracle
+plans intern is in the store's vocabulary, with the error `intern` raises.
+`_init_state` is the one initializer (nested oracle runs use it too).  The
+module-level `step_critical` and `step_ref` call the plan's generated step,
+which evaluates guards, builds the update set, writes it into the location
+map, recomputes, commits, records and traces; the invariant check
+(`RunContext.check_state`) stays interpreted and unmetered.  There is no
+interpreted step beside the generated one.  `_states` is the one loop that
+steps an engine, under one fuel rule: fuel is charged when a transition
+commits, after its clash check and before its writes and oracle calls, and an
+engine out of fuel halts if an assignment is still enabled and has terminated
+otherwise.  `_drive` drains it for `run` and for nested oracle runs, and
+`compare_engines` zips two of its trajectories.  Every run is metered by its
+store's meter, which is fixed when the store is made: a run reports the
+operations that meter gains during the run, so two runs on one store each
+report only their own work.
 
 Oracle symbols are realized by nested runs of their body programs over the
 same store and meter, through one call path: the generated slot passes call
@@ -54,23 +62,29 @@ states: summed in locals, charged at once, never across an oracle call.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Callable, Sequence
 
-from .codegen import SLOT_CONS, SLOT_DYN, ClashInfo, ExecPlan, build_plan
+from .codegen import (
+    CLASH,
+    NEXT,
+    SLOT_CONS,
+    SLOT_DYN,
+    TERMINAL,
+    ClashInfo,
+    EngineState,
+    ExecPlan,
+    StepOutcome,
+    build_plan,
+)
 from .cost import CostMeter, CostReport, StepCost, word_bits
 from .syntax import OracleDef, Program
 from .tangle import NodeId, Tangle, new_tangle
 from .terms import KIND_CONSTRUCTOR, Term, compact_size, distinct_subterms, format_term
 
-# Run outcomes.
+# Run outcomes (a clash is CLASH, as the step outcome is).
 OUTPUT = "output"
 UNDEF_OUTPUT = "undef_output"
-CLASH = "clash"
 FUEL_EXHAUSTED = "fuel_exhausted"
-
-# Step outcome kinds (a clash is CLASH).
-NEXT = "next"
-TERMINAL = "terminal"
 
 # Oracle cost modes.
 MODE_UNIT = "unit"
@@ -123,12 +137,32 @@ class _RunCore:
             )
             self.last_ops = ops
 
+    def trace_line(self, index: int, enabled, updates):
+        """The trace line of reported step `index`: its enabled assignments,
+        its update set, the store's size and the operations since the run
+        began."""
+        parts = []
+        for (name, args), val in updates.items():
+            inner = ",".join(str(a.index) for a in args)
+            parts.append(f"{name}({inner}):{'undef' if val is None else val.index}")
+        st = self.tangle.stats()
+        self.trace.write(
+            f"i={index} enabled={len(enabled)} updates={';'.join(parts)} "
+            f"vertices={st.vertices} edges={st.edges} "
+            f"ops={self.tangle.meter.ram_ops - self.start_ops}\n"
+        )
+
 
 @dataclass
 class RunContext:
     core: _RunCore
     plan: ExecPlan
     engine: str  # "critical" | "reference"
+    step: Callable = field(init=False, repr=False)  # the plan's step for this engine
+
+    def __post_init__(self):
+        plan = self.plan
+        self.step = plan.step_critical if self.engine == "critical" else plan.step_ref
 
     def invoke(self, name: str, argids: tuple[NodeId, ...]) -> NodeId | None:
         """An oracle call inside a run: memo probe, then the call on a miss.
@@ -143,24 +177,26 @@ class RunContext:
             core.memo[key] = value
         return value
 
-
-@dataclass
-class EngineState:
-    """One value (node id, or None for undef) per tracked term, and the finite
-    location map they were read from.  A reference-engine step copies the map;
-    a fast-engine step updates it in place, so a fast-engine state can be
-    stepped only once."""
-
-    ctx: RunContext
-    values: list[NodeId | None]
-    store: dict[tuple[str, tuple[NodeId, ...]], NodeId]
-    step_index: int = 0
-
-
-class StepOutcome(NamedTuple):
-    kind: str  # NEXT | TERMINAL | CLASH
-    state: EngineState | None = None
-    clash: ClashInfo | None = None
+    def check_state(self, values, store):
+        """Debug assertions (unmetered): strictness, constructor coherence,
+        and agreement of every dynamic slot with the location map."""
+        tangle = self.core.tangle
+        meter = tangle.meter
+        saved = meter.enabled
+        meter.enabled = False
+        try:
+            for i, (kind, sym, child_slots) in enumerate(self.plan.slots):
+                childvals = tuple(map(values.__getitem__, child_slots))
+                if None in childvals:
+                    assert values[i] is None, f"strictness violated at slot {i}"
+                elif kind == SLOT_CONS:
+                    expect = tangle.intern(sym, childvals)
+                    assert values[i] == expect, f"constructor coherence violated at slot {i}"
+                elif kind == SLOT_DYN:
+                    expect = store.get((sym.name, childvals))
+                    assert values[i] == expect, f"location map disagrees at slot {i}"
+        finally:
+            meter.enabled = saved
 
 
 @dataclass
@@ -214,52 +250,6 @@ def _run_nested(ctx: RunContext, argids: tuple[NodeId, ...]) -> NodeId | None:
     return _drive(ctx, state).values[ctx.plan.z_slot]
 
 
-# --- Value recomputation --------------------------------------------------------
-
-
-def _dirty_seed(ctx: RunContext, updates) -> list[bool]:
-    """The slots a fast-engine transition must recompute before propagation:
-    every oracle slot, so that unmemoized oracles still run each step, and the
-    dynamic slots of every updated symbol.  The oracle slots are fixed by the
-    plan and flagged free; one probe per update-set key finds its symbol's
-    slots, and each of those newly flagged charges one write."""
-    plan = ctx.plan
-    dirty = [False] * plan.m
-    for i in plan.oracle_slots:
-        dirty[i] = True
-    writes = 0
-    dyn_slots = plan.dyn_slots
-    for name, _ in updates:
-        for i in dyn_slots.get(name, ()):
-            if not dirty[i]:
-                dirty[i] = True
-                writes += 1
-    ctx.core.tangle.meter.charge(probe=len(updates), write=writes)
-    return dirty
-
-
-def _check_state(ctx: RunContext, values, store):
-    """Debug assertions (unmetered): strictness, constructor coherence, and
-    agreement of every dynamic slot with the location map."""
-    core = ctx.core
-    meter = core.tangle.meter
-    saved = meter.enabled
-    meter.enabled = False
-    try:
-        for i, (kind, sym, child_slots) in enumerate(ctx.plan.slots):
-            childvals = tuple(map(values.__getitem__, child_slots))
-            if None in childvals:
-                assert values[i] is None, f"strictness violated at slot {i}"
-            elif kind == SLOT_CONS:
-                expect = core.tangle.intern(sym, childvals)
-                assert values[i] == expect, f"constructor coherence violated at slot {i}"
-            elif kind == SLOT_DYN:
-                expect = store.get((sym.name, childvals))
-                assert values[i] == expect, f"location map disagrees at slot {i}"
-    finally:
-        meter.enabled = saved
-
-
 # --- Setup and initialization ------------------------------------------------------
 
 
@@ -309,6 +299,7 @@ def _setup(
         tangle = new_tangle(program.vocab, meter)
     elif meter is not None and meter is not tangle.meter:
         raise ValueError("a given tangle runs on its own meter; pass one or the other")
+    tangle.check_vocabulary(plan.interned)  # intern hits are probed by name
     ops = tangle.meter.ram_ops
     core = _RunCore(
         tangle=tangle, mode=oracle_mode, fuel_left=fuel, trace=trace,
@@ -348,7 +339,7 @@ def _init_state(
 
     values = ctx.plan.slots_all(ctx, {}, store)
     if core.check:
-        _check_state(ctx, values, store)
+        ctx.check_state(values, store)
     core.record_point()
     return EngineState(ctx, values, store)
 
@@ -380,72 +371,14 @@ def init_ref(
 # --- Transitions -----------------------------------------------------------------
 
 
-def _step(state: EngineState) -> StepOutcome:
-    """One transition of either engine; Terminal when no assignment is enabled.
-
-    The reference engine writes the update set into a copy of the location
-    map and recomputes every tracked value; the fast engine writes it into
-    the state's own map and recomputes only the dirty slots.  Only steps that
-    land in the per-step series are counted and traced.
-    """
-    ctx = state.ctx
-    core = ctx.core
-    plan = ctx.plan
-    meter = core.tangle.meter
-    values = state.values
-    enabled, updates, clash, compares, probes, reads = plan.code.run(values)
-    if not enabled:
-        meter.charge_compare(compares)
-        return StepOutcome(TERMINAL)
-    if clash is not None:
-        meter.charge(probe=probes, read=reads, compare=compares, write=len(updates))
-        return StepOutcome(CLASH, clash=clash)
-    core.fuel_left -= 1  # the transition commits: charge it before its oracle calls
-    # Each update-set entry is written once into the set, once into the map.
-    meter.charge(probe=probes, read=reads, compare=compares, write=2 * len(updates))
-    reference = ctx.engine == "reference"
-    store = dict(state.store) if reference else state.store
-    for key, val in updates.items():
-        if val is None:
-            store.pop(key, None)  # undef means the location leaves the finite support
-        else:
-            store[key] = val
-    if reference:
-        new = plan.slots_all(ctx, updates, store)
-    else:
-        new = plan.slots_dirty(ctx, values, updates, store, _dirty_seed(ctx, updates))
-    if core.check:
-        _check_state(ctx, new, store)
-    index = state.step_index + 1
-    if core.record:
-        core.steps_reported += 1
-        core.record_point()
-        if core.trace is not None:
-            _trace_line(core, index, enabled, updates)
-    return StepOutcome(NEXT, EngineState(ctx, new, store, index))
-
-
 def step_critical(program: Program, state: EngineState) -> StepOutcome:
     """One fast-engine transition; Terminal when no assignment is enabled."""
-    return _step(state)
+    return state.ctx.step(state)
 
 
 def step_ref(program: Program, state: EngineState) -> StepOutcome:
     """One reference-engine transition over the full location map."""
-    return _step(state)
-
-
-def _trace_line(core: _RunCore, index: int, enabled, updates):
-    parts = []
-    for (name, args), val in updates.items():
-        inner = ",".join(str(a.index) for a in args)
-        parts.append(f"{name}({inner}):{'undef' if val is None else val.index}")
-    st = core.tangle.stats()
-    core.trace.write(
-        f"i={index} enabled={len(enabled)} updates={';'.join(parts)} "
-        f"vertices={st.vertices} edges={st.edges} "
-        f"ops={core.tangle.meter.ram_ops - core.start_ops}\n"
-    )
+    return state.ctx.step(state)
 
 
 def _states(ctx: RunContext, state: EngineState):
@@ -566,9 +499,11 @@ def invoke_oracle(
     for a in args:
         if a.index == 0:
             raise ValueError("oracle arguments must be defined")
+    plan = build_plan(odef.body)
+    tangle.check_vocabulary(plan.interned)
     core = _RunCore(tangle=tangle, mode=mode, fuel_left=10**6, record=False)
     before = tangle.meter.ram_ops
-    value = _call_oracle(RunContext(core, build_plan(odef.body), "critical"), args)
+    value = _call_oracle(RunContext(core, plan, "critical"), args)
     return value, tangle.meter.ram_ops - before
 
 

@@ -91,8 +91,9 @@ class Tangle:
 
         The checks are ordered cheap first: a vocabulary symbol passes on
         identity, and a child passes on one tag and one range comparison;
-        `_own` runs only to raise.  The index is keyed by the symbol's name,
-        which the vocabulary check makes unique to `label`.
+        `check_vocabulary` and `_own` run only to raise.  The index is keyed
+        by the symbol's name, which the vocabulary check makes unique to
+        `label`.
         """
         children = tuple(children)
         if len(children) != label.arity:
@@ -103,7 +104,7 @@ class Tangle:
         name = label.name
         known = self._symbols.get(name)
         if known is not label and known != label:
-            raise TangleError(f"symbol {label!r} is not in this tangle's vocabulary")
+            self.check_vocabulary((label,))
         nodes = self._nodes
         tag, size = self.tag, len(nodes)
         for c in children:
@@ -123,6 +124,15 @@ class Tangle:
             meter.charge_alloc()
             meter.charge_write(1 + len(children))
         return nid
+
+    def check_vocabulary(self, symbols: Iterable[Symbol]):
+        """Raise TangleError unless every symbol is the one of its name in
+        this store's vocabulary, which `intern` requires of its label.  Code
+        that probes `_index` by name for a symbol checks it here first."""
+        for label in symbols:
+            known = self._symbols.get(label.name)
+            if known is not label and known != label:
+                raise TangleError(f"symbol {label!r} is not in this tangle's vocabulary")
 
     def node_eq(self, a: NodeId, b: NodeId) -> bool:
         """Term equality in exactly one comparison, thanks to maximal sharing."""

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 KIND_CONSTRUCTOR = "constructor"
@@ -34,7 +35,9 @@ class TermSyntaxError(ValueError):
 
 @dataclass(frozen=True)
 class Symbol:
-    """A vocabulary entry: fixed name, fixed arity, fixed kind."""
+    """A vocabulary entry: fixed name, fixed arity, fixed kind.  Its hash, the
+    hash of (name, arity, kind) as a frozen dataclass has it, is computed once
+    and kept, since every `Term` hashes its head."""
 
     name: str
     arity: int
@@ -49,6 +52,10 @@ class Symbol:
             raise ValueError(f"symbol {self.name}: negative arity")
         if self.kind not in _KINDS:
             raise ValueError(f"symbol {self.name}: unknown kind {self.kind!r}")
+        object.__setattr__(self, "_hash", hash((self.name, self.arity, self.kind)))
+
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
         return f"{self.name}/{self.arity}"
@@ -109,6 +116,9 @@ class Vocabulary:
         return f"Vocabulary({', '.join(map(repr, self._by_name.values()))})"
 
 
+_arg_hash = attrgetter("_hash")
+
+
 class Term:
     """A ground, arity-respecting term.  Structural equality, cached hash.
 
@@ -126,7 +136,7 @@ class Term:
             )
         self.head = head
         self.args = args
-        self._hash = hash((head, tuple(a._hash for a in args)))
+        self._hash = hash((head._hash, *map(_arg_hash, args)))
 
     def __hash__(self):
         return self._hash

@@ -48,36 +48,44 @@ def test_a_reparsed_program_compiles_nothing_new(monkeypatch):
 
 def _step_interns(monkeypatch, program, inputs, init, step, wrap_first):
     """The intern calls of the transitions of a run, seen by a wrapper put on
-    the class before the run starts (`wrap_first`) or after initialization."""
+    the class before the run starts (`wrap_first`) or after initialization,
+    as (symbol name, whether it allocated), and the vertices the transitions
+    added to the store."""
     calls = []
     real = Tangle.intern
 
     def counted(self, label, children):
-        calls.append(label.name)
-        return real(self, label, children)
+        before = len(self)
+        nid = real(self, label, children)
+        calls.append((label.name, len(self) > before))
+        return nid
 
     if wrap_first:
         monkeypatch.setattr(Tangle, "intern", counted)
     state = init(program, inputs)
     monkeypatch.setattr(Tangle, "intern", counted)
     calls.clear()
+    start = len(state.ctx.core.tangle)
     while (out := step(program, state)).kind == NEXT:
         state = out.state
     monkeypatch.setattr(Tangle, "intern", real)
-    return calls
+    return calls, len(state.ctx.core.tangle) - start
 
 
 @pytest.mark.parametrize("init, step", [(init_critical, step_critical), (init_ref, step_ref)])
 def test_a_class_level_intern_wrapper_sees_every_call(monkeypatch, init, step):
-    # The wrapper is put on before any code for the plan is generated, or
-    # after the plan and its functions exist: the generated code looks
-    # `intern` up on the store at each call, so both see the same calls.
+    # An intern hit is an inline probe of the store's index, so `intern` is
+    # called on a miss only, and every call allocates.  The wrapper is put on
+    # before any code for the plan is generated, or after the plan and its
+    # functions exist: the generated code looks `intern` up on the store at
+    # each pass, so both see the same calls, one per vertex allocated.
     p = load_corpus("bin_add")
     inputs = [binary_input(p.vocab, 5), binary_input(p.vocab, 6)]
     monkeypatch.setattr(codegen, "_compiled", {})
-    first = _step_interns(monkeypatch, p, inputs, init, step, wrap_first=True)
-    later = _step_interns(monkeypatch, p, inputs, init, step, wrap_first=False)
-    assert len(first) > 100
+    first, allocated = _step_interns(monkeypatch, p, inputs, init, step, wrap_first=True)
+    later, _ = _step_interns(monkeypatch, p, inputs, init, step, wrap_first=False)
+    assert allocated > 10
+    assert first == [(name, True) for name, _ in first] and len(first) == allocated
     assert later == first
 
 
@@ -124,7 +132,7 @@ def test_generated_code_refers_to_no_module():
     plans = [build_plan(load_corpus("bin_mul"))]
     plans += plans[0].oracle_plans.values()
     for plan in plans:
-        for fn in (plan.code.run, plan.slots_all, plan.slots_dirty):
+        for fn in (plan.code.run, plan.slots_all, plan.step_critical, plan.step_ref):
             assert not any(type(v) is ModuleType for v in fn.__globals__.values())
 
 
@@ -146,7 +154,8 @@ def test_generated_source_is_registered_with_linecache(name):
     for fn, head in [
         (plan.code.run, "def rules("),
         (plan.slots_all, "def slots_all("),
-        (plan.slots_dirty, "def slots_dirty("),
+        (plan.step_critical, "def step_critical("),
+        (plan.step_ref, "def step_ref("),
     ]:
         code = fn.__code__
         assert code.co_filename.startswith(f"<esmtangle plan {name}.esm")

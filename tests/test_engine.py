@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import esmtangle.engine as engine_mod
+from esmtangle import codegen
 from conftest import binary_input, load_corpus, string_term, unary_term
 
 from esmtangle.cost import CostMeter
@@ -25,9 +26,12 @@ from esmtangle.engine import (
     step_ref,
 )
 from esmtangle.syntax import parse_program, parse_program_file
-from esmtangle.tangle import new_tangle
+from esmtangle.tangle import TangleError, new_tangle
 from esmtangle.terms import (
+    KIND_DYNAMIC,
+    Symbol,
     Term,
+    Vocabulary,
     compact_size,
     decode_nat_binary,
     encode_nat_binary,
@@ -282,13 +286,15 @@ def test_invariant_checks_hold_the_location_map(name, engine):
 
 def test_invariant_checks_catch_a_slot_left_stale(monkeypatch):
     # A fast engine that recomputes only oracle slots keeps pc at its old
-    # value while the location map moves on.
+    # value while the location map moves on.  The seed is generated into each
+    # plan's step, so the mutated one is generated afresh.
     p = data_program("stale_read")
 
-    def oracles_only(ctx, updates):
-        return [i in ctx.plan.oracle_slots for i in range(ctx.plan.m)]
+    def oracles_only(slots):
+        return [f"dirty = {[s.kind == codegen.SLOT_ORACLE for s in slots]!r}"]
 
-    monkeypatch.setattr(engine_mod, "_dirty_seed", oracles_only)
+    monkeypatch.setattr(codegen, "_dirty_seed", oracles_only)
+    monkeypatch.setattr(codegen, "_compiled", {})
     with pytest.raises(AssertionError, match="location map disagrees"):
         run(p, check_invariants=True)
 
@@ -413,6 +419,44 @@ def test_isomorphism_respect_under_interning_order():
     assert plain.outcome == warmed.outcome
     assert plain.steps == warmed.steps
     assert format_term(plain.output) == format_term(warmed.output)
+
+
+def _store_without(vocab, name, instead=None):
+    """A store over `vocab` with the symbol `name` left out, or replaced."""
+    symbols = [s for s in vocab if s.name != name] + ([instead] if instead else [])
+    return new_tangle(Vocabulary(symbols), CostMeter())
+
+
+@pytest.mark.parametrize("redefine", [False, True])
+def test_a_given_store_must_hold_every_symbol_the_plan_interns(redefine):
+    # An intern hit is a probe of the store's index by symbol name, which
+    # skips `intern`'s vocabulary check, so a run first checks that every
+    # symbol its plan interns is the store's symbol of that name.  bin_succ
+    # on input 1 (eps) interns d0 only in its transitions.  The store lacks
+    # d0, or has another d0 and a vertex the probe for d0(eps) finds.
+    p = load_corpus("bin_succ")
+    one = [binary_input(p.vocab, 1)]
+    foreign = Symbol("d0", 1, KIND_DYNAMIC)
+    store = _store_without(p.vocab, "d0", instead=foreign if redefine else None)
+    if redefine:
+        store.intern(foreign, [store.intern(p.vocab.get("eps"), [])])
+    size = len(store)
+    with pytest.raises(TangleError, match=r"symbol d0/1 is not in this tangle's vocabulary"):
+        run(p, one, tangle=store)
+    assert len(store) == size  # raised before any input was imported
+
+
+def test_a_given_store_must_hold_every_symbol_an_oracle_plan_interns():
+    # Of bin_mul's constructors, only its oracle dec interns ph_check.
+    p = load_corpus("bin_mul")
+    inputs = [binary_input(p.vocab, 2), binary_input(p.vocab, 3)]
+    store = _store_without(p.vocab, "ph_check")
+    with pytest.raises(TangleError, match=r"symbol ph_check/0 is not in this tangle's vocabulary"):
+        run(p, inputs, tangle=store)
+    assert len(store) == 1
+    x = store.import_term(inputs[0])
+    with pytest.raises(TangleError, match=r"symbol ph_check/0 is not in this tangle's vocabulary"):
+        engine_mod.invoke_oracle(p.oracle("dec"), [x], store)
 
 
 def test_determinism_bit_identical():

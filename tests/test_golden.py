@@ -6,17 +6,18 @@ A change that alters metering on purpose regenerates the digests with
     PYTHONPATH=src python tests/test_golden.py --write
 
 and says so in CHANGES.md.  A change that must keep every report unchanged
-also checks the one digest of the wide corpus sweep,
+also checks the two digests of the wide corpus sweep,
 
     PYTHONPATH=src python tests/test_golden.py --sweep --check
 
-which hashes trace + JSON + CSV of every fast-engine run over bin_add and
-bin_succ 4..256 and bin_mul 4..64 (sizes doubling, as `esm --sweep` takes
-them) and str_reverse of every length 1..6, in both oracle modes, prints it
-and exits 1 unless it matches data/golden_sweep.sha256.  `--sweep` alone
-only prints it.  The sweep takes about half a minute, so it is not part of
-the test suite.  A change to how plans are built checks that they come out
-the same with
+which hashes trace + JSON + CSV of every run over bin_add and bin_succ
+4..256 and bin_mul 4..64 (sizes doubling, as `esm --sweep` takes them) and
+str_reverse of every length 1..6, in both oracle modes, once for each engine:
+one digest of the fast-engine runs and one of the reference-engine runs.  It
+prints both and exits 1 unless they match data/golden_sweep.sha256 and
+data/golden_sweep_ref.sha256.  `--sweep` alone only prints them.  The sweep
+takes about a minute, so it is not part of the test suite.  A change to how
+plans are built checks that they come out the same with
 
     PYTHONPATH=src python tests/test_golden.py --plans --check
 
@@ -46,6 +47,7 @@ from esmtangle.terms import format_term
 
 GOLDEN = Path(__file__).parent / "data" / "golden.json"
 GOLDEN_SWEEP = Path(__file__).parent / "data" / "golden_sweep.sha256"
+GOLDEN_SWEEP_REF = Path(__file__).parent / "data" / "golden_sweep_ref.sha256"
 GOLDEN_PLANS = Path(__file__).parent / "data" / "golden_plans.sha256"
 PLAN_PROGRAMS = 3000
 
@@ -97,17 +99,20 @@ def digests() -> dict[str, str]:
     return out
 
 
-def sweep_digest() -> str:
-    """The run count and one sha256 over the wide sweep's fast-engine runs,
-    as the line data/golden_sweep.sha256 holds."""
+def sweep_digest(engine: str) -> str:
+    """The run count and one sha256 over the wide sweep's runs of `engine`,
+    as the line of its file in SWEEP_FILES."""
     h, runs = hashlib.sha256(), 0
     for name, sizes in WIDE_SWEEP:
         program = load_corpus(name)
         for size in sizes:
             for mode in (MODE_INLINE, MODE_UNIT):
-                _hash_run(h, program, _inputs(program, size), "critical", mode)
+                _hash_run(h, program, _inputs(program, size), engine, mode)
                 runs += 1
     return f"{runs} runs sha256={h.hexdigest()}"
+
+
+SWEEP_FILES = {"critical": GOLDEN_SWEEP, "reference": GOLDEN_SWEEP_REF}
 
 
 def _plan_lines(plan):
@@ -154,12 +159,17 @@ def test_golden_digests():
 if __name__ == "__main__":
     if sys.argv[1:] == ["--write"]:
         GOLDEN.write_text(json.dumps(digests(), indent=1, sort_keys=True) + "\n")
-        GOLDEN_SWEEP.write_text(sweep_digest() + "\n")
+        for engine, path in SWEEP_FILES.items():
+            path.write_text(sweep_digest(engine) + "\n")
     elif sys.argv[1:] in (["--sweep"], ["--sweep", "--check"]):
-        line = sweep_digest()
-        print(line)
-        if sys.argv[2:] and line != GOLDEN_SWEEP.read_text().strip():
-            sys.exit(f"sweep digest differs from {GOLDEN_SWEEP}")
+        differ = []
+        for engine, path in SWEEP_FILES.items():
+            line = sweep_digest(engine)
+            print(f"{engine}: {line}")
+            if sys.argv[2:] and line != path.read_text().strip():
+                differ.append(str(path))
+        if differ:
+            sys.exit(f"sweep digest differs from {', '.join(differ)}")
     elif sys.argv[1:] in (["--plans"], ["--plans", "--check"]):
         line = plans_digest()
         print(line)
