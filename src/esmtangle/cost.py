@@ -145,72 +145,101 @@ class FrozenBounds:
 DEFAULT_BOUNDS = FrozenBounds()
 
 
-def fit_affine(points: list[tuple[int, int]]) -> tuple[float, float]:
-    """Fit a minimal-slope affine upper bound ops <= a*x + b over the points.
+# Integers of smaller magnitude add exactly as floats.
+_EXACT = 2**53
 
-    Least-squares slope (clipped at zero) plus the maximum residual as the
-    intercept: deterministic, one pass, and tight enough for regression use.
-    """
-    if not points:
+
+def _mean(values: list, n: int) -> float:
+    """sum(map(float, values)) / n.  The exact sum stands in for the float
+    sum when no partial sum of that can round: no value is negative and the
+    total is below 2^53."""
+    total = sum(values)
+    if total >= _EXACT or min(values) < 0:
+        total = sum(map(float, values))
+    return total / n
+
+
+def _fit(xs: list, ys: list) -> tuple[float, float]:
+    """fit_affine over the points zip(xs, ys)."""
+    n = len(xs)
+    if not n:
         return 0.0, 0.0
-    xs = [float(x) for x, _ in points]
-    ys = [float(y) for _, y in points]
-    n = len(points)
-    mx = sum(xs) / n
-    my = sum(ys) / n
-    denom = sum((x - mx) ** 2 for x in xs)
-    a = 0.0 if denom == 0 else max(0.0, sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / denom)
+    mx = _mean(xs, n)
+    my = _mean(ys, n)
+    denom = num = 0.0
+    for x, y in zip(xs, ys):
+        dx = x - mx
+        denom += dx**2
+        num += dx * (y - my)
+    a = 0.0 if denom == 0 else max(0.0, num / denom)
     a = round(a, 6)
     b = max(y - a * x for x, y in zip(xs, ys))
     b = math.ceil(max(b, 0.0) * 1e6) / 1e6  # round up so the bound stays valid
     return a, b
 
 
+def fit_affine(points: list[tuple[int, int]]) -> tuple[float, float]:
+    """Fit a minimal-slope affine upper bound ops <= a*x + b over the points.
+
+    Least-squares slope (clipped at zero) plus the maximum residual as the
+    intercept: deterministic, three passes (the means, the two sums of the
+    slope, the residual), and tight enough for regression use.  Sums are
+    taken left to right, so the result is that of plain float arithmetic.
+    """
+    return _fit([x for x, _ in points], [y for _, y in points])
+
+
+def _step_checks(
+    report: CostReport, c: int, bounds: FrozenBounds
+) -> tuple[Verdict, Verdict, tuple[float, float]]:
+    """check_growth and check_step_linearity from one pass over the steps,
+    each with its own first failure, and the fitted (a, b)."""
+    series = report.per_step
+    growth = linear = None  # the first failure of each
+    sizes, ops = [], []
+    if series:
+        base = prev = series[0].vertices
+        step_a, step_b = bounds.step_a, bounds.step_b
+        for i, o, v, e in series[1:]:
+            if growth is None:
+                if v - prev > c:
+                    growth = f"step {i}: vertex growth {v - prev} > c(p) = {c}"
+                elif v > base + c * i:
+                    growth = f"step {i}: {v} vertices > {base} + {c}*{i}"
+                prev = v
+            size = v + e
+            if linear is None and o > step_a * size + step_b:
+                linear = f"step {i}: {o} ops > {step_a}*{size} + {step_b}"
+            sizes.append(size)
+            ops.append(o)
+    fitted = _fit(sizes, ops)
+    if not series:
+        growth_v = Verdict("growth", False, "empty per-step series")
+    elif growth is not None:
+        growth_v = Verdict("growth", False, growth)
+    else:
+        growth_v = Verdict("growth", True, f"max per-step vertex growth within c(p) = {c}")
+    if not sizes:
+        linear_v = Verdict("step_linear", True, "no steps")
+    elif linear is not None:
+        linear_v = Verdict("step_linear", False, linear)
+    else:
+        linear_v = Verdict("step_linear", True, f"fitted (a, b) = {fitted}")
+    return growth_v, linear_v, fitted
+
+
 def check_growth(report: CostReport, c_program: int | None = None) -> Verdict:
     """Per-record vertex growth stays within the program-derived constant."""
     c = report.c_program if c_program is None else c_program
-    series = report.per_step
-    if not series:
-        return Verdict("growth", False, "empty per-step series")
-    base = series[0].vertices
-    prev = base
-    for rec in series[1:]:
-        delta = rec.vertices - prev
-        if delta > c:
-            return Verdict(
-                "growth", False, f"step {rec.i}: vertex growth {delta} > c(p) = {c}"
-            )
-        if rec.vertices > base + c * rec.i:
-            return Verdict(
-                "growth",
-                False,
-                f"step {rec.i}: {rec.vertices} vertices > {base} + {c}*{rec.i}",
-            )
-        prev = rec.vertices
-    return Verdict("growth", True, f"max per-step vertex growth within c(p) = {c}")
+    return _step_checks(report, c, DEFAULT_BOUNDS)[0]
 
 
 def check_step_linearity(
     report: CostReport, bounds: FrozenBounds = DEFAULT_BOUNDS
 ) -> tuple[Verdict, tuple[float, float]]:
     """Each step's ops stay within an affine function of the live store size."""
-    points = [(rec.vertices + rec.edges, rec.ops) for rec in report.per_step[1:]]
-    fitted = fit_affine(points)
-    if not points:
-        return Verdict("step_linear", True, "no steps"), fitted
-    for rec in report.per_step[1:]:
-        size = rec.vertices + rec.edges
-        limit = bounds.step_a * size + bounds.step_b
-        if rec.ops > limit:
-            return (
-                Verdict(
-                    "step_linear",
-                    False,
-                    f"step {rec.i}: {rec.ops} ops > {bounds.step_a}*{size} + {bounds.step_b}",
-                ),
-                fitted,
-            )
-    return Verdict("step_linear", True, f"fitted (a, b) = {fitted}"), fitted
+    _, verdict, fitted = _step_checks(report, report.c_program, bounds)
+    return verdict, fitted
 
 
 def check_total_bound(
@@ -255,8 +284,7 @@ def run_all_checks(
     )
     last = vars(report).get("_checked")
     if last is None or last[0] != key:
-        growth = check_growth(report)
-        step_v, (a, b) = check_step_linearity(report, bounds)
+        growth, step_v, (a, b) = _step_checks(report, report.c_program, bounds)
         total_v, (a2, b2) = check_total_bound(report, bounds)
         verdicts = {"growth": growth, "step_linear": step_v, "total_bound": total_v}
         fitted = {"a": a, "b": b, "a2": a2, "b2": b2}

@@ -531,6 +531,8 @@ def _valuation_divergence(step, ctx: RunContext, sc: EngineState, sr: EngineStat
     """The first tracked term whose two values differ, or None.  Both states
     live in one maximally shared store, so equal values have equal ids; terms
     are extracted only to describe a difference."""
+    if sc.values == sr.values:
+        return None
     tangle = ctx.core.tangle
 
     def show(v):

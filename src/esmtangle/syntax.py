@@ -18,26 +18,36 @@ Grammar (whitespace and newlines insignificant):
 "not" binds tighter than "and", which binds tighter than "or"; both are
 left-associative.  Keywords are reserved and cannot name symbols.  Oracle
 bodies are separate program files, located relative to the host program.
+
+One regex scan cuts the text into a flat list of token strings (see
+`terms.TokenCursor`); the parser reads that list by index, and each parsing
+function returns what it read with the index after it.  Token kinds are
+read off a token's first character where the grammar needs them, and an
+error's line and column are found by rescanning up to its token, so a
+successful parse computes no positions.  The parser recurses on `(`, on
+`not` and on nested `if` only.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .terms import (
+    END,
     KIND_CONSTRUCTOR,
     KIND_DYNAMIC,
     KIND_ORACLE,
     Symbol,
     Term,
     TokenCursor,
+    Tokenizer,
     UNDEF_WORD,
     Vocabulary,
     compact_size,
     distinct_subterms,
     format_term,
+    is_ident,
     read_term,
     shared_term,
 )
@@ -147,128 +157,126 @@ class CriticalTerms:
 
 # --- Tokenizer ---------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"\s+"
-    r"|(?P<ID>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<NAT>\d+)"
-    r"|(?P<STR>\"[^\"\n]*\")"
-    r"|(?P<OP>:=|[{}(),;/=])"
-    r"|(?P<BAD>[\s\S])"
-)
+_TOKENS = Tokenizer(r'[A-Za-z_][A-Za-z0-9_]*|\d+|"[^"\n]*"|:=|[{}(),;/=]')
 
 
 # --- Parser ------------------------------------------------------------------
+# Each function reads the cursor's tokens from index i on and returns what it
+# read with the index after it.
 
 
-def _parse_sig(cur: TokenCursor, kind: str, names: dict[str, Symbol]) -> Symbol:
-    name, pos = cur.ident("a symbol name")
+def _parse_sig(
+    cur: TokenCursor, i: int, kind: str, names: dict[str, Symbol]
+) -> tuple[Symbol, int]:
+    toks = cur.toks
+    name = toks[i]
+    if not is_ident(name):
+        cur.fail(f"expected a symbol name, found {name!r}", i)
     if name in KEYWORDS:
-        cur.err(f"{name!r} is a reserved word", pos)
-    cur.next("/")
-    nkind, nval, npos = cur.next()
-    if nkind != "NAT":
-        cur.err(f"expected an arity, found {nval!r}", npos)
+        cur.err(f"{name!r} is a reserved word", i)
+    at = cur.expect(i + 1, "/")
+    arity = toks[at]
+    if not arity[0].isdecimal():  # \d, as the tokenizer reads it
+        cur.fail(f"expected an arity, found {arity!r}", at)
     if name in names:
-        cur.err(f"duplicate symbol {name!r}", pos)
-    sym = Symbol(name, int(nval), kind)
+        cur.err(f"duplicate symbol {name!r}", i)
+    sym = Symbol(name, int(arity), kind)
     names[name] = sym
-    return sym
+    return sym, at + 1
 
 
-def _parse_sig_block(cur: TokenCursor, kind: str, names: dict[str, Symbol]) -> list[Symbol]:
-    cur.next("{")
-    out = []
-    if cur.peek() != "}":
-        out.append(_parse_sig(cur, kind, names))
-        while cur.take(";"):
-            if cur.peek() == "}":
+def _parse_sig_block(cur: TokenCursor, i: int, kind: str, names: dict[str, Symbol]) -> int:
+    toks = cur.toks
+    i = cur.expect(i, "{")
+    if toks[i] != "}":
+        _, i = _parse_sig(cur, i, kind, names)
+        while toks[i] == ";":
+            i += 1
+            if toks[i] == "}":
                 break
-            out.append(_parse_sig(cur, kind, names))
-    cur.next("}")
-    return out
+            _, i = _parse_sig(cur, i, kind, names)
+    return cur.expect(i, "}")
 
 
-def _parse_term(cur: TokenCursor, symbols: dict[str, Symbol]) -> Term:
-    """A term from the token stream, resolved against the program's symbols."""
-
-    def resolve(name: str, pos: int) -> Symbol:
-        if name in KEYWORDS:
-            cur.err(f"{name!r} is a reserved word, not a term", pos)
-        sym = symbols.get(name)
-        if sym is None:
-            cur.err(f"undeclared symbol {name!r}", pos)
-        return sym
-
-    return read_term(cur, resolve, "a term")
+def _undeclared(cur: TokenCursor, name: str, i: int):
+    if name in KEYWORDS:
+        cur.err(f"{name!r} is a reserved word, not a term", i)
+    cur.err(f"undeclared symbol {name!r}", i)
 
 
-def _parse_term_or_undef(cur: TokenCursor, symbols: dict[str, Symbol]) -> Term | None:
-    if cur.peek() == UNDEF_WORD:
-        cur.next()
-        return None
-    return _parse_term(cur, symbols)
+def _parse_term_or_undef(
+    cur: TokenCursor, i: int, symbols: dict[str, Symbol]
+) -> tuple[Term | None, int]:
+    if cur.toks[i] == UNDEF_WORD:
+        return None, i + 1
+    return read_term(cur, i, symbols, _undeclared, "a term")
 
 
-def _parse_atom(cur: TokenCursor, symbols: dict[str, Symbol]) -> GAtom:
-    lhs = _parse_term_or_undef(cur, symbols)
-    cur.next("=")
-    rhs = _parse_term_or_undef(cur, symbols)
-    return GAtom(lhs, rhs)
+def _parse_atom(cur: TokenCursor, i: int, symbols: dict[str, Symbol]) -> tuple[GAtom, int]:
+    lhs, i = _parse_term_or_undef(cur, i, symbols)
+    rhs, i = _parse_term_or_undef(cur, cur.expect(i, "="), symbols)
+    return GAtom(lhs, rhs), i
 
 
-def _parse_guard_unit(cur: TokenCursor, symbols: dict[str, Symbol]) -> Guard:
-    if cur.take("not"):
-        return GNot(_parse_guard_unit(cur, symbols))
-    if cur.take("("):
-        g = _parse_guard(cur, symbols)
-        cur.next(")")
-        return g
-    return _parse_atom(cur, symbols)
+def _parse_guard_unit(cur: TokenCursor, i: int, symbols: dict[str, Symbol]) -> tuple[Guard, int]:
+    tok = cur.toks[i]
+    if tok == "not":
+        g, i = _parse_guard_unit(cur, i + 1, symbols)
+        return GNot(g), i
+    if tok == "(":
+        g, i = _parse_guard(cur, i + 1, symbols)
+        return g, cur.expect(i, ")")
+    return _parse_atom(cur, i, symbols)
 
 
-def _parse_guard_and(cur: TokenCursor, symbols: dict[str, Symbol]) -> Guard:
-    g = _parse_guard_unit(cur, symbols)
-    while cur.take("and"):
-        g = GAnd(g, _parse_guard_unit(cur, symbols))
-    return g
+def _parse_guard_and(cur: TokenCursor, i: int, symbols: dict[str, Symbol]) -> tuple[Guard, int]:
+    toks = cur.toks
+    g, i = _parse_guard_unit(cur, i, symbols)
+    while toks[i] == "and":
+        right, i = _parse_guard_unit(cur, i + 1, symbols)
+        g = GAnd(g, right)
+    return g, i
 
 
-def _parse_guard(cur: TokenCursor, symbols: dict[str, Symbol]) -> Guard:
-    g = _parse_guard_and(cur, symbols)
-    while cur.take("or"):
-        g = GOr(g, _parse_guard_and(cur, symbols))
-    return g
+def _parse_guard(cur: TokenCursor, i: int, symbols: dict[str, Symbol]) -> tuple[Guard, int]:
+    toks = cur.toks
+    g, i = _parse_guard_and(cur, i, symbols)
+    while toks[i] == "or":
+        right, i = _parse_guard_and(cur, i + 1, symbols)
+        g = GOr(g, right)
+    return g, i
 
 
-def _parse_assign(cur: TokenCursor, symbols: dict[str, Symbol]) -> Assign:
-    pos = cur.pos()
-    head_term = _parse_term(cur, symbols)
+def _parse_assign(cur: TokenCursor, i: int, symbols: dict[str, Symbol]) -> tuple[Assign, int]:
+    start = i
+    head_term, i = read_term(cur, i, symbols, _undeclared, "a term")
     if head_term.head.kind == KIND_CONSTRUCTOR:
-        cur.err(f"cannot assign to constructor {head_term.head.name!r}", pos)
+        cur.err(f"cannot assign to constructor {head_term.head.name!r}", start)
     if head_term.head.kind == KIND_ORACLE:
-        cur.err(f"cannot assign to oracle {head_term.head.name!r}", pos)
-    cur.next(":=")
-    rhs = _parse_term_or_undef(cur, symbols)
-    return Assign(head_term.head, head_term.args, rhs)
+        cur.err(f"cannot assign to oracle {head_term.head.name!r}", start)
+    rhs, i = _parse_term_or_undef(cur, cur.expect(i, ":="), symbols)
+    return Assign(head_term.head, head_term.args, rhs), i
 
 
-def _parse_stmt(cur: TokenCursor, symbols: dict[str, Symbol]) -> Stmt:
-    if cur.take("if"):
-        guard = _parse_guard(cur, symbols)
-        cur.next("then")
-        cur.next("{")
-        then = []
-        while cur.peek() != "}":
-            then.append(_parse_stmt(cur, symbols))
-        cur.next("}")
-        orelse: list[Stmt] = []
-        if cur.take("else"):
-            cur.next("{")
-            while cur.peek() != "}":
-                orelse.append(_parse_stmt(cur, symbols))
-            cur.next("}")
-        return Cond(guard, tuple(then), tuple(orelse))
-    return _parse_assign(cur, symbols)
+def _parse_stmt(cur: TokenCursor, i: int, symbols: dict[str, Symbol]) -> tuple[Stmt, int]:
+    toks = cur.toks
+    if toks[i] != "if":
+        return _parse_assign(cur, i, symbols)
+    guard, i = _parse_guard(cur, i + 1, symbols)
+    i = cur.expect(cur.expect(i, "then"), "{")
+    then = []
+    while toks[i] != "}":
+        stmt, i = _parse_stmt(cur, i, symbols)
+        then.append(stmt)
+    i += 1
+    orelse: list[Stmt] = []
+    if toks[i] == "else":
+        i = cur.expect(i + 1, "{")
+        while toks[i] != "}":
+            stmt, i = _parse_stmt(cur, i, symbols)
+            orelse.append(stmt)
+        i += 1
+    return Cond(guard, tuple(then), tuple(orelse)), i
 
 
 def parse_program(
@@ -276,87 +284,91 @@ def parse_program(
     *,
     base_dir: str | Path | None = None,
     name: str = "<program>",
-    _stack: tuple[str, ...] = (),
+    _stack: tuple[Path, ...] = (),
 ) -> Program:
-    """Parse a program.  Oracle bodies are loaded from files relative to base_dir."""
-    cur = TokenCursor(text, _TOKEN_RE)
+    """Parse a program.  Oracle bodies are loaded from files relative to
+    base_dir.  `_stack` holds the files being parsed, outermost first: an
+    oracle body that resolves to one of them is a cycle."""
+    cur = TokenCursor(text, _TOKENS)
+    toks = cur.toks
     names: dict[str, Symbol] = {}
 
-    cur.next("vocab")
-    cur.next("{")
-    cur.next("constructors")
-    _parse_sig_block(cur, KIND_CONSTRUCTOR, names)
-    cur.next("dynamic")
-    _parse_sig_block(cur, KIND_DYNAMIC, names)
-    cur.next("}")
+    i = cur.expect(cur.expect(cur.expect(0, "vocab"), "{"), "constructors")
+    i = _parse_sig_block(cur, i, KIND_CONSTRUCTOR, names)
+    i = _parse_sig_block(cur, cur.expect(i, "dynamic"), KIND_DYNAMIC, names)
+    i = cur.expect(i, "}")
     vocab = Vocabulary(names.values())
 
-    def lookup_dynamic(what: str) -> Symbol:
-        ident, pos = cur.ident(f"an {what} name")
+    def lookup_dynamic(i: int, what: str) -> Symbol:
+        ident = toks[i]
+        if not is_ident(ident):
+            cur.fail(f"expected an {what} name, found {ident!r}", i)
         sym = names.get(ident)
         if sym is None:
-            cur.err(f"undeclared symbol {ident!r}", pos)
+            cur.err(f"undeclared symbol {ident!r}", i)
         return sym
 
-    cur.next("inputs")
-    cur.next("{")
+    i = cur.expect(cur.expect(i, "inputs"), "{")
     inputs: list[Symbol] = []
-    if cur.peek() != "}":
-        inputs.append(lookup_dynamic("input"))
-        while cur.take(","):
-            inputs.append(lookup_dynamic("input"))
-    cur.next("}")
+    if toks[i] != "}":
+        inputs.append(lookup_dynamic(i, "input"))
+        i += 1
+        while toks[i] == ",":
+            inputs.append(lookup_dynamic(i + 1, "input"))
+            i += 2
+    i = cur.expect(i, "}")
 
-    cur.next("output")
-    cur.next("{")
-    output = lookup_dynamic("output")
-    cur.next("}")
+    i = cur.expect(cur.expect(i, "output"), "{")
+    output = lookup_dynamic(i, "output")
+    i = cur.expect(i + 1, "}")
 
     init: list[Assign] = []
-    if cur.take("init"):
-        cur.next("{")
-        while cur.peek() != "}":
-            init.append(_parse_assign(cur, names))
-            cur.next(";")
-        cur.next("}")
+    if toks[i] == "init":
+        i = cur.expect(i + 1, "{")
+        while toks[i] != "}":
+            a, i = _parse_assign(cur, i, names)
+            init.append(a)
+            i = cur.expect(i, ";")
+        i += 1
 
     oracles: list[OracleDef] = []
-    if cur.take("oracles"):
-        cur.next("{")
-        while cur.peek() != "}":
-            sym = _parse_sig(cur, KIND_ORACLE, names)
-            cur.next("=")
-            skind, sval, spos = cur.next()
-            if skind != "STR":
-                cur.err(f"expected a quoted path, found {sval!r}", spos)
-            cur.next(";")
-            path = sval[1:-1]
+    if toks[i] == "oracles":
+        # Resolved here, since most programs have no oracles.
+        parsing = [str(p.resolve()) for p in _stack]
+        i = cur.expect(i + 1, "{")
+        while toks[i] != "}":
+            sym, i = _parse_sig(cur, i, KIND_ORACLE, names)
+            at = cur.expect(i, "=")
+            quoted = toks[at]
+            if quoted[0] != '"':
+                cur.fail(f"expected a quoted path, found {quoted!r}", at)
+            i = cur.expect(at + 1, ";")
+            path = quoted[1:-1]
             if base_dir is None:
-                cur.err(f"cannot load oracle {sym.name!r}: no base directory", spos)
+                cur.err(f"cannot load oracle {sym.name!r}: no base directory", at)
             full = Path(base_dir) / path
-            resolved = str(full.resolve())
-            if resolved in _stack:
-                cur.err(f"oracle cycle through {path!r}", spos)
+            if str(full.resolve()) in parsing:
+                cur.err(f"oracle cycle through {path!r}", at)
             try:
                 body = parse_program(
                     full.read_text(encoding="utf-8"),
                     base_dir=full.parent,
                     name=path,
-                    _stack=_stack + (resolved,),
+                    _stack=_stack + (full,),
                 )
             except (OSError, ValueError) as exc:  # TermSyntaxError, UnicodeDecodeError
-                cur.err(f"cannot load oracle body {path!r}: {exc}", spos)
+                cur.err(f"cannot load oracle body {path!r}: {exc}", at)
             oracles.append(OracleDef(sym, path, body))
-        cur.next("}")
+        i += 1
 
-    cur.next("rules")
-    cur.next("{")
+    i = cur.expect(cur.expect(i, "rules"), "{")
     rules: list[Stmt] = []
-    while cur.peek() != "}":
-        rules.append(_parse_stmt(cur, names))
-    cur.next("}")
-    if not cur.at_end():
-        cur.err(f"unexpected {cur.peek()!r} after rules")
+    while toks[i] != "}":
+        stmt, i = _parse_stmt(cur, i, names)
+        rules.append(stmt)
+    i += 1
+    if toks[i] is not END:
+        cur.err(f"unexpected {toks[i]!r} after rules", i)
 
     return Program(
         vocab=vocab,
@@ -376,7 +388,7 @@ def parse_program_file(path: str | Path) -> Program:
         path.read_text(encoding="utf-8"),
         base_dir=path.parent,
         name=path.name,
-        _stack=(str(path.resolve()),),
+        _stack=(path,),
     )
 
 

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import islice
 from operator import attrgetter
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 KIND_CONSTRUCTOR = "constructor"
 KIND_DYNAMIC = "dynamic"
@@ -211,66 +212,75 @@ def symbol_count(t: Term) -> int:
 # Concrete syntax: term := IDENT | IDENT "(" term ("," term)* ")"
 
 
-_TERM_TOKEN_RE = re.compile(
-    r"\s+|(?P<ID>[A-Za-z_][A-Za-z0-9_]*)|(?P<PUNCT>[(),])|(?P<BAD>[\s\S])"
-)
+_ID_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+
+#: The token after the last one of every cursor.  It is whitespace, so it
+#: equals no token, and its first character starts none.
+END = " "
+
+
+def is_ident(tok: str) -> bool:
+    """Whether a token (or END) is an identifier."""
+    return tok[0] in _ID_START
+
+
+class Tokenizer:
+    """The tokens of a language, as an alternation of patterns.  A scan skips
+    whitespace, takes the first alternative that matches, and takes a
+    character that no token starts with as a token of its own, which is an
+    error.  It runs on text without trailing whitespace, which `\\s*` would
+    otherwise try from each of its characters."""
+
+    def __init__(self, tokens: str):
+        self.token = re.compile(tokens)
+        self.scan = re.compile(f"\\s*({tokens}|\\S)")
+
+
+_TERM_TOKENS = Tokenizer(r"[A-Za-z_][A-Za-z0-9_]*|[(),]")
 
 
 class TokenCursor:
-    """A token stream over `text`, cut by `token_re` in one scan, with errors
-    placed at a 1-based line and column.  The pattern's unnamed matches, such
-    as whitespace, are skipped, and its last alternative, BAD, takes one
-    character that no token starts with, which is an error.  `terms` holds
-    every term read from it, one object per distinct term, keyed by head and
-    argument objects."""
+    """The tokens of `text` as a flat list of strings, `toks`, made by one
+    scan and ended by END.  Parsers read it by index and derive a token's
+    kind from its first character where the grammar needs one.  Positions
+    are not kept: an error at token i rescans the text up to it for its
+    1-based line and column, and an error at END is placed at the end of the
+    text.  A character that no token starts with is an error wherever it is,
+    so it is reported first.  `terms` holds every term read from the cursor,
+    one object per distinct term, keyed by head and argument objects."""
 
-    def __init__(self, text: str, token_re: re.Pattern = _TERM_TOKEN_RE):
+    __slots__ = ("text", "toks", "terms", "_scan")
+
+    def __init__(self, text: str, tokenizer: Tokenizer = _TERM_TOKENS):
         self.text = text
+        self._scan = tokenizer.scan
+        self.toks = toks = tokenizer.scan.findall(text.rstrip())
         self.terms: dict[tuple[Symbol, tuple[Term, ...]], Term] = {}
-        self.tokens: list[tuple[str, str, int]] = [
-            (m.lastgroup, m[0], m.start()) for m in token_re.finditer(text) if m.lastgroup
-        ]
-        for kind, value, pos in self.tokens:
-            if kind == "BAD":
-                self.err(f"unexpected character {value!r}", pos)
-        self.i = 0
+        bad = [t for t in set(toks) if len(t) == 1 and not tokenizer.token.match(t)]
+        if bad:
+            i = min(map(toks.index, bad))
+            self.err(f"unexpected character {toks[i]!r}", i)
+        toks.append(END)
 
-    def pos(self) -> int:
-        """Source offset of the next token, or the end of the text."""
-        return self.tokens[self.i][2] if self.i < len(self.tokens) else len(self.text)
-
-    def err(self, msg: str, pos: int | None = None):
-        if pos is None:
-            pos = self.pos()
+    def err(self, msg: str, i: int):
+        """Raise `msg` at the start of token i; at END, at the end of the text."""
+        if self.toks[i] is END:
+            pos = len(self.text)
+        else:
+            pos = next(islice(self._scan.finditer(self.text.rstrip()), i, None)).start(1)
         line = self.text.count("\n", 0, pos) + 1
         raise TermSyntaxError(msg, line, pos - self.text.rfind("\n", 0, pos))
 
-    def peek(self) -> str | None:
-        return self.tokens[self.i][1] if self.i < len(self.tokens) else None
+    def fail(self, msg: str, i: int):
+        """Raise `msg` at token i, a token the grammar does not take there;
+        at END, the input ended too soon."""
+        self.err("unexpected end of input" if self.toks[i] is END else msg, i)
 
-    def next(self, expect: str | None = None) -> tuple[str, str, int]:
-        if self.i >= len(self.tokens):
-            self.err("unexpected end of input")
-        kind, value, pos = self.tokens[self.i]
-        if expect is not None and value != expect:
-            self.err(f"expected {expect!r}, found {value!r}", pos)
-        self.i += 1
-        return kind, value, pos
-
-    def take(self, value: str) -> bool:
-        if self.peek() == value:
-            self.i += 1
-            return True
-        return False
-
-    def at_end(self) -> bool:
-        return self.i >= len(self.tokens)
-
-    def ident(self, what: str) -> tuple[str, int]:
-        kind, value, pos = self.next()
-        if kind != "ID":
-            self.err(f"expected {what}, found {value!r}", pos)
-        return value, pos
+    def expect(self, i: int, value: str) -> int:
+        """The index after token i, which must be `value`."""
+        if self.toks[i] != value:
+            self.fail(f"expected {value!r}, found {self.toks[i]!r}", i)
+        return i + 1
 
 
 def shared_term(table: dict, head: Symbol, args: tuple[Term, ...]) -> Term:
@@ -284,61 +294,69 @@ def shared_term(table: dict, head: Symbol, args: tuple[Term, ...]) -> Term:
     return t
 
 
-def read_term(cur: TokenCursor, resolve, what: str) -> Term:
-    """Read one term from the cursor; `resolve(name, pos)` maps a name to its
-    symbol or raises, and `what` names a term in the message for a missing one.
+def read_term(
+    cur: TokenCursor, i: int, symbols: dict[str, Symbol], missing: Callable, what: str
+) -> tuple[Term, int]:
+    """Read one term from token i on; return it and the index after it.
+    `symbols` maps a name to its symbol, `missing(cur, name, i)` raises for a
+    name it lacks, and `what` names a term in the message for a token that
+    is no name.
 
     Iterative shift-reduce over the one-production grammar, so nesting depth
     is not bounded by Python's call stack.  Equal terms read from one cursor
     are one object (see `TokenCursor.terms`), so dictionaries keyed by them
     find each other by identity, without a structural comparison.
     """
+    toks, terms = cur.toks, cur.terms
     stack: list[tuple[Symbol, int, list[Term]]] = []
     while True:
-        name, pos = cur.ident(what)
-        sym = resolve(name, pos)
-        if cur.take("("):
-            stack.append((sym, pos, []))
+        name = toks[i]
+        sym = symbols.get(name)
+        if sym is None:
+            if not is_ident(name):
+                cur.fail(f"expected {what}, found {name!r}", i)
+            missing(cur, name, i)
+        i += 1
+        if toks[i] == "(":
+            stack.append((sym, i - 1, []))
+            i += 1
             continue
         if sym.arity != 0:
-            cur.err(f"symbol {sym.name}/{sym.arity} used without arguments", pos)
-        node = shared_term(cur.terms, sym, ())
+            cur.err(f"symbol {sym.name}/{sym.arity} used without arguments", i - 1)
+        node = shared_term(terms, sym, ())
         while True:
             if not stack:
-                return node
-            head, head_pos, children = stack[-1]
+                return node, i
+            head, head_i, children = stack[-1]
             children.append(node)
-            _, value, pos = cur.next()
-            if value == ",":
+            tok = toks[i]
+            i += 1
+            if tok == ",":
                 break
-            if value == ")":
-                stack.pop()
-                if len(children) != head.arity:
-                    cur.err(
-                        f"symbol {head.name}/{head.arity} applied to "
-                        f"{len(children)} arguments",
-                        head_pos,
-                    )
-                node = shared_term(cur.terms, head, tuple(children))
-                continue
-            cur.err(f"expected ',' or ')', found {value!r}", pos)
+            if tok != ")":
+                cur.fail(f"expected ',' or ')', found {tok!r}", i - 1)
+            stack.pop()
+            if len(children) != head.arity:
+                cur.err(
+                    f"symbol {head.name}/{head.arity} applied to "
+                    f"{len(children)} arguments",
+                    head_i,
+                )
+            node = shared_term(terms, head, tuple(children))
+
+
+def _unknown_symbol(cur: TokenCursor, name: str, i: int):
+    if name == UNDEF_WORD:
+        cur.err(f"{UNDEF_WORD!r} is not a term", i)
+    cur.err(f"unknown symbol {name!r}", i)
 
 
 def parse_term(text: str, vocab: Vocabulary) -> Term:
     """Parse a term; every symbol must be declared in vocab with matching arity."""
     cur = TokenCursor(text)
-
-    def resolve(name: str, pos: int) -> Symbol:
-        if name == UNDEF_WORD:
-            cur.err(f"{UNDEF_WORD!r} is not a term", pos)
-        sym = vocab.get(name)
-        if sym is None:
-            cur.err(f"unknown symbol {name!r}", pos)
-        return sym
-
-    term = read_term(cur, resolve, "a symbol name")
-    if not cur.at_end():
-        cur.err(f"unexpected {cur.peek()!r} after term")
+    term, i = read_term(cur, 0, vocab._by_name, _unknown_symbol, "a symbol name")
+    if cur.toks[i] is not END:
+        cur.err(f"unexpected {cur.toks[i]!r} after term", i)
     return term
 
 

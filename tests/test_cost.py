@@ -1,15 +1,19 @@
 """Cost model: meter bookkeeping, bound checkers, report serialization."""
 
 import json
+import math
+import random
 
 import pytest
 
 from conftest import binary_input, load_corpus
 
 from esmtangle.cost import (
+    DEFAULT_BOUNDS,
     CostMeter,
     CostReport,
     StepCost,
+    Verdict,
     check_growth,
     check_step_linearity,
     check_total_bound,
@@ -232,3 +236,118 @@ def test_run_all_checks_on_real_runs():
         verdicts, fitted = run_all_checks(r.cost)
         assert all(v.passed for v in verdicts.values()), verdicts
         assert fitted["a"] >= 0 and fitted["a2"] >= 0
+
+
+# The checks as they were written before they shared one pass over the steps:
+# the reference for the one-pass version, which must agree to the last bit.
+
+
+def _ref_fit_affine(points):
+    if not points:
+        return 0.0, 0.0
+    xs = [float(x) for x, _ in points]
+    ys = [float(y) for _, y in points]
+    n = len(points)
+    mx = sum(xs) / n
+    my = sum(ys) / n
+    denom = sum((x - mx) ** 2 for x in xs)
+    num = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+    a = 0.0 if denom == 0 else max(0.0, num / denom)
+    a = round(a, 6)
+    b = max(y - a * x for x, y in zip(xs, ys))
+    b = math.ceil(max(b, 0.0) * 1e6) / 1e6
+    return a, b
+
+
+def _ref_check_growth(report):
+    c = report.c_program
+    series = report.per_step
+    if not series:
+        return Verdict("growth", False, "empty per-step series")
+    base = prev = series[0].vertices
+    for rec in series[1:]:
+        delta = rec.vertices - prev
+        if delta > c:
+            return Verdict("growth", False, f"step {rec.i}: vertex growth {delta} > c(p) = {c}")
+        if rec.vertices > base + c * rec.i:
+            return Verdict(
+                "growth", False, f"step {rec.i}: {rec.vertices} vertices > {base} + {c}*{rec.i}"
+            )
+        prev = rec.vertices
+    return Verdict("growth", True, f"max per-step vertex growth within c(p) = {c}")
+
+
+def _ref_check_step_linearity(report, bounds):
+    points = [(rec.vertices + rec.edges, rec.ops) for rec in report.per_step[1:]]
+    fitted = _ref_fit_affine(points)
+    if not points:
+        return Verdict("step_linear", True, "no steps"), fitted
+    for rec in report.per_step[1:]:
+        size = rec.vertices + rec.edges
+        if rec.ops > bounds.step_a * size + bounds.step_b:
+            detail = f"step {rec.i}: {rec.ops} ops > {bounds.step_a}*{size} + {bounds.step_b}"
+            return Verdict("step_linear", False, detail), fitted
+    return Verdict("step_linear", True, f"fitted (a, b) = {fitted}"), fitted
+
+
+def _series(rng, length, c):
+    """A report of `length` steps whose growth and ops stay near their limits,
+    so either check may fail anywhere."""
+    per_step = [StepCost(0, rng.randint(0, 50), rng.randint(1, 30), rng.randint(0, 30))]
+    v = per_step[0].vertices
+    for i in range(1, length + 1):
+        v += rng.choice((0, 1, c, c, c + 1)) if rng.random() < 0.2 else rng.randint(0, c)
+        e = rng.randint(0, 2 * v)
+        limit = DEFAULT_BOUNDS.step_a * (v + e) + DEFAULT_BOUNDS.step_b
+        if rng.random() < 0.05:
+            ops = int(limit) + rng.choice((1, 0, -1))
+        else:
+            ops = rng.randint(0, int(limit))
+        per_step.append(StepCost(i, ops, v, e))
+    return CostReport(1, length, 10, sum(r.ops for r in per_step), 4, c, per_step)
+
+
+def _edge_reports():
+    one = CostReport(1, 0, 10, 10, 4, 3, [StepCost(0, 10, 5, 4)])
+    empty = CostReport(1, 0, 0, 0, 4, 3, [])
+    flat = synthetic_report([0] * 6)  # every size equal: the slope's denominator is 0
+    first_growth = synthetic_report([9, 1, 1])
+    last_growth = synthetic_report([1, 1, 9])
+    first_linear = synthetic_report([1, 1, 1], ops=[10**6, 20, 20])
+    last_linear = synthetic_report([1, 1, 1], ops=[20, 20, 10**6])
+    both_last = synthetic_report([1, 1, 9], ops=[20, 20, 10**6])
+    return [one, empty, flat, first_growth, last_growth, first_linear, last_linear, both_last]
+
+
+def test_one_pass_checks_match_the_reference_checks():
+    rng = random.Random(1998)
+    reports = _edge_reports()
+    reports += [_series(rng, rng.randint(0, 80), rng.randint(1, 6)) for _ in range(400)]
+    failed = set()
+    for rep in reports:
+        growth = check_growth(rep)
+        linear, fitted = check_step_linearity(rep)
+        assert growth == _ref_check_growth(rep)
+        ref_linear, ref_fitted = _ref_check_step_linearity(rep, DEFAULT_BOUNDS)
+        assert (linear, repr(fitted)) == (ref_linear, repr(ref_fitted))
+        verdicts, fit = run_all_checks(rep)
+        assert (verdicts["growth"], verdicts["step_linear"]) == (growth, linear)
+        assert repr((fit["a"], fit["b"])) == repr(fitted)
+        failed.update(name for name, v in verdicts.items() if not v.passed)
+    assert {"growth", "step_linear"} <= failed
+
+
+def test_fit_affine_matches_the_reference_fit():
+    rng = random.Random(53)
+    cases = [[], [(5, 7)], [(5, 7), (5, 9)], [(0, 0)] * 4, [(2**60, 1), (1, 2**60)],
+             [(-3, 4), (7, -2), (2**53, 1)], [(2**53 - 1, 1), (1, 1)],
+             # float sums that are not exact, so the exact ones would differ
+             [(2**53 + 2, 625007), (2**53, 536340), (2**53 + 2, 651337)],
+             [(-(2**53) - 2, 380269), (-(2**53), 894648), (-(2**53) - 2, 257113)]]
+    for _ in range(300):
+        hi = rng.choice((10, 10**4, 10**12, 2**53))
+        lo = rng.choice((0, 0, -hi))
+        points = [(rng.randint(lo, hi), rng.randint(lo, hi)) for _ in range(rng.randint(1, 40))]
+        cases.append(points)
+    for points in cases:
+        assert repr(fit_affine(points)) == repr(_ref_fit_affine(points)), points

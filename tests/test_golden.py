@@ -25,13 +25,28 @@ which hashes the plan of every bundled program and of PLAN_PROGRAMS random
 programs decoded as the property test decodes them (a fixed seed): critical
 terms, slots, parents, jumping code, dynamic and oracle slots, output slot,
 growth constants and oracle plans.  It prints the digest and exits 1 unless
-it matches data/golden_plans.sha256; `--plans` alone only prints it.
+it matches data/golden_plans.sha256; `--plans` alone only prints it.  A
+change to the parser checks that it accepts, rejects and reports the same
+texts with
+
+    PYTHONPATH=src python tests/test_golden.py --parse --check
+
+which parses seeded token-level mutants (a token dropped, duplicated or
+swapped with another, a character inserted, the text cut short; one to
+three of them each) of every bundled program and oracle body, of every
+program under data/ and of input term texts, and hashes each as its
+canonical text or as the `type: message` of the error it raises.  It prints
+two digests, of the first PARSE_SAMPLE mutants of each text and of all
+PARSE_MUTANTS, and exits 1 unless they match data/golden_parse.sha256;
+`--parse` alone only prints them, in that file's format.  The suite checks
+the first.
 """
 
 import hashlib
 import io
 import json
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -42,14 +57,17 @@ from esmtangle.cli import encode_size, input_codec, sweep_sizes
 from esmtangle.cost import emit_report
 from esmtangle.codegen import CAssign
 from esmtangle.engine import MODE_INLINE, MODE_UNIT, build_plan, run
-from esmtangle.syntax import parse_program_file
-from esmtangle.terms import format_term
+from esmtangle.syntax import format_program, parse_program, parse_program_file
+from esmtangle.terms import format_term, parse_term
 
 GOLDEN = Path(__file__).parent / "data" / "golden.json"
 GOLDEN_SWEEP = Path(__file__).parent / "data" / "golden_sweep.sha256"
 GOLDEN_SWEEP_REF = Path(__file__).parent / "data" / "golden_sweep_ref.sha256"
 GOLDEN_PLANS = Path(__file__).parent / "data" / "golden_plans.sha256"
+GOLDEN_PARSE = Path(__file__).parent / "data" / "golden_parse.sha256"
 PLAN_PROGRAMS = 3000
+PARSE_MUTANTS = 600
+PARSE_SAMPLE = 60
 
 # (program, sizes); None means the program takes no inputs.  Sizes are
 # numeral values for numeral programs and string lengths for str_reverse.
@@ -148,6 +166,87 @@ def plans_digest() -> str:
     return f"{plans} plans sha256={h.hexdigest()}"
 
 
+# Tokens as the mutations see them; written out here so that the mutants do
+# not depend on the tokenizer under test.
+_MUTATION_TOKEN = re.compile(r'[A-Za-z_][A-Za-z0-9_]*|\d+|"[^"\n]*"|:=|\S')
+# Inserted characters: ones that no token takes, and Unicode whitespace and
+# a Unicode digit, which the tokenizer's \s and \d classes take.
+_INSERTED = '#@$!%&*?\\~`\'-+.[]<>|"\x00\u00e9\u00a0\u2028\u0663'
+
+# Weighted so that an inserted character, which is reported before anything
+# else, does not hide most of the syntax errors.
+_OPS = ("drop", "drop", "duplicate", "duplicate", "swap", "swap", "bad", "truncate")
+
+
+def _mutate(text: str, rng: random.Random) -> str:
+    for _ in range(rng.randint(1, 3)):
+        spans = [m.span() for m in _MUTATION_TOKEN.finditer(text)]
+        if not spans:
+            break
+        s, e = rng.choice(spans)
+        op = rng.choice(_OPS)
+        if op == "drop":
+            text = text[:s] + text[e:]
+        elif op == "duplicate":
+            text = text[:e] + rng.choice(" \n") + text[s:e] + text[e:]
+        elif op == "swap":
+            s2, e2 = rng.choice(spans)
+            if s2 < s:
+                s, e, s2, e2 = s2, e2, s, e
+            if s2 >= e:
+                text = text[:s] + text[s2:e2] + text[e:s2] + text[s:e] + text[e2:]
+        elif op == "bad":
+            at = rng.randint(0, len(text))
+            text = text[:at] + rng.choice(_INSERTED) + text[at:]
+        else:
+            text = text[: rng.choice((s, e))]
+    return text
+
+
+def _parse_sources():
+    """(name, text, parse) for each text whose mutants are hashed; `parse`
+    returns the canonical text of what it parsed."""
+    data = Path(__file__).parent / "data"
+    for path in sorted(PROGRAMS_DIR.glob("*.esm")) + sorted(data.glob("*.esm")):
+        def parse(text, base=path.parent, name=path.name):
+            return format_program(parse_program(text, base_dir=base, name=name))
+
+        yield path.name, path.read_text(encoding="utf-8"), parse
+    for name in ("bin_succ", "bin_mul", "str_reverse", "add_unary"):
+        vocab = parse_program_file(PROGRAMS_DIR / f"{name}.esm").vocab
+        codec = input_codec(vocab)
+        for size in (1, 5, 12):
+            text = format_term(encode_size(vocab, codec, size))
+            spaced = text.replace("(", " (\n ").replace(")", " ) ")
+            for k, src in enumerate((text, spaced)):
+                def parse(text, vocab=vocab):
+                    return format_term(parse_term(text, vocab))
+
+                yield f"{name} input {size}/{k}", src, parse
+
+
+def parse_digest(per_text: int) -> str:
+    """The mutant count and one sha256 over the first `per_text` mutants of
+    each source text, as a line of data/golden_parse.sha256."""
+    h, mutants = hashlib.sha256(), 0
+    hide = str(PROGRAMS_DIR.parent)
+    for name, text, parse in _parse_sources():
+        for k in range(per_text):
+            mutant = _mutate(text, random.Random(f"{name}/{k}"))
+            try:
+                out = parse(mutant)
+            except Exception as exc:  # every outcome is hashed, errors too
+                out = f"{type(exc).__name__}: {exc}".replace(hide, "<dir>")
+            h.update(f"{name}/{k}\n{out}\n".encode())
+            mutants += 1
+    return f"{mutants} mutants sha256={h.hexdigest()}"
+
+
+def test_golden_parse_sample():
+    expected = GOLDEN_PARSE.read_text().splitlines()[0]
+    assert f"sample {parse_digest(PARSE_SAMPLE)}" == expected
+
+
 def test_golden_digests():
     expected = json.loads(GOLDEN.read_text())
     got = digests()
@@ -175,6 +274,11 @@ if __name__ == "__main__":
         print(line)
         if sys.argv[2:] and line != GOLDEN_PLANS.read_text().strip():
             sys.exit(f"plan digest differs from {GOLDEN_PLANS}")
+    elif sys.argv[1:] in (["--parse"], ["--parse", "--check"]):
+        lines = [f"sample {parse_digest(PARSE_SAMPLE)}", f"full {parse_digest(PARSE_MUTANTS)}"]
+        print("\n".join(lines))
+        if sys.argv[2:] and lines != GOLDEN_PARSE.read_text().splitlines():
+            sys.exit(f"parse digest differs from {GOLDEN_PARSE}")
     else:
         sys.exit("usage: python tests/test_golden.py "
-                 "--write | --sweep [--check] | --plans [--check]")
+                 "--write | --sweep [--check] | --plans [--check] | --parse [--check]")
