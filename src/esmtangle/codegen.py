@@ -15,7 +15,18 @@ the engine only runs them:
   program counter; a run of tests that short-circuits as one `and` or `or`
   chain is one expression, and assignments that follow one another are one
   block with its read and probe counts folded into constants.  A slot that
-  holds a constructor term is never undef, so no test checks it for undef.
+  holds a constructor term (a sure slot) is never undef, so no test checks
+  it for undef, and two sure slots hold two distinct vertices.  So in a
+  phase machine, where every rule opens with a test such as `pc = ph_step`,
+  `rules` reads one slot, the one that tests compare with the most sure
+  slots, and runs one branch per such constant and one for none of them.
+  Each branch is the jumping code folded under its fact: a test the fact
+  decides is a static jump that still charges its compare, and the
+  instructions no path reaches are left out.  So metering does not change,
+  since the cost model charges every test of the jumping code.  A plan
+  with no such slot, with more than _DISPATCH_MAX constants, or whose
+  branches would take more than _DISPATCH_GROWTH times the lines of the
+  code folded under no fact, has one branch, that code.
 * `slots_all(ctx, updates, store)` computes every slot (initialization and
   the reference engine).  Each slot is an unrolled block: its children, the
   strictness test, then an intern, a dynamic read or an oracle call, then,
@@ -64,6 +75,7 @@ profilers and debuggers show the generated lines.
 from __future__ import annotations
 
 import linecache
+from heapq import heappop, heappush
 from dataclasses import dataclass, field
 from itertools import count
 from types import CodeType, FunctionType
@@ -361,34 +373,115 @@ def _defined(slots, sure, on: str = "new") -> str | None:
 
 
 def _atom(lhs: int, rhs: int, sure) -> str:
-    """A guard atom on `values`: a literal undef equals only undef, and two
-    terms are equal only when both are defined and have one id.  A sure
-    slot is defined."""
+    """A guard atom on `values` that `_holds` leaves open: a literal undef
+    equals only undef, and two terms are equal only when both are defined
+    and have one id.  A sure slot is defined."""
     if lhs == rhs:
-        return "True" if lhs == UNDEF_SLOT else _defined((lhs,), sure, "values") or "True"
+        return f"values[{lhs}] is not None"
     if UNDEF_SLOT in (lhs, rhs):
-        other = max(lhs, rhs)
-        return "False" if sure[other] else f"values[{other}] is None"
+        return f"values[{max(lhs, rhs)}] is None"
     if sure[lhs] or sure[rhs]:
         return f"values[{lhs}] == values[{rhs}]"
     return f"values[{lhs}] == values[{rhs}] is not None"
 
 
-def _test_run(code, k: int, end: int, entries, sure) -> tuple[int, list[str]]:
+def _holds(lhs: int, rhs: int, sure) -> bool | None:
+    """Whether a test holds wherever it runs, from its slots alone; None if
+    that takes their values.  Undef equals undef and a sure slot equals
+    itself; a sure slot is never undef, and two sure slots hold two distinct
+    critical terms, so two distinct vertices."""
+    if lhs == rhs:
+        return True if lhs == UNDEF_SLOT or sure[lhs] else None
+    if all(s == UNDEF_SLOT or sure[s] for s in (lhs, rhs)):
+        return False
+    return None
+
+
+def _dispatch(code, sure) -> tuple[int, list[int]] | None:
+    """The slot `rules` branches on, and its constants: the unsure slot that
+    tests compare with the most distinct sure slots, at least 2, the lowest
+    on a tie.  None if no slot has 2."""
+    partners: dict[int, set[int]] = {}
+    for ins in code:
+        if type(ins) is Test and UNDEF_SLOT not in (ins.lhs, ins.rhs):
+            for a, b in ((ins.lhs, ins.rhs), (ins.rhs, ins.lhs)):
+                if sure[b] and not sure[a]:
+                    partners.setdefault(a, set()).add(b)
+    best = max(sorted(partners), key=lambda s: len(partners[s]), default=None)
+    if best is None or len(partners[best]) < 2:
+        return None
+    return best, sorted(partners[best])
+
+
+def _flow(code, sure, d: int = UNDEF_SLOT, fact: int | tuple[int, ...] = ()):
+    """The jumping code under one branch's fact, walked in order over the
+    instructions a path from the entry reaches, and no other.  A test the
+    fact decides is made a static jump (both targets alike), which still
+    charges its compare.  In the branch of a constant (`fact`, a sure slot),
+    slot `d` holds that constant's vertex, so its tests read `fact` instead
+    and `_holds` decides them: against itself or `fact` they hold, against
+    another sure slot or undef they fail.  In the branch of none of them
+    (`fact`, the constants), a test of `d` against one of them fails.
+
+    Returns the folded code (None where no path reaches), the reached
+    instructions in order, and per instruction: whether a jump from a
+    reached instruction before it lands past it (it is guarded), how many
+    reached instructions jump to it, and for an assignment, whether no
+    reached assignment before it writes its symbol (it is fresh)."""
+    n = len(code)
+    folded: list = [None] * n
+    order, entries = [], [0] * (n + 1)
+    guarded, fresh = [False] * n, [False] * n
+    written: set[str] = set()
+    todo, reach = [0], 0
+    while (k := heappop(todo)) < n:  # jumps go forward, so the exit, n, comes last
+        ins = code[k]
+        if type(ins) is CAssign:
+            fresh[k] = ins.sym.name not in written
+            written.add(ins.sym.name)
+            targets = (ins.next,)
+        else:
+            lhs, rhs = ins.lhs, ins.rhs
+            if type(fact) is int:
+                lhs, rhs = (fact if s == d else s for s in (lhs, rhs))
+                held = _holds(lhs, rhs, sure)
+            else:
+                held = False if d in (lhs, rhs) and lhs + rhs - d in fact else _holds(lhs, rhs, sure)
+            then, orelse = ins.then, ins.orelse
+            if held is not None:
+                then = orelse = then if held else orelse
+            ins = Test(lhs, rhs, then, orelse)
+            targets = (then,) if then == orelse else (then, orelse)
+        folded[k] = ins
+        order.append(k)
+        guarded[k] = reach > k
+        for t in targets:
+            if not entries[t]:
+                heappush(todo, t)
+            entries[t] += 1
+        reach = max(reach, *targets)
+    return folded, order, guarded, entries, fresh
+
+
+def _test_run(code, k: int, end: int, entries, sure) -> tuple[int, int, list[str]]:
     """The run of tests from k that short-circuits as one `or` (or `and`)
-    chain, as one block.  The run grows while the last test falls through to
-    the next one on failure (on success), the next one jumps where the run
-    does on success (on failure), and nothing else jumps into it.  Each test
-    evaluated charges one compare: the block finds the position of the first
-    test that holds (fails), which is how many were evaluated, and charges
-    them all when there is none.  Values do not change while the rules run,
-    so a test that repeats an earlier one of its run fails (holds) wherever
-    it is reached and is left out of the search."""
+    chain, as one block, with the compares it charges whenever it runs (the
+    rest it charges itself).  The run grows while the last test falls
+    through to the next one on failure (on success), the next one jumps
+    where the run does on success (on failure), and nothing else jumps into
+    it.  Each test evaluated charges one compare: the block finds the
+    position of the first test that holds (fails), which is how many were
+    evaluated, and charges them all when there is none.  Values do not
+    change while the rules run, so a test that repeats an earlier one of its
+    run fails (holds) wherever it is reached and is left out of the search.
+    A static jump is never part of a run."""
     first = code[k]
     then, orelse, op = first.then, first.orelse, None
     j = k + 1
     while j < end and entries[j] == 1 and type(code[j]) is Test:
         nxt = code[j]
+        if nxt.then == nxt.orelse:
+            break
         if op != "and" and orelse == j and nxt.then == then:
             op, orelse = "or", nxt.orelse
         elif op != "or" and then == j and nxt.orelse == orelse:
@@ -397,7 +490,7 @@ def _test_run(code, k: int, end: int, entries, sure) -> tuple[int, list[str]]:
             break
         j += 1
     if op is None:
-        return j, ["c += 1", f"pc = {then} if {_atom(first.lhs, first.rhs, sure)} else {orelse}"]
+        return j, 1, [f"pc = {then} if {_atom(first.lhs, first.rhs, sure)} else {orelse}"]
     neg = "not " if op == "and" else ""
     seen, found = set(), []
     for n, t in enumerate(code[k:j], 1):
@@ -405,7 +498,8 @@ def _test_run(code, k: int, end: int, entries, sure) -> tuple[int, list[str]]:
             seen.add(atom)
             found.append(f"{neg}{atom} and {n}")
     exits = (then, orelse) if op == "or" else (orelse, then)
-    return j, [f"k = {' or '.join(found)}", f"c += k or {j - k}", "pc = {} if k else {}".format(*exits)]
+    return j, 0, [f"k = {' or '.join(found)}", f"c += k or {j - k}",
+                  "pc = {} if k else {}".format(*exits)]
 
 
 def _assign_block(code, k: int, end: int, entries, fresh, sure) -> tuple[int, list[str]]:
@@ -417,7 +511,8 @@ def _assign_block(code, k: int, end: int, entries, fresh, sure) -> tuple[int, li
     writes (`fresh`) cannot be in the set yet; any other is checked for a
     clash, and the first clash keeps the update set and the charges as they
     stood then.  Later assignments are still enabled and may still insert,
-    which nothing reads."""
+    which nothing reads.  The block ends before its jump to the last
+    assignment's successor."""
     j = k + 1
     while j < end and entries[j] == 1 and type(code[j]) is CAssign and code[j - 1].next == j:
         j += 1
@@ -449,76 +544,115 @@ def _assign_block(code, k: int, end: int, entries, fresh, sure) -> tuple[int, li
             f"{pad}if updates.setdefault({key}, v := {value}) != v and clash is None:",
             f"{pad}    clash = (ClashInfo(*{key}), p + {probes}, r + {reads}, dict(updates))",
         ]
-    lines += [f"r += {reads}"] + ([f"p += {probes}"] if probes else []) + [f"pc = {code[j - 1].next}"]
+    lines += [f"r += {reads}"] + ([f"p += {probes}"] if probes else [])
     return j, lines
+
+
+def _branch_pieces(flow, sure) -> tuple[int, list[tuple[int, list[str]]]]:
+    """One branch of `rules`, from its `_flow`: the compares it charges on
+    every path, and its blocks as pieces of bounded size, each with the
+    instruction after it.  Each block is a run of tests, a static jump or a
+    run of assignments; it runs when `pc` names it, and unguarded when no
+    jump passes over it.  An unguarded block's constant compares are
+    charged with the branch's, so an unguarded static jump is no line at
+    all; and a block does not set `pc` to the next block when that one is
+    unguarded, since nothing reads it."""
+    code, order, guarded, entries, fresh = flow
+    n, i = len(code), 0  # order[i] is the next reached instruction
+    charge, pieces, k = 0, [], order[0] if order else n
+    while not pieces or k < n:
+        end, body = min(n, k + _PIECE), []
+        while k < end and len(body) < _PIECE_LINES:
+            ins, goto = code[k], None
+            if type(ins) is CAssign:
+                j, block = _assign_block(code, k, end, entries, fresh, sure)
+                compares, goto = 0, code[j - 1].next
+            elif ins.then == ins.orelse:
+                j, compares, block, goto = k + 1, 1, [], ins.then
+            else:
+                j, compares, block = _test_run(code, k, end, entries, sure)
+            while i < len(order) and order[i] < j:
+                i += 1
+            j = order[i] if i < len(order) else n
+            if goto is not None and not (goto == j and (j == n or not guarded[j])):
+                block.append(f"pc = {goto}")
+            if guarded[k]:
+                body += [f"if pc == {k}:", *_indent([f"c += {compares}"] if compares else []),
+                         *_indent(block)]
+            else:
+                charge += compares
+                body += block
+            k = j
+        pieces.append((k, body))
+    return charge, pieces
+
+
+# A dispatch is made over at most _DISPATCH_MAX constants, since each branch
+# walks the tests of the rules it does not run; and it is kept only while its
+# branches, a dispatch test each, generate at most _DISPATCH_GROWTH times the
+# lines of the undispatched code.
+_DISPATCH_MAX = 64
+_DISPATCH_GROWTH = 2
 
 
 def _rules_source(code: Code, sure) -> list[list[str]]:
     """`rules(values)`: the jumping code as straight-line code over a
     program counter `pc`, returning (enabled assignments, update set, clash,
-    compares, probes, reads).  Each block is a run of tests or of
-    assignments; it runs when `pc` names it, and unguarded when no jump
-    passes over it."""
-    n = len(code)
-    entries = [0] * (n + 1)  # jumps into each instruction
-    guarded = []  # per instruction, whether a jump before it lands past it
-    fresh = []  # per instruction, an assignment to a symbol no earlier one writes
-    written: set[str] = set()
-    reach = 0
-    for k, ins in enumerate(code):
-        guarded.append(reach > k)
-        if type(ins) is CAssign:
-            fresh.append(ins.sym.name not in written)
-            written.add(ins.sym.name)
-            targets = (ins.next,)
+    compares, probes, reads).  With a dispatch slot, it reads that slot once
+    and runs one branch per constant it may hold, or the branch for none of
+    them, each the code folded under that fact; without one, or when the
+    branches would grow too big, the one branch is the code folded under no
+    fact.  The dispatch is a flat run of `if`s, each branch returning; once
+    the entry function holds _PIECE_LINES lines, a branch is called as
+    pieces even if it has one."""
+    def size(branch) -> int:
+        return sum(len(body) for _, body in branch[1])
+
+    branches = [("", _branch_pieces(_flow(code, sure), sure))]
+    dispatch = _dispatch(code, sure)
+    if dispatch and len(dispatch[1]) <= _DISPATCH_MAX:
+        d, consts = dispatch
+        found, budget = [], _DISPATCH_GROWTH * size(branches[0][1])
+        for fact in [*consts, tuple(consts)]:
+            found.append(_branch_pieces(_flow(code, sure, d, fact), sure))
+            budget -= size(found[-1]) + 1
+            if budget < 0:
+                break
         else:
-            fresh.append(False)
-            targets = (ins.then, ins.orelse)
-        for t in targets:
-            entries[t] += 1
-        reach = max(reach, *targets)
-    pieces, k = [], 0
-    while not pieces or k < n:
-        end, body = min(n, k + _PIECE), []
-        while k < end and len(body) < _PIECE_LINES:
-            if type(code[k]) is CAssign:
-                j, block = _assign_block(code, k, end, entries, fresh, sure)
-            else:
-                j, block = _test_run(code, k, end, entries, sure)
-            if guarded[k]:
-                body.append(f"    if pc == {k}:")
-                body += [f"        {line}" for line in block]
-            else:
-                body += [f"    {line}" for line in block]
-            k = j
-        pieces.append((k, body))
-    head = [
+            branches = [(f"d == values[{c}]", b) for c, b in zip(consts, found)]
+            branches.append(("", found[-1]))
+    entry = [
         "def rules(values):",
         "    enabled = []",
         "    updates = {}",
-        "    pc = c = r = p = 0",
+        "    pc = r = p = 0",
         "    clash = None",
     ]
-    tail = [
-        "    if clash is not None:",
-        "        clash, p, r, updates = clash",
-        "    return enabled, updates, clash, c, p, r",
-    ]
-    if len(pieces) == 1:
-        return [head + pieces[0][1] + tail]
+    if len(branches) > 1:
+        entry.append(f"    d = values[{d}]")
     state = "pc, c, r, p, clash"
-    out = [head + [
-        f"    {state} = _rules_{i}(values, enabled, updates, {state})"
-        for i in range(len(pieces))
-    ] + tail]
-    for i, (end, body) in enumerate(pieces):
-        out.append([
-            f"def _rules_{i}(values, enabled, updates, {state}):",
-            f"    if pc >= {end}:",
-            f"        return {state}",
-            *body,
-            f"    return {state}",
-        ])
+    out = [entry]
+    for cond, (charge, pieces) in branches:
+        lines = [f"c = {charge}"]
+        if len(pieces) == 1 and len(entry) < _PIECE_LINES:
+            lines += pieces[0][1]
+        else:
+            for end, body in pieces:
+                name = f"_rules_{len(out) - 1}"
+                lines.append(f"{state} = {name}(values, enabled, updates, {state})")
+                out.append([
+                    f"def {name}(values, enabled, updates, {state}):",
+                    f"    if pc >= {end}:",
+                    f"        return {state}",
+                    *_indent(body),
+                    f"    return {state}",
+                ])
+        lines += [
+            "if clash is not None:",
+            "    clash, p, r, updates = clash",
+            "return enabled, updates, clash, c, p, r",
+        ]
+        entry += [f"    if {cond}:", *_indent(lines, "        ")] if cond else _indent(lines)
     return out
 
 

@@ -1,5 +1,6 @@
 """The functions generated per plan: their cache, their lookups of the store's
-`intern`, their life span and their source lines (see `esmtangle.codegen`)."""
+`intern`, their life span, their source lines and the branches of `rules`
+(see `esmtangle.codegen`)."""
 
 import gc
 import io
@@ -17,13 +18,16 @@ from esmtangle.engine import (
     NEXT,
     RunContext,
     build_plan,
+    compare_engines,
     init_critical,
     init_ref,
     run,
     step_critical,
     step_ref,
 )
+from esmtangle.syntax import parse_program
 from esmtangle.tangle import Tangle
+from esmtangle.terms import Term
 
 
 def _report(program, inputs):
@@ -160,3 +164,59 @@ def test_generated_source_is_registered_with_linecache(name):
         code = fn.__code__
         assert code.co_filename.startswith(f"<esmtangle plan {name}.esm")
         assert linecache.getline(code.co_filename, code.co_firstlineno).startswith(head)
+
+
+def _rules_lines(plan) -> list[str]:
+    return [line for fn in codegen._rules_source(plan.code, codegen._sure(plan.slots)) for line in fn]
+
+
+@pytest.mark.parametrize("name", ["toggle", "bin_succ", "bin_add", "bin_mul", "str_reverse", "merge_demo"])
+def test_phase_machines_branch_on_their_phase(name):
+    # Every bundled program but toggle and merge_demo, and each oracle body,
+    # is a phase machine: its `rules` reads `pc` once and runs one branch per
+    # phase constant its tests name, or the one for none of them.
+    plans = [build_plan(load_corpus(name))]
+    plans += plans[0].oracle_plans.values()
+    for plan in plans:
+        lines = _rules_lines(plan)
+        branches = [line.split("values[")[1] for line in lines if line.startswith("    if d == ")]
+        if name in ("toggle", "merge_demo"):
+            assert branches == [] and not any("d = values[" in line for line in lines)
+            continue
+        pc = plan.criticals.position[Term(plan.program.vocab.get("pc"))]
+        assert f"    d = values[{pc}]" in lines
+        phases = [plan.criticals.terms[int(b.rstrip("]:"))].head.name for b in branches]
+        assert len(phases) >= 2 and all(p.startswith("ph_") for p in phases)
+
+
+def _phase_program(phases: int, plain: int):
+    """`phases` rules that each test the phase `pc` against their own phase
+    constant, and `plain` rules whose tests name no phase."""
+    dynamic = ["pc/0", "z/0", *(f"x{j}/0" for j in range(plain))]
+    rules = [f"if pc = ph{i} then {{ pc := ph{(i + 1) % phases} }}" for i in range(phases)]
+    rules += [f"if x{j} = undef then {{ x{j} := done }}" for j in range(plain)]
+    return parse_program(f"""
+vocab {{
+  constructors {{ {"; ".join(["done/0", *(f"ph{i}/0" for i in range(phases))])} }}
+  dynamic {{ {"; ".join(dynamic)} }}
+}}
+inputs {{ }} output {{ z }}
+init {{ pc := ph0; }}
+rules {{
+  {chr(10).join(rules)}
+}}
+""")
+
+
+def test_a_dispatch_is_made_only_while_the_code_stays_small():
+    # Each branch repeats the rules that do not test the phase.  With one
+    # such rule beside 30 phases, the branches together take 1.6 times the
+    # lines of the undispatched code, within _DISPATCH_GROWTH; with 30 they
+    # would take 15 times them, so `rules` is generated as one branch, the
+    # code folded under no fact.
+    assert any("d = values[" in line for line in _rules_lines(build_plan(_phase_program(30, 1))))
+    p = _phase_program(30, 30)
+    lines = _rules_lines(build_plan(p))
+    assert not any("d = values[" in line for line in lines)
+    assert sum(" if " in line and " else " in line for line in lines) == 60  # a test per rule
+    assert compare_engines(p, fuel=70).equivalent

@@ -1,7 +1,8 @@
 """Property: on random well-formed programs the fast engine agrees with the
 reference engine at every step, a comparison ends where a run ends at the
 same fuel, the compiled jumping code enables what a tree walk over the rules
-does, and the canonical text form parses back to the same program.
+does (on the bundled programs too), and the canonical text form parses back
+to the same program.
 
 Programs draw on a small vocabulary (nullary and unary constructors, dynamic
 symbols of arity 0 and 1), so that locations written at one step are read
@@ -13,9 +14,13 @@ draw is cheap and Hypothesis shrinks a failure toward zero bytes, which
 decode to the first choice everywhere: fewer symbols, atoms, shallow terms.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import PROGRAMS_DIR
+
+from esmtangle.cli import encode_size, input_codec
 from esmtangle.engine import (
     CLASH,
     FUEL_EXHAUSTED,
@@ -38,9 +43,11 @@ from esmtangle.syntax import (
     Program,
     format_program,
     parse_program,
+    parse_program_file,
     validate_program,
 )
-from esmtangle.terms import KIND_DYNAMIC, Symbol, Term, Vocabulary, format_term
+from esmtangle.tangle import NodeId
+from esmtangle.terms import KIND_CONSTRUCTOR, KIND_DYNAMIC, Symbol, Term, Vocabulary, format_term
 
 FUEL = 8  # compare_engines reports fuel_limited, an agreement, beyond this
 
@@ -171,29 +178,67 @@ def _tree_walk(rules, value, out: list) -> int:
     return atoms
 
 
-def _check_jumping_code(p: Program):
-    """In the initial state and after each fast-engine step up to FUEL, the
-    jumping code enables the tree walk's assignments, in its order, at one
-    compare per atom the walk evaluates."""
-    state = init_critical(p)
-    plan, meter = state.ctx.plan, state.ctx.core.tangle.meter
+def _constant(t: Term) -> bool:
+    """Whether a term is built from constructors only, so never undef."""
+    return t.head.kind == KIND_CONSTRUCTOR and all(map(_constant, t.args))
+
+
+def _atoms(stmts):
+    """The (lhs, rhs) of every guard atom in the rules."""
+    for s in stmts:
+        if isinstance(s, Cond):
+            guards = [s.guard]
+            while guards:
+                g = guards.pop()
+                if isinstance(g, GAtom):
+                    yield g.lhs, g.rhs
+                elif isinstance(g, GNot):
+                    guards.append(g.sub)
+                else:
+                    guards += [g.left, g.right]
+            yield from _atoms(s.then)
+            yield from _atoms(s.orelse)
+
+
+def _variants(p: Program, pos, values, absent):
+    """Copies of `values` with one term that a guard compares with constant
+    terms set to the id of each of them, to undef, and to `absent`, an id no
+    term holds.  The generated `rules` branches on the value of such a term,
+    and a short run reaches few of its branches."""
+    partners: dict[Term, dict[Term, None]] = {}
+    for a, b in _atoms(p.rules):
+        for x, y in ((a, b), (b, a)):
+            if x is not None and y is not None and _constant(y) and not _constant(x):
+                partners.setdefault(x, {})[y] = None
+    for x, ys in partners.items():
+        for v in [*(values[pos[y]] for y in ys), None, absent]:
+            varied = list(values)
+            varied[pos[x]] = v
+            yield varied
+
+
+def _check_jumping_code(p: Program, inputs=(), steps: int = FUEL):
+    """In the initial state and after each fast-engine step up to `steps`,
+    and in each of their variants, the jumping code enables the tree walk's
+    assignments, in its order, at one compare per atom the walk evaluates."""
+    state = init_critical(p, inputs)
+    plan, tangle = state.ctx.plan, state.ctx.core.tangle
     pos = plan.criticals.position
 
     def slot(t):
         return -1 if t is None else pos[t]
 
-    def value(t):
-        return None if t is None else state.values[pos[t]]
-
-    for _ in range(FUEL + 1):
-        walked: list = []
-        atoms = _tree_walk(p.rules, value, walked)
-        before = meter.ram_ops
-        enabled = _enabled(meter, plan.code, state.values)
-        assert meter.ram_ops - before == atoms
-        assert [(c.sym, c.arg_slots, c.rhs_slot) for c in enabled] == [
-            (a.head, tuple(map(slot, a.head_args)), slot(a.rhs)) for a in walked
-        ]
+    for _ in range(steps + 1):
+        absent = NodeId(tangle.tag, len(tangle))
+        for values in [state.values, *_variants(p, pos, state.values, absent)]:
+            walked: list = []
+            atoms = _tree_walk(p.rules, lambda t: None if t is None else values[pos[t]], walked)
+            before = tangle.meter.ram_ops
+            enabled = _enabled(tangle.meter, plan.code, values)
+            assert tangle.meter.ram_ops - before == atoms
+            assert [(c.sym, c.arg_slots, c.rhs_slot) for c in enabled] == [
+                (a.head, tuple(map(slot, a.head_args)), slot(a.rhs)) for a in walked
+            ]
         out = step_critical(p, state)
         if out.kind != NEXT:
             return
@@ -204,6 +249,15 @@ def _check_jumping_code(p: Program):
 @given(p=st.binary(min_size=64, max_size=256).map(_program))
 def test_jumping_code_matches_tree_walk(p):
     _check_jumping_code(p)
+
+
+@pytest.mark.parametrize("path", sorted(PROGRAMS_DIR.glob("*.esm")), ids=lambda path: path.stem)
+def test_jumping_code_matches_tree_walk_on_bundled_programs(path):
+    # The bundled programs and oracle bodies: all but toggle and merge_demo
+    # are phase machines, whose `rules` branches on the phase.
+    p = parse_program_file(path)
+    codec = input_codec(p.vocab)
+    _check_jumping_code(p, [encode_size(p.vocab, codec, 5) for _ in p.inputs], steps=40)
 
 
 def test_jumping_code_on_empty_branches_and_double_not():

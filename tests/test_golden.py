@@ -39,7 +39,11 @@ canonical text or as the `type: message` of the error it raises.  It prints
 two digests, of the first PARSE_SAMPLE mutants of each text and of all
 PARSE_MUTANTS, and exits 1 unless they match data/golden_parse.sha256;
 `--parse` alone only prints them, in that file's format.  The suite checks
-the first.
+the first.  A change to the generated code runs all three checks with
+
+    PYTHONPATH=src python tests/test_golden.py --check
+
+which prints every digest and exits 1 if any of them differs.
 """
 
 import hashlib
@@ -255,30 +259,47 @@ def test_golden_digests():
     assert not changed, f"trace or report bytes changed for {changed}"
 
 
+def _sweep_check(check: bool) -> list[str]:
+    differ = []
+    for engine, path in SWEEP_FILES.items():
+        line = sweep_digest(engine)
+        print(f"{engine}: {line}")
+        if check and line != path.read_text().strip():
+            differ.append(f"sweep digest differs from {path}")
+    return differ
+
+
+def _plans_check(check: bool) -> list[str]:
+    line = plans_digest()
+    print(line)
+    if check and line != GOLDEN_PLANS.read_text().strip():
+        return [f"plan digest differs from {GOLDEN_PLANS}"]
+    return []
+
+
+def _parse_check(check: bool) -> list[str]:
+    lines = [f"sample {parse_digest(PARSE_SAMPLE)}", f"full {parse_digest(PARSE_MUTANTS)}"]
+    print("\n".join(lines))
+    if check and lines != GOLDEN_PARSE.read_text().splitlines():
+        return [f"parse digest differs from {GOLDEN_PARSE}"]
+    return []
+
+
+# Each digest kind: print it and, when checking, what differs from its file.
+CHECKS = {"--sweep": _sweep_check, "--plans": _plans_check, "--parse": _parse_check}
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] == ["--write"]:
+    args = sys.argv[1:]
+    if args == ["--write"]:
         GOLDEN.write_text(json.dumps(digests(), indent=1, sort_keys=True) + "\n")
         for engine, path in SWEEP_FILES.items():
             path.write_text(sweep_digest(engine) + "\n")
-    elif sys.argv[1:] in (["--sweep"], ["--sweep", "--check"]):
-        differ = []
-        for engine, path in SWEEP_FILES.items():
-            line = sweep_digest(engine)
-            print(f"{engine}: {line}")
-            if sys.argv[2:] and line != path.read_text().strip():
-                differ.append(str(path))
-        if differ:
-            sys.exit(f"sweep digest differs from {', '.join(differ)}")
-    elif sys.argv[1:] in (["--plans"], ["--plans", "--check"]):
-        line = plans_digest()
-        print(line)
-        if sys.argv[2:] and line != GOLDEN_PLANS.read_text().strip():
-            sys.exit(f"plan digest differs from {GOLDEN_PLANS}")
-    elif sys.argv[1:] in (["--parse"], ["--parse", "--check"]):
-        lines = [f"sample {parse_digest(PARSE_SAMPLE)}", f"full {parse_digest(PARSE_MUTANTS)}"]
-        print("\n".join(lines))
-        if sys.argv[2:] and lines != GOLDEN_PARSE.read_text().splitlines():
-            sys.exit(f"parse digest differs from {GOLDEN_PARSE}")
+    elif args == ["--check"]:
+        differ = [line for check in CHECKS.values() for line in check(True)]
+        sys.exit("\n".join(differ) or None)
+    elif args[:1] and args[0] in CHECKS and args[1:] in ([], ["--check"]):
+        sys.exit("\n".join(CHECKS[args[0]](bool(args[1:]))) or None)
     else:
         sys.exit("usage: python tests/test_golden.py "
-                 "--write | --sweep [--check] | --plans [--check] | --parse [--check]")
+                 "--write | --check | --sweep [--check] | --plans [--check] | --parse [--check]")
