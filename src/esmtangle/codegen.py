@@ -33,10 +33,12 @@ the engine only runs them:
   in the fast engine's pass, the flagging of its parents.
 * `step_critical(state)` and `step_ref(state)` are one transition of each
   engine, start to end: the rules, the fuel commit, the update-set write
-  into the location map, the fast engine's dirty seed (its per-symbol slots
-  written in as constants) and dirty pass (inline), or the reference
-  engine's call of `slots_all`, the invariant-check hook, and the record of
-  the per-step series and the trace line.
+  into the location map, the fast engine's dirty seed (the slots of each
+  updated symbol, written in as constants) and dirty pass (inline: a slot,
+  an oracle application too, is recomputed when it is seeded or a child's
+  value changed), or the reference engine's call of `slots_all`, the
+  invariant-check hook, and the record of the per-step series and the trace
+  line.
 
 An intern hit is one probe of the store's index, inline, charged as
 `Tangle.intern` charges it (a read per child and a probe); only a miss calls
@@ -118,13 +120,6 @@ class CAssign(NamedTuple):  # an assignment, then its successor
     next: int
 
 
-class Code(tuple):
-    """Jumping code: a tuple of `Test` and `CAssign`, entry at 0.  `run` is
-    the function generated from it (see `_rules_source`)."""
-
-    run: Callable
-
-
 @dataclass(frozen=True)
 class ClashInfo:
     symbol: str
@@ -162,16 +157,15 @@ class ExecPlan:
     criticals: CriticalTerms
     slots: tuple[Slot, ...]
     parents: tuple[tuple[int, ...], ...]  # per slot, the slots taking it as a child
-    dyn_slots: dict[str, tuple[int, ...]]  # per dynamic symbol name, its slots
-    oracle_slots: tuple[int, ...]
-    code: Code  # the rules as jumping code, entry 0
+    code: tuple[Test | CAssign, ...]  # the rules as jumping code, entry 0
     z_slot: int
     oracle_plans: dict[str, ExecPlan]
     c_program: int
     init_weight: int  # growth headroom of this plan's own initialization
     interned: tuple[Symbol, ...]  # the constructors it and its oracle plans intern
-    # The generated functions besides `code.run`, the rules: the slot pass
-    # that computes every slot, and one transition of each engine.
+    # The generated functions: the rules, the slot pass that computes every
+    # slot, and one transition of each engine.
+    rules: Callable = field(repr=False, compare=False)
     slots_all: Callable = field(repr=False, compare=False)
     step_critical: Callable = field(repr=False, compare=False)
     step_ref: Callable = field(repr=False, compare=False)
@@ -180,7 +174,7 @@ class ExecPlan:
 # --- The plan ------------------------------------------------------------------
 
 
-def _compile_rules(rules: Sequence[Stmt], pos) -> Code:
+def _compile_rules(rules: Sequence[Stmt], pos) -> tuple[Test | CAssign, ...]:
     """The rules as jumping code, entry at 0 and exit at the end.  It is
     emitted back to front, so every jump target exists when it is needed: a
     label is an index into `out`, -1 is the exit, and reversed, label i lands
@@ -216,7 +210,7 @@ def _compile_rules(rules: Sequence[Stmt], pos) -> Code:
 
     stmts(rules, -1)
     last = len(out) - 1
-    return Code(
+    return tuple(
         Test(i.lhs, i.rhs, last - i.then, last - i.orelse) if type(i) is Test
         else CAssign(i.sym, i.arg_slots, i.rhs_slot, last - i.next)
         for i in reversed(out)
@@ -272,20 +266,18 @@ def build_plan(program: Program) -> ExecPlan:
     slots = tuple(slots)
     parents = tuple(tuple(p) for p in parents)
     fns = generate(program.name, code, slots, parents)
-    code.run = fns["rules"]
     return ExecPlan(
         program=program,
         criticals=ct,
         slots=slots,
         parents=parents,
-        dyn_slots={name: tuple(found) for name, found in _dyn_slots(slots).items()},
-        oracle_slots=tuple(i for i, s in enumerate(slots) if s.kind == SLOT_ORACLE),
         code=code,
         z_slot=pos[Term(program.output)],
         oracle_plans=oracle_plans,
         c_program=c_program,
         init_weight=init_weight,
         interned=tuple(interned),
+        rules=fns["rules"],
         slots_all=fns["slots_all"],
         step_critical=fns["step_critical"],
         step_ref=fns["step_ref"],
@@ -311,13 +303,13 @@ _COMPILED_MAX = 256
 _file_serial = count(2)  # tells apart two structures generated for one name
 
 
-def generate(name: str, code: Code, slots, parents) -> dict[str, Callable]:
+def generate(name: str, code, slots, parents) -> dict[str, Callable]:
     """The functions generated for a plan, by name, bound to the classes they
     make and to the plan's constants: its assignments as `A<index>`, the
     symbols of its constructor slots as `S<index>` and, as SEED, the first
     slot of each dynamic symbol.  Code objects come from the cache when a
     plan of the same structure was generated before."""
-    key = (tuple(code), slots, parents)
+    key = (code, slots, parents)
     codes = _compiled.get(key)
     if codes is None:
         if len(_compiled) >= _COMPILED_MAX:
@@ -425,20 +417,15 @@ def _flow(code, sure, d: int = UNDEF_SLOT, fact: int | tuple[int, ...] = ()):
 
     Returns the folded code (None where no path reaches), the reached
     instructions in order, and per instruction: whether a jump from a
-    reached instruction before it lands past it (it is guarded), how many
-    reached instructions jump to it, and for an assignment, whether no
-    reached assignment before it writes its symbol (it is fresh)."""
+    reached instruction before it lands past it (it is guarded) and how many
+    reached instructions jump to it."""
     n = len(code)
     folded: list = [None] * n
-    order, entries = [], [0] * (n + 1)
-    guarded, fresh = [False] * n, [False] * n
-    written: set[str] = set()
+    order, entries, guarded = [], [0] * (n + 1), [False] * n
     todo, reach = [0], 0
     while (k := heappop(todo)) < n:  # jumps go forward, so the exit, n, comes last
         ins = code[k]
         if type(ins) is CAssign:
-            fresh[k] = ins.sym.name not in written
-            written.add(ins.sym.name)
             targets = (ins.next,)
         else:
             lhs, rhs = ins.lhs, ins.rhs
@@ -460,7 +447,7 @@ def _flow(code, sure, d: int = UNDEF_SLOT, fact: int | tuple[int, ...] = ()):
                 heappush(todo, t)
             entries[t] += 1
         reach = max(reach, *targets)
-    return folded, order, guarded, entries, fresh
+    return folded, order, guarded, entries
 
 
 def _test_run(code, k: int, end: int, entries, sure) -> tuple[int, int, list[str]]:
@@ -502,17 +489,16 @@ def _test_run(code, k: int, end: int, entries, sure) -> tuple[int, int, list[str
                   "pc = {} if k else {}".format(*exits)]
 
 
-def _assign_block(code, k: int, end: int, entries, fresh, sure) -> tuple[int, list[str]]:
+def _assign_block(code, k: int, end: int, entries, sure) -> tuple[int, list[str]]:
     """The assignments from k that follow one another with no other way in,
     as one block: they are enabled together and each goes into the update
     set (strictness: an undef argument names no location).  Each reads its
     arguments and its value, charged once for the block, and a defined
-    location costs one probe.  A location whose symbol no earlier assignment
-    writes (`fresh`) cannot be in the set yet; any other is checked for a
-    clash, and the first clash keeps the update set and the charges as they
-    stood then.  Later assignments are still enabled and may still insert,
-    which nothing reads.  The block ends before its jump to the last
-    assignment's successor."""
+    location costs one probe.  Each insert is checked for a clash, and the
+    first clash keeps the update set and the charges as they stood then.
+    Later assignments are still enabled and may still insert, which nothing
+    reads.  The block ends before its jump to the last assignment's
+    successor."""
     j = k + 1
     while j < end and entries[j] == 1 and type(code[j]) is CAssign and code[j - 1].next == j:
         j += 1
@@ -532,13 +518,7 @@ def _assign_block(code, k: int, end: int, entries, fresh, sure) -> tuple[int, li
         else:
             probes += 1
         if a.arg_slots:
-            lines.append(f"{pad}t = ({''.join(f'values[{s}], ' for s in a.arg_slots)})")
-            key = f"({name}, t)"
-        if fresh[i]:
-            lines.append(f"{pad}updates[{key}] = {value}")
-            continue
-        if a.arg_slots:
-            lines.append(f"{pad}key = {key}")
+            lines.append(f"{pad}key = ({name}, ({''.join(f'values[{s}], ' for s in a.arg_slots)}))")
             key = "key"
         lines += [
             f"{pad}if updates.setdefault({key}, v := {value}) != v and clash is None:",
@@ -557,7 +537,7 @@ def _branch_pieces(flow, sure) -> tuple[int, list[tuple[int, list[str]]]]:
     charged with the branch's, so an unguarded static jump is no line at
     all; and a block does not set `pc` to the next block when that one is
     unguarded, since nothing reads it."""
-    code, order, guarded, entries, fresh = flow
+    code, order, guarded, entries = flow
     n, i = len(code), 0  # order[i] is the next reached instruction
     charge, pieces, k = 0, [], order[0] if order else n
     while not pieces or k < n:
@@ -565,7 +545,7 @@ def _branch_pieces(flow, sure) -> tuple[int, list[tuple[int, list[str]]]]:
         while k < end and len(body) < _PIECE_LINES:
             ins, goto = code[k], None
             if type(ins) is CAssign:
-                j, block = _assign_block(code, k, end, entries, fresh, sure)
+                j, block = _assign_block(code, k, end, entries, sure)
                 compares, goto = 0, code[j - 1].next
             elif ins.then == ins.orelse:
                 j, compares, block, goto = k + 1, 1, [], ins.then
@@ -595,7 +575,7 @@ _DISPATCH_MAX = 64
 _DISPATCH_GROWTH = 2
 
 
-def _rules_source(code: Code, sure) -> list[list[str]]:
+def _rules_source(code, sure) -> list[list[str]]:
     """`rules(values)`: the jumping code as straight-line code over a
     program counter `pc`, returning (enabled assignments, update set, clash,
     compares, probes, reads).  With a dispatch slot, it reads that slot once
@@ -785,19 +765,14 @@ def _slots_all_source(slots, parents) -> list[list[str]]:
 
 def _dirty_seed(slots) -> list[str]:
     """The lines that flag, as `dirty`, the slots a fast-engine transition
-    recomputes before propagation: every oracle slot, so that unmemoized
-    oracles still run each step, and the dynamic slots of every updated
-    symbol.  The oracle slots are flagged free.  One probe per update-set key
-    in SEED (per dynamic symbol name, its first slot) flags that slot, at
-    one write if it is newly flagged; then each symbol with more slots
-    flags the rest along with its first, as constants.  Before the pass only
-    the seed flags slots, so a first slot flagged means its symbol was
-    updated."""
-    lines = [f"dirty = [False] * {len(slots)}"]
-    oracles = [i for i, s in enumerate(slots) if s.kind == SLOT_ORACLE]
-    if oracles:
-        lines.append(f"{''.join(f'dirty[{i}] = ' for i in oracles)}True")
-    lines.append("p += len(updates)")
+    recomputes before propagation: the dynamic slots of every updated
+    symbol.  Every other slot, an oracle application included, is flagged
+    only by a child whose value changed.  One probe per update-set key in
+    SEED (per dynamic symbol name, its first slot) flags that slot, at one
+    write if it is newly flagged; then each symbol with more slots flags the
+    rest along with its first, as constants.  Before the pass only the seed
+    flags slots, so a first slot flagged means its symbol was updated."""
+    lines = [f"dirty = [False] * {len(slots)}", "p += len(updates)"]
     found = _dyn_slots(slots)
     if found:
         lines += [

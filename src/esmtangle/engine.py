@@ -5,29 +5,29 @@ subterms, ordered small to big) inside a maximally shared graph store, and a
 finite location map from (symbol, argument ids) to value ids outside it.
 They run a plan, which `codegen.build_plan` makes once per program: the
 tracked terms as slots, the rules as jumping code, and the functions
-generated from them, `code.run` for the rules, `slots_all` for the pass that
-computes every slot, and `step_critical` and `step_ref`, one transition of
-each engine.  A transition runs the rules, which collect the assignments
-they pass into an update set, writes the update set into the location map at
-one write per entry, and recomputes tracked values in order: constructor
-applications intern, oracle applications call, and a dynamic read probes the
-update set and, on a miss, the location map.  Strictness makes a term with an
-undef argument undef.  An intern hit is one inline probe of the store's
-index, and only a miss calls `Tangle.intern`, so a wrapper on it sees the
-misses only.
+generated from them, `rules`, `slots_all` for the pass that computes every
+slot, and `step_critical` and `step_ref`, one transition of each engine.  A
+transition runs the rules, which collect the assignments they pass into an
+update set, writes the update set into the location map at one write per
+entry, and recomputes tracked values in order: constructor applications
+intern, oracle applications call, and a dynamic read probes the update set
+and, on a miss, the location map.  Strictness makes a term with an undef
+argument undef.  An intern hit is one inline probe of the store's index, and
+only a miss calls `Tangle.intern`, so a wrapper on it sees the misses only.
 
 The engines differ only in how a transition treats its state.  The reference
 engine writes into a copy of the map and recomputes every tracked term, so
 its states stay functional; it is the semantic oracle the fast engine is
 differentially tested against.  The fast engine writes into its one map in
 place, so a fast-engine state can be stepped only once, and recomputes only
-its dirty slots: the tracked terms of every updated dynamic symbol and every
-oracle application, and then, in increasing order so children come first,
-each term with a child whose value changed.  Any other term keeps its value,
-since its recomputation would return it unchanged.  Initialization recomputes
-every slot.  `compare_engines` runs both engines in lockstep over one shared
-store and reports the first step where any tracked term's value differs,
-which with maximal sharing is an id comparison.
+its dirty slots: the tracked terms of every updated dynamic symbol, and then,
+in increasing order so children come first, each term with a child whose
+value changed.  Any other term keeps its value, since its recomputation would
+return it unchanged, an oracle application too: the run's memo keeps its
+result per argument ids.  Initialization recomputes every slot.
+`compare_engines` runs both engines in lockstep over one shared store and
+reports the first step where any tracked term's value differs, which with
+maximal sharing is an id comparison.
 
 Both engines take one path.  `_setup` checks the arguments, compiles the plan
 and makes the run core; since an inline intern hit skips `Tangle.intern`'s
@@ -54,9 +54,11 @@ same store and meter, through one call path: the generated slot passes call
 are paused for the nested run and the call charges one operation, so its
 inner transitions are left out of the reported step count and the trace; in
 "inline" mode the nested run's full metered cost and transitions are charged.
-Results are memoized per (oracle, argument ids) within a run; memo hits charge
-one operation in both modes.  Charges are batched by the one rule `codegen`
-states: summed in locals, charged at once, never across an oracle call.
+Every result is kept in the run's memo per (oracle, argument ids), so an
+oracle application is a function of its children's values, as a constructor
+application is; memo hits charge one operation in both modes.  Charges are
+batched by the one rule `codegen` states: summed in locals, charged at once,
+never across an oracle call.
 """
 
 from __future__ import annotations
@@ -122,7 +124,6 @@ class _RunCore:
     n: int = 0
     start_ops: int = 0  # the store meter's count when the run began
     last_ops: int = 0
-    memoize: bool = True
 
     def __post_init__(self):
         if self.mode not in (MODE_UNIT, MODE_INLINE):
@@ -170,12 +171,10 @@ class RunContext:
         core = self.core
         key = (name, argids)
         core.tangle.meter.charge_probe()
-        if core.memoize and key in core.memo:
-            return core.memo[key]
-        value = _call_oracle(RunContext(core, self.plan.oracle_plans[name], self.engine), argids)
-        if core.memoize:
-            core.memo[key] = value
-        return value
+        if key not in core.memo:
+            oracle = RunContext(core, self.plan.oracle_plans[name], self.engine)
+            core.memo[key] = _call_oracle(oracle, argids)
+        return core.memo[key]
 
     def check_state(self, values, store):
         """Debug assertions (unmetered): strictness, constructor coherence,
@@ -207,17 +206,6 @@ class RunResult:
     n: int
     cost: CostReport
     clash: ClashInfo | None = None
-
-
-# --- Guard evaluation -----------------------------------------------------------
-
-
-def _enabled(meter: CostMeter, code, values) -> list:
-    """The assignments the jumping code passes from its entry, in program
-    order.  Only the compares are charged: one per atom evaluated."""
-    enabled, _, _, compares, _, _ = code.run(values)
-    meter.charge_compare(compares)
-    return enabled
 
 
 # --- Oracle calls -----------------------------------------------------------------
@@ -280,7 +268,6 @@ def _setup(
     meter: CostMeter | None = None,
     trace=None,
     check_invariants: bool = False,
-    memoize_oracles: bool = True,
 ) -> RunContext:
     """Everything before initialization: check the arguments, compile the plan
     (unless one is given) and make the run context over a given store or a new
@@ -304,7 +291,7 @@ def _setup(
     core = _RunCore(
         tangle=tangle, mode=oracle_mode, fuel_left=fuel, trace=trace,
         check=check_invariants, n=sum(compact_size(t) for t in inputs),
-        start_ops=ops, last_ops=ops, memoize=memoize_oracles,
+        start_ops=ops, last_ops=ops,
     )
     return RunContext(core, plan, engine)
 
@@ -391,7 +378,10 @@ def _states(ctx: RunContext, state: EngineState):
     while True:
         yield state
         if core.fuel_left <= 0:
-            if _enabled(core.tangle.meter, plan.code, state.values):
+            # Only the guards' compares are charged: one per atom evaluated.
+            enabled, _, _, compares, _, _ = plan.rules(state.values)
+            core.tangle.meter.charge_compare(compares)
+            if enabled:
                 raise _Halt(FUEL_EXHAUSTED)
             return
         out = step(plan.program, state)
@@ -423,7 +413,6 @@ def run(
     check_invariants: bool = False,
     tangle: Tangle | None = None,
     meter: CostMeter | None = None,
-    memoize_oracles: bool = True,
 ) -> RunResult:
     """Execute to termination, clash, or fuel exhaustion, and report cost.
 
@@ -434,7 +423,6 @@ def run(
     ctx = _setup(
         program, inputs, engine, tangle=tangle, meter=meter, fuel=fuel,
         oracle_mode=oracle_mode, trace=trace, check_invariants=check_invariants,
-        memoize_oracles=memoize_oracles,
     )
     core = ctx.core
     meter = core.tangle.meter

@@ -44,7 +44,6 @@ from .terms import (
     Tokenizer,
     UNDEF_WORD,
     Vocabulary,
-    compact_size,
     distinct_subterms,
     format_term,
     is_ident,
@@ -489,14 +488,22 @@ def critical_terms(p: Program) -> CriticalTerms:
     occurrence (subterms count as occurring inside their first host term,
     innermost first).  Proper subterms are strictly smaller, so the order is
     automatically subterm-closed.  A term collected before is skipped, since
-    its subterms are in too, and each term's compact size is computed once.
+    its subterms are in too.  `occurrence` lists children before parents, so
+    one pass over it gives every term its distinct subterms, as a bit set
+    over their occurrence numbers, and so its compact size.
     """
     occurrence: dict[Term, int] = {}
     for t in program_terms(p):
         if t not in occurrence:
             for sub in distinct_subterms(t):
                 occurrence.setdefault(sub, len(occurrence))
-    size = {t: compact_size(t) for t in occurrence}
+    below: dict[Term, int] = {}
+    for t, k in occurrence.items():
+        bits = 1 << k
+        for a in t.args:
+            bits |= below[a]
+        below[t] = bits
+    size = {t: bits.bit_count() for t, bits in below.items()}
     ordered = sorted(occurrence, key=lambda t: (size[t], occurrence[t]))
     return CriticalTerms(
         tuple(ordered), tuple(map(size.__getitem__, ordered)),

@@ -97,12 +97,15 @@ rules {{ if {guard} then {{ b := d1(eps) }} }}
         "if " + "(" * 300 + "b = undef" + ")" * 300 + " then { b := d1(eps) }",
         "if " + "not " * 900 + "b = undef then { b := d1(eps) }",
         "if b = undef then { " * 900 + "b := d1(eps)" + " }" * 900,
+        "if b = undef then { b := d1(eps) } "
+        "if b = eps then { b := " + "d1(" * 10_000 + "eps" + ")" * 10_000 + " }",
     ],
-    ids=["300 parentheses", "900 not", "900 if"],
+    ids=["300 parentheses", "900 not", "900 if", "10000-deep term"],
 )
 def test_run_deep_programs(tmp_path, capsys, rules):
     # Nesting that parses runs: the code generated from it is flat, so
-    # Python's own limits on nested code do not apply to it.
+    # Python's own limits on nested code do not apply to it, and the compact
+    # sizes of a deep term's subterms come from one pass.
     deep = tmp_path / "deep.esm"
     deep.write_text(
         f"""

@@ -13,6 +13,7 @@ import pytest
 from conftest import binary_input, load_corpus
 
 from esmtangle import codegen
+from esmtangle.codegen import SLOT_ORACLE
 from esmtangle.cost import emit_report
 from esmtangle.engine import (
     NEXT,
@@ -94,9 +95,10 @@ def test_a_class_level_intern_wrapper_sees_every_call(monkeypatch, init, step):
 
 
 def _step_oracle_calls(monkeypatch, program, inputs, mode, wrap_first):
-    """The oracle calls of the transitions of a fast-engine run, seen by a
-    wrapper put on `RunContext.invoke` before the run starts (`wrap_first`)
-    or after initialization, and the run's memo."""
+    """The oracle calls of a fast-engine run, seen by a wrapper put on
+    `RunContext.invoke` before the run starts (`wrap_first`) or after
+    initialization: those of initialization, then per transition its calls
+    with the values before and after it.  And the run's plan and memo."""
     calls = []
     real = RunContext.invoke
 
@@ -108,12 +110,27 @@ def _step_oracle_calls(monkeypatch, program, inputs, mode, wrap_first):
         monkeypatch.setattr(RunContext, "invoke", counted)
     state = init_critical(program, inputs, oracle_mode=mode)
     monkeypatch.setattr(RunContext, "invoke", counted)
-    seen_at_init = list(calls)
+    seen_at_init, steps = list(calls), []
     calls.clear()
     while (out := step_critical(program, state)).kind == NEXT:
+        steps.append((state.values, out.state.values, list(calls)))
+        calls.clear()
         state = out.state
     monkeypatch.setattr(RunContext, "invoke", real)
-    return seen_at_init, calls, state.ctx.core.memo
+    return seen_at_init, steps, state.ctx.plan, state.ctx.core.memo
+
+
+def _changed_oracle_slots(plan, before, after):
+    """The calls a fast-engine transition from `before` to `after` makes: one
+    per oracle slot, in slot order, whose argument ids changed and are all
+    defined."""
+    return [
+        (sym.name, tuple(after[c].index for c in kids))
+        for kind, sym, kids in plan.slots
+        if kind == SLOT_ORACLE
+        and any(before[c] != after[c] for c in kids)
+        and all(after[c] is not None for c in kids)
+    ]
 
 
 @pytest.mark.parametrize("mode", ["inline", "unit"])
@@ -121,22 +138,26 @@ def test_a_class_level_invoke_wrapper_sees_every_oracle_call(monkeypatch, mode):
     # Every oracle call, nested ones included, goes through the run context's
     # `invoke`, looked up at each call: a wrapper put on before the plan's
     # code is generated and one put on after see the same calls, and each
-    # call the memo holds.
+    # call the memo holds.  An oracle application is recomputed only when an
+    # argument changed, so a transition calls exactly those.
     p = load_corpus("bin_mul")
     inputs = [binary_input(p.vocab, 3), binary_input(p.vocab, 5)]
     monkeypatch.setattr(codegen, "_compiled", {})
-    at_init, first, memo = _step_oracle_calls(monkeypatch, p, inputs, mode, wrap_first=True)
-    _, later, _ = _step_oracle_calls(monkeypatch, p, inputs, mode, wrap_first=False)
-    assert len(first) > 10
-    assert later == first
-    assert set(at_init + first) == {(n, tuple(a.index for a in args)) for n, args in memo}
+    at_init, first, plan, memo = _step_oracle_calls(monkeypatch, p, inputs, mode, wrap_first=True)
+    _, later, _, _ = _step_oracle_calls(monkeypatch, p, inputs, mode, wrap_first=False)
+    assert [calls for _, _, calls in later] == [calls for _, _, calls in first]
+    for before, after, calls in first:
+        assert calls == _changed_oracle_slots(plan, before, after)
+    assert sum(len(calls) for _, _, calls in first) == 7
+    seen = at_init + [call for _, _, calls in first for call in calls]
+    assert set(seen) == {(n, tuple(a.index for a in args)) for n, args in memo}
 
 
 def test_generated_code_refers_to_no_module():
     plans = [build_plan(load_corpus("bin_mul"))]
     plans += plans[0].oracle_plans.values()
     for plan in plans:
-        for fn in (plan.code.run, plan.slots_all, plan.step_critical, plan.step_ref):
+        for fn in (plan.rules, plan.slots_all, plan.step_critical, plan.step_ref):
             assert not any(type(v) is ModuleType for v in fn.__globals__.values())
 
 
@@ -144,7 +165,7 @@ def test_the_cache_keeps_no_plan_alive():
     p = load_corpus("bin_succ")
     state = init_critical(p, [binary_input(p.vocab, 5)])
     plan = weakref.ref(state.ctx.plan)
-    rules = weakref.ref(state.ctx.plan.code.run)
+    rules = weakref.ref(state.ctx.plan.rules)
     for _ in range(3):
         state = step_critical(p, state).state
     del state
@@ -156,7 +177,7 @@ def test_the_cache_keeps_no_plan_alive():
 def test_generated_source_is_registered_with_linecache(name):
     plan = build_plan(load_corpus(name))
     for fn, head in [
-        (plan.code.run, "def rules("),
+        (plan.rules, "def rules("),
         (plan.slots_all, "def slots_all("),
         (plan.step_critical, "def step_critical("),
         (plan.step_ref, "def step_ref("),

@@ -27,7 +27,6 @@ from esmtangle.engine import (
     NEXT,
     OUTPUT,
     UNDEF_OUTPUT,
-    _enabled,
     compare_engines,
     init_critical,
     run,
@@ -233,9 +232,8 @@ def _check_jumping_code(p: Program, inputs=(), steps: int = FUEL):
         for values in [state.values, *_variants(p, pos, state.values, absent)]:
             walked: list = []
             atoms = _tree_walk(p.rules, lambda t: None if t is None else values[pos[t]], walked)
-            before = tangle.meter.ram_ops
-            enabled = _enabled(tangle.meter, plan.code, values)
-            assert tangle.meter.ram_ops - before == atoms
+            enabled, _, _, compares, _, _ = plan.rules(values)
+            assert compares == atoms
             assert [(c.sym, c.arg_slots, c.rhs_slot) for c in enabled] == [
                 (a.head, tuple(map(slot, a.head_args)), slot(a.rhs)) for a in walked
             ]

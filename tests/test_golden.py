@@ -59,7 +59,7 @@ from test_engine_property import _program
 
 from esmtangle.cli import encode_size, input_codec, sweep_sizes
 from esmtangle.cost import emit_report
-from esmtangle.codegen import CAssign
+from esmtangle.codegen import SLOT_DYN, SLOT_ORACLE, CAssign
 from esmtangle.engine import MODE_INLINE, MODE_UNIT, build_plan, run
 from esmtangle.syntax import format_program, parse_program, parse_program_file
 from esmtangle.terms import format_term, parse_term
@@ -149,7 +149,12 @@ def _plan_lines(plan):
             yield f"assign {ins.sym!r} {ins.arg_slots} {ins.rhs_slot} {ins.next}"
         else:
             yield f"test {ins.lhs} {ins.rhs} {ins.then} {ins.orelse}"
-    yield f"dyn {list(plan.dyn_slots.items())} oracle {plan.oracle_slots} z {plan.z_slot}"
+    dyn: dict[str, tuple[int, ...]] = {}
+    for i, s in enumerate(plan.slots):
+        if s.kind == SLOT_DYN:
+            dyn[s.sym.name] = dyn.get(s.sym.name, ()) + (i,)
+    oracle = tuple(i for i, s in enumerate(plan.slots) if s.kind == SLOT_ORACLE)
+    yield f"dyn {list(dyn.items())} oracle {oracle} z {plan.z_slot}"
     yield f"c_program {plan.c_program} init_weight {plan.init_weight}"
     for name, oplan in plan.oracle_plans.items():
         yield f"oracle {name}"

@@ -121,17 +121,6 @@ def test_unit_mode_total_ops_smaller(mul):
     assert ru.cost.total_ops < ri.cost.total_ops
 
 
-def test_memoization_toggle_changes_cost_not_value(mul):
-    inputs = [binary_input(mul.vocab, 3), binary_input(mul.vocab, 2)]
-    memo = run(mul, inputs)
-    nomemo = run(mul, inputs, memoize_oracles=False)
-    assert memo.outcome == nomemo.outcome == OUTPUT
-    assert format_term(memo.output) == format_term(nomemo.output)
-    # Without memoization every step re-runs the oracles it mentions.
-    assert nomemo.steps > memo.steps
-    assert nomemo.cost.total_ops > memo.cost.total_ops
-
-
 def test_nested_fuel_exhaustion_propagates(mul):
     inputs = [binary_input(mul.vocab, 6), binary_input(mul.vocab, 6)]
     r = run(mul, inputs, fuel=20)
