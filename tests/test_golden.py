@@ -25,8 +25,15 @@ which hashes the plan of every bundled program and of PLAN_PROGRAMS random
 programs decoded as the property test decodes them (a fixed seed): critical
 terms, slots, parents, jumping code, dynamic and oracle slots, output slot,
 growth constants and oracle plans.  It prints the digest and exits 1 unless
-it matches data/golden_plans.sha256; `--plans` alone only prints it.  A
-change to the parser checks that it accepts, rejects and reports the same
+it matches data/golden_plans.sha256; `--plans` alone only prints it.  The
+source generated for those plans, their oracle plans' included, as
+registered with `linecache`, is hashed by
+
+    PYTHONPATH=src python tests/test_golden.py --source --check
+
+which exits 1 unless it matches data/golden_source.sha256, so a change
+meant to leave the generated code alone shows that it did; `--source`
+alone only prints it.  A change to the parser checks that it accepts, rejects and reports the same
 texts with
 
     PYTHONPATH=src python tests/test_golden.py --parse --check
@@ -39,7 +46,7 @@ canonical text or as the `type: message` of the error it raises.  It prints
 two digests, of the first PARSE_SAMPLE mutants of each text and of all
 PARSE_MUTANTS, and exits 1 unless they match data/golden_parse.sha256;
 `--parse` alone only prints them, in that file's format.  The suite checks
-the first.  A change to the generated code runs all three checks with
+the first.  A change to the generated code runs all four checks with
 
     PYTHONPATH=src python tests/test_golden.py --check
 
@@ -49,6 +56,7 @@ which prints every digest and exits 1 if any of them differs.
 import hashlib
 import io
 import json
+import linecache
 import random
 import re
 import sys
@@ -69,6 +77,7 @@ GOLDEN_SWEEP = Path(__file__).parent / "data" / "golden_sweep.sha256"
 GOLDEN_SWEEP_REF = Path(__file__).parent / "data" / "golden_sweep_ref.sha256"
 GOLDEN_PLANS = Path(__file__).parent / "data" / "golden_plans.sha256"
 GOLDEN_PARSE = Path(__file__).parent / "data" / "golden_parse.sha256"
+GOLDEN_SOURCE = Path(__file__).parent / "data" / "golden_source.sha256"
 PLAN_PROGRAMS = 3000
 PARSE_MUTANTS = 600
 PARSE_SAMPLE = 60
@@ -161,18 +170,42 @@ def _plan_lines(plan):
         yield from _plan_lines(oplan)
 
 
+def _plans():
+    """The plan of every bundled program, then of PLAN_PROGRAMS random ones."""
+    rng = random.Random(2012)
+    programs = [parse_program_file(path) for path in sorted(PROGRAMS_DIR.glob("*.esm"))]
+    programs += [_program(rng.randbytes(rng.randint(64, 256))) for _ in range(PLAN_PROGRAMS)]
+    return map(build_plan, programs)
+
+
 def plans_digest() -> str:
     """The plan count and one sha256 over the plans, as the line
     data/golden_plans.sha256 holds."""
     h, plans = hashlib.sha256(), 0
-    rng = random.Random(2012)
-    programs = [parse_program_file(path) for path in sorted(PROGRAMS_DIR.glob("*.esm"))]
-    programs += [_program(rng.randbytes(rng.randint(64, 256))) for _ in range(PLAN_PROGRAMS)]
-    for program in programs:
-        for line in _plan_lines(build_plan(program)):
+    for plan in _plans():
+        for line in _plan_lines(plan):
             h.update(line.encode() + b"\n")
         plans += 1
     return f"{plans} plans sha256={h.hexdigest()}"
+
+
+def _generated_sources(plan):
+    """The source generated for a plan, as registered with `linecache`, and
+    then its oracle plans'."""
+    yield "".join(linecache.cache[plan.rules.__code__.co_filename][2])
+    for oplan in plan.oracle_plans.values():
+        yield from _generated_sources(oplan)
+
+
+def source_digest() -> str:
+    """The plan count and one sha256 over the source generated for the plans
+    of `--plans`, as the line data/golden_source.sha256 holds."""
+    h, plans = hashlib.sha256(), 0
+    for plan in _plans():
+        for text in _generated_sources(plan):
+            h.update(text.encode())
+        plans += 1
+    return f"{plans} plans source sha256={h.hexdigest()}"
 
 
 # Tokens as the mutations see them; written out here so that the mutants do
@@ -274,12 +307,20 @@ def _sweep_check(check: bool) -> list[str]:
     return differ
 
 
-def _plans_check(check: bool) -> list[str]:
-    line = plans_digest()
+def _line_check(digest, path: Path, check: bool) -> list[str]:
+    line = digest()
     print(line)
-    if check and line != GOLDEN_PLANS.read_text().strip():
-        return [f"plan digest differs from {GOLDEN_PLANS}"]
+    if check and line != path.read_text().strip():
+        return [f"digest differs from {path}"]
     return []
+
+
+def _plans_check(check: bool) -> list[str]:
+    return _line_check(plans_digest, GOLDEN_PLANS, check)
+
+
+def _source_check(check: bool) -> list[str]:
+    return _line_check(source_digest, GOLDEN_SOURCE, check)
 
 
 def _parse_check(check: bool) -> list[str]:
@@ -291,7 +332,10 @@ def _parse_check(check: bool) -> list[str]:
 
 
 # Each digest kind: print it and, when checking, what differs from its file.
-CHECKS = {"--sweep": _sweep_check, "--plans": _plans_check, "--parse": _parse_check}
+CHECKS = {
+    "--sweep": _sweep_check, "--plans": _plans_check, "--source": _source_check,
+    "--parse": _parse_check,
+}
 
 
 if __name__ == "__main__":
@@ -307,4 +351,5 @@ if __name__ == "__main__":
         sys.exit("\n".join(CHECKS[args[0]](bool(args[1:]))) or None)
     else:
         sys.exit("usage: python tests/test_golden.py "
-                 "--write | --check | --sweep [--check] | --plans [--check] | --parse [--check]")
+                 "--write | --check | --sweep [--check] | --plans [--check] | --source [--check] "
+                 "| --parse [--check]")
