@@ -40,8 +40,7 @@ the engine only runs them:
   invariant-check hook, and the record of the per-step series and the trace
   line.
 
-An intern hit is one probe of the store's index, inline, charged as
-`Tangle.intern` charges it (a read per child and a probe); only a miss calls
+An intern hit is one inline probe of the store's index; only a miss calls
 `intern`, which allocates and charges itself.  So a wrapper put on
 `Tangle.intern` sees the misses only, and since the probe skips `intern`'s
 vocabulary check, the engine checks every symbol a plan interns (`interned`,
@@ -49,15 +48,15 @@ its oracle plans' included) against a given store once, when a run is set
 up.  The generated code reads the store's index and its size counters
 directly.
 
-The functions charge the operations of the cost model (see the README) under
-the one batching rule, which the engine's own routines keep too: a routine
-adds up its operations in locals and puts them on the meter at once, and
-never across an oracle call.  A nested run reads the meter when it records a
-point of the series, and unit cost mode switches the meter off for the call,
-so a charge carried past it would land in the wrong record or be dropped.
-So the slot passes charge what they have summed before every oracle call and
-at the end of each piece, `rules` returns its sums, and a step adds them to
-its own.  The generated code refers to no module: it calls the store's
+The functions charge the records of the cost menu (`cost`), written in by
+one emitter, `_adds`, under the one batching rule, which the engine's own
+routines keep too: a routine adds up its operations in locals and puts them
+on the meter at once, and never across an oracle call.  A nested run reads
+the meter when it records a point of the series, and unit cost mode
+switches the meter off for the call, so a charge carried past it would land
+in the wrong record or be dropped.  So the slot passes charge what they have
+summed before every oracle call and at the end of each piece, `rules`
+returns its sums, and a step adds them to its own.  The generated code refers to no module: it calls the store's
 `intern` and the run context's `invoke` (an oracle call: memo probe, then a
 nested run) and `check_state` through their attributes, looked up at every
 pass, so wrappers put on them later see every call.
@@ -83,7 +82,8 @@ from itertools import count
 from types import CodeType, FunctionType
 from typing import Callable, NamedTuple, Sequence
 
-from .cost import StepCost
+from . import cost
+from .cost import Ops, StepCost
 from .syntax import Assign, CriticalTerms, GAnd, GAtom, GNot, Program, Stmt, critical_terms
 from .tangle import NodeId
 from .terms import KIND_CONSTRUCTOR, KIND_DYNAMIC, KIND_ORACLE, Symbol, Term, compact_size
@@ -349,6 +349,21 @@ def _compile(name: str, functions: list[list[str]]) -> tuple[CodeType, ...]:
     return tuple(codes)
 
 
+def _times(k: int, times: str) -> str:
+    """The source of k times the expression `times`."""
+    return times if k == 1 else f"{k} * ({times})" if " " in times else f"{k} * {times}"
+
+
+def _adds(ops: Ops, times: str = "") -> str:
+    """The one line that adds a menu record (a sum of them, `times` times if
+    given) to the local sums, each named by its category's initial: `p`, `r`,
+    `c` and `w`.  No allocation is summed; `Tangle.intern` charges its own."""
+    return "; ".join(
+        f"{category[0]} += {_times(k, times) if times else k}"
+        for category, k in zip(Ops._fields, ops) if k
+    ) or "pass"
+
+
 def _sure(slots) -> list[bool]:
     """Per slot, whether it is a constructor term, so never undef."""
     sure: list[bool] = []
@@ -450,13 +465,13 @@ def _flow(code, sure, d: int = UNDEF_SLOT, fact: int | tuple[int, ...] = ()):
     return folded, order, guarded, entries
 
 
-def _test_run(code, k: int, end: int, entries, sure) -> tuple[int, int, list[str]]:
+def _test_run(code, k: int, end: int, entries, sure) -> tuple[int, Ops, list[str]]:
     """The run of tests from k that short-circuits as one `or` (or `and`)
     chain, as one block, with the compares it charges whenever it runs (the
     rest it charges itself).  The run grows while the last test falls
     through to the next one on failure (on success), the next one jumps
     where the run does on success (on failure), and nothing else jumps into
-    it.  Each test evaluated charges one compare: the block finds the
+    it.  Each test evaluated charges a guard atom: the block finds the
     position of the first test that holds (fails), which is how many were
     evaluated, and charges them all when there is none.  Values do not
     change while the rules run, so a test that repeats an earlier one of its
@@ -477,7 +492,8 @@ def _test_run(code, k: int, end: int, entries, sure) -> tuple[int, int, list[str
             break
         j += 1
     if op is None:
-        return j, 1, [f"pc = {then} if {_atom(first.lhs, first.rhs, sure)} else {orelse}"]
+        atom = _atom(first.lhs, first.rhs, sure)
+        return j, cost.GUARD_ATOM, [f"pc = {then} if {atom} else {orelse}"]
     neg = "not " if op == "and" else ""
     seen, found = set(), []
     for n, t in enumerate(code[k:j], 1):
@@ -485,47 +501,46 @@ def _test_run(code, k: int, end: int, entries, sure) -> tuple[int, int, list[str
             seen.add(atom)
             found.append(f"{neg}{atom} and {n}")
     exits = (then, orelse) if op == "or" else (orelse, then)
-    return j, 0, [f"k = {' or '.join(found)}", f"c += k or {j - k}",
-                  "pc = {} if k else {}".format(*exits)]
+    return j, Ops(), [f"k = {' or '.join(found)}", _adds(cost.GUARD_ATOM, f"k or {j - k}"),
+                      "pc = {} if k else {}".format(*exits)]
 
 
 def _assign_block(code, k: int, end: int, entries, sure) -> tuple[int, list[str]]:
     """The assignments from k that follow one another with no other way in,
     as one block: they are enabled together and each goes into the update
-    set (strictness: an undef argument names no location).  Each reads its
-    arguments and its value, charged once for the block, and a defined
-    location costs one probe.  Each insert is checked for a clash, and the
-    first clash keeps the update set and the charges as they stood then.
-    Later assignments are still enabled and may still insert, which nothing
-    reads.  The block ends before its jump to the last assignment's
-    successor."""
+    set (strictness: an undef argument names no location).  The reads of
+    each, and the probes of locations sure to be defined, are charged once
+    for the block.  Each insert is checked for a clash, and the first clash
+    keeps the update set and the charges as they stood then.  Later
+    assignments are still enabled and may still insert, which nothing reads.
+    The block ends before its jump to the last assignment's successor."""
     j = k + 1
     while j < end and entries[j] == 1 and type(code[j]) is CAssign and code[j - 1].next == j:
         j += 1
     lines = [f"enabled.append(A{k})" if j == k + 1 else
              f"enabled += ({''.join(f'A{i}, ' for i in range(k, j))})"]
-    reads = probes = 0  # the block's constant charges so far
+    reads = probes = Ops()  # the block's constant charges so far
     for i in range(k, j):
         a = code[i]
         name = repr(a.sym.name)
         value = "None" if a.rhs_slot == UNDEF_SLOT else f"values[{a.rhs_slot}]"
-        reads += len(a.arg_slots) + 1
+        reads += cost.ASSIGN_READ * (len(a.arg_slots) + 1)
         pad, key = "", f"({name}, ())"
         defined = _defined(a.arg_slots, sure, "values")
         if defined:
-            lines += [f"if {defined}:", "    p += 1"]
+            lines += [f"if {defined}:", f"    {_adds(cost.LOCATION_PROBE)}"]
             pad = "    "
         else:
-            probes += 1
+            probes += cost.LOCATION_PROBE
         if a.arg_slots:
             lines.append(f"{pad}key = ({name}, ({''.join(f'values[{s}], ' for s in a.arg_slots)}))")
             key = "key"
         lines += [
             f"{pad}if updates.setdefault({key}, v := {value}) != v and clash is None:",
-            f"{pad}    clash = (ClashInfo(*{key}), p + {probes}, r + {reads}, dict(updates))",
+            f"{pad}    clash = (ClashInfo(*{key}), p + {probes.probe}, r + {reads.read},"
+            " dict(updates))",
         ]
-    lines += [f"r += {reads}"] + ([f"p += {probes}"] if probes else [])
-    return j, lines
+    return j, [*lines, _adds(reads), *([_adds(probes)] if any(probes) else [])]
 
 
 def _branch_pieces(flow, sure) -> tuple[int, list[tuple[int, list[str]]]]:
@@ -539,16 +554,16 @@ def _branch_pieces(flow, sure) -> tuple[int, list[tuple[int, list[str]]]]:
     unguarded, since nothing reads it."""
     code, order, guarded, entries = flow
     n, i = len(code), 0  # order[i] is the next reached instruction
-    charge, pieces, k = 0, [], order[0] if order else n
+    charge, pieces, k = Ops(), [], order[0] if order else n
     while not pieces or k < n:
         end, body = min(n, k + _PIECE), []
         while k < end and len(body) < _PIECE_LINES:
             ins, goto = code[k], None
             if type(ins) is CAssign:
                 j, block = _assign_block(code, k, end, entries, sure)
-                compares, goto = 0, code[j - 1].next
+                compares, goto = Ops(), code[j - 1].next
             elif ins.then == ins.orelse:
-                j, compares, block, goto = k + 1, 1, [], ins.then
+                j, compares, block, goto = k + 1, cost.GUARD_ATOM, [], ins.then
             else:
                 j, compares, block = _test_run(code, k, end, entries, sure)
             while i < len(order) and order[i] < j:
@@ -557,7 +572,7 @@ def _branch_pieces(flow, sure) -> tuple[int, list[tuple[int, list[str]]]]:
             if goto is not None and not (goto == j and (j == n or not guarded[j])):
                 block.append(f"pc = {goto}")
             if guarded[k]:
-                body += [f"if pc == {k}:", *_indent([f"c += {compares}"] if compares else []),
+                body += [f"if pc == {k}:", *_indent([_adds(compares)] if any(compares) else []),
                          *_indent(block)]
             else:
                 charge += compares
@@ -613,7 +628,7 @@ def _rules_source(code, sure) -> list[list[str]]:
     state = "pc, c, r, p, clash"
     out = [entry]
     for cond, (charge, pieces) in branches:
-        lines = [f"c = {charge}"]
+        lines = [f"c = {charge.compare}"]
         if len(pieces) == 1 and len(entry) < _PIECE_LINES:
             lines += pieces[0][1]
         else:
@@ -660,10 +675,9 @@ def _slot_block(i: int, slot: Slot, parents, sure, dirty: bool) -> list[str]:
     """Recompute slot i: its children, the strictness test, then an intern,
     a dynamic read (the update set, else the location map) or an oracle call,
     before which the summed charges are flushed.  An intern hit is one probe
-    of the store's index, charged as `Tangle.intern` charges it, a read per
-    child and a probe; only a miss calls `intern`, which charges itself.
-    With dirty flags, a changed value flags the slot's parents at one read
-    per parent edge and one write per parent newly flagged."""
+    of the store's index; only a miss calls `intern`, which charges itself.
+    With dirty flags, a changed value reads the slot's parent edges and
+    flags its parents."""
     kind, sym, kids = slot
     name = repr(sym.name)
     lines, pad = [], ""
@@ -682,26 +696,26 @@ def _slot_block(i: int, slot: Slot, parents, sure, dirty: bool) -> list[str]:
             f"{pad}if v is None:",
             f"{pad}    v = intern(S{i}, {args})",
             f"{pad}else:",
-            f"{pad}    p += 1" + (f"; r += {len(kids)}" if kids else ""),
+            f"{pad}    {_adds(cost.intern_hit(len(kids)))}",
         ]
     elif kind == SLOT_ORACLE:
         lines += [f"{pad}{_FLUSH}", f"{pad}v = ctx.invoke({name}, {args})"]
     elif dirty and not kids:
         # Only the seed flags it, for an update of its one location.
-        lines += [f"v = updates[({name}, ())]", "p += 1"]
+        lines += [f"v = updates[({name}, ())]", _adds(cost.READ_UPDATES)]
     else:
         lines += [
             f"{pad}key = ({name}, {args})",
             f"{pad}if key in updates:",
             f"{pad}    v = updates[key]",
-            f"{pad}    p += 1",
+            f"{pad}    {_adds(cost.READ_UPDATES)}",
             f"{pad}else:",
             f"{pad}    v = store.get(key)",
-            f"{pad}    p += 2",
+            f"{pad}    {_adds(cost.READ_MAP)}",
         ]
     if not dirty:
         return lines + [f"{pad}new[{i}] = v"]
-    above = parents[i]
+    above, flag = parents[i], _adds(cost.FLAG_WRITE)
     if not above:
         return [f"if dirty[{i}]:", *_indent(lines), f"    new[{i}] = v"]
     return [
@@ -709,8 +723,8 @@ def _slot_block(i: int, slot: Slot, parents, sure, dirty: bool) -> list[str]:
         *_indent(lines),
         f"    if v != new[{i}]:",
         f"        new[{i}] = v",
-        f"        r += {len(above)}",
-        *(f"        if not dirty[{q}]: dirty[{q}] = True; w += 1" for q in above),
+        f"        {_adds(cost.PARENT_READ * len(above))}",
+        *(f"        if not dirty[{q}]: dirty[{q}] = True; {flag}" for q in above),
     ]
 
 
@@ -767,12 +781,12 @@ def _dirty_seed(slots) -> list[str]:
     """The lines that flag, as `dirty`, the slots a fast-engine transition
     recomputes before propagation: the dynamic slots of every updated
     symbol.  Every other slot, an oracle application included, is flagged
-    only by a child whose value changed.  One probe per update-set key in
-    SEED (per dynamic symbol name, its first slot) flags that slot, at one
-    write if it is newly flagged; then each symbol with more slots flags the
-    rest along with its first, as constants.  Before the pass only the seed
-    flags slots, so a first slot flagged means its symbol was updated."""
-    lines = [f"dirty = [False] * {len(slots)}", "p += len(updates)"]
+    only by a child whose value changed.  A probe per update-set key in SEED
+    (per dynamic symbol name, its first slot) flags that slot; then each
+    symbol with more slots flags the rest along with its first, as
+    constants.  Before the pass only the seed flags slots, so a first slot
+    flagged means its symbol was updated."""
+    lines = [f"dirty = [False] * {len(slots)}", _adds(cost.SEED_PROBE, "len(updates)")]
     found = _dyn_slots(slots)
     if found:
         lines += [
@@ -780,14 +794,14 @@ def _dirty_seed(slots) -> list[str]:
             "    i = SEED.get(name)",
             "    if i is not None and not dirty[i]:",
             "        dirty[i] = True",
-            "        w += 1",
+            f"        {_adds(cost.FLAG_WRITE)}",
         ]
     for first, *rest in found.values():
         if rest:
             lines += [
                 f"if dirty[{first}]:",
                 f"    {''.join(f'dirty[{i}] = ' for i in rest)}True",
-                f"    w += {len(rest)}",
+                f"    {_adds(cost.FLAG_WRITE * len(rest))}",
             ]
     return lines
 
@@ -796,14 +810,16 @@ def _step_source(slots, parents, reference: bool) -> list[list[str]]:
     """`step_critical(state)` or `step_ref(state)`: one transition of an
     engine, returning its `StepOutcome`.  It runs the rules; a transition
     that commits charges its fuel, writes the update set into the location
-    map at one write per entry (into a copy for the reference engine, in
-    place for the fast engine) and recomputes: every slot for the reference
-    engine, the dirty slots for the fast engine, whose pass is inline.  Then
+    map (into a copy for the reference engine, in place for the fast
+    engine) and recomputes: every slot for the reference engine, the dirty
+    slots for the fast engine, whose pass is inline.  Then
     come the invariant check (unmetered, off unless asked for) and, for a
     step that lands in the per-step series, its record and trace line.  The
     rules' charges, the update-set writes, the seed's and the inline pass's
     are summed and charged at once, before an oracle call or at the end."""
     name = "step_ref" if reference else "step_critical"
+    entries = _times(cost.UPDATE_ENTRY.write, "len(updates)")
+    written = _times((cost.UPDATE_ENTRY + cost.MAP_WRITE).write, "len(updates)")
     lines = [
         "ctx = state.ctx",
         "enabled, updates, clash, c, p, r = rules(state.values)",
@@ -811,10 +827,10 @@ def _step_source(slots, parents, reference: bool) -> list[list[str]]:
         "tangle = core.tangle",
         "meter = tangle.meter",
         "if not enabled:",
-        "    meter.charge_compare(c)",
+        "    meter.charge(compare=c)",
         f"    return StepOutcome({TERMINAL!r})",
         "if clash is not None:",
-        "    meter.charge(probe=p, read=r, compare=c, write=len(updates))",
+        f"    meter.charge(probe=p, read=r, compare=c, write={entries})",
         f"    return StepOutcome({CLASH!r}, None, clash)",
         "core.fuel_left -= 1  # the transition commits: charge it before its oracle calls",
         "store = dict(state.store)" if reference else "store = state.store",
@@ -823,7 +839,7 @@ def _step_source(slots, parents, reference: bool) -> list[list[str]]:
         "    for key, v in updates.items():",
         "        if v is None:",
         "            del store[key]",
-        "w = 2 * len(updates)  # each entry is written into the set and into the map",
+        f"w = {written}  # each entry is written into the set and into the map",
     ]
     out = []
     if reference:

@@ -1,8 +1,9 @@
 """RAM-operation metering and verification of the engine's complexity bounds.
 
-The abstract cost menu is declared once and used everywhere: one operation per
-lookup-structure probe, per vertex allocation, per child-id read, per id
-comparison, and per table write.  A run's word size is the bit width that
+The cost model charges one operation per lookup-structure probe, per vertex
+allocation, per child-id read, per id comparison, and per table write; the
+menu below declares once, as an `Ops` record, what each metered event
+charges, and every charge reads it.  A run's word size is the bit width that
 addresses every vertex of its store at its end; the store only grows, so no
 id it used is wider.  Hash probes are counted as one operation each (their
 expected cost); pathological chaining would show up as wall-clock skew, not
@@ -16,15 +17,60 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from typing import NamedTuple
 
-PROBE = "probe"
-ALLOC = "alloc"
-READ = "read"
-COMPARE = "compare"
-WRITE = "write"
 
-CATEGORIES = (PROBE, ALLOC, READ, COMPARE, WRITE)
+class Ops(NamedTuple):
+    """A charge: operations per category.  Records add, and scale by an int."""
+
+    probe: int = 0
+    alloc: int = 0
+    read: int = 0
+    compare: int = 0
+    write: int = 0
+
+    def __add__(self, other: Ops) -> Ops:
+        return Ops(*(a + b for a, b in zip(self, other)))
+
+    def __mul__(self, k: int) -> Ops:
+        return Ops(*(x * k for x in self))
+
+
+CATEGORIES = Ops._fields
+
+# --- The menu: what each metered event charges --------------------------------
+# The per-arity entries are cached, so a charge builds no record.
+
+
+@cache
+def intern_hit(arity: int) -> Ops:
+    """An intern that finds its vertex: a probe and a read per child."""
+    return Ops(probe=1, read=arity)
+
+
+@cache
+def intern_miss(arity: int) -> Ops:
+    """An intern that allocates: a hit's, an allocation and 1 + arity writes."""
+    return Ops(probe=1, alloc=1, read=arity, write=1 + arity)
+
+
+IMPORT_VISIT = Ops(probe=1)  # `import_term`'s memo probe per subterm visited
+ID_COMPARE = Ops(compare=1)  # `Tangle.node_eq`
+GUARD_ATOM = Ops(compare=1)  # a guard atom evaluated
+ASSIGN_READ = Ops(read=1)  # an enabled assignment reads each argument and its value
+LOCATION_PROBE = Ops(probe=1)  # an assignment's defined location, into the update set
+UPDATE_ENTRY = Ops(write=1)  # an update-set entry
+MAP_WRITE = Ops(write=1)  # an update-set entry written into the location map
+READ_UPDATES = Ops(probe=1)  # a dynamic read answered by the update set
+READ_MAP = Ops(probe=2)  # a dynamic read the update set misses: it and the map
+MEMO_PROBE = Ops(probe=1)  # an oracle application's memo probe
+UNIT_CALL = Ops(read=1)  # an oracle call in unit cost mode
+SEED_PROBE = Ops(probe=1)  # the dirty seed's probe per update-set key
+FLAG_WRITE = Ops(write=1)  # a slot newly flagged dirty
+PARENT_READ = Ops(read=1)  # a parent edge read when a slot's value changes
+INPUT_WRITE = Ops(write=1)  # an input bound into the location map
+INIT_LOCATION = Ops(probe=1, write=1)  # an init-block location: probe and write
 
 
 class CostMeter:
@@ -34,44 +80,22 @@ class CostMeter:
     metered code computes.
     """
 
-    __slots__ = ("enabled", "probe", "alloc", "read", "compare", "write")
+    __slots__ = ("enabled", *CATEGORIES)
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
-        self.probe = 0
-        self.alloc = 0
-        self.read = 0
-        self.compare = 0
-        self.write = 0
+        self.probe = self.alloc = self.read = self.compare = self.write = 0
 
     @property
     def ram_ops(self) -> int:
         return self.probe + self.alloc + self.read + self.compare + self.write
 
-    def charge_probe(self, k: int = 1):
-        if self.enabled:
-            self.probe += k
-
-    def charge_alloc(self, k: int = 1):
-        if self.enabled:
-            self.alloc += k
-
-    def charge_read(self, k: int = 1):
-        if self.enabled:
-            self.read += k
-
-    def charge_compare(self, k: int = 1):
-        if self.enabled:
-            self.compare += k
-
-    def charge_write(self, k: int = 1):
-        if self.enabled:
-            self.write += k
-
-    def charge(self, probe: int = 0, read: int = 0, compare: int = 0, write: int = 0):
-        """Charge a routine's summed operations at once."""
+    def charge(self, probe: int = 0, alloc: int = 0, read: int = 0, compare: int = 0,
+               write: int = 0):
+        """Charge operations, a menu record's as `charge(*ops)`."""
         if self.enabled:
             self.probe += probe
+            self.alloc += alloc
             self.read += read
             self.compare += compare
             self.write += write

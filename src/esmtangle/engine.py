@@ -8,12 +8,12 @@ tracked terms as slots, the rules as jumping code, and the functions
 generated from them, `rules`, `slots_all` for the pass that computes every
 slot, and `step_critical` and `step_ref`, one transition of each engine.  A
 transition runs the rules, which collect the assignments they pass into an
-update set, writes the update set into the location map at one write per
-entry, and recomputes tracked values in order: constructor applications
-intern, oracle applications call, and a dynamic read probes the update set
-and, on a miss, the location map.  Strictness makes a term with an undef
-argument undef.  An intern hit is one inline probe of the store's index, and
-only a miss calls `Tangle.intern`, so a wrapper on it sees the misses only.
+update set, writes the update set into the location map, and recomputes
+tracked values in order: constructor applications intern, oracle
+applications call, and a dynamic read probes the update set and, on a miss,
+the location map.  Strictness makes a term with an undef argument undef.  An
+intern hit is one inline probe of the store's index, and only a miss calls
+`Tangle.intern`, so a wrapper on it sees the misses only.
 
 The engines differ only in how a transition treats its state.  The reference
 engine writes into a copy of the map and recomputes every tracked term, so
@@ -51,14 +51,14 @@ report only their own work.
 Oracle symbols are realized by nested runs of their body programs over the
 same store and meter, through one call path: the generated slot passes call
 `RunContext.invoke`.  In "unit" cost mode the meter and the per-step series
-are paused for the nested run and the call charges one operation, so its
+are paused for the nested run and the call is charged as a unit call, so its
 inner transitions are left out of the reported step count and the trace; in
 "inline" mode the nested run's full metered cost and transitions are charged.
 Every result is kept in the run's memo per (oracle, argument ids), so an
 oracle application is a function of its children's values, as a constructor
-application is; memo hits charge one operation in both modes.  Charges are
-batched by the one rule `codegen` states: summed in locals, charged at once,
-never across an oracle call.
+application is; its memo probe is charged in both modes.  Every charge is
+an entry of the menu in `cost`, batched by the one rule `codegen` states:
+summed in locals, charged at once, never across an oracle call.
 """
 
 from __future__ import annotations
@@ -78,6 +78,7 @@ from .codegen import (
     StepOutcome,
     build_plan,
 )
+from . import cost
 from .cost import CostMeter, CostReport, StepCost, word_bits
 from .syntax import OracleDef, Program
 from .tangle import NodeId, Tangle, new_tangle
@@ -170,7 +171,7 @@ class RunContext:
         The generated slot passes make every oracle call through this."""
         core = self.core
         key = (name, argids)
-        core.tangle.meter.charge_probe()
+        core.tangle.meter.charge(*cost.MEMO_PROBE)
         if key not in core.memo:
             oracle = RunContext(core, self.plan.oracle_plans[name], self.engine)
             core.memo[key] = _call_oracle(oracle, argids)
@@ -216,8 +217,8 @@ def _call_oracle(ctx: RunContext, argids: tuple[NodeId, ...]) -> NodeId | None:
 
     Inline mode meters, records and traces the nested run like the host's own
     steps.  Unit mode pauses the run's meter and its per-step series for the
-    nested run and charges the call as one read; the vertices the nested run
-    adds still count toward the run's word size, that of its store at its end.
+    nested run and charges the call as a unit call; the vertices the nested
+    run adds still count toward the run's word size, its store's at its end.
     """
     core = ctx.core
     if core.mode != MODE_UNIT:
@@ -229,7 +230,7 @@ def _call_oracle(ctx: RunContext, argids: tuple[NodeId, ...]) -> NodeId | None:
         value = _run_nested(ctx, argids)
     finally:
         meter.enabled, core.record = saved
-    meter.charge_read()  # the single charged operation for the call
+    meter.charge(*cost.UNIT_CALL)
     return value
 
 
@@ -316,13 +317,12 @@ def _init_state(
         input_ids = [tangle.import_term(t) for t in input_terms]
     for sym, nid in zip(program.inputs, input_ids):
         store[(sym.name, ())] = nid
-        meter.charge_write()
+        meter.charge(*cost.INPUT_WRITE)
     for a in program.init:
         argids = tuple(tangle.import_term(t) for t in a.head_args)
         assert a.rhs is not None  # validated: init values are constructor terms
         store[(a.head.name, argids)] = tangle.import_term(a.rhs)
-        meter.charge_probe()
-        meter.charge_write()
+        meter.charge(*cost.INIT_LOCATION)
 
     values = ctx.plan.slots_all(ctx, {}, store)
     if core.check:
@@ -378,9 +378,9 @@ def _states(ctx: RunContext, state: EngineState):
     while True:
         yield state
         if core.fuel_left <= 0:
-            # Only the guards' compares are charged: one per atom evaluated.
+            # Only the guard atoms evaluated are charged.
             enabled, _, _, compares, _, _ = plan.rules(state.values)
-            core.tangle.meter.charge_compare(compares)
+            core.tangle.meter.charge(*cost.GUARD_ATOM * compares)
             if enabled:
                 raise _Halt(FUEL_EXHAUSTED)
             return
@@ -433,6 +433,8 @@ def run(
         state = _drive(ctx, state)
     except _Halt as stop:
         halt = stop
+        if not core.series:  # a unit-mode oracle call halted initialization
+            core.record_point()
 
     # Fold trailing guard-probe ops (terminal detection) into the last record
     # so that total_ops is exactly the sum of the per-step series.  init_ops
@@ -477,7 +479,8 @@ def invoke_oracle(
 
     Returns the result id (None for undef) and the RAM operations the call
     charged to the store's meter: the nested run's full cost in inline mode,
-    exactly one in unit mode, none when that meter is disabled.
+    exactly one in unit mode, none when that meter is disabled.  A body that
+    clashes or runs out of fuel raises RuntimeError.
     """
     if len(args) != odef.symbol.arity:
         raise ValueError(
@@ -491,7 +494,10 @@ def invoke_oracle(
     tangle.check_vocabulary(plan.interned)
     core = _RunCore(tangle=tangle, mode=mode, fuel_left=10**6, record=False)
     before = tangle.meter.ram_ops
-    value = _call_oracle(RunContext(core, plan, "critical"), args)
+    try:
+        value = _call_oracle(RunContext(core, plan, "critical"), args)
+    except _Halt as halt:
+        raise RuntimeError(f"oracle {odef.symbol.name} halted: {halt}") from None
     return value, tangle.meter.ram_ops - before
 
 

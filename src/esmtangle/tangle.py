@@ -20,6 +20,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
+from . import cost
 from .cost import CostMeter, word_bits
 from .terms import Symbol, Term, Vocabulary
 
@@ -111,9 +112,6 @@ class Tangle:
             if c.store != tag or not 0 < c.index < size:
                 self._own(c, "child id")
                 raise TangleError("undef cannot be a child; callers handle strictness")
-        meter = self.meter
-        meter.charge_read(len(children))
-        meter.charge_probe()
         key = (name, children)
         nid = self._index.get(key)
         if nid is None:
@@ -121,8 +119,9 @@ class Tangle:
             nodes.append(Node(known, children))
             self._edges += len(children)
             self._index[key] = nid
-            meter.charge_alloc()
-            meter.charge_write(1 + len(children))
+            self.meter.charge(*cost.intern_miss(len(children)))
+        else:
+            self.meter.charge(*cost.intern_hit(len(children)))
         return nid
 
     def check_vocabulary(self, symbols: Iterable[Symbol]):
@@ -138,17 +137,17 @@ class Tangle:
         """Term equality in exactly one comparison, thanks to maximal sharing."""
         self._own(a)
         self._own(b)
-        self.meter.charge_compare()
+        self.meter.charge(*cost.ID_COMPARE)
         return a.index == b.index
 
     def import_term(self, t: Term) -> NodeId:
         """Build (or find) the vertex representing t; cost is affine in ||t||."""
-        meter = self.meter
         memo: dict[Term, NodeId] = {}
         stack: list[Term] = [t]
+        visits = 0
         while stack:
             cur = stack[-1]
-            meter.charge_probe()
+            visits += 1
             if cur in memo:
                 stack.pop()
                 continue
@@ -158,6 +157,7 @@ class Tangle:
                 continue
             stack.pop()
             memo[cur] = self.intern(cur.head, tuple(memo[a] for a in cur.args))
+        self.meter.charge(*cost.IMPORT_VISIT * visits)
         return memo[t]
 
     def extract_term(self, nid: NodeId) -> Term:

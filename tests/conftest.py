@@ -62,3 +62,29 @@ def binary_input(vocab: Vocabulary, n: int) -> Term:
 @pytest.fixture(scope="session")
 def corpus():
     return {name: load_corpus(name) for name in CORPUS}
+
+
+# An oracle body whose rules clash on `z`, and a host whose initialization
+# calls it: a two-file program that halts during initialization.
+CLASHING_BODY = """
+vocab { constructors { c/0; d/0 } dynamic { a/0; z/0 } }
+inputs { a }
+output { z }
+rules { z := c z := d }
+"""
+
+CLASHING_HOST = """
+vocab { constructors { c/0; d/0 } dynamic { z/0 } }
+inputs { }
+output { z }
+oracles { f/1 = "body.esm"; }
+rules { z := f(c) }
+"""
+
+
+def write_clashing_host(directory: Path) -> Path:
+    """Write the clashing two-file program into `directory`; the host's path."""
+    (directory / "body.esm").write_text(CLASHING_BODY)
+    host = directory / "host.esm"
+    host.write_text(CLASHING_HOST)
+    return host

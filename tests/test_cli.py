@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import corpus_path
+from conftest import corpus_path, write_clashing_host
 
 from esmtangle.cli import main
 
@@ -158,6 +158,23 @@ def test_run_fuel_exit_code(capsys):
     code, _, err = invoke(capsys, "run", "bin_succ", "--input", "x=9", "--nat", "--fuel", "5")
     assert code == 3
     assert "fuel exhausted" in err
+
+
+@pytest.mark.parametrize("argv, exit_code, message", [
+    ("run bin_mul --input x=5 --input y=6 --nat --fuel 10 --oracle-cost unit", 3,
+     "fuel exhausted"),
+    ("run {host} --oracle-cost unit", 2, "clash at location z()"),
+])
+def test_run_halting_in_a_unit_mode_oracle_during_init(tmp_path, capsys, argv, exit_code,
+                                                        message):
+    # Unit mode pauses the series for the oracle call, so the halt comes
+    # before any point of it; the run still reports its baseline record.
+    host = write_clashing_host(tmp_path)
+    code, out, err = invoke(capsys, *argv.format(host=host).split())
+    assert code == exit_code
+    assert "Traceback" not in err
+    assert err.splitlines() == [message]
+    assert "steps: 0" in out and "tangle: vertices=" in out
 
 
 def test_run_report_json(tmp_path, capsys):

@@ -6,12 +6,14 @@ import random
 
 import pytest
 
-from conftest import binary_input, load_corpus
+from conftest import binary_input, load_corpus, write_clashing_host
 
+from esmtangle import codegen, cost
 from esmtangle.cost import (
     DEFAULT_BOUNDS,
     CostMeter,
     CostReport,
+    Ops,
     StepCost,
     Verdict,
     check_growth,
@@ -21,7 +23,10 @@ from esmtangle.cost import (
     fit_affine,
     run_all_checks,
 )
-from esmtangle.engine import run
+from esmtangle.engine import CLASH, FUEL_EXHAUSTED, compare_engines, run
+from esmtangle.syntax import parse_program_file
+from esmtangle.tangle import new_tangle
+from esmtangle.terms import parse_term
 
 
 def synthetic_report(deltas, ops=None, n=1, c_program=3):
@@ -45,11 +50,8 @@ def synthetic_report(deltas, ops=None, n=1, c_program=3):
 
 def test_meter_categories_sum():
     m = CostMeter()
-    m.charge_probe(2)
-    m.charge_alloc()
-    m.charge_read(3)
-    m.charge_compare()
-    m.charge_write(2)
+    m.charge(probe=2, alloc=1, read=3)
+    m.charge(compare=1, write=2)
     assert m.ram_ops == 9
     assert sum(m.categories().values()) == m.ram_ops
 
@@ -69,7 +71,7 @@ def test_a_reused_meter_reports_each_run_its_own_word_size():
 
 def test_meter_disabled_charges_nothing():
     m = CostMeter(enabled=False)
-    m.charge_probe(5)
+    m.charge(probe=5)
     assert m.ram_ops == 0
 
 
@@ -227,6 +229,66 @@ def test_inline_oracle_init_ops_is_series_prefix():
         prefixes.add(prefix)
     assert r.cost.init_ops in prefixes
     assert r.cost.total_ops == prefix
+
+
+@pytest.mark.parametrize("engine", ["critical", "reference"])
+@pytest.mark.parametrize("mode", ["unit", "inline"])
+def test_a_halt_during_initialization_keeps_the_series_additive(tmp_path, engine, mode):
+    # An oracle call of the initialization halts the run: bin_mul runs out
+    # of fuel inside `dec`, and the host's oracle body clashes.
+    mul = load_corpus("bin_mul")
+    host = parse_program_file(write_clashing_host(tmp_path))
+    for program, inputs, fuel, outcome in [
+        (mul, [binary_input(mul.vocab, 5), binary_input(mul.vocab, 6)], 10, FUEL_EXHAUSTED),
+        (host, [], 10**6, CLASH),
+    ]:
+        r = run(program, inputs, fuel=fuel, engine=engine, oracle_mode=mode)
+        assert r.outcome == outcome
+        assert r.cost.per_step and r.cost.per_step[0].i == 0
+        assert r.cost.check_additivity()
+        assert r.cost.total_ops > 0
+
+
+class _CountingIndex(dict):
+    """A store's intern index that counts the probes that find a vertex."""
+
+    hits = 0
+
+    def get(self, key, default=None):
+        found = super().get(key, default)
+        self.hits += found is not None
+        return found
+
+
+def _hits_and_ops(program, inputs, engine):
+    g = new_tangle(program.vocab)
+    g._index = _CountingIndex()
+    run(program, inputs, engine=engine, tangle=g)
+    return g._index.hits, g.meter.categories()
+
+
+def test_the_menu_is_the_one_source(monkeypatch):
+    # Every intern hit, of the generated code and of `Tangle.intern`, is
+    # charged as `cost.intern_hit` says, so changing that one entry changes
+    # what each of them charges.
+    p = load_corpus("bin_succ")
+    inputs = [binary_input(p.vocab, 6)]
+    monkeypatch.setattr(codegen, "_compiled", {})
+    before = {e: _hits_and_ops(p, inputs, e) for e in ("critical", "reference")}
+    monkeypatch.setattr(codegen, "_compiled", {})
+    monkeypatch.setattr(cost, "intern_hit", lambda arity: Ops(probe=1, read=arity + 1))
+    for engine, (hits, ops) in before.items():
+        again, patched = _hits_and_ops(p, inputs, engine)
+        assert again == hits > 0
+        assert patched == {**ops, "read": ops["read"] + hits}
+    assert compare_engines(p, inputs).equivalent
+    g = new_tangle(p.vocab)
+    eps = g.import_term(parse_term("eps", p.vocab))
+    d1 = p.vocab.get("d1")
+    g.intern(d1, (eps,))
+    ops = g.meter.categories()
+    g.intern(d1, (eps,))
+    assert g.meter.categories() == {**ops, "probe": ops["probe"] + 1, "read": ops["read"] + 2}
 
 
 def test_run_all_checks_on_real_runs():

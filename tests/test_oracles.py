@@ -4,13 +4,15 @@ from pathlib import Path
 
 import pytest
 
-from conftest import binary_input, corpus_path, load_corpus, unary_term, unary_value
+from conftest import (
+    binary_input, corpus_path, load_corpus, unary_term, unary_value, write_clashing_host,
+)
 
 from esmtangle.cost import CostMeter
 from esmtangle.engine import CLASH, FUEL_EXHAUSTED, OUTPUT, invoke_oracle, run
 from esmtangle.syntax import parse_program, parse_program_file
 from esmtangle.tangle import new_tangle
-from esmtangle.terms import decode_nat_binary, format_term
+from esmtangle.terms import decode_nat_binary, format_term, parse_term
 
 DATA = Path(__file__).parent / "data"
 
@@ -45,6 +47,15 @@ def test_inline_cost_grows_with_input(mul, addu):
         charges.append(charged)
     assert charges == sorted(charges)
     assert charges[-1] > charges[0] * 2
+
+
+def test_invoke_oracle_raises_when_the_body_halts(tmp_path):
+    host = parse_program_file(write_clashing_host(tmp_path))
+    g = new_tangle(host.vocab)
+    c = g.import_term(parse_term("c", host.vocab))
+    for mode in ("unit", "inline"):
+        with pytest.raises(RuntimeError, match=r"^oracle f halted: clash z\(\)$"):
+            invoke_oracle(host.oracle("f"), [c], g, mode=mode)
 
 
 def test_modes_agree_on_value(mul, addu):
