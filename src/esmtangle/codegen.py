@@ -5,9 +5,10 @@ critical terms (`syntax.critical_terms`) as `Slot`s, compiles the rules into
 jumping code, a tuple of `Test` atoms (an id comparison that jumps to one of
 two targets) and `CAssign` assignments (each naming its successor), builds
 the oracles' plans, and takes its growth constants from the terms' compact
-sizes.  `generate` turns the code and the slots into four functions, so a
-transition runs straight-line code instead of interpreting the plan's data;
-the engine only runs them:
+sizes.  `generate` turns the code and the slots into the three functions
+that depend on the program, so a transition runs straight-line code instead
+of interpreting the plan's data.  The transition itself, the same for every
+program, is the engine's (`engine._transition`), which calls them:
 
 * `rules(values)` runs the jumping code and returns the enabled assignments,
   the update set (or the first clash) and the compares, probes and reads it
@@ -31,22 +32,18 @@ the engine only runs them:
   the reference engine).  Each slot is an unrolled block: its children, the
   strictness test, then an intern, a dynamic read or an oracle call, then,
   in the fast engine's pass, the flagging of its parents.
-* `step_critical(state)` and `step_ref(state)` are one transition of each
-  engine, start to end: the rules, the fuel commit, the update-set write
-  into the location map, the fast engine's dirty seed (the slots of each
-  updated symbol, written in as constants) and dirty pass (inline: a slot,
-  an oracle application too, is recomputed when it is seeded or a child's
-  value changed), or the reference engine's call of `slots_all`, the
-  invariant-check hook, and the record of the per-step series and the trace
-  line.
+* `slots_dirty(ctx, values, updates, store, p, r, c, w)` is the fast
+  engine's pass: the dirty seed (the slots of each updated symbol, written
+  in as constants), then the dirty slots recomputed (a slot, an oracle
+  application too, is recomputed when it is seeded or a child's value
+  changed).
 
 An intern hit is one inline probe of the store's index; only a miss calls
 `intern`, which allocates and charges itself.  So a wrapper put on
 `Tangle.intern` sees the misses only, and since the probe skips `intern`'s
 vocabulary check, the engine checks every symbol a plan interns (`interned`,
 its oracle plans' included) against a given store once, when a run is set
-up.  The generated code reads the store's index and its size counters
-directly.
+up.  The generated code reads the store's index directly.
 
 The functions charge the records of the cost menu (`cost`), written in by
 one emitter, `_adds`, under the one batching rule, which the engine's own
@@ -56,10 +53,11 @@ the meter when it records a point of the series, and unit cost mode
 switches the meter off for the call, so a charge carried past it would land
 in the wrong record or be dropped.  So the slot passes charge what they have
 summed before every oracle call and at the end of each piece, `rules`
-returns its sums, and a step adds them to its own.  The generated code refers to no module: it calls the store's
-`intern` and the run context's `invoke` (an oracle call: memo probe, then a
-nested run) and `check_state` through their attributes, looked up at every
-pass, so wrappers put on them later see every call.
+returns its sums, and the dirty pass starts from the step's.  The generated
+code refers to no module and reads the run's state only as `ctx.core.tangle`:
+it calls the store's `intern` and the run context's `invoke` (an oracle
+call: memo probe, then a nested run) through their attributes, looked up at
+every pass, so wrappers put on them later see every call.
 
 The code objects are cached by plan structure, the (jumping code, slots,
 parents) tuples, so a plan of a structure seen before compiles nothing.  Each
@@ -83,7 +81,7 @@ from types import CodeType, FunctionType
 from typing import Callable, NamedTuple, Sequence
 
 from . import cost
-from .cost import Ops, StepCost
+from .cost import Ops
 from .syntax import Assign, CriticalTerms, GAnd, GAtom, GNot, Program, Stmt, critical_terms
 from .tangle import NodeId
 from .terms import KIND_CONSTRUCTOR, KIND_DYNAMIC, KIND_ORACLE, Symbol, Term, compact_size
@@ -93,12 +91,6 @@ UNDEF_SLOT = -1
 SLOT_CONS = 0
 SLOT_DYN = 1
 SLOT_ORACLE = 2
-
-# Step outcome kinds.
-NEXT = "next"
-TERMINAL = "terminal"
-CLASH = "clash"
-
 
 class Slot(NamedTuple):
     kind: int
@@ -131,25 +123,6 @@ class ClashInfo:
 
 
 @dataclass
-class EngineState:
-    """One value (node id, or None for undef) per tracked term, and the finite
-    location map they were read from.  A reference-engine step copies the map;
-    a fast-engine step updates it in place, so a fast-engine state can be
-    stepped only once."""
-
-    ctx: RunContext  # engine.RunContext, which this module does not import
-    values: list[NodeId | None]
-    store: dict[tuple[str, tuple[NodeId, ...]], NodeId]
-    step_index: int = 0
-
-
-class StepOutcome(NamedTuple):
-    kind: str  # NEXT | TERMINAL | CLASH
-    state: EngineState | None = None
-    clash: ClashInfo | None = None
-
-
-@dataclass
 class ExecPlan:
     """A program compiled against its ordered tracked-term list."""
 
@@ -164,11 +137,10 @@ class ExecPlan:
     init_weight: int  # growth headroom of this plan's own initialization
     interned: tuple[Symbol, ...]  # the constructors it and its oracle plans intern
     # The generated functions: the rules, the slot pass that computes every
-    # slot, and one transition of each engine.
+    # slot, and the fast engine's seed and dirty pass.
     rules: Callable = field(repr=False, compare=False)
     slots_all: Callable = field(repr=False, compare=False)
-    step_critical: Callable = field(repr=False, compare=False)
-    step_ref: Callable = field(repr=False, compare=False)
+    slots_dirty: Callable = field(repr=False, compare=False)
 
 
 # --- The plan ------------------------------------------------------------------
@@ -279,8 +251,7 @@ def build_plan(program: Program) -> ExecPlan:
         interned=tuple(interned),
         rules=fns["rules"],
         slots_all=fns["slots_all"],
-        step_critical=fns["step_critical"],
-        step_ref=fns["step_ref"],
+        slots_dirty=fns["slots_dirty"],
     )
 
 
@@ -304,11 +275,11 @@ _file_serial = count(2)  # tells apart two structures generated for one name
 
 
 def generate(name: str, code, slots, parents) -> dict[str, Callable]:
-    """The functions generated for a plan, by name, bound to the classes they
-    make and to the plan's constants: its assignments as `A<index>`, the
-    symbols of its constructor slots as `S<index>` and, as SEED, the first
-    slot of each dynamic symbol.  Code objects come from the cache when a
-    plan of the same structure was generated before."""
+    """The functions generated for a plan, by name, bound to the one class
+    they make, `ClashInfo`, and to the plan's constants: its assignments as
+    `A<index>`, the symbols of its constructor slots as `S<index>` and, as
+    SEED, the first slot of each dynamic symbol.  Code objects come from the
+    cache when a plan of the same structure was generated before."""
     key = (code, slots, parents)
     codes = _compiled.get(key)
     if codes is None:
@@ -317,13 +288,9 @@ def generate(name: str, code, slots, parents) -> dict[str, Callable]:
         codes = _compiled[key] = _compile(name, [
             *_rules_source(code, _sure(slots)),
             *_slots_all_source(slots, parents),
-            *_step_source(slots, parents, reference=True),
-            *_step_source(slots, parents, reference=False),
+            *_slots_dirty_source(slots, parents),
         ])
-    # `new_tuple` makes the steps' named tuples without their Python-level
-    # `__new__`, which would cost a call each.
-    ns = {"ClashInfo": ClashInfo, "EngineState": EngineState, "StepOutcome": StepOutcome,
-          "StepCost": StepCost, "new_tuple": tuple.__new__}
+    ns = {"ClashInfo": ClashInfo}
     ns["SEED"] = {name: found[0] for name, found in _dyn_slots(slots).items()}
     ns.update((f"A{k}", ins) for k, ins in enumerate(code) if type(ins) is CAssign)
     ns.update((f"S{i}", s.sym) for i, s in enumerate(slots) if s.kind == SLOT_CONS)
@@ -652,18 +619,16 @@ def _rules_source(code, sure) -> list[list[str]]:
 
 
 # A pass puts the charges it sums on the meter at its end, and before every
-# oracle call, after which it sums from zero again (a flush).  A step's
-# inline pass carries on the step's sums, compares included.
+# oracle call, after which it sums from zero again (a flush).  The dirty pass
+# carries on the step's sums, compares included.
 _CHARGE = "meter.charge(probe=p, read=r, compare=c, write=w)"
 _FLUSH = _CHARGE + "; p = r = c = w = 0"
-# The step's last charge and its record point run once per transition, so
-# they spell out `CostMeter.charge` and `CostMeter.ram_ops` on the meter's
-# counters instead of calling them.
+# The dirty pass's last charge runs once per transition, so it spells out
+# `CostMeter.charge` on the meter's counters instead of calling it.
 _STEP_CHARGE = [
     "if meter.enabled:",
     "    meter.probe += p; meter.read += r; meter.compare += c; meter.write += w",
 ]
-_RAM_OPS = "meter.probe + meter.alloc + meter.read + meter.compare + meter.write"
 # What a slot pass reads from the store besides its meter: `intern`, looked
 # up at each pass so that a wrapper put on later sees every miss, and the
 # index an intern hit is probed in.
@@ -806,65 +771,20 @@ def _dirty_seed(slots) -> list[str]:
     return lines
 
 
-def _step_source(slots, parents, reference: bool) -> list[list[str]]:
-    """`step_critical(state)` or `step_ref(state)`: one transition of an
-    engine, returning its `StepOutcome`.  It runs the rules; a transition
-    that commits charges its fuel, writes the update set into the location
-    map (into a copy for the reference engine, in place for the fast
-    engine) and recomputes: every slot for the reference engine, the dirty
-    slots for the fast engine, whose pass is inline.  Then
-    come the invariant check (unmetered, off unless asked for) and, for a
-    step that lands in the per-step series, its record and trace line.  The
-    rules' charges, the update-set writes, the seed's and the inline pass's
-    are summed and charged at once, before an oracle call or at the end."""
-    name = "step_ref" if reference else "step_critical"
-    entries = _times(cost.UPDATE_ENTRY.write, "len(updates)")
-    written = _times((cost.UPDATE_ENTRY + cost.MAP_WRITE).write, "len(updates)")
-    lines = [
-        "ctx = state.ctx",
-        "enabled, updates, clash, c, p, r = rules(state.values)",
-        "core = ctx.core",
-        "tangle = core.tangle",
-        "meter = tangle.meter",
-        "if not enabled:",
-        "    meter.charge(compare=c)",
-        f"    return StepOutcome({TERMINAL!r})",
-        "if clash is not None:",
-        f"    meter.charge(probe=p, read=r, compare=c, write={entries})",
-        f"    return StepOutcome({CLASH!r}, None, clash)",
-        "core.fuel_left -= 1  # the transition commits: charge it before its oracle calls",
-        "store = dict(state.store)" if reference else "store = state.store",
-        "store.update(updates)",
-        "if None in updates.values():  # undef: the location leaves the finite support",
-        "    for key, v in updates.items():",
-        "        if v is None:",
-        "            del store[key]",
-        f"w = {written}  # each entry is written into the set and into the map",
-    ]
-    out = []
-    if reference:
-        lines += [_CHARGE, "new = slots_all(ctx, updates, store)"]
+def _slots_dirty_source(slots, parents) -> list[list[str]]:
+    """`slots_dirty(ctx, values, updates, store, p, r, c, w)`, the fast
+    engine's pass after its update set is written: the dirty seed, then each
+    flagged slot recomputed small to big (an oracle application too), a slot
+    whose value changed flagging its parents.  It returns the new values.  It
+    starts from the step's sums, so the step's charges and its own are put on
+    the meter at once, before an oracle call or at its end."""
+    lines = ["tangle = ctx.core.tangle", "meter = tangle.meter", *_dirty_seed(slots),
+             "new = list(values)"]
+    pieces, out = _slot_pieces(slots, parents, dirty=True), []
+    if len(pieces) > 1:
+        lines += [_CHARGE, *_piece_calls("slots_dirty", pieces, "dirty")]
+        out = _piece_functions("slots_dirty", pieces)
     else:
-        lines += [*_dirty_seed(slots), "new = list(state.values)"]
-        pieces = _slot_pieces(slots, parents, dirty=True)
-        if len(pieces) > 1:
-            lines += [_CHARGE, *_piece_calls("slots_dirty", pieces, "dirty")]
-            out = _piece_functions("slots_dirty", pieces)
-        else:
-            lines += [*_PASS_HEAD, *pieces[0], *_STEP_CHARGE]
-    lines += [
-        "if core.check:",
-        "    ctx.check_state(new, store)",
-        "at = state.step_index + 1",
-        "if core.record:",
-        "    core.steps_reported += 1",
-        f"    ops = {_RAM_OPS}",
-        "    series = core.series",
-        "    series.append(new_tuple(StepCost, (len(series), ops - core.last_ops,",
-        "                                       len(tangle._nodes), tangle._edges)))",
-        "    core.last_ops = ops",
-        "    if core.trace is not None:",
-        "        core.trace_line(at, enabled, updates)",
-        f"return new_tuple(StepOutcome, ({NEXT!r}, EngineState(ctx, new, store, at), None))",
-    ]
-    return [[f"def {name}(state):", *_indent(lines)], *out]
+        lines += [*_PASS_HEAD, *pieces[0], *_STEP_CHARGE]
+    head = "def slots_dirty(ctx, values, updates, store, p, r, c, w):"
+    return [[head, *_indent([*lines, "return new"])], *out]

@@ -252,10 +252,9 @@ def _step_checks(
     return growth_v, linear_v, fitted
 
 
-def check_growth(report: CostReport, c_program: int | None = None) -> Verdict:
+def check_growth(report: CostReport) -> Verdict:
     """Per-record vertex growth stays within the program-derived constant."""
-    c = report.c_program if c_program is None else c_program
-    return _step_checks(report, c, DEFAULT_BOUNDS)[0]
+    return _step_checks(report, report.c_program, DEFAULT_BOUNDS)[0]
 
 
 def check_step_linearity(
@@ -275,24 +274,12 @@ def check_total_bound(
     fitted = fit_affine([(budget, report.total_ops)])
     limit = bounds.total_a * budget + bounds.total_b
     if report.total_ops > limit:
-        return (
-            Verdict(
-                "total_bound",
-                False,
-                f"total {report.total_ops} ops > {bounds.total_a}*{budget} + {bounds.total_b}",
-            ),
-            fitted,
-        )
+        detail = f"total {report.total_ops} ops > {bounds.total_a}*{budget} + {bounds.total_b}"
+        return Verdict("total_bound", False, detail), fitted
     word_limit = math.ceil(math.log2(max(2, bounds.total_a * (n + t)))) + bounds.word_k
     if report.word_bits_max > word_limit:
-        return (
-            Verdict(
-                "total_bound",
-                False,
-                f"word size {report.word_bits_max} bits > {word_limit}",
-            ),
-            fitted,
-        )
+        detail = f"word size {report.word_bits_max} bits > {word_limit}"
+        return Verdict("total_bound", False, detail), fitted
     return Verdict("total_bound", True, f"ops/budget = {report.total_ops}/{budget}"), fitted
 
 
@@ -319,12 +306,11 @@ def run_all_checks(
 _STEP_JSON = '    {\n      "i": %d,\n      "ops": %d,\n      "vertices": %d,\n      "edges": %d\n    }'
 
 
-def emit_report(
-    report: CostReport, format: str = "json", bounds: FrozenBounds = DEFAULT_BOUNDS
-) -> bytes:
-    """Serialize a report.  Identical runs serialize byte-identically."""
+def emit_report(report: CostReport, format: str = "json") -> bytes:
+    """Serialize a report, its verdicts against the frozen bounds included.
+    Identical runs serialize byte-identically."""
     if format == "json":
-        verdicts, fitted = run_all_checks(report, bounds)
+        verdicts, fitted = run_all_checks(report)
         doc = {
             "n": report.n,
             "steps": report.steps,

@@ -5,15 +5,15 @@ subterms, ordered small to big) inside a maximally shared graph store, and a
 finite location map from (symbol, argument ids) to value ids outside it.
 They run a plan, which `codegen.build_plan` makes once per program: the
 tracked terms as slots, the rules as jumping code, and the functions
-generated from them, `rules`, `slots_all` for the pass that computes every
-slot, and `step_critical` and `step_ref`, one transition of each engine.  A
-transition runs the rules, which collect the assignments they pass into an
-update set, writes the update set into the location map, and recomputes
-tracked values in order: constructor applications intern, oracle
-applications call, and a dynamic read probes the update set and, on a miss,
-the location map.  Strictness makes a term with an undef argument undef.  An
-intern hit is one inline probe of the store's index, and only a miss calls
-`Tangle.intern`, so a wrapper on it sees the misses only.
+generated from them for what depends on the program, `rules`, `slots_all`
+for the pass that computes every slot, and `slots_dirty` for the fast
+engine's pass.  A transition runs the rules, which collect the assignments
+they pass into an update set, writes the update set into the location map,
+and recomputes tracked values in order: constructor applications intern,
+oracle applications call, and a dynamic read probes the update set and, on
+a miss, the location map.  Strictness makes a term with an undef argument
+undef.  An intern hit is one inline probe of the store's index, and only a
+miss calls `Tangle.intern`, so a wrapper on it sees the misses only.
 
 The engines differ only in how a transition treats its state.  The reference
 engine writes into a copy of the map and recomputes every tracked term, so
@@ -29,24 +29,27 @@ result per argument ids.  Initialization recomputes every slot.
 reports the first step where any tracked term's value differs, which with
 maximal sharing is an id comparison.
 
-Both engines take one path.  `_setup` checks the arguments, compiles the plan
-and makes the run core; since an inline intern hit skips `Tangle.intern`'s
-vocabulary check, it checks once that every symbol the plan and its oracle
-plans intern is in the store's vocabulary, with the error `intern` raises.
-`_init_state` is the one initializer (nested oracle runs use it too).  The
-module-level `step_critical` and `step_ref` call the plan's generated step,
-which evaluates guards, builds the update set, writes it into the location
-map, recomputes, commits, records and traces; the invariant check
-(`RunContext.check_state`) stays interpreted and unmetered.  There is no
-interpreted step beside the generated one.  `_states` is the one loop that
-steps an engine, under one fuel rule: fuel is charged when a transition
-commits, after its clash check and before its writes and oracle calls, and an
-engine out of fuel halts if an assignment is still enabled and has terminated
-otherwise.  `_drive` drains it for `run` and for nested oracle runs, and
-`compare_engines` zips two of its trajectories.  Every run is metered by its
-store's meter, which is fixed when the store is made: a run reports the
-operations that meter gains during the run, so two runs on one store each
-report only their own work.
+Every run takes one path.  `_setup` sets up every run (`run`, the public
+initializers, `compare_engines`, `invoke_oracle`): it checks the arguments,
+compiles the plan and makes the run core, the run's state; since an inline
+intern hit skips `Tangle.intern`'s vocabulary check, it checks once that
+every symbol the plan and its oracle plans intern is in the store's
+vocabulary, with the error `intern` raises.  `_init_state` is the one
+initializer (nested oracle runs use it too).  `_transition`, the same for
+every program and called by `step_critical` and `step_ref`, is the one
+place that decides how a transition ends: with a successor (NEXT), or with
+none because no assignment is enabled (TERMINAL), an update clashed (CLASH)
+or the fuel ran out with one enabled (FUEL_EXHAUSTED), in the step or in an
+oracle call its pass made.  Fuel is charged when a transition commits,
+after its clash check and before its writes and oracle calls.  `_states`
+is the one loop that steps an engine; it raises the private `_Halt` for a
+clash or for fuel exhaustion.  `_drive` drains it for `run` and for nested
+oracle runs, and `compare_engines` zips two of its trajectories.  No public
+function lets `_Halt` escape: `run` and `compare_engines` report it as
+their outcome, and the initializers and `invoke_oracle` raise RuntimeError.
+Every run is metered by its store's meter, which is fixed when the store is
+made: a run reports the operations that meter gains during the run, so two
+runs on one store each report only their own work.
 
 Oracle symbols are realized by nested runs of their body programs over the
 same store and meter, through one call path: the generated slot passes call
@@ -64,30 +67,24 @@ summed in locals, charged at once, never across an oracle call.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import NamedTuple, Sequence
 
-from .codegen import (
-    CLASH,
-    NEXT,
-    SLOT_CONS,
-    SLOT_DYN,
-    TERMINAL,
-    ClashInfo,
-    EngineState,
-    ExecPlan,
-    StepOutcome,
-    build_plan,
-)
+from .codegen import SLOT_CONS, SLOT_DYN, ClashInfo, ExecPlan, build_plan
 from . import cost
 from .cost import CostMeter, CostReport, StepCost, word_bits
 from .syntax import OracleDef, Program
 from .tangle import NodeId, Tangle, new_tangle
 from .terms import KIND_CONSTRUCTOR, Term, compact_size, distinct_subterms, format_term
 
-# Run outcomes (a clash is CLASH, as the step outcome is).
+# How a transition ends: with a successor, or with none of three kinds.  A
+# run ends with a halt's kind, or with OUTPUT or UNDEF_OUTPUT in TERMINAL's
+# place.
+NEXT = "next"
+TERMINAL = "terminal"
+CLASH = "clash"
+FUEL_EXHAUSTED = "fuel_exhausted"
 OUTPUT = "output"
 UNDEF_OUTPUT = "undef_output"
-FUEL_EXHAUSTED = "fuel_exhausted"
 
 # Oracle cost modes.
 MODE_UNIT = "unit"
@@ -99,7 +96,8 @@ MODE_INLINE = "inline"
 
 class _Halt(Exception):
     """A run stopped early: fuel ran out with assignments still enabled, or an
-    update clashed.  Raised from any depth of nested oracle runs."""
+    update clashed.  `_states` raises it, and a transition whose oracle call
+    raised it ends with its kind, so it reaches the outermost run."""
 
     def __init__(self, outcome: str, clash: ClashInfo | None = None):
         self.outcome = outcome  # FUEL_EXHAUSTED | CLASH
@@ -122,7 +120,6 @@ class _RunCore:
     record: bool = True
     trace: object = None
     check: bool = False
-    n: int = 0
     start_ops: int = 0  # the store meter's count when the run began
     last_ops: int = 0
 
@@ -160,11 +157,6 @@ class RunContext:
     core: _RunCore
     plan: ExecPlan
     engine: str  # "critical" | "reference"
-    step: Callable = field(init=False, repr=False)  # the plan's step for this engine
-
-    def __post_init__(self):
-        plan = self.plan
-        self.step = plan.step_critical if self.engine == "critical" else plan.step_ref
 
     def invoke(self, name: str, argids: tuple[NodeId, ...]) -> NodeId | None:
         """An oracle call inside a run: memo probe, then the call on a miss.
@@ -197,6 +189,25 @@ class RunContext:
                     assert values[i] == expect, f"location map disagrees at slot {i}"
         finally:
             meter.enabled = saved
+
+
+@dataclass
+class EngineState:
+    """One value (node id, or None for undef) per tracked term, and the finite
+    location map they were read from.  A reference-engine step copies the map;
+    a fast-engine step updates it in place, so a fast-engine state can be
+    stepped only once."""
+
+    ctx: RunContext
+    values: list[NodeId | None]
+    store: dict[tuple[str, tuple[NodeId, ...]], NodeId]
+    step_index: int = 0
+
+
+class StepOutcome(NamedTuple):
+    kind: str  # NEXT | TERMINAL | CLASH | FUEL_EXHAUSTED
+    state: EngineState | None = None
+    clash: ClashInfo | None = None
 
 
 @dataclass
@@ -259,7 +270,6 @@ def _check_inputs(program: Program, inputs: Sequence[Term]):
 
 def _setup(
     program: Program,
-    inputs: Sequence[Term],
     engine: str,
     *,
     oracle_mode: str,
@@ -267,20 +277,20 @@ def _setup(
     plan: ExecPlan | None = None,
     tangle: Tangle | None = None,
     meter: CostMeter | None = None,
+    record: bool = True,
     trace=None,
     check_invariants: bool = False,
 ) -> RunContext:
-    """Everything before initialization: check the arguments, compile the plan
-    (unless one is given) and make the run context over a given store or a new
-    one metered by `meter`.  A given store runs on its own meter; naming a
-    different meter for it is an error, and so is a negative fuel (fuel 0
+    """The one place a run is set up: check the arguments, compile the plan
+    (unless one is given) and make the run context over a given store or a
+    new one metered by `meter`.  A given store runs on its own meter; naming
+    a different meter for it is an error, and so is a negative fuel (fuel 0
     runs no transition).
     """
     if engine not in ("critical", "reference"):
         raise ValueError(f"unknown engine {engine!r}")
     if fuel < 0:
         raise ValueError(f"fuel must be at least 0, got {fuel}")
-    _check_inputs(program, inputs)
     if plan is None:
         plan = build_plan(program)
     if tangle is None:
@@ -290,23 +300,23 @@ def _setup(
     tangle.check_vocabulary(plan.interned)  # intern hits are probed by name
     ops = tangle.meter.ram_ops
     core = _RunCore(
-        tangle=tangle, mode=oracle_mode, fuel_left=fuel, trace=trace,
-        check=check_invariants, n=sum(compact_size(t) for t in inputs),
-        start_ops=ops, last_ops=ops,
+        tangle=tangle, mode=oracle_mode, fuel_left=fuel, record=record, trace=trace,
+        check=check_invariants, start_ops=ops, last_ops=ops,
     )
     return RunContext(core, plan, engine)
 
 
 def _init_state(
     ctx: RunContext,
+    inputs: Sequence[Term] = (),
     *,
-    input_terms: Sequence[Term] = (),
     input_ids: Sequence[NodeId] | None = None,
 ) -> EngineState:
-    """The one initializer, for runs and nested oracle runs alike: bind inputs,
-    load the init block, evaluate the tracked terms small to big against the
-    initial location map, and record the initial point of the series.  An
-    oracle call that clashes or runs out of fuel raises _Halt."""
+    """The one initializer, for runs and nested oracle runs alike: check and
+    bind the input terms (a nested run binds ids), load the init block,
+    evaluate the tracked terms small to big against the initial location
+    map, and record the initial point of the series.  An oracle call that
+    clashes or runs out of fuel raises _Halt."""
     core = ctx.core
     tangle = core.tangle
     meter = tangle.meter
@@ -314,7 +324,8 @@ def _init_state(
 
     store: dict[tuple[str, tuple[NodeId, ...]], NodeId] = {}
     if input_ids is None:
-        input_ids = [tangle.import_term(t) for t in input_terms]
+        _check_inputs(program, inputs)
+        input_ids = [tangle.import_term(t) for t in inputs]
     for sym, nid in zip(program.inputs, input_ids):
         store[(sym.name, ())] = nid
         meter.charge(*cost.INPUT_WRITE)
@@ -331,6 +342,15 @@ def _init_state(
     return EngineState(ctx, values, store)
 
 
+def _init(program, inputs, engine, meter, oracle_mode) -> EngineState:
+    """The public initializers' one body."""
+    ctx = _setup(program, engine, meter=meter, oracle_mode=oracle_mode)
+    try:
+        return _init_state(ctx, inputs)
+    except _Halt as halt:
+        raise RuntimeError(f"initialization halted: {halt}") from None
+
+
 def init_critical(
     program: Program,
     inputs: Sequence[Term] = (),
@@ -338,9 +358,9 @@ def init_critical(
     meter: CostMeter | None = None,
     oracle_mode: str = MODE_INLINE,
 ) -> EngineState:
-    """Initial fast-engine state for the given input terms."""
-    ctx = _setup(program, inputs, "critical", meter=meter, oracle_mode=oracle_mode)
-    return _init_state(ctx, input_terms=inputs)
+    """Initial fast-engine state for the given input terms.  An oracle call
+    that halts initialization raises RuntimeError."""
+    return _init(program, inputs, "critical", meter, oracle_mode)
 
 
 def init_ref(
@@ -350,45 +370,97 @@ def init_ref(
     meter: CostMeter | None = None,
     oracle_mode: str = MODE_INLINE,
 ) -> EngineState:
-    """Initial reference-engine state (full location map)."""
-    ctx = _setup(program, inputs, "reference", meter=meter, oracle_mode=oracle_mode)
-    return _init_state(ctx, input_terms=inputs)
+    """Initial reference-engine state (full location map); see `init_critical`."""
+    return _init(program, inputs, "reference", meter, oracle_mode)
 
 
 # --- Transitions -----------------------------------------------------------------
 
+# Makes a transition's named tuples without their Python-level `__new__`, and
+# its record reads the meter's and the store's counters directly: each would
+# cost a call per transition.  For the same reason a committed update-set
+# entry's writes, into the set and into the map, are read off the menu once.
+_new = tuple.__new__
+_WRITTEN = (cost.UPDATE_ENTRY + cost.MAP_WRITE).write
+
+
+def _transition(state: EngineState) -> StepOutcome:
+    """One transition of the state's engine.  With no assignment enabled or
+    no fuel left it ends after the rules, charging their compares only; on a
+    clash, their update set too.  Otherwise it commits its fuel, writes the
+    update set into the location map (a copy for the reference engine) and
+    recomputes: every slot after charging the step's sums, or the dirty
+    slots, charging them with the pass's own.  An oracle call there that
+    halts ends the step with the halt's kind.  Then come the invariant check
+    (unmetered, off unless asked for) and the record and trace line."""
+    ctx = state.ctx
+    core = ctx.core
+    plan = ctx.plan
+    enabled, updates, clash, c, p, r = plan.rules(state.values)
+    meter = core.tangle.meter
+    if not enabled or core.fuel_left <= 0:
+        meter.charge(compare=c)
+        return StepOutcome(FUEL_EXHAUSTED if enabled else TERMINAL)
+    if clash is not None:
+        meter.charge(probe=p, read=r, compare=c, write=cost.UPDATE_ENTRY.write * len(updates))
+        return StepOutcome(CLASH, None, clash)
+    core.fuel_left -= 1
+    fast = ctx.engine == "critical"
+    store = state.store if fast else dict(state.store)
+    store.update(updates)
+    if None in updates.values():  # undef: the location leaves the finite support
+        for key, v in updates.items():
+            if v is None:
+                del store[key]
+    w = _WRITTEN * len(updates)
+    try:
+        if fast:
+            new = plan.slots_dirty(ctx, state.values, updates, store, p, r, c, w)
+        else:
+            meter.charge(probe=p, read=r, compare=c, write=w)
+            new = plan.slots_all(ctx, updates, store)
+    except _Halt as halt:
+        return StepOutcome(halt.outcome, None, halt.clash)
+    if core.check:
+        ctx.check_state(new, store)
+    at = state.step_index + 1
+    if core.record:
+        core.steps_reported += 1
+        tangle = core.tangle
+        ops = meter.probe + meter.alloc + meter.read + meter.compare + meter.write
+        series = core.series
+        series.append(_new(StepCost, (len(series), ops - core.last_ops, len(tangle._nodes),
+                                      tangle._edges)))
+        core.last_ops = ops
+        if core.trace is not None:
+            core.trace_line(at, enabled, updates)
+    return _new(StepOutcome, (NEXT, EngineState(ctx, new, store, at), None))
+
 
 def step_critical(program: Program, state: EngineState) -> StepOutcome:
-    """One fast-engine transition; Terminal when no assignment is enabled."""
-    return state.ctx.step(state)
+    """One fast-engine transition (`_transition` steps a state by its engine)."""
+    return _transition(state)
 
 
 def step_ref(program: Program, state: EngineState) -> StepOutcome:
-    """One reference-engine transition over the full location map."""
-    return state.ctx.step(state)
+    """One reference-engine transition, over a copy of the location map."""
+    return _transition(state)
 
 
 def _states(ctx: RunContext, state: EngineState):
-    """The one transition loop: yield `state` and each successor until no
-    assignment is enabled.  Out of fuel, it stops if none is enabled and
-    raises _Halt otherwise; a clash raises _Halt too."""
-    core = ctx.core
-    plan = ctx.plan
+    """The one transition loop: yield `state` and each successor until a
+    transition ends without one.  It returns when none was enabled and
+    raises _Halt when the fuel ran out or an update clashed, here or in a
+    nested run."""
+    program = ctx.plan.program
     step = step_critical if ctx.engine == "critical" else step_ref
     while True:
         yield state
-        if core.fuel_left <= 0:
-            # Only the guard atoms evaluated are charged.
-            enabled, _, _, compares, _, _ = plan.rules(state.values)
-            core.tangle.meter.charge(*cost.GUARD_ATOM * compares)
-            if enabled:
-                raise _Halt(FUEL_EXHAUSTED)
-            return
-        out = step(plan.program, state)
-        if out.kind == TERMINAL:
-            return
-        if out.kind == CLASH:
-            raise _Halt(CLASH, out.clash)
+        out = step(program, state)
+        if out.kind != NEXT:
+            if out.kind == TERMINAL:
+                return
+            raise _Halt(out.kind, out.clash)
         state = out.state
 
 
@@ -421,31 +493,33 @@ def run(
     transitions in unit mode.
     """
     ctx = _setup(
-        program, inputs, engine, tangle=tangle, meter=meter, fuel=fuel,
+        program, engine, tangle=tangle, meter=meter, fuel=fuel,
         oracle_mode=oracle_mode, trace=trace, check_invariants=check_invariants,
     )
     core = ctx.core
     meter = core.tangle.meter
-    baseline_index, halt = -1, None
+    halt = None
     try:
-        state = _init_state(ctx, input_terms=inputs)
-        baseline_index = len(core.series) - 1
-        state = _drive(ctx, state)
-    except _Halt as stop:
+        state = _init_state(ctx, inputs)
+    except _Halt as stop:  # an oracle call halted initialization: all of it is init
         halt = stop
-        if not core.series:  # a unit-mode oracle call halted initialization
-            core.record_point()
+        core.record_point()
+    baseline_index = len(core.series) - 1
+    if halt is None:
+        try:
+            state = _drive(ctx, state)
+        except _Halt as stop:
+            halt = stop
 
     # Fold trailing guard-probe ops (terminal detection) into the last record
     # so that total_ops is exactly the sum of the per-step series.  init_ops
     # is everything up to the post-initialization baseline record (for a
     # zero-step run the terminal probe lands there too).
-    if core.series:
-        tail = meter.ram_ops - core.last_ops
-        if tail:
-            last = core.series[-1]
-            core.series[-1] = StepCost(last.i, last.ops + tail, last.vertices, last.edges)
-            core.last_ops = meter.ram_ops
+    tail = meter.ram_ops - core.last_ops
+    if tail:
+        last = core.series[-1]
+        core.series[-1] = StepCost(last.i, last.ops + tail, last.vertices, last.edges)
+        core.last_ops = meter.ram_ops
     init_ops = sum(rec.ops for rec in core.series[: baseline_index + 1])
 
     outcome, output_term = UNDEF_OUTPUT, None
@@ -456,8 +530,9 @@ def run(
         if z is not None:
             outcome, output_term = OUTPUT, core.tangle.extract_term(z)
 
+    n = sum(compact_size(t) for t in inputs)
     report = CostReport(
-        n=core.n,
+        n=n,
         steps=core.steps_reported,
         init_ops=init_ops,
         total_ops=meter.ram_ops - core.start_ops,
@@ -466,7 +541,7 @@ def run(
         per_step=core.series,
     )
     clash = None if halt is None else halt.clash
-    return RunResult(outcome, output_term, core.steps_reported, core.n, report, clash)
+    return RunResult(outcome, output_term, core.steps_reported, n, report, clash)
 
 
 def invoke_oracle(
@@ -490,12 +565,10 @@ def invoke_oracle(
     for a in args:
         if a.index == 0:
             raise ValueError("oracle arguments must be defined")
-    plan = build_plan(odef.body)
-    tangle.check_vocabulary(plan.interned)
-    core = _RunCore(tangle=tangle, mode=mode, fuel_left=10**6, record=False)
+    ctx = _setup(odef.body, "critical", oracle_mode=mode, tangle=tangle, record=False)
     before = tangle.meter.ram_ops
     try:
-        value = _call_oracle(RunContext(core, plan, "critical"), args)
+        value = _call_oracle(ctx, args)
     except _Halt as halt:
         raise RuntimeError(f"oracle {odef.symbol.name} halted: {halt}") from None
     return value, tangle.meter.ram_ops - before
@@ -543,7 +616,7 @@ def _trajectory(ctx: RunContext, inputs: Sequence[Term]):
     """An engine's states from initialization on, then how it ended:
     TERMINAL, or the text of the halt that stopped it."""
     try:
-        yield from _states(ctx, _init_state(ctx, input_terms=inputs))
+        yield from _states(ctx, _init_state(ctx, inputs))
         yield TERMINAL
     except _Halt as halt:
         yield str(halt)
@@ -567,14 +640,13 @@ def compare_engines(
     and neither engine records a per-step series.
     """
     ctx = _setup(
-        program, inputs, "critical", fuel=fuel, oracle_mode=oracle_mode,
-        meter=CostMeter(enabled=False),
+        program, "critical", fuel=fuel, oracle_mode=oracle_mode,
+        meter=CostMeter(enabled=False), record=False,
     )
     ref_ctx = _setup(
-        program, inputs, "reference", fuel=fuel, oracle_mode=oracle_mode,
-        plan=ctx.plan, tangle=ctx.core.tangle,
+        program, "reference", fuel=fuel, oracle_mode=oracle_mode,
+        plan=ctx.plan, tangle=ctx.core.tangle, record=False,
     )
-    ctx.core.record = ref_ctx.core.record = False
     pairs = zip(_trajectory(ctx, inputs), _trajectory(ref_ctx, inputs))
     for index, (sc, sr) in enumerate(pairs):
         if type(sc) is EngineState and type(sr) is EngineState:

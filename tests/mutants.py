@@ -38,6 +38,12 @@ class Mutant(NamedTuple):
 GOLDEN = "tests/test_golden.py::test_golden_digests"
 MENU = "tests/test_cost.py::test_the_menu_is_the_one_source"
 INIT_HALT = "tests/test_cost.py::test_a_halt_during_initialization_keeps_the_series_additive"
+HALTED_INIT = "tests/test_cost.py::test_a_halted_initialization_counts_every_op_as_init"
+FUEL_FIRST = "tests/test_engine.py::test_fuel_is_checked_before_the_clash"
+STEP_HALT = "tests/test_oracles.py::test_a_step_whose_oracle_call_halts_returns_the_halt"
+WALK = "tests/test_engine_property.py::test_jumping_code_matches_tree_walk"
+WALK_SMALL = "tests/test_engine_property.py::test_jumping_code_on_empty_branches_and_double_not"
+WALK_BUNDLED = "tests/test_engine_property.py::test_jumping_code_matches_tree_walk_on_bundled_programs"
 
 MUTANTS = [
     Mutant("menu: an intern hit reads no child", "cost.py",
@@ -54,20 +60,70 @@ MUTANTS = [
            "    tangle.check_vocabulary(plan.interned)  # intern hits are probed by name\n", "",
            ("tests/test_engine.py::test_a_given_store_must_hold_every_symbol_the_plan_interns",)),
     Mutant("`not` stops swapping its targets", "codegen.py",
-           "g, then, orelse = g.sub, orelse, then", "g = g.sub",
-           ("tests/test_engine_property.py::test_jumping_code_on_empty_branches_and_double_not",
-            "tests/test_engine_property.py::test_jumping_code_matches_tree_walk")),
-    Mutant("a halt in a unit-mode oracle call during init leaves the series empty",
-           "engine.py",
-           "        if not core.series:  # a unit-mode oracle call halted initialization\n"
-           "            core.record_point()\n", "",
-           (INIT_HALT,
+           "g, then, orelse = g.sub, orelse, then", "g = g.sub", (WALK_SMALL, WALK)),
+    Mutant("a halted initialization records no baseline point", "engine.py",
+           "        halt = stop\n        core.record_point()\n", "        halt = stop\n",
+           (INIT_HALT, HALTED_INIT,
             "tests/test_cli.py::test_run_halting_in_a_unit_mode_oracle_during_init")),
     Mutant("invoke_oracle lets the engine's private halt escape", "engine.py",
            "    except _Halt as halt:\n"
            '        raise RuntimeError(f"oracle {odef.symbol.name} halted: {halt}") from None\n',
            "    except _Halt:\n        raise\n",
            ("tests/test_oracles.py::test_invoke_oracle_raises_when_the_body_halts",)),
+    Mutant("fuel is checked after the clash check", "engine.py",
+           "    if not enabled or core.fuel_left <= 0:\n"
+           "        meter.charge(compare=c)\n"
+           "        return StepOutcome(FUEL_EXHAUSTED if enabled else TERMINAL)\n"
+           "    if clash is not None:\n"
+           "        meter.charge(probe=p, read=r, compare=c, write=cost.UPDATE_ENTRY.write * len(updates))\n"
+           "        return StepOutcome(CLASH, None, clash)\n",
+           "    if clash is not None:\n"
+           "        meter.charge(probe=p, read=r, compare=c, write=cost.UPDATE_ENTRY.write * len(updates))\n"
+           "        return StepOutcome(CLASH, None, clash)\n"
+           "    if not enabled or core.fuel_left <= 0:\n"
+           "        meter.charge(compare=c)\n"
+           "        return StepOutcome(FUEL_EXHAUSTED if enabled else TERMINAL)\n",
+           (FUEL_FIRST, STEP_HALT)),
+    Mutant("an out-of-fuel step charges its probes and reads", "engine.py",
+           "        meter.charge(compare=c)\n        return StepOutcome(FUEL_EXHAUSTED",
+           "        meter.charge(probe=p if enabled else 0, read=r if enabled else 0, compare=c)\n"
+           "        return StepOutcome(FUEL_EXHAUSTED",
+           (FUEL_FIRST,)),
+    Mutant("a transition lets an oracle call's halt escape", "engine.py",
+           "    except _Halt as halt:\n        return StepOutcome(halt.outcome, None, halt.clash)\n",
+           "    except _Halt:\n        raise\n",
+           (STEP_HALT,)),
+    Mutant("`or` compiles as `and`", "codegen.py",
+           "g, orelse = g.left, guard(g.right, then, orelse)",
+           "g, then = g.left, guard(g.right, then, orelse)", (WALK_SMALL, WALK)),
+    Mutant("the charges are not flushed before an oracle call", "codegen.py",
+           'lines += [f"{pad}{_FLUSH}", f"{pad}v = ctx.invoke({name}, {args})"]',
+           'lines += [f"{pad}v = ctx.invoke({name}, {args})"]', (GOLDEN,)),
+    Mutant("a constant branch folds another phase's test as true", "codegen.py",
+           "                held = _holds(lhs, rhs, sure)\n",
+           "                held = True if d in (ins.lhs, ins.rhs) and UNDEF_SLOT not in (lhs, rhs)"
+           " else _holds(lhs, rhs, sure)\n",
+           ("tests/test_engine.py::test_undef_guard_semantics", WALK_BUNDLED + "[add_unary]")),
+    Mutant("a folded test charges no compare", "codegen.py",
+           "j, compares, block, goto = k + 1, cost.GUARD_ATOM, [], ins.then",
+           "j, compares, block, goto = k + 1, Ops(), [], ins.then",
+           (WALK_SMALL, WALK_BUNDLED + "[bin_succ]")),
+    Mutant("the dirty seed flags the oracle slots", "codegen.py",
+           'lines = [f"dirty = [False] * {len(slots)}",',
+           'lines = [f"dirty = {[s.kind == SLOT_ORACLE for s in slots]!r}",',
+           ("tests/test_codegen.py::test_a_class_level_invoke_wrapper_sees_every_oracle_call",)),
+    Mutant("the dirty seed flags the slots of nullary symbols only", "codegen.py",
+           "        if s.kind == SLOT_DYN:\n",
+           "        if s.kind == SLOT_DYN and not s.child_slots:\n",
+           ("tests/test_engine.py::test_dirty_slots_seeded_by_updates_with_arguments",)),
+    Mutant("critical_terms overwrites a first occurrence", "syntax.py",
+           "occurrence.setdefault(sub, len(occurrence))",
+           "occurrence[sub] = len(occurrence)",
+           ("tests/test_syntax.py::test_critical_terms_toggle_order",)),
+    Mutant("critical_terms sizes a term one too big", "syntax.py",
+           "size = {t: bits.bit_count() for",
+           "size = {t: bits.bit_count() + 1 for",
+           ("tests/test_syntax.py::test_critical_terms_match_their_definition",)),
 ]
 
 

@@ -157,7 +157,7 @@ def test_generated_code_refers_to_no_module():
     plans = [build_plan(load_corpus("bin_mul"))]
     plans += plans[0].oracle_plans.values()
     for plan in plans:
-        for fn in (plan.rules, plan.slots_all, plan.step_critical, plan.step_ref):
+        for fn in (plan.rules, plan.slots_all, plan.slots_dirty):
             assert not any(type(v) is ModuleType for v in fn.__globals__.values())
 
 
@@ -179,8 +179,7 @@ def test_generated_source_is_registered_with_linecache(name):
     for fn, head in [
         (plan.rules, "def rules("),
         (plan.slots_all, "def slots_all("),
-        (plan.step_critical, "def step_critical("),
-        (plan.step_ref, "def step_ref("),
+        (plan.slots_dirty, "def slots_dirty("),
     ]:
         code = fn.__code__
         assert code.co_filename.startswith(f"<esmtangle plan {name}.esm")

@@ -249,6 +249,43 @@ def test_a_halt_during_initialization_keeps_the_series_additive(tmp_path, engine
         assert r.cost.total_ops > 0
 
 
+@pytest.mark.parametrize("engine", ["critical", "reference"])
+@pytest.mark.parametrize("mode", ["unit", "inline"])
+def test_a_halted_initialization_counts_every_op_as_init(tmp_path, engine, mode):
+    # A run that halts before its first transition made nothing but its
+    # initialization (inline mode reports the nested transitions in it): the
+    # baseline record closes the series in both modes.
+    mul = load_corpus("bin_mul")
+    host = parse_program_file(write_clashing_host(tmp_path))
+    for program, inputs, fuel in [
+        (mul, [binary_input(mul.vocab, 5), binary_input(mul.vocab, 6)], 10),
+        (host, [], 10**6),
+    ]:
+        r = run(program, inputs, fuel=fuel, engine=engine, oracle_mode=mode)
+        assert r.cost.init_ops == r.cost.total_ops > 0
+        assert r.cost.check_additivity()
+    # The clashing body's own initial point, in inline mode, then the baseline.
+    assert len(r.cost.per_step) == (2 if mode == "inline" else 1)
+
+
+def test_growth_check_catches_cumulative_growth():
+    # Each record grows by at most c(p) = 2, but the third, numbered 1 again,
+    # is 4 vertices past the baseline.
+    series = [StepCost(0, 5, 10, 0), StepCost(1, 5, 12, 2), StepCost(1, 5, 14, 4)]
+    report = CostReport(n=1, steps=2, init_ops=5, total_ops=15, word_bits_max=4,
+                        c_program=2, per_step=series)
+    assert check_growth(report) == Verdict("growth", False, "step 1: 14 vertices > 10 + 2*1")
+
+
+def test_total_bound_catches_a_word_size_too_wide():
+    # n = 1, T = 1: ops are far inside the budget, but 64-bit ids exceed
+    # ceil(log2(48 * 2)) + 4 = 11 bits.
+    report = CostReport(n=1, steps=1, init_ops=1, total_ops=2, word_bits_max=64,
+                        c_program=1, per_step=[StepCost(0, 1, 2, 1), StepCost(1, 1, 2, 1)])
+    verdict, _ = check_total_bound(report)
+    assert verdict == Verdict("total_bound", False, "word size 64 bits > 11")
+
+
 class _CountingIndex(dict):
     """A store's intern index that counts the probes that find a vertex."""
 

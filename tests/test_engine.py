@@ -182,6 +182,26 @@ rules { }
     assert r.outcome == UNDEF_OUTPUT and r.steps == 0
 
 
+def test_fuel_is_checked_before_the_clash():
+    # A transition out of fuel ends before its clash check, whichever engine,
+    # and charges only the guard atoms it evaluated: none here, so the run
+    # costs what its initialization does.
+    p = parse_program(
+        """
+vocab { constructors { eps/0; d0/1; d1/1 } dynamic { z/0 } }
+inputs { } output { z }
+rules { z := d0(eps) z := d1(eps) }
+"""
+    )
+    for engine, init in [("critical", init_critical), ("reference", init_ref)]:
+        r = run(p, fuel=0, engine=engine)
+        assert (r.outcome, r.steps) == (FUEL_EXHAUSTED, 0)
+        meter = CostMeter()
+        init(p, meter=meter)
+        assert r.cost.total_ops == meter.ram_ops
+        assert run(p, fuel=1, engine=engine).outcome == CLASH
+
+
 def test_noop_enabled_state_still_steps():
     p = parse_program(
         """
@@ -315,6 +335,41 @@ def test_mutated_fast_engine_is_caught(monkeypatch):
     cmp = engine_mod.compare_engines(p)
     assert not cmp.equivalent
     assert cmp.divergence.step == 2
+
+
+def test_compare_reports_an_ending_that_differs(monkeypatch):
+    # The reference engine ends one transition early: both hold state 1, then
+    # the fast engine steps on where the reference engine has terminated.
+    p = load_corpus("toggle")
+    real = engine_mod.step_ref
+
+    def ends_early(program, state):
+        if state.step_index == 1:
+            return engine_mod.StepOutcome(TERMINAL)
+        return real(program, state)
+
+    monkeypatch.setattr(engine_mod, "step_ref", ends_early)
+    cmp = compare_engines(p)
+    assert (cmp.equivalent, cmp.steps, cmp.outcome) == (False, 1, "diverged")
+    assert cmp.divergence == engine_mod.Divergence(2, None, "next", "terminal", "outcome differs")
+
+
+def test_compare_reports_an_initialization_that_differs(monkeypatch):
+    # The reference engine's initialization halts, the fast engine's does not.
+    p = load_corpus("toggle")
+    real = engine_mod._init_state
+
+    def halts(ctx, *args, **kwargs):
+        if ctx.engine == "reference":
+            raise engine_mod._Halt(FUEL_EXHAUSTED)
+        return real(ctx, *args, **kwargs)
+
+    monkeypatch.setattr(engine_mod, "_init_state", halts)
+    cmp = compare_engines(p)
+    assert (cmp.equivalent, cmp.steps, cmp.outcome) == (False, 0, "diverged")
+    assert cmp.divergence == engine_mod.Divergence(
+        0, None, "next", FUEL_EXHAUSTED, "initialization differs"
+    )
 
 
 # --- Whole-run properties --------------------------------------------------------

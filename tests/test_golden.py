@@ -65,6 +65,7 @@ from pathlib import Path
 from conftest import PROGRAMS_DIR, load_corpus
 from test_engine_property import _program
 
+from esmtangle import codegen
 from esmtangle.cli import encode_size, input_codec, sweep_sizes
 from esmtangle.cost import emit_report
 from esmtangle.codegen import SLOT_DYN, SLOT_ORACLE, CAssign
@@ -287,6 +288,29 @@ def parse_digest(per_text: int) -> str:
 def test_golden_parse_sample():
     expected = GOLDEN_PARSE.read_text().splitlines()[0]
     assert f"sample {parse_digest(PARSE_SAMPLE)}" == expected
+
+
+def test_generated_code_reads_the_run_core_only_for_its_store(monkeypatch):
+    # A transition, and with it every other field of the run core, is the
+    # engine's: the source generated for each plan of `--plans`, oracle plans
+    # included, names the core only in `ctx.core.tangle`.  The sources are
+    # checked as they reach the compiler, which is skipped for time; with the
+    # cache emptied, a plan that compiles nothing shares a checked source.
+    stub = compile("def stub(): pass", "<stub>", "exec").co_consts[0]
+    checked = []
+
+    def check(name, functions):
+        for lines in functions:
+            text = re.sub(r"\bctx\.core\.tangle\b", "", "\n".join(lines))
+            assert not re.search(r"\bcore\b", text), f"{name}: {lines[0]}"
+        checked.append(name)
+        return tuple(stub.replace(co_name=lines[0][4:lines[0].index("(")]) for lines in functions)
+
+    monkeypatch.setattr(codegen, "_compiled", {})
+    monkeypatch.setattr(codegen, "_compile", check)
+    plans = sum(1 for _ in _plans())
+    assert plans == PLAN_PROGRAMS + len(list(PROGRAMS_DIR.glob("*.esm")))
+    assert len(checked) > PLAN_PROGRAMS // 2
 
 
 def test_golden_digests():

@@ -9,7 +9,10 @@ from conftest import (
 )
 
 from esmtangle.cost import CostMeter
-from esmtangle.engine import CLASH, FUEL_EXHAUSTED, OUTPUT, invoke_oracle, run
+from esmtangle.engine import (
+    CLASH, FUEL_EXHAUSTED, OUTPUT, StepOutcome, init_critical, init_ref, invoke_oracle, run,
+    step_critical, step_ref,
+)
 from esmtangle.syntax import parse_program, parse_program_file
 from esmtangle.tangle import new_tangle
 from esmtangle.terms import decode_nat_binary, format_term, parse_term
@@ -56,6 +59,43 @@ def test_invoke_oracle_raises_when_the_body_halts(tmp_path):
     for mode in ("unit", "inline"):
         with pytest.raises(RuntimeError, match=r"^oracle f halted: clash z\(\)$"):
             invoke_oracle(host.oracle("f"), [c], g, mode=mode)
+
+
+def test_public_init_raises_when_an_oracle_call_halts(tmp_path):
+    host = parse_program_file(write_clashing_host(tmp_path))
+    for init in (init_critical, init_ref):
+        for mode in ("unit", "inline"):
+            with pytest.raises(RuntimeError, match=r"^initialization halted: clash z\(\)$"):
+                init(host, oracle_mode=mode)
+
+
+# A host whose first transition defines y, so that its pass calls f(y), and
+# f's body clashes.
+_HALTING_STEP_HOST = """
+vocab { constructors { c/0; d/0 } dynamic { y/0; z/0 } }
+inputs { }
+output { z }
+oracles { f/1 = "body.esm"; }
+rules { if y = undef then { y := c } else { z := f(y) } }
+"""
+
+
+@pytest.mark.parametrize("mode", ["unit", "inline"])
+@pytest.mark.parametrize("init, step", [(init_critical, step_critical), (init_ref, step_ref)])
+def test_a_step_whose_oracle_call_halts_returns_the_halt(tmp_path, init, step, mode):
+    write_clashing_host(tmp_path)
+    (tmp_path / "host.esm").write_text(_HALTING_STEP_HOST)
+    host = parse_program_file(tmp_path / "host.esm")
+    out = step(host, init(host, oracle_mode=mode))
+    assert (out.kind, out.state, str(out.clash)) == (CLASH, None, "z()")
+    # With one transition of fuel left, the host's transition commits, and
+    # the nested run is out of fuel before its first one, so before its clash.
+    state = init(host, oracle_mode=mode)
+    state.ctx.core.fuel_left = 1
+    assert step(host, state) == StepOutcome(FUEL_EXHAUSTED)
+    engine = "critical" if init is init_critical else "reference"
+    r = run(host, engine=engine, oracle_mode=mode)
+    assert (r.outcome, str(r.clash)) == (CLASH, "z()")
 
 
 def test_modes_agree_on_value(mul, addu):
