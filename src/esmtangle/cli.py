@@ -114,7 +114,7 @@ def encode_size(vocab: Vocabulary, codec: str, size: int) -> Term:
     raise ValueError(f"no input codec for {codec!r}")
 
 
-def decode_nat(vocab: Vocabulary, t: Term) -> int | None:
+def decode_nat(t: Term) -> int | None:
     try:
         return decode_nat_binary(t)
     except ValueError:
@@ -249,7 +249,7 @@ def cmd_run(args) -> int:
     )
     if result.outcome == OUTPUT:
         if args.nat:
-            value = decode_nat(program.vocab, result.output)
+            value = decode_nat(result.output)
             shown = str(value) if value is not None else format_term(result.output)
         else:
             shown = format_term(result.output)

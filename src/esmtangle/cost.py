@@ -12,8 +12,6 @@ as hidden ops.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -331,12 +329,6 @@ def emit_report(report: CostReport, format: str = "json") -> bytes:
         return (text + "\n").encode()
     if format == "csv":
         # One row per step; the i=0 baseline record is JSON-only.
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["i", "ops", "vertices", "edges"])
-        for r in report.per_step:
-            if r.i == 0:
-                continue
-            writer.writerow([r.i, r.ops, r.vertices, r.edges])
-        return buf.getvalue().encode()
+        rows = ["i,ops,vertices,edges"] + ["%d,%d,%d,%d" % r for r in report.per_step if r.i]
+        return ("\n".join(rows) + "\n").encode()
     raise ValueError(f"unknown report format {format!r}")

@@ -24,8 +24,8 @@ One regex scan cuts the text into a flat list of token strings (see
 function returns what it read with the index after it.  Token kinds are
 read off a token's first character where the grammar needs them, and an
 error's line and column are found by rescanning up to its token, so a
-successful parse computes no positions.  The parser recurses on `(`, on
-`not` and on nested `if` only.
+successful parse computes no positions.  The parser recurses on `(` (two
+frames each), on `not` and on nested `if` only.
 """
 
 from __future__ import annotations
@@ -228,22 +228,20 @@ def _parse_guard_unit(cur: TokenCursor, i: int, symbols: dict[str, Symbol]) -> t
     return _parse_atom(cur, i, symbols)
 
 
-def _parse_guard_and(cur: TokenCursor, i: int, symbols: dict[str, Symbol]) -> tuple[Guard, int]:
-    toks = cur.toks
-    g, i = _parse_guard_unit(cur, i, symbols)
-    while toks[i] == "and":
-        right, i = _parse_guard_unit(cur, i + 1, symbols)
-        g = GAnd(g, right)
-    return g, i
-
-
 def _parse_guard(cur: TokenCursor, i: int, symbols: dict[str, Symbol]) -> tuple[Guard, int]:
+    # unit (("and" | "or") unit)* in one loop: `g` is the current `and` chain
+    # and `left` the `or` chain before it, so precedence costs no call level.
     toks = cur.toks
-    g, i = _parse_guard_and(cur, i, symbols)
-    while toks[i] == "or":
-        right, i = _parse_guard_and(cur, i + 1, symbols)
-        g = GOr(g, right)
-    return g, i
+    left = None
+    g, i = _parse_guard_unit(cur, i, symbols)
+    while (op := toks[i]) == "and" or op == "or":
+        right, i = _parse_guard_unit(cur, i + 1, symbols)
+        if op == "and":
+            g = GAnd(g, right)
+        else:
+            left = g if left is None else GOr(left, g)
+            g = right
+    return (g if left is None else GOr(left, g)), i
 
 
 def _parse_assign(cur: TokenCursor, i: int, symbols: dict[str, Symbol]) -> tuple[Assign, int]:
@@ -407,15 +405,11 @@ def validate_program(p: Program) -> list[str]:
     elif not any(c.arity == 0 for c in constructors):
         diags.append("no nullary constructor: the domain of values is empty")
 
-    for sym in p.inputs:
+    for what, sym in [("input", s) for s in p.inputs] + [("output", p.output)]:
         if sym.kind != KIND_DYNAMIC:
-            diags.append(f"input {sym.name!r} must be a dynamic symbol")
+            diags.append(f"{what} {sym.name!r} must be a dynamic symbol")
         if sym.arity != 0:
-            diags.append(f"input {sym.name!r} must be nullary (arity {sym.arity})")
-    if p.output.kind != KIND_DYNAMIC:
-        diags.append(f"output {p.output.name!r} must be a dynamic symbol")
-    if p.output.arity != 0:
-        diags.append(f"output {p.output.name!r} must be nullary (arity {p.output.arity})")
+            diags.append(f"{what} {sym.name!r} must be nullary (arity {sym.arity})")
 
     for a in p.init:
         if a.head.kind != KIND_DYNAMIC:
@@ -514,29 +508,21 @@ def critical_terms(p: Program) -> CriticalTerms:
 # --- Canonical printing ---------------------------------------------------------
 
 
-def _format_guard(g: Guard, parent: str = "or") -> str:
+# An operand that binds less tightly than its slot needs is parenthesized: the
+# operator's own level on the left, one more on the right, `not`'s under `not`.
+_BINDS = {GOr: 0, GAnd: 1, GNot: 2, GAtom: 3}
+
+
+def _format_guard(g: Guard, need: int = 0) -> str:
+    binds = _BINDS[type(g)]
     if isinstance(g, GAtom):
-        lhs = UNDEF_WORD if g.lhs is None else format_term(g.lhs)
-        rhs = UNDEF_WORD if g.rhs is None else format_term(g.rhs)
-        return f"{lhs} = {rhs}"
-    if isinstance(g, GNot):
-        sub = _format_guard(g.sub, "not")
-        if isinstance(g.sub, (GAnd, GOr)):
-            sub = f"({sub})"
-        return f"not {sub}"
-    if isinstance(g, GAnd):
-        left = _format_guard(g.left, "and")
-        right = _format_guard(g.right, "and")
-        if isinstance(g.left, GOr):
-            left = f"({left})"
-        if isinstance(g.right, (GOr, GAnd)):
-            right = f"({right})"
-        return f"{left} and {right}"
-    left = _format_guard(g.left, "or")
-    right = _format_guard(g.right, "or")
-    if isinstance(g.right, GOr):
-        right = f"({right})"
-    return f"{left} or {right}"
+        text = " = ".join(UNDEF_WORD if t is None else format_term(t) for t in (g.lhs, g.rhs))
+    elif isinstance(g, GNot):
+        text = f"not {_format_guard(g.sub, binds)}"
+    else:
+        op = "and" if binds else "or"
+        text = f"{_format_guard(g.left, binds)} {op} {_format_guard(g.right, binds + 1)}"
+    return f"({text})" if binds < need else text
 
 
 def _format_assign(a: Assign) -> str:

@@ -124,6 +124,14 @@ MUTANTS = [
            "size = {t: bits.bit_count() for",
            "size = {t: bits.bit_count() + 1 for",
            ("tests/test_syntax.py::test_critical_terms_match_their_definition",)),
+    Mutant("the guard loop binds `or` tighter than `and`", "syntax.py",
+           'if op == "and":', 'if op == "or":',
+           ("tests/test_syntax.py::test_guard_precedence_not_and_or",
+            "tests/test_golden.py::test_golden_parse_sample")),
+    Mutant("the printer gives a right operand its operator's own level", "syntax.py",
+           "_format_guard(g.right, binds + 1)", "_format_guard(g.right, binds)",
+           ("tests/test_syntax.py::test_guards_roundtrip_through_the_printer[A or (B or C)]",
+            "tests/test_syntax.py::test_guards_roundtrip_through_the_printer[A and (B and C)]")),
 ]
 
 

@@ -95,12 +95,13 @@ rules {{ if {guard} then {{ b := d1(eps) }} }}
     "rules",
     [
         "if " + "(" * 300 + "b = undef" + ")" * 300 + " then { b := d1(eps) }",
+        "if " + "(" * 400 + "b = undef" + ")" * 400 + " then { b := d1(eps) }",
         "if " + "not " * 900 + "b = undef then { b := d1(eps) }",
         "if b = undef then { " * 900 + "b := d1(eps)" + " }" * 900,
         "if b = undef then { b := d1(eps) } "
         "if b = eps then { b := " + "d1(" * 10_000 + "eps" + ")" * 10_000 + " }",
     ],
-    ids=["300 parentheses", "900 not", "900 if", "10000-deep term"],
+    ids=["300 parentheses", "400 parentheses", "900 not", "900 if", "10000-deep term"],
 )
 def test_run_deep_programs(tmp_path, capsys, rules):
     # Nesting that parses runs: the code generated from it is flat, so
@@ -197,6 +198,21 @@ def test_run_report_csv(tmp_path, capsys):
     assert len(lines) == 3  # header + 2 steps
 
 
+def test_run_undefined_output(tmp_path, capsys):
+    prog = tmp_path / "undef.esm"
+    prog.write_text(
+        """
+vocab { constructors { c/0 } dynamic { z/0 } }
+inputs { }
+output { z }
+rules { }
+"""
+    )
+    code, out, _ = invoke(capsys, "run", str(prog))
+    assert code == 0
+    assert out.startswith("output undefined\nsteps: 0\n")
+
+
 def test_run_reference_engine(capsys):
     code, out, _ = invoke(capsys, "run", "toggle", "--engine", "reference")
     assert code == 0
@@ -278,6 +294,14 @@ def test_bench_csv(capsys):
     assert lines[0] == "size,n,steps,init_ops,total_ops,word_bits_max"
     assert len(lines) == 4  # sizes 4, 8, 16
     assert [int(row.split(",")[0]) for row in lines[1:]] == [4, 8, 16]
+
+
+def test_bench_report_writes_the_csv(tmp_path, capsys):
+    _, printed, _ = invoke(capsys, "bench", "bin_succ", "--sweep", "4:16")
+    report = tmp_path / "bench.csv"
+    argv = ("bench", "bin_succ", "--sweep", "4:16", "--report", str(report))
+    assert invoke(capsys, *argv) == (0, "", "")
+    assert report.read_text() == printed
 
 
 def test_bench_requires_sweep(capsys):
@@ -382,6 +406,9 @@ def _fixtures(tmp_path):
      "--seed applies only to a program with inputs; merge_demo.esm has none"),
     ("verify toggle --sweep 4:16",
      "--sweep applies only to a program with inputs; toggle.esm has none"),
+    ("run bin_succ --input x4", "--input expects NAME=TERM, got 'x4'"),
+    ("run bin_add --input x=4 --input x=5 --nat", "duplicate --input for 'x'"),
+    ("run str_reverse --input x=3 --nat", "program has no numeral input codec"),
 ])
 def test_bad_input_exits_one_with_one_line(tmp_path, capsys, argv, message):
     _fixtures(tmp_path)

@@ -100,6 +100,35 @@ def test_guard_precedence_not_and_or():
     assert isinstance(guard.right, GAtom)
 
 
+@pytest.mark.parametrize("guard", [
+    "A or (B or C)", "A and (B and C)", "(A or B) and C", "A and (B or C)",
+    "not (A and B)", "not not A", "not A and B or C",
+])
+def test_guards_roundtrip_through_the_printer(guard):
+    # Both operators are left-associative, so a right operand is printed
+    # one level tighter than its operator, and a left operand at its level.
+    for name, atom in (("A", "x = eps"), ("B", "z = eps"), ("C", "x = z")):
+        guard = guard.replace(name, atom)
+    p = parse_program(MINI.replace("if x = eps then", f"if {guard} then"))
+    assert parse_program(format_program(p)).rules == p.rules
+
+
+@pytest.mark.parametrize("edits, message", [
+    ([("eps/0; d0/1; d1/1", ""), ("if x = eps then { z := d1(eps) }", "")],
+     "vocabulary has no constructors"),
+    ([("output { z }", "output { eps }")], "output 'eps' must be a dynamic symbol"),
+    ([("z/0", "z/1"), ("z := d1(eps)", "z(eps) := d1(eps)")],
+     "output 'z' must be nullary (arity 1)"),
+    ([("z/0", "z/0; y/1"), ("rules {", "init { y(x) := eps; }\nrules {")],
+     "init location argument 'x' is not a constructor term"),
+])
+def test_validate_diagnostics(edits, message):
+    text = MINI
+    for old, new in edits:
+        text = text.replace(old, new)
+    assert message in validate_program(parse_program(text))
+
+
 def test_validate_nonnullary_input():
     text = MINI.replace("dynamic { x/0; z/0 }", "dynamic { x/1; z/0 }").replace(
         "if x = eps then { z := d1(eps) }", "if x(eps) = eps then { z := d1(eps) }"
@@ -167,6 +196,18 @@ rules {
     (tmp_path / "host.esm").write_text(host)
     p = parse_program_file(tmp_path / "host.esm")
     assert any("constructor mismatch" in d for d in validate_program(p))
+
+
+def test_oracle_body_diagnostics_name_the_oracle(tmp_path):
+    (tmp_path / "body.esm").write_text(MINI.replace("output { z }", "output { eps }"))
+    p = parse_program(HOST, base_dir=tmp_path)
+    assert validate_program(p) == ["oracle 'probe': output 'eps' must be a dynamic symbol"]
+
+
+def test_assign_to_oracle_rejected(tmp_path):
+    (tmp_path / "body.esm").write_text(MINI)
+    with pytest.raises(TermSyntaxError, match="cannot assign to oracle 'probe'"):
+        parse_program(HOST.replace("rules { }", "rules { probe(x) := eps }"), base_dir=tmp_path)
 
 
 def test_oracle_cycle_rejected(tmp_path):
