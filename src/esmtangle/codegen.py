@@ -43,7 +43,8 @@ An intern hit is one inline probe of the store's index; only a miss calls
 `Tangle.intern` sees the misses only, and since the probe skips `intern`'s
 vocabulary check, the engine checks every symbol a plan interns (`interned`,
 its oracle plans' included) against a given store once, when a run is set
-up.  The generated code reads the store's index directly.
+up.  The generated code reads the store's index directly; its values are int
+vertex indices, the form `intern` takes and gives while a pass runs.
 
 The functions charge the records of the cost menu (`cost`), written in by
 one emitter, `_adds`, under the one batching rule, which the engine's own
@@ -83,7 +84,6 @@ from typing import Callable, NamedTuple, Sequence
 from . import cost
 from .cost import Ops
 from .syntax import Assign, CriticalTerms, GAnd, GAtom, GNot, Program, Stmt, critical_terms
-from .tangle import NodeId
 from .terms import KIND_CONSTRUCTOR, KIND_DYNAMIC, KIND_ORACLE, Symbol, Term, compact_size
 
 UNDEF_SLOT = -1
@@ -115,11 +115,10 @@ class CAssign(NamedTuple):  # an assignment, then its successor
 @dataclass(frozen=True)
 class ClashInfo:
     symbol: str
-    args: tuple[NodeId, ...]
+    args: tuple[int, ...]  # vertex indices in the run's store, printed `symbol(i,j)`
 
     def __str__(self):
-        inner = ",".join(str(a.index) for a in self.args)
-        return f"{self.symbol}({inner})"
+        return f"{self.symbol}({','.join(map(str, self.args))})"
 
 
 @dataclass

@@ -3,6 +3,9 @@
 Both engines keep one value per tracked term (the program's terms and their
 subterms, ordered small to big) inside a maximally shared graph store, and a
 finite location map from (symbol, argument ids) to value ids outside it.
+Inside a run an id is an int vertex index of its store (values, locations,
+memo keys, a clash's `ClashInfo.args`); `NodeId`s, tagged with the store,
+appear only at the API, as `invoke_oracle`'s arguments and result.
 They run a plan, which `codegen.build_plan` makes once per program: the
 tracked terms as slots, the rules as jumping code, and the functions
 generated from them for what depends on the program, `rules`, `slots_all`
@@ -140,10 +143,8 @@ class _RunCore:
         """The trace line of reported step `index`: its enabled assignments,
         its update set, the store's size and the operations since the run
         began."""
-        parts = []
-        for (name, args), val in updates.items():
-            inner = ",".join(str(a.index) for a in args)
-            parts.append(f"{name}({inner}):{'undef' if val is None else val.index}")
+        parts = [f"{name}({','.join(map(str, args))}):{'undef' if val is None else val}"
+                 for (name, args), val in updates.items()]
         st = self.tangle.stats()
         self.trace.write(
             f"i={index} enabled={len(enabled)} updates={';'.join(parts)} "
@@ -158,7 +159,7 @@ class RunContext:
     plan: ExecPlan
     engine: str  # "critical" | "reference"
 
-    def invoke(self, name: str, argids: tuple[NodeId, ...]) -> NodeId | None:
+    def invoke(self, name: str, argids: tuple[int, ...]) -> int | None:
         """An oracle call inside a run: memo probe, then the call on a miss.
         The generated slot passes make every oracle call through this."""
         core = self.core
@@ -193,14 +194,14 @@ class RunContext:
 
 @dataclass
 class EngineState:
-    """One value (node id, or None for undef) per tracked term, and the finite
-    location map they were read from.  A reference-engine step copies the map;
-    a fast-engine step updates it in place, so a fast-engine state can be
-    stepped only once."""
+    """One value (a vertex index of the run's store, or None for undef) per
+    tracked term, and the finite location map they were read from.  A
+    reference-engine step copies the map; a fast-engine step updates it in
+    place, so a fast-engine state can be stepped only once."""
 
     ctx: RunContext
-    values: list[NodeId | None]
-    store: dict[tuple[str, tuple[NodeId, ...]], NodeId]
+    values: list[int | None]
+    store: dict[tuple[str, tuple[int, ...]], int]
     step_index: int = 0
 
 
@@ -223,7 +224,7 @@ class RunResult:
 # --- Oracle calls -----------------------------------------------------------------
 
 
-def _call_oracle(ctx: RunContext, argids: tuple[NodeId, ...]) -> NodeId | None:
+def _call_oracle(ctx: RunContext, argids: tuple[int, ...]) -> int | None:
     """Run an oracle body (the plan of `ctx`) on defined argument ids.
 
     Inline mode meters, records and traces the nested run like the host's own
@@ -245,7 +246,7 @@ def _call_oracle(ctx: RunContext, argids: tuple[NodeId, ...]) -> NodeId | None:
     return value
 
 
-def _run_nested(ctx: RunContext, argids: tuple[NodeId, ...]) -> NodeId | None:
+def _run_nested(ctx: RunContext, argids: tuple[int, ...]) -> int | None:
     state = _init_state(ctx, input_ids=argids)
     return _drive(ctx, state).values[ctx.plan.z_slot]
 
@@ -310,34 +311,38 @@ def _init_state(
     ctx: RunContext,
     inputs: Sequence[Term] = (),
     *,
-    input_ids: Sequence[NodeId] | None = None,
+    input_ids: Sequence[int] | None = None,
 ) -> EngineState:
     """The one initializer, for runs and nested oracle runs alike: check and
     bind the input terms (a nested run binds ids), load the init block,
     evaluate the tracked terms small to big against the initial location
-    map, and record the initial point of the series.  An oracle call that
-    clashes or runs out of fuel raises _Halt."""
+    map (the store speaking indices, `Tangle._ints`), and record the initial
+    point of the series.  An oracle call that clashes or runs out of fuel
+    raises _Halt."""
     core = ctx.core
     tangle = core.tangle
     meter = tangle.meter
     program = ctx.plan.program
 
-    store: dict[tuple[str, tuple[NodeId, ...]], NodeId] = {}
-    if input_ids is None:
-        _check_inputs(program, inputs)
-        input_ids = [tangle.import_term(t) for t in inputs]
-    for sym, nid in zip(program.inputs, input_ids):
-        store[(sym.name, ())] = nid
-        meter.charge(*cost.INPUT_WRITE)
-    for a in program.init:
-        argids = tuple(tangle.import_term(t) for t in a.head_args)
-        assert a.rhs is not None  # validated: init values are constructor terms
-        store[(a.head.name, argids)] = tangle.import_term(a.rhs)
-        meter.charge(*cost.INIT_LOCATION)
-
-    values = ctx.plan.slots_all(ctx, {}, store)
-    if core.check:
-        ctx.check_state(values, store)
+    store: dict[tuple[str, tuple[int, ...]], int] = {}
+    ints, tangle._ints = tangle._ints, True
+    try:
+        if input_ids is None:
+            _check_inputs(program, inputs)
+            input_ids = [tangle.import_term(t) for t in inputs]
+        for sym, nid in zip(program.inputs, input_ids):
+            store[(sym.name, ())] = nid
+            meter.charge(*cost.INPUT_WRITE)
+        for a in program.init:
+            argids = tuple(tangle.import_term(t) for t in a.head_args)
+            assert a.rhs is not None  # validated: init values are constructor terms
+            store[(a.head.name, argids)] = tangle.import_term(a.rhs)
+            meter.charge(*cost.INIT_LOCATION)
+        values = ctx.plan.slots_all(ctx, {}, store)
+        if core.check:
+            ctx.check_state(values, store)
+    finally:
+        tangle._ints = ints
     core.record_point()
     return EngineState(ctx, values, store)
 
@@ -413,20 +418,23 @@ def _transition(state: EngineState) -> StepOutcome:
             if v is None:
                 del store[key]
     w = _WRITTEN * len(updates)
+    tangle = core.tangle
+    ints, tangle._ints = tangle._ints, True
     try:
         if fast:
             new = plan.slots_dirty(ctx, state.values, updates, store, p, r, c, w)
         else:
             meter.charge(probe=p, read=r, compare=c, write=w)
             new = plan.slots_all(ctx, updates, store)
+        if core.check:
+            ctx.check_state(new, store)
     except _Halt as halt:
         return StepOutcome(halt.outcome, None, halt.clash)
-    if core.check:
-        ctx.check_state(new, store)
+    finally:
+        tangle._ints = ints
     at = state.step_index + 1
     if core.record:
         core.steps_reported += 1
-        tangle = core.tangle
         ops = meter.probe + meter.alloc + meter.read + meter.compare + meter.write
         series = core.series
         series.append(_new(StepCost, (len(series), ops - core.last_ops, len(tangle._nodes),
@@ -528,7 +536,7 @@ def run(
     else:
         z = state.values[ctx.plan.z_slot]
         if z is not None:
-            outcome, output_term = OUTPUT, core.tangle.extract_term(z)
+            outcome, output_term = OUTPUT, core.tangle.extract_term(NodeId(core.tangle.tag, z))
 
     n = sum(compact_size(t) for t in inputs)
     report = CostReport(
@@ -554,24 +562,24 @@ def invoke_oracle(
 
     Returns the result id (None for undef) and the RAM operations the call
     charged to the store's meter: the nested run's full cost in inline mode,
-    exactly one in unit mode, none when that meter is disabled.  A body that
-    clashes or runs out of fuel raises RuntimeError.
+    exactly one in unit mode, none when that meter is disabled.  An argument
+    of another store or out of its range raises TangleError, an undef one
+    ValueError.  A body that clashes or runs out of fuel raises RuntimeError.
     """
     if len(args) != odef.symbol.arity:
         raise ValueError(
             f"oracle {odef.symbol.name}/{odef.symbol.arity} called with {len(args)} args"
         )
-    args = tuple(args)
-    for a in args:
-        if a.index == 0:
-            raise ValueError("oracle arguments must be defined")
+    ids = tuple(tangle._own(a, "oracle argument") for a in args)
+    if 0 in ids:
+        raise ValueError("oracle arguments must be defined")
     ctx = _setup(odef.body, "critical", oracle_mode=mode, tangle=tangle, record=False)
     before = tangle.meter.ram_ops
     try:
-        value = _call_oracle(ctx, args)
+        value = _call_oracle(ctx, ids)
     except _Halt as halt:
         raise RuntimeError(f"oracle {odef.symbol.name} halted: {halt}") from None
-    return value, tangle.meter.ram_ops - before
+    return None if value is None else NodeId(tangle.tag, value), tangle.meter.ram_ops - before
 
 
 # --- Differential testing ---------------------------------------------------------
@@ -596,14 +604,14 @@ class EngineComparison:
 
 def _valuation_divergence(step, ctx: RunContext, sc: EngineState, sr: EngineState):
     """The first tracked term whose two values differ, or None.  Both states
-    live in one maximally shared store, so equal values have equal ids; terms
-    are extracted only to describe a difference."""
+    live in one maximally shared store, so equal values have equal indices;
+    terms are extracted only to describe a difference."""
     if sc.values == sr.values:
         return None
     tangle = ctx.core.tangle
 
     def show(v):
-        return "undef" if v is None else format_term(tangle.extract_term(v))
+        return "undef" if v is None else format_term(tangle.extract_term(NodeId(tangle.tag, v)))
 
     for i, (a, b) in enumerate(zip(sc.values, sr.values)):
         if a != b:
@@ -631,7 +639,7 @@ def compare_engines(
     """Run both engines in lockstep; report the first step where they differ.
 
     The engines share one plan and one store, each with its own fuel and
-    oracle memo, so their values are compared as node ids.  Fuel bounds each
+    oracle memo, so their values are compared as vertex indices.  Fuel bounds each
     engine's transitions as it bounds a run's, nested oracle runs included, so
     a comparison ends where `run` at the same fuel ends: "terminal" for an
     output or undef output, "fuel_limited" (or "init fuel_exhausted") for fuel

@@ -1,12 +1,20 @@
 """Append-only term-graph store with maximal sharing (a "tangle").
 
 Every term lives at most once: interning a (label, children) pair returns the
-existing vertex when there is one.  Node ids are dense indices, children always
-point at strictly smaller indices, and nothing is ever deleted, so ids stay
-stable for the lifetime of the store and equality of represented terms is a
-single id comparison.
+existing vertex when there is one.  Vertices are numbered densely, children
+always point at strictly smaller indices, and nothing is ever deleted, so
+indices stay stable for the lifetime of the store and equality of represented
+terms is a single int comparison.
 
-Node id 0 is permanently the distinguished undef vertex.  It is a store-level
+Inside the store and inside a run, ids are plain int vertex indices.  At the
+API (`intern`, `import_term`, `extract_term`, `node_eq`, `undef`) they are
+`NodeId`s, which also carry the store's tag, so an id of another store is
+caught: one conversion, `_own`, checks an incoming id's tag and range.  The
+engine's generated code calls `intern` by name, so a wrapper on it sees every
+miss; the engine sets `_ints` while it initializes or steps, and `intern` (and
+so `import_term`) then speaks indices.
+
+Vertex 0 is permanently the distinguished undef vertex.  It is a store-level
 constant, not a constructor: interning never accepts it as a child, and
 callers model strict operations by short-circuiting to undef themselves.
 
@@ -34,7 +42,7 @@ class UndefNodeError(ValueError):
 
 
 class NodeId(NamedTuple):
-    """Handle to a vertex; carries its store's tag so mixing stores is caught."""
+    """An API id: its store's tag, so mixing stores is caught, and its vertex index."""
 
     store: int
     index: int
@@ -42,7 +50,7 @@ class NodeId(NamedTuple):
 
 class Node(NamedTuple):
     label: Symbol | None  # None marks the undef vertex
-    children: tuple[NodeId, ...]
+    children: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -65,8 +73,9 @@ class Tangle:
         self.tag = next(_store_tags)
         self._nodes: list[Node] = [Node(None, ())]
         self._symbols = {sym.name: sym for sym in vocab}
-        self._index: dict[tuple[str, tuple[NodeId, ...]], NodeId] = {}
+        self._index: dict[tuple[str, tuple[int, ...]], int] = {}
         self._edges = 0
+        self._ints = False  # set during an engine pass: `intern` speaks indices
         self._extract_cache: dict[int, Term] = {}
 
     @property
@@ -80,23 +89,26 @@ class Tangle:
     def edges(self) -> int:
         return self._edges
 
-    def _own(self, nid: NodeId, what: str = "node id") -> NodeId:
+    def _own(self, nid: NodeId, what: str = "node id") -> int:
+        """The index of an API id, checked to be of this store and in range."""
         if nid.store != self.tag:
             raise TangleError(f"{what} {nid} belongs to a different tangle")
         if not 0 <= nid.index < len(self._nodes):
             raise TangleError(f"{what} {nid} is out of range")
-        return nid
+        return nid.index
 
     def intern(self, label: Symbol, children: Iterable[NodeId]) -> NodeId:
         """Return the unique vertex for (label, children), allocating on a miss.
 
-        The checks are ordered cheap first: a vocabulary symbol passes on
-        identity, and a child passes on one tag and one range comparison;
-        `check_vocabulary` and `_own` run only to raise.  The index is keyed
-        by the symbol's name, which the vocabulary check makes unique to
-        `label`.
+        Children and result are NodeIds, or int indices while `_ints` is set
+        (the children then a tuple).  A vocabulary symbol passes on identity,
+        and `check_vocabulary` runs only to raise; the index is keyed by the
+        symbol's name, which that check makes unique to `label`.  A hit names
+        a vertex, so only a miss checks each child is one other than undef.
         """
-        children = tuple(children)
+        ints = self._ints
+        if not ints:
+            children = tuple(self._own(c, "child id") for c in children)
         if len(children) != label.arity:
             raise TangleError(
                 f"symbol {label.name}/{label.arity} interned with "
@@ -106,23 +118,29 @@ class Tangle:
         known = self._symbols.get(name)
         if known is not label and known != label:
             self.check_vocabulary((label,))
-        nodes = self._nodes
-        tag, size = self.tag, len(nodes)
-        for c in children:
-            if c.store != tag or not 0 < c.index < size:
-                self._own(c, "child id")
-                raise TangleError("undef cannot be a child; callers handle strictness")
         key = (name, children)
         nid = self._index.get(key)
         if nid is None:
-            nid = NodeId(tag, size)
+            nodes = self._nodes
+            nid = len(nodes)
+            for c in children:
+                if not 0 < c < nid:
+                    raise TangleError(f"child id {c} is out of range" if c else
+                                      "undef cannot be a child; callers handle strictness")
             nodes.append(Node(known, children))
             self._edges += len(children)
             self._index[key] = nid
-            self.meter.charge(*cost.intern_miss(len(children)))
+            probe, alloc, read, compare, write = cost.intern_miss(len(children))
         else:
-            self.meter.charge(*cost.intern_hit(len(children)))
-        return nid
+            probe, alloc, read, compare, write = cost.intern_hit(len(children))
+        meter = self.meter
+        if meter.enabled:  # `CostMeter.charge`, spelled out: no call per intern
+            meter.probe += probe
+            meter.alloc += alloc
+            meter.read += read
+            meter.compare += compare
+            meter.write += write
+        return nid if ints else NodeId(self.tag, nid)
 
     def check_vocabulary(self, symbols: Iterable[Symbol]):
         """Raise TangleError unless every symbol is the one of its name in
@@ -135,51 +153,56 @@ class Tangle:
 
     def node_eq(self, a: NodeId, b: NodeId) -> bool:
         """Term equality in exactly one comparison, thanks to maximal sharing."""
-        self._own(a)
-        self._own(b)
+        a, b = self._own(a), self._own(b)
         self.meter.charge(*cost.ID_COMPARE)
-        return a.index == b.index
+        return a == b
 
     def import_term(self, t: Term) -> NodeId:
-        """Build (or find) the vertex representing t; cost is affine in ||t||."""
-        memo: dict[Term, NodeId] = {}
+        """Build (or find) the vertex representing t; cost is affine in ||t||.
+        Its interns go through `intern` on int indices, so a wrapper on it
+        sees each; the result is in the form `intern` gives."""
+        ints, self._ints = self._ints, True
+        memo: dict[Term, int] = {}
         stack: list[Term] = [t]
         visits = 0
-        while stack:
-            cur = stack[-1]
-            visits += 1
-            if cur in memo:
+        try:
+            while stack:
+                cur = stack[-1]
+                visits += 1
+                if cur in memo:
+                    stack.pop()
+                    continue
+                pending = [a for a in cur.args if a not in memo]
+                if pending:
+                    stack.extend(pending)
+                    continue
                 stack.pop()
-                continue
-            pending = [a for a in cur.args if a not in memo]
-            if pending:
-                stack.extend(pending)
-                continue
-            stack.pop()
-            memo[cur] = self.intern(cur.head, tuple(memo[a] for a in cur.args))
+                memo[cur] = self.intern(cur.head, tuple(memo[a] for a in cur.args))
+        finally:
+            self._ints = ints
         self.meter.charge(*cost.IMPORT_VISIT * visits)
-        return memo[t]
+        return memo[t] if ints else NodeId(self.tag, memo[t])
 
     def extract_term(self, nid: NodeId) -> Term:
         """Read a vertex back as a term.  The undef vertex has no term form."""
-        self._own(nid)
-        if nid.index == 0:
+        index = self._own(nid)
+        if index == 0:
             raise UndefNodeError("the undef vertex has no term form")
         cache = self._extract_cache
-        stack = [nid.index]
+        stack = [index]
         while stack:
             i = stack[-1]
             if i in cache:
                 stack.pop()
                 continue
             node = self._nodes[i]
-            pending = [c.index for c in node.children if c.index not in cache]
+            pending = [c for c in node.children if c not in cache]
             if pending:
                 stack.extend(pending)
                 continue
             stack.pop()
-            cache[i] = Term(node.label, tuple(cache[c.index] for c in node.children))
-        return cache[nid.index]
+            cache[i] = Term(node.label, tuple(map(cache.__getitem__, node.children)))
+        return cache[index]
 
     def stats(self) -> TangleStats:
         return TangleStats(
@@ -190,7 +213,7 @@ class Tangle:
 
     def check_invariants(self):
         """Assert minimality, acyclicity, and the edge bound.  Test hook."""
-        seen: dict[tuple[Symbol | None, tuple[NodeId, ...]], int] = {}
+        seen: dict[tuple[Symbol | None, tuple[int, ...]], int] = {}
         edges = 0
         for i, node in enumerate(self._nodes):
             key = (node.label, node.children)
@@ -198,8 +221,8 @@ class Tangle:
                 raise AssertionError(f"duplicate node {key} at {seen[key]} and {i}")
             seen[key] = i
             for c in node.children:
-                if c.index >= i:
-                    raise AssertionError(f"node {i} has non-decreasing child {c.index}")
+                if c >= i:
+                    raise AssertionError(f"node {i} has non-decreasing child {c}")
             edges += len(node.children)
         if edges != self._edges:
             raise AssertionError(f"edge counter {self._edges} != recount {edges}")
@@ -211,7 +234,7 @@ class Tangle:
         lines = []
         for i, node in enumerate(self._nodes):
             label = "undef" if node.label is None else node.label.name
-            kids = " ".join(str(c.index) for c in node.children)
+            kids = " ".join(map(str, node.children))
             lines.append(f"{i}\t{label}\t{kids}")
         return "\n".join(lines) + "\n"
 

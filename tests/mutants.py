@@ -41,6 +41,7 @@ INIT_HALT = "tests/test_cost.py::test_a_halt_during_initialization_keeps_the_ser
 HALTED_INIT = "tests/test_cost.py::test_a_halted_initialization_counts_every_op_as_init"
 FUEL_FIRST = "tests/test_engine.py::test_fuel_is_checked_before_the_clash"
 STEP_HALT = "tests/test_oracles.py::test_a_step_whose_oracle_call_halts_returns_the_halt"
+FOREIGN_ARG = "tests/test_oracles.py::test_invoke_oracle_rejects_an_id_that_is_not_of_its_store"
 WALK = "tests/test_engine_property.py::test_jumping_code_matches_tree_walk"
 WALK_SMALL = "tests/test_engine_property.py::test_jumping_code_on_empty_branches_and_double_not"
 WALK_BUNDLED = "tests/test_engine_property.py::test_jumping_code_matches_tree_walk_on_bundled_programs"
@@ -54,8 +55,15 @@ MUTANTS = [
            'f"{pad}    {_adds(cost.intern_hit(len(kids)))}"',
            'f"{pad}    p += 1" + (f"; r += {len(kids)}" if kids else "")', (MENU,)),
     Mutant("Tangle.intern charges a literal hit", "tangle.py",
-           "self.meter.charge(*cost.intern_hit(len(children)))",
-           "self.meter.charge(probe=1, read=len(children))", (MENU,)),
+           "probe, alloc, read, compare, write = cost.intern_hit(len(children))",
+           "probe, alloc, read, compare, write = 1, 0, len(children), 0, 0", (MENU,)),
+    Mutant("the NodeId-to-int conversion skips the store-tag check", "tangle.py",
+           "        if nid.store != self.tag:\n"
+           '            raise TangleError(f"{what} {nid} belongs to a different tangle")\n', "",
+           ("tests/test_tangle.py::test_intern_rejects_a_child_of_another_store", FOREIGN_ARG)),
+    Mutant("invoke_oracle converts its arguments without checking them", "engine.py",
+           'ids = tuple(tangle._own(a, "oracle argument") for a in args)',
+           "ids = tuple(a.index for a in args)", (FOREIGN_ARG,)),
     Mutant("setup skips check_vocabulary", "engine.py",
            "    tangle.check_vocabulary(plan.interned)  # intern hits are probed by name\n", "",
            ("tests/test_engine.py::test_a_given_store_must_hold_every_symbol_the_plan_interns",)),

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import esmtangle.engine as engine_mod
+import esmtangle.tangle as tangle_mod
 from esmtangle import codegen
 from conftest import binary_input, load_corpus, string_term, unary_term
 
@@ -21,12 +22,13 @@ from esmtangle.engine import (
     compare_engines,
     init_critical,
     init_ref,
+    invoke_oracle,
     run,
     step_critical,
     step_ref,
 )
 from esmtangle.syntax import parse_program, parse_program_file
-from esmtangle.tangle import TangleError, new_tangle
+from esmtangle.tangle import NodeId, TangleError, new_tangle
 from esmtangle.terms import (
     KIND_DYNAMIC,
     Symbol,
@@ -50,8 +52,9 @@ def valuation(state):
     tangle = state.ctx.core.tangle
     out = {}
     for term, value in zip(state.ctx.plan.criticals.terms, state.values):
-        key = format_term(term)
-        out[key] = None if value is None else format_term(tangle.extract_term(value))
+        if value is not None:
+            value = format_term(tangle.extract_term(NodeId(tangle.tag, value)))
+        out[format_term(term)] = value
     return out
 
 
@@ -512,6 +515,56 @@ def test_a_given_store_must_hold_every_symbol_an_oracle_plan_interns():
     x = store.import_term(inputs[0])
     with pytest.raises(TangleError, match=r"symbol ph_check/0 is not in this tangle's vocabulary"):
         engine_mod.invoke_oracle(p.oracle("dec"), [x], store)
+
+
+# --- Ids: int indices inside a run, NodeIds at the API ---------------------------
+
+
+@pytest.mark.parametrize("init, step", [(init_critical, step_critical), (init_ref, step_ref)])
+def test_a_run_holds_int_ids_only_and_builds_no_node_id(monkeypatch, init, step):
+    # Every value, location, location value and memo entry of a run is an int
+    # vertex index (or None for undef), in initialization, in each step and
+    # in the oracle calls they make; and neither builds a NodeId.
+    built = []
+    real = tangle_mod.NodeId
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    for module in (tangle_mod, engine_mod):
+        monkeypatch.setattr(module, "NodeId", counted)
+
+    def ints(ids):
+        return all(type(i) is int for i in ids)
+
+    p = load_corpus("bin_mul")
+    state = init(p, [binary_input(p.vocab, 3), binary_input(p.vocab, 5)])
+    while True:
+        assert ints(v for v in state.values if v is not None)
+        assert all(ints(args) and type(v) is int for (_, args), v in state.store.items())
+        out = step(p, state)
+        if out.kind != "next":
+            break
+        state = out.state
+    memo = state.ctx.core.memo
+    assert len(memo) > 5
+    assert all(ints(args) and (v is None or type(v) is int) for (_, args), v in memo.items())
+    assert built == []
+
+
+def test_the_api_gives_node_ids_of_its_store():
+    # `intern`, `import_term`, `undef` and `invoke_oracle` give NodeIds that
+    # carry their store's tag, also after runs and oracle calls on the store.
+    p = load_corpus("bin_mul")
+    g = new_tangle(p.vocab)
+    x = g.import_term(unary_term(p.vocab, 2))
+    run(p, [binary_input(p.vocab, 2), binary_input(p.vocab, 3)], tangle=g)
+    value, _ = invoke_oracle(p.oracle("addu"), [x, x], g)
+    ids = [x, value, g.undef, g.intern(p.vocab.get("s"), [x]), g.intern(p.vocab.get("eps"), ())]
+    for nid in ids:
+        assert type(nid) is NodeId and nid.store == g.tag
+    assert g.extract_term(value) == unary_term(p.vocab, 4)
 
 
 def test_determinism_bit_identical():

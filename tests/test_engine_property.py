@@ -45,7 +45,6 @@ from esmtangle.syntax import (
     parse_program_file,
     validate_program,
 )
-from esmtangle.tangle import NodeId
 from esmtangle.terms import KIND_CONSTRUCTOR, KIND_DYNAMIC, Symbol, Term, Vocabulary, format_term
 
 FUEL = 8  # compare_engines reports fuel_limited, an agreement, beyond this
@@ -228,7 +227,7 @@ def _check_jumping_code(p: Program, inputs=(), steps: int = FUEL):
         return -1 if t is None else pos[t]
 
     for _ in range(steps + 1):
-        absent = NodeId(tangle.tag, len(tangle))
+        absent = len(tangle)
         for values in [state.values, *_variants(p, pos, state.values, absent)]:
             walked: list = []
             atoms = _tree_walk(p.rules, lambda t: None if t is None else values[pos[t]], walked)

@@ -14,7 +14,7 @@ from esmtangle.engine import (
     step_critical, step_ref,
 )
 from esmtangle.syntax import parse_program, parse_program_file
-from esmtangle.tangle import new_tangle
+from esmtangle.tangle import NodeId, TangleError, new_tangle
 from esmtangle.terms import decode_nat_binary, format_term, parse_term
 
 DATA = Path(__file__).parent / "data"
@@ -116,6 +116,23 @@ def test_undef_arguments_rejected(mul, addu):
         invoke_oracle(addu, [a, g.undef], g)
     with pytest.raises(ValueError, match="called with"):
         invoke_oracle(addu, [a], g)
+
+
+@pytest.mark.parametrize("mode", ["unit", "inline"])
+@pytest.mark.parametrize("bad", ["from another store", "out of range"])
+def test_invoke_oracle_rejects_an_id_that_is_not_of_its_store(mul, addu, bad, mode):
+    # The foreign id is in range for this store too; only its tag tells them
+    # apart.  The bad id is addu's first argument, which its first transition
+    # makes the child of a vertex.
+    g = new_tangle(mul.vocab, CostMeter())
+    a = g.import_term(unary_term(mul.vocab, 2))
+    if bad == "out of range":
+        arg = NodeId(g.tag, 10**9)
+    else:
+        arg = new_tangle(mul.vocab).import_term(unary_term(mul.vocab, 1))
+        assert arg.index < len(g)
+    with pytest.raises(TangleError):
+        invoke_oracle(addu, [arg, a], g, mode=mode)
 
 
 def test_invoke_oracle_charges_the_store_meter(mul, addu):
