@@ -28,15 +28,19 @@ program, is the engine's (`engine._transition`), which calls them:
   with no such slot, with more than _DISPATCH_MAX constants, or whose
   branches would take more than _DISPATCH_GROWTH times the lines of the
   code folded under no fact, has one branch, that code.
-* `slots_all(ctx, updates, store)` computes every slot (initialization and
-  the reference engine).  Each slot is an unrolled block: its children, the
-  strictness test, then an intern, a dynamic read or an oracle call, then,
-  in the fast engine's pass, the flagging of its parents.
+* `slots_all(ctx, values, updates, store, p, r, c, w)` computes every slot
+  (initialization and the reference engine) and ignores `values`.
 * `slots_dirty(ctx, values, updates, store, p, r, c, w)` is the fast
   engine's pass: the dirty seed (the slots of each updated symbol, written
   in as constants), then the dirty slots recomputed (a slot, an oracle
   application too, is recomputed when it is seeded or a child's value
   changed).
+
+The two slot passes are one template, `_pass_source`, with one protocol:
+each takes the step's sums `p`, `r`, `c` and `w` (zeros at initialization)
+and returns the new values.  Each slot is an unrolled block: its children,
+the strictness test, then an intern, a dynamic read or an oracle call, then,
+in the dirty pass, the flagging of its parents.
 
 An intern hit is one inline probe of the store's index; only a miss calls
 `intern`, which allocates and charges itself.  So a wrapper put on
@@ -54,7 +58,7 @@ the meter when it records a point of the series, and unit cost mode
 switches the meter off for the call, so a charge carried past it would land
 in the wrong record or be dropped.  So the slot passes charge what they have
 summed before every oracle call and at the end of each piece, `rules`
-returns its sums, and the dirty pass starts from the step's.  The generated
+returns its sums, and a slot pass starts from the step's.  The generated
 code refers to no module and reads the run's state only as `ctx.core.tangle`:
 it calls the store's `intern` and the run context's `invoke` (an oracle
 call: memo probe, then a nested run) through their attributes, looked up at
@@ -75,7 +79,6 @@ profilers and debuggers show the generated lines.
 from __future__ import annotations
 
 import linecache
-from heapq import heappop, heappush
 from dataclasses import dataclass, field
 from itertools import count
 from types import CodeType, FunctionType
@@ -284,10 +287,11 @@ def generate(name: str, code, slots, parents) -> dict[str, Callable]:
     if codes is None:
         if len(_compiled) >= _COMPILED_MAX:
             linecache.cache.pop(_compiled.pop(next(iter(_compiled)))[0].co_filename, None)
+        sure = _sure(slots)
         codes = _compiled[key] = _compile(name, [
-            *_rules_source(code, _sure(slots)),
-            *_slots_all_source(slots, parents),
-            *_slots_dirty_source(slots, parents),
+            *_rules_source(code, sure),
+            *_pass_source("slots_all", slots, parents, sure, dirty=False),
+            *_pass_source("slots_dirty", slots, parents, sure, dirty=True),
         ])
     ns = {"ClashInfo": ClashInfo}
     ns["SEED"] = {name: found[0] for name, found in _dyn_slots(slots).items()}
@@ -403,8 +407,10 @@ def _flow(code, sure, d: int = UNDEF_SLOT, fact: int | tuple[int, ...] = ()):
     n = len(code)
     folded: list = [None] * n
     order, entries, guarded = [], [0] * (n + 1), [False] * n
-    todo, reach = [0], 0
-    while (k := heappop(todo)) < n:  # jumps go forward, so the exit, n, comes last
+    reach = 0
+    for k in range(n):  # jumps go forward, so k's entries are all counted by now
+        if k and not entries[k]:
+            continue
         ins = code[k]
         if type(ins) is CAssign:
             targets = (ins.next,)
@@ -424,8 +430,6 @@ def _flow(code, sure, d: int = UNDEF_SLOT, fact: int | tuple[int, ...] = ()):
         order.append(k)
         guarded[k] = reach > k
         for t in targets:
-            if not entries[t]:
-                heappush(todo, t)
             entries[t] += 1
         reach = max(reach, *targets)
     return folded, order, guarded, entries
@@ -617,22 +621,14 @@ def _rules_source(code, sure) -> list[list[str]]:
     return out
 
 
-# A pass puts the charges it sums on the meter at its end, and before every
-# oracle call, after which it sums from zero again (a flush).  The dirty pass
-# carries on the step's sums, compares included.
+# A pass puts the charges it sums on the meter before every oracle call, after
+# which it sums from zero again (a flush), and at its end.
 _CHARGE = "meter.charge(probe=p, read=r, compare=c, write=w)"
 _FLUSH = _CHARGE + "; p = r = c = w = 0"
-# The dirty pass's last charge runs once per transition, so it spells out
-# `CostMeter.charge` on the meter's counters instead of calling it.
-_STEP_CHARGE = [
-    "if meter.enabled:",
-    "    meter.probe += p; meter.read += r; meter.compare += c; meter.write += w",
-]
 # What a slot pass reads from the store besides its meter: `intern`, looked
 # up at each pass so that a wrapper put on later sees every miss, and the
 # index an intern hit is probed in.
 _PASS_HEAD = ["intern = tangle.intern", "index = tangle._index"]
-_PIECE_HEAD = ["meter = tangle.meter", *_PASS_HEAD, "p = r = c = w = 0"]
 
 
 def _slot_block(i: int, slot: Slot, parents, sure, dirty: bool) -> list[str]:
@@ -692,11 +688,10 @@ def _slot_block(i: int, slot: Slot, parents, sure, dirty: bool) -> list[str]:
     ]
 
 
-def _slot_pieces(slots, parents, dirty: bool) -> list[list[str]]:
+def _slot_pieces(slots, parents, sure, dirty: bool) -> list[list[str]]:
     """A slot pass as blocks, small to big, cut into pieces of bounded size.
     A slot whose subterms are all constructors never changes, so the dirty
     pass leaves it out (it is never flagged)."""
-    sure = _sure(slots)
     pieces, i = [], 0
     while not pieces or i < len(slots):
         end, body = min(len(slots), i + _PIECE), []
@@ -710,35 +705,6 @@ def _slot_pieces(slots, parents, dirty: bool) -> list[list[str]]:
 
 def _indent(lines, pad: str = "    ") -> list[str]:
     return [pad + line for line in lines]
-
-
-def _piece_functions(name: str, pieces) -> list[list[str]]:
-    """The pieces of a long slot pass as functions `_NAME_<i>(ctx, new,
-    updates, store, dirty, tangle)`, each charging what it sums."""
-    return [
-        [f"def _{name}_{i}(ctx, new, updates, store, dirty, tangle):",
-         *_indent([*_PIECE_HEAD, *body, _CHARGE])]
-        for i, body in enumerate(pieces)
-    ]
-
-
-def _piece_calls(name: str, pieces, flags: str) -> list[str]:
-    return [f"_{name}_{i}(ctx, new, updates, store, {flags}, tangle)" for i in range(len(pieces))]
-
-
-def _slots_all_source(slots, parents) -> list[list[str]]:
-    """`slots_all(ctx, updates, store)`, which computes every slot small to
-    big and returns the values (initialization and the reference engine).
-    Charges are summed per piece and put on the meter before every oracle
-    call and at the end of the piece."""
-    pieces = _slot_pieces(slots, parents, dirty=False)
-    head = ["def slots_all(ctx, updates, store):",
-            f"    new = [None] * {len(slots)}", "    tangle = ctx.core.tangle"]
-    if len(pieces) > 1:
-        return [head + _indent(_piece_calls("slots_all", pieces, "None")) + ["    return new"],
-                *_piece_functions("slots_all", pieces)]
-    body = [*_PIECE_HEAD, *pieces[0], _CHARGE, "return new"]
-    return [head + _indent(body)]
 
 
 def _dirty_seed(slots) -> list[str]:
@@ -770,20 +736,26 @@ def _dirty_seed(slots) -> list[str]:
     return lines
 
 
-def _slots_dirty_source(slots, parents) -> list[list[str]]:
-    """`slots_dirty(ctx, values, updates, store, p, r, c, w)`, the fast
-    engine's pass after its update set is written: the dirty seed, then each
-    flagged slot recomputed small to big (an oracle application too), a slot
-    whose value changed flagging its parents.  It returns the new values.  It
-    starts from the step's sums, so the step's charges and its own are put on
-    the meter at once, before an oracle call or at its end."""
-    lines = ["tangle = ctx.core.tangle", "meter = tangle.meter", *_dirty_seed(slots),
-             "new = list(values)"]
-    pieces, out = _slot_pieces(slots, parents, dirty=True), []
-    if len(pieces) > 1:
-        lines += [_CHARGE, *_piece_calls("slots_dirty", pieces, "dirty")]
-        out = _piece_functions("slots_dirty", pieces)
+def _pass_source(name: str, slots, parents, sure, dirty: bool) -> list[list[str]]:
+    """The slot pass NAME (see the module docstring): `slots_all` computes
+    every slot small to big; `slots_dirty` runs the dirty seed, then
+    recomputes each flagged slot small to big, a slot whose value changed
+    flagging its parents.  The last charge runs once per pass, so it spells
+    out `CostMeter.charge` on the meter's counters.  A long pass charges the
+    sums, then calls its pieces, `_NAME_<i>(ctx, new, updates, store, dirty,
+    tangle)`, in order, each charging what it sums."""
+    top = [*_dirty_seed(slots), "new = list(values)"] if dirty else [f"new = [None] * {len(slots)}"]
+    lines = ["tangle = ctx.core.tangle", "meter = tangle.meter", *top]
+    pieces, out = _slot_pieces(slots, parents, sure, dirty), []
+    if len(pieces) == 1:
+        lines += [*_PASS_HEAD, *pieces[0], "if meter.enabled:",
+                  "    meter.probe += p; meter.read += r; meter.compare += c; meter.write += w"]
     else:
-        lines += [*_PASS_HEAD, *pieces[0], *_STEP_CHARGE]
-    head = "def slots_dirty(ctx, values, updates, store, p, r, c, w):"
+        lines.append(_CHARGE)
+        flags = "dirty" if dirty else "None"
+        for i, body in enumerate(pieces):
+            lines.append(f"_{name}_{i}(ctx, new, updates, store, {flags}, tangle)")
+            out.append([f"def _{name}_{i}(ctx, new, updates, store, dirty, tangle):", *_indent([
+                "meter = tangle.meter", *_PASS_HEAD, "p = r = c = w = 0", *body, _CHARGE])])
+    head = f"def {name}(ctx, values, updates, store, p, r, c, w):"
     return [[head, *_indent([*lines, "return new"])], *out]

@@ -8,9 +8,10 @@ memo keys, a clash's `ClashInfo.args`); `NodeId`s, tagged with the store,
 appear only at the API, as `invoke_oracle`'s arguments and result.
 They run a plan, which `codegen.build_plan` makes once per program: the
 tracked terms as slots, the rules as jumping code, and the functions
-generated from them for what depends on the program, `rules`, `slots_all`
-for the pass that computes every slot, and `slots_dirty` for the fast
-engine's pass.  A transition runs the rules, which collect the assignments
+generated from them for what depends on the program, `rules` and two slot
+passes of one signature, `slots_all`, which computes every slot, and
+`slots_dirty`, the fast engine's; each starts from the sums its caller has
+not charged yet.  A transition runs the rules, which collect the assignments
 they pass into an update set, writes the update set into the location map,
 and recomputes tracked values in order: constructor applications intern,
 oracle applications call, and a dynamic read probes the update set and, on
@@ -338,7 +339,7 @@ def _init_state(
             assert a.rhs is not None  # validated: init values are constructor terms
             store[(a.head.name, argids)] = tangle.import_term(a.rhs)
             meter.charge(*cost.INIT_LOCATION)
-        values = ctx.plan.slots_all(ctx, {}, store)
+        values = ctx.plan.slots_all(ctx, None, {}, store, 0, 0, 0, 0)
         if core.check:
             ctx.check_state(values, store)
     finally:
@@ -394,9 +395,9 @@ def _transition(state: EngineState) -> StepOutcome:
     no fuel left it ends after the rules, charging their compares only; on a
     clash, their update set too.  Otherwise it commits its fuel, writes the
     update set into the location map (a copy for the reference engine) and
-    recomputes: every slot after charging the step's sums, or the dirty
-    slots, charging them with the pass's own.  An oracle call there that
-    halts ends the step with the halt's kind.  Then come the invariant check
+    recomputes, every slot or the dirty slots, in one pass that charges the
+    step's sums with its own.  An oracle call there that halts ends the
+    step with the halt's kind.  Then come the invariant check
     (unmetered, off unless asked for) and the record and trace line."""
     ctx = state.ctx
     core = ctx.core
@@ -421,11 +422,8 @@ def _transition(state: EngineState) -> StepOutcome:
     tangle = core.tangle
     ints, tangle._ints = tangle._ints, True
     try:
-        if fast:
-            new = plan.slots_dirty(ctx, state.values, updates, store, p, r, c, w)
-        else:
-            meter.charge(probe=p, read=r, compare=c, write=w)
-            new = plan.slots_all(ctx, updates, store)
+        new = (plan.slots_dirty if fast else plan.slots_all)(ctx, state.values, updates, store,
+                                                             p, r, c, w)
         if core.check:
             ctx.check_state(new, store)
     except _Halt as halt:

@@ -45,6 +45,7 @@ FOREIGN_ARG = "tests/test_oracles.py::test_invoke_oracle_rejects_an_id_that_is_n
 WALK = "tests/test_engine_property.py::test_jumping_code_matches_tree_walk"
 WALK_SMALL = "tests/test_engine_property.py::test_jumping_code_on_empty_branches_and_double_not"
 WALK_BUNDLED = "tests/test_engine_property.py::test_jumping_code_matches_tree_walk_on_bundled_programs"
+SUMS = "tests/test_codegen.py::test_a_pass_charges_the_sums_it_is_given"
 
 MUTANTS = [
     Mutant("menu: an intern hit reads no child", "cost.py",
@@ -107,6 +108,14 @@ MUTANTS = [
     Mutant("the charges are not flushed before an oracle call", "codegen.py",
            'lines += [f"{pad}{_FLUSH}", f"{pad}v = ctx.invoke({name}, {args})"]',
            'lines += [f"{pad}v = ctx.invoke({name}, {args})"]', (GOLDEN,)),
+    Mutant("`slots_all` starts its sums from zero", "codegen.py",
+           '[f"new = [None] * {len(slots)}"]',
+           '[f"new = [None] * {len(slots)}", "p = r = c = w = 0"]', (SUMS, GOLDEN)),
+    Mutant("a single-piece pass leaves `c` out of its last charge", "codegen.py",
+           "meter.read += r; meter.compare += c; meter.write += w",
+           "meter.read += r; meter.write += w",
+           (SUMS + "[bin_add]", GOLDEN,
+            "tests/test_oracles.py::test_second_run_on_one_store_reports_own_ops")),
     Mutant("a constant branch folds another phase's test as true", "codegen.py",
            "                held = _holds(lhs, rhs, sure)\n",
            "                held = True if d in (ins.lhs, ins.rhs) and UNDEF_SLOT not in (lhs, rhs)"

@@ -161,6 +161,35 @@ def test_generated_code_refers_to_no_module():
             assert not any(type(v) is ModuleType for v in fn.__globals__.values())
 
 
+@pytest.mark.parametrize("name", ["bin_mul", "bin_add"])
+def test_a_pass_charges_the_sums_it_is_given(monkeypatch, name):
+    # Both slot passes start from the sums their caller has not charged yet
+    # and put them on the meter with their own: bin_mul's passes before an
+    # oracle call, bin_add's at their end.  So a pass given (p, r, c, w)
+    # charges exactly that much more than one given zeros, and computes the
+    # same values.  The passes run on the first step's update set, once
+    # before they are measured so that their interns and oracle calls hit.
+    p = load_corpus(name)
+    state = init_critical(p, [binary_input(p.vocab, 3), binary_input(p.vocab, 5)])
+    ctx, plan = state.ctx, state.ctx.plan
+    meter = ctx.core.tangle.meter
+    monkeypatch.setattr(ctx.core.tangle, "_ints", True)  # as while the engine steps
+    updates = plan.rules(state.values)[1]
+    store = {k: v for k, v in {**state.store, **updates}.items() if v is not None}
+    for fn in (plan.slots_all, plan.slots_dirty):
+        fn(ctx, state.values, updates, store, 0, 0, 0, 0)
+        seen = []
+        for sums in [(0, 0, 0, 0), (1, 2, 3, 4)]:
+            before = meter.categories()
+            values = fn(ctx, state.values, updates, store, *sums)
+            seen.append((values, {k: v - before[k] for k, v in meter.categories().items()}))
+        (zero, base), (given, charged) = seen
+        assert given == zero and sum(base.values()) > 0
+        assert {k: charged[k] - base[k] for k in base} == {
+            "probe": 1, "alloc": 0, "read": 2, "compare": 3, "write": 4,
+        }
+
+
 def test_the_cache_keeps_no_plan_alive():
     p = load_corpus("bin_succ")
     state = init_critical(p, [binary_input(p.vocab, 5)])
