@@ -43,12 +43,12 @@ the strictness test, then an intern, a dynamic read or an oracle call, then,
 in the dirty pass, the flagging of its parents.
 
 An intern hit is one inline probe of the store's index; only a miss calls
-`intern`, which allocates and charges itself.  So a wrapper put on
-`Tangle.intern` sees the misses only, and since the probe skips `intern`'s
+the store's `_intern`, which allocates and charges itself.  So a wrapper put
+on `Tangle._intern` sees the misses only, and since the probe skips its
 vocabulary check, the engine checks every symbol a plan interns (`interned`,
 its oracle plans' included) against a given store once, when a run is set
 up.  The generated code reads the store's index directly; its values are int
-vertex indices, the form `intern` takes and gives while a pass runs.
+vertex indices, the form `_intern` takes and gives.
 
 The functions charge the records of the cost menu (`cost`), written in by
 one emitter, `_adds`, under the one batching rule, which the engine's own
@@ -60,7 +60,7 @@ in the wrong record or be dropped.  So the slot passes charge what they have
 summed before every oracle call and at the end of each piece, `rules`
 returns its sums, and a slot pass starts from the step's.  The generated
 code refers to no module and reads the run's state only as `ctx.core.tangle`:
-it calls the store's `intern` and the run context's `invoke` (an oracle
+it calls the store's `_intern` and the run context's `invoke` (an oracle
 call: memo probe, then a nested run) through their attributes, looked up at
 every pass, so wrappers put on them later see every call.
 
@@ -327,7 +327,7 @@ def _times(k: int, times: str) -> str:
 def _adds(ops: Ops, times: str = "") -> str:
     """The one line that adds a menu record (a sum of them, `times` times if
     given) to the local sums, each named by its category's initial: `p`, `r`,
-    `c` and `w`.  No allocation is summed; `Tangle.intern` charges its own."""
+    `c` and `w`.  No allocation is summed; `Tangle._intern` charges its own."""
     return "; ".join(
         f"{category[0]} += {_times(k, times) if times else k}"
         for category, k in zip(Ops._fields, ops) if k
@@ -625,19 +625,19 @@ def _rules_source(code, sure) -> list[list[str]]:
 # which it sums from zero again (a flush), and at its end.
 _CHARGE = "meter.charge(probe=p, read=r, compare=c, write=w)"
 _FLUSH = _CHARGE + "; p = r = c = w = 0"
-# What a slot pass reads from the store besides its meter: `intern`, looked
+# What a slot pass reads from the store besides its meter: `_intern`, looked
 # up at each pass so that a wrapper put on later sees every miss, and the
 # index an intern hit is probed in.
-_PASS_HEAD = ["intern = tangle.intern", "index = tangle._index"]
+_PASS_HEAD = ["intern = tangle._intern", "index = tangle._index"]
 
 
 def _slot_block(i: int, slot: Slot, parents, sure, dirty: bool) -> list[str]:
     """Recompute slot i: its children, the strictness test, then an intern,
     a dynamic read (the update set, else the location map) or an oracle call,
     before which the summed charges are flushed.  An intern hit is one probe
-    of the store's index; only a miss calls `intern`, which charges itself.
-    With dirty flags, a changed value reads the slot's parent edges and
-    flags its parents."""
+    of the store's index; only a miss calls `intern` (the store's `_intern`),
+    which charges itself.  With dirty flags, a changed value reads the slot's
+    parent edges and flags its parents."""
     kind, sym, kids = slot
     name = repr(sym.name)
     lines, pad = [], ""

@@ -17,7 +17,8 @@ and recomputes tracked values in order: constructor applications intern,
 oracle applications call, and a dynamic read probes the update set and, on
 a miss, the location map.  Strictness makes a term with an undef argument
 undef.  An intern hit is one inline probe of the store's index, and only a
-miss calls `Tangle.intern`, so a wrapper on it sees the misses only.
+miss calls `Tangle._intern`, the store's int form of `intern`, so a wrapper
+on it sees the misses only; initialization imports through `Tangle._import`.
 
 The engines differ only in how a transition treats its state.  The reference
 engine writes into a copy of the map and recomputes every tracked term, so
@@ -36,7 +37,7 @@ maximal sharing is an id comparison.
 Every run takes one path.  `_setup` sets up every run (`run`, the public
 initializers, `compare_engines`, `invoke_oracle`): it checks the arguments,
 compiles the plan and makes the run core, the run's state; since an inline
-intern hit skips `Tangle.intern`'s vocabulary check, it checks once that
+intern hit skips `Tangle._intern`'s vocabulary check, it checks once that
 every symbol the plan and its oracle plans intern is in the store's
 vocabulary, with the error `intern` raises.  `_init_state` is the one
 initializer (nested oracle runs use it too).  `_transition`, the same for
@@ -184,7 +185,7 @@ class RunContext:
                 if None in childvals:
                     assert values[i] is None, f"strictness violated at slot {i}"
                 elif kind == SLOT_CONS:
-                    expect = tangle.intern(sym, childvals)
+                    expect = tangle._intern(sym, childvals)
                     assert values[i] == expect, f"constructor coherence violated at slot {i}"
                 elif kind == SLOT_DYN:
                     expect = store.get((sym.name, childvals))
@@ -317,33 +318,28 @@ def _init_state(
     """The one initializer, for runs and nested oracle runs alike: check and
     bind the input terms (a nested run binds ids), load the init block,
     evaluate the tracked terms small to big against the initial location
-    map (the store speaking indices, `Tangle._ints`), and record the initial
-    point of the series.  An oracle call that clashes or runs out of fuel
-    raises _Halt."""
+    map, and record the initial point of the series.  An oracle call that
+    clashes or runs out of fuel raises _Halt."""
     core = ctx.core
     tangle = core.tangle
     meter = tangle.meter
     program = ctx.plan.program
 
     store: dict[tuple[str, tuple[int, ...]], int] = {}
-    ints, tangle._ints = tangle._ints, True
-    try:
-        if input_ids is None:
-            _check_inputs(program, inputs)
-            input_ids = [tangle.import_term(t) for t in inputs]
-        for sym, nid in zip(program.inputs, input_ids):
-            store[(sym.name, ())] = nid
-            meter.charge(*cost.INPUT_WRITE)
-        for a in program.init:
-            argids = tuple(tangle.import_term(t) for t in a.head_args)
-            assert a.rhs is not None  # validated: init values are constructor terms
-            store[(a.head.name, argids)] = tangle.import_term(a.rhs)
-            meter.charge(*cost.INIT_LOCATION)
-        values = ctx.plan.slots_all(ctx, None, {}, store, 0, 0, 0, 0)
-        if core.check:
-            ctx.check_state(values, store)
-    finally:
-        tangle._ints = ints
+    if input_ids is None:
+        _check_inputs(program, inputs)
+        input_ids = [tangle._import(t) for t in inputs]
+    for sym, nid in zip(program.inputs, input_ids):
+        store[(sym.name, ())] = nid
+        meter.charge(*cost.INPUT_WRITE)
+    for a in program.init:
+        argids = tuple(tangle._import(t) for t in a.head_args)
+        assert a.rhs is not None  # validated: init values are constructor terms
+        store[(a.head.name, argids)] = tangle._import(a.rhs)
+        meter.charge(*cost.INIT_LOCATION)
+    values = ctx.plan.slots_all(ctx, None, {}, store, 0, 0, 0, 0)
+    if core.check:
+        ctx.check_state(values, store)
     core.record_point()
     return EngineState(ctx, values, store)
 
@@ -419,8 +415,6 @@ def _transition(state: EngineState) -> StepOutcome:
             if v is None:
                 del store[key]
     w = _WRITTEN * len(updates)
-    tangle = core.tangle
-    ints, tangle._ints = tangle._ints, True
     try:
         new = (plan.slots_dirty if fast else plan.slots_all)(ctx, state.values, updates, store,
                                                              p, r, c, w)
@@ -428,8 +422,7 @@ def _transition(state: EngineState) -> StepOutcome:
             ctx.check_state(new, store)
     except _Halt as halt:
         return StepOutcome(halt.outcome, None, halt.clash)
-    finally:
-        tangle._ints = ints
+    tangle = core.tangle
     at = state.step_index + 1
     if core.record:
         core.steps_reported += 1

@@ -9,10 +9,12 @@ terms is a single int comparison.
 Inside the store and inside a run, ids are plain int vertex indices.  At the
 API (`intern`, `import_term`, `extract_term`, `node_eq`, `undef`) they are
 `NodeId`s, which also carry the store's tag, so an id of another store is
-caught: one conversion, `_own`, checks an incoming id's tag and range.  The
-engine's generated code calls `intern` by name, so a wrapper on it sees every
-miss; the engine sets `_ints` while it initializes or steps, and `intern` (and
-so `import_term`) then speaks indices.
+caught: one conversion, `_own`, checks an incoming id's type, tag and range.
+Each method speaks one form.  `_intern` and `_import` are the int forms and
+the one implementation of each: the public `intern` and `import_term`
+convert, call them and wrap the result, and the engine calls them directly.
+Its generated code looks `_intern` up on the store at every pass, so a
+class-level wrapper on `_intern` sees every miss.
 
 Vertex 0 is permanently the distinguished undef vertex.  It is a store-level
 constant, not a constructor: interning never accepts it as a child, and
@@ -75,7 +77,6 @@ class Tangle:
         self._symbols = {sym.name: sym for sym in vocab}
         self._index: dict[tuple[str, tuple[int, ...]], int] = {}
         self._edges = 0
-        self._ints = False  # set during an engine pass: `intern` speaks indices
         self._extract_cache: dict[int, Term] = {}
 
     @property
@@ -90,7 +91,9 @@ class Tangle:
         return self._edges
 
     def _own(self, nid: NodeId, what: str = "node id") -> int:
-        """The index of an API id, checked to be of this store and in range."""
+        """The index of an API id, checked to be a NodeId of this store and in range."""
+        if not isinstance(nid, NodeId):
+            raise TangleError(f"{what} {nid!r} is not a NodeId")
         if nid.store != self.tag:
             raise TangleError(f"{what} {nid} belongs to a different tangle")
         if not 0 <= nid.index < len(self._nodes):
@@ -98,17 +101,16 @@ class Tangle:
         return nid.index
 
     def intern(self, label: Symbol, children: Iterable[NodeId]) -> NodeId:
-        """Return the unique vertex for (label, children), allocating on a miss.
+        """Return the unique vertex for (label, children), allocating on a miss."""
+        children = tuple(self._own(c, "child id") for c in children)
+        return NodeId(self.tag, self._intern(label, children))
 
-        Children and result are NodeIds, or int indices while `_ints` is set
-        (the children then a tuple).  A vocabulary symbol passes on identity,
+    def _intern(self, label: Symbol, children: tuple[int, ...]) -> int:
+        """`intern` on int indices.  A vocabulary symbol passes on identity,
         and `check_vocabulary` runs only to raise; the index is keyed by the
         symbol's name, which that check makes unique to `label`.  A hit names
         a vertex, so only a miss checks each child is one other than undef.
         """
-        ints = self._ints
-        if not ints:
-            children = tuple(self._own(c, "child id") for c in children)
         if len(children) != label.arity:
             raise TangleError(
                 f"symbol {label.name}/{label.arity} interned with "
@@ -140,7 +142,7 @@ class Tangle:
             meter.read += read
             meter.compare += compare
             meter.write += write
-        return nid if ints else NodeId(self.tag, nid)
+        return nid
 
     def check_vocabulary(self, symbols: Iterable[Symbol]):
         """Raise TangleError unless every symbol is the one of its name in
@@ -158,30 +160,28 @@ class Tangle:
         return a == b
 
     def import_term(self, t: Term) -> NodeId:
-        """Build (or find) the vertex representing t; cost is affine in ||t||.
-        Its interns go through `intern` on int indices, so a wrapper on it
-        sees each; the result is in the form `intern` gives."""
-        ints, self._ints = self._ints, True
+        """Build (or find) the vertex representing t; cost is affine in ||t||."""
+        return NodeId(self.tag, self._import(t))
+
+    def _import(self, t: Term) -> int:
+        """`import_term` on int indices; its interns go through `_intern`."""
         memo: dict[Term, int] = {}
         stack: list[Term] = [t]
         visits = 0
-        try:
-            while stack:
-                cur = stack[-1]
-                visits += 1
-                if cur in memo:
-                    stack.pop()
-                    continue
-                pending = [a for a in cur.args if a not in memo]
-                if pending:
-                    stack.extend(pending)
-                    continue
+        while stack:
+            cur = stack[-1]
+            visits += 1
+            if cur in memo:
                 stack.pop()
-                memo[cur] = self.intern(cur.head, tuple(memo[a] for a in cur.args))
-        finally:
-            self._ints = ints
+                continue
+            pending = [a for a in cur.args if a not in memo]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            memo[cur] = self._intern(cur.head, tuple(memo[a] for a in cur.args))
         self.meter.charge(*cost.IMPORT_VISIT * visits)
-        return memo[t] if ints else NodeId(self.tag, memo[t])
+        return memo[t]
 
     def extract_term(self, nid: NodeId) -> Term:
         """Read a vertex back as a term.  The undef vertex has no term form."""

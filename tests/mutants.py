@@ -52,16 +52,24 @@ MUTANTS = [
            "return Ops(probe=1, read=arity)", "return Ops(probe=1, read=0)", (GOLDEN,)),
     Mutant("menu: a dynamic read from the map probes once", "cost.py",
            "READ_MAP = Ops(probe=2)", "READ_MAP = Ops(probe=1)", (GOLDEN,)),
+    Mutant("menu: an intern miss writes no word for its vertex", "cost.py",
+           "return Ops(probe=1, alloc=1, read=arity, write=1 + arity)",
+           "return Ops(probe=1, alloc=1, read=arity, write=arity)",
+           ("tests/test_cost.py::test_a_second_run_on_a_reused_store_interns_no_miss",)),
     Mutant("generated intern hit charges a literal", "codegen.py",
            'f"{pad}    {_adds(cost.intern_hit(len(kids)))}"',
            'f"{pad}    p += 1" + (f"; r += {len(kids)}" if kids else "")', (MENU,)),
-    Mutant("Tangle.intern charges a literal hit", "tangle.py",
+    Mutant("Tangle._intern charges a literal hit", "tangle.py",
            "probe, alloc, read, compare, write = cost.intern_hit(len(children))",
            "probe, alloc, read, compare, write = 1, 0, len(children), 0, 0", (MENU,)),
     Mutant("the NodeId-to-int conversion skips the store-tag check", "tangle.py",
            "        if nid.store != self.tag:\n"
            '            raise TangleError(f"{what} {nid} belongs to a different tangle")\n', "",
            ("tests/test_tangle.py::test_intern_rejects_a_child_of_another_store", FOREIGN_ARG)),
+    Mutant("the public intern skips `_own`", "tangle.py",
+           'children = tuple(self._own(c, "child id") for c in children)',
+           "children = tuple(c.index for c in children)",
+           ("tests/test_tangle.py::test_intern_rejects_a_child_of_another_store",)),
     Mutant("invoke_oracle converts its arguments without checking them", "engine.py",
            'ids = tuple(tangle._own(a, "oracle argument") for a in args)',
            "ids = tuple(a.index for a in args)", (FOREIGN_ARG,)),

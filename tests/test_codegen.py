@@ -52,12 +52,12 @@ def test_a_reparsed_program_compiles_nothing_new(monkeypatch):
 
 
 def _step_interns(monkeypatch, program, inputs, init, step, wrap_first):
-    """The intern calls of the transitions of a run, seen by a wrapper put on
+    """The `_intern` calls of the transitions of a run, seen by a wrapper put on
     the class before the run starts (`wrap_first`) or after initialization,
     as (symbol name, whether it allocated), and the vertices the transitions
     added to the store."""
     calls = []
-    real = Tangle.intern
+    real = Tangle._intern
 
     def counted(self, label, children):
         before = len(self)
@@ -66,14 +66,14 @@ def _step_interns(monkeypatch, program, inputs, init, step, wrap_first):
         return nid
 
     if wrap_first:
-        monkeypatch.setattr(Tangle, "intern", counted)
+        monkeypatch.setattr(Tangle, "_intern", counted)
     state = init(program, inputs)
-    monkeypatch.setattr(Tangle, "intern", counted)
+    monkeypatch.setattr(Tangle, "_intern", counted)
     calls.clear()
     start = len(state.ctx.core.tangle)
     while (out := step(program, state)).kind == NEXT:
         state = out.state
-    monkeypatch.setattr(Tangle, "intern", real)
+    monkeypatch.setattr(Tangle, "_intern", real)
     return calls, len(state.ctx.core.tangle) - start
 
 
@@ -173,7 +173,6 @@ def test_a_pass_charges_the_sums_it_is_given(monkeypatch, name):
     state = init_critical(p, [binary_input(p.vocab, 3), binary_input(p.vocab, 5)])
     ctx, plan = state.ctx, state.ctx.plan
     meter = ctx.core.tangle.meter
-    monkeypatch.setattr(ctx.core.tangle, "_ints", True)  # as while the engine steps
     updates = plan.rules(state.values)[1]
     store = {k: v for k, v in {**state.store, **updates}.items() if v is not None}
     for fn in (plan.slots_all, plan.slots_dirty):

@@ -328,6 +328,39 @@ def test_the_menu_is_the_one_source(monkeypatch):
     assert g.meter.categories() == {**ops, "probe": ops["probe"] + 1, "read": ops["read"] + 2}
 
 
+# Unit mode pauses the meter in a nested oracle run, so there bin_mul's first
+# run adds edges that no write paid for: it is left out of the relation.
+_REUSED = [
+    (name, values, mode)
+    for name, values in [("bin_succ", (20,)), ("bin_add", (13, 13)), ("bin_mul", (7, 7))]
+    for mode in ("inline", "unit")
+    if (name, mode) != ("bin_mul", "unit")
+]
+
+
+@pytest.mark.parametrize("engine", ["critical", "reference"])
+@pytest.mark.parametrize("name, values, mode", _REUSED)
+def test_a_second_run_on_a_reused_store_interns_no_miss(name, values, mode, engine):
+    # The same run again on the same store finds every vertex the first one
+    # allocated: the same steps, probes, reads and compares, no allocation,
+    # and fewer writes by exactly what the first run's misses wrote, one per
+    # vertex and one per child (`cost.intern_miss`).
+    p = load_corpus(name)
+    g = new_tangle(p.vocab)
+    inputs = [binary_input(p.vocab, v) for v in values]
+    runs = []
+    for _ in range(2):
+        before, edges = g.meter.categories(), g.edges
+        steps = run(p, inputs, engine=engine, oracle_mode=mode, tangle=g).steps
+        ops = {k: v - before[k] for k, v in g.meter.categories().items()}
+        runs.append((steps, ops, g.edges - edges))
+    (steps1, first, edges1), (steps2, second, _) = runs
+    assert steps2 == steps1 and first["alloc"] > 0 and second["alloc"] == 0
+    assert [second[k] for k in ("probe", "read", "compare")] == [
+        first[k] for k in ("probe", "read", "compare")]
+    assert first["write"] - second["write"] == first["alloc"] + edges1
+
+
 def test_run_all_checks_on_real_runs():
     for name, values in [("bin_succ", [9]), ("bin_add", [5, 6])]:
         p = load_corpus(name)

@@ -307,6 +307,19 @@ def test_invariant_checks_hold_the_location_map(name, engine):
     assert run(data_program(name), engine=engine, check_invariants=True).outcome == OUTPUT
 
 
+@pytest.mark.parametrize("name", ["bin_add", "bin_mul"])
+@pytest.mark.parametrize("init, step", [(init_critical, step_critical), (init_ref, step_ref)])
+def test_invariant_checks_hold_outside_a_transition(name, init, step):
+    # `check_state` speaks the run's int ids wherever it is called from: on a
+    # fresh initial state and on its successor, as inside a pass.
+    p = load_corpus(name)
+    state = init(p, [binary_input(p.vocab, 3), binary_input(p.vocab, 5)])
+    state.ctx.check_state(state.values, state.store)
+    out = step(p, state)
+    assert out.kind == "next"
+    out.state.ctx.check_state(out.state.values, out.state.store)
+
+
 def test_invariant_checks_catch_a_slot_left_stale(monkeypatch):
     # A fast engine that recomputes only oracle slots keeps pc at its old
     # value while the location map moves on.  The seed is generated into each

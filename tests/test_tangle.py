@@ -147,15 +147,21 @@ def test_intern_rejects_undef_child_and_bad_arity():
         g2.intern(v.get("d0"), (cid,))
 
 
-def test_intern_rejects_a_child_of_another_store():
-    # The id is in range for this store too; only its tag tells them apart.
+@pytest.mark.parametrize("form, error", [
+    (lambda nid: nid, "belongs to a different tangle"),
+    (lambda nid: nid.index, "is not a NodeId"),
+    (tuple, "is not a NodeId"),
+], ids=["node_id", "int", "tuple"])
+def test_intern_rejects_a_child_of_another_store(form, error):
+    # The id is in range for this store too; only its tag tells them apart,
+    # and a bare int or a plain tuple carries no tag to tell.
     v = vocab_fc()
     g1, g2 = new_tangle(v), new_tangle(v)
     g1.import_term(parse_term("c", v))
     foreign = g2.import_term(parse_term("c", v))
     assert foreign.index < len(g1)
-    with pytest.raises(TangleError, match=r"child id .* belongs to a different tangle"):
-        g1.intern(v.get("d0"), (foreign,))
+    with pytest.raises(TangleError, match=rf"child id .* {error}"):
+        g1.intern(v.get("d0"), (form(foreign),))
 
 
 @pytest.mark.parametrize("index", [2, 99, -1])
