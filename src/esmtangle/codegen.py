@@ -56,9 +56,9 @@ routines keep too: a routine adds up its operations in locals and puts them
 on the meter at once, and never across an oracle call.  A nested run reads
 the meter when it records a point of the series, and unit cost mode
 switches the meter off for the call, so a charge carried past it would land
-in the wrong record or be dropped.  So the slot passes charge what they have
-summed before every oracle call and at the end of each piece, `rules`
-returns its sums, and a slot pass starts from the step's.  The generated
+in the wrong record or be dropped.  So `rules` returns its sums, a slot pass
+starts from the step's, and it charges what it has summed before every
+oracle call and once at its end.  The generated
 code refers to no module and reads the run's state only as `ctx.core.tangle`:
 it calls the store's `_intern` and the run context's `invoke` (an oracle
 call: memo probe, then a nested run) through their attributes, looked up at
@@ -68,9 +68,10 @@ The code objects are cached by plan structure, the (jumping code, slots,
 parents) tuples, so a plan of a structure seen before compiles nothing.  Each
 plan binds them to its own symbols and assignments, so the store's
 vocabulary check passes them on identity, and the cache keeps no plan,
-program or store alive.  A long plan is generated as pieces of bounded size,
-called in order, since compiling a function costs time and memory in
-proportion to its size; and no nesting grows with the program, so Python's
+program or store alive.  Compiling a function costs time and memory in
+proportion to its size, so a long one is generated as pieces that its entry
+calls in order, each taking and returning the locals it changes, the sums
+among them (`_run_pieces`).  No nesting grows with the program, so Python's
 limits on indentation and parentheses are never met.  Each plan's source is
 registered with `linecache` as `<esmtangle plan NAME>`, so tracebacks,
 profilers and debuggers show the generated lines.
@@ -260,10 +261,10 @@ def build_plan(program: Program) -> ExecPlan:
 # --- Generation ------------------------------------------------------------------
 
 # Compiling a function costs time and memory in proportion to its size, so a
-# plan is generated as pieces of at most _PIECE instructions (or slots) and
-# about _PIECE_LINES lines, which one entry function calls in order.  The
-# bundled programs' passes fit in one piece, so their steps run as one
-# function with no piece calls.
+# long function is generated as pieces of about _PIECE_LINES lines, which its
+# entry calls in order.  A piece of `rules` holds at most _PIECE instructions
+# too, since one of its lines holds a whole `and` or `or` chain of tests, which
+# only _PIECE cuts.  The bundled programs' functions fit in one piece.
 _PIECE = 256
 _PIECE_LINES = 400
 
@@ -595,40 +596,38 @@ def _rules_source(code, sure) -> list[list[str]]:
     ]
     if len(branches) > 1:
         entry.append(f"    d = values[{d}]")
-    state = "pc, c, r, p, clash"
-    out = [entry]
+    state, out = "pc, c, r, p, clash", []
     for cond, (charge, pieces) in branches:
-        lines = [f"c = {charge.compare}"]
-        if len(pieces) == 1 and len(entry) < _PIECE_LINES:
-            lines += pieces[0][1]
-        else:
-            for end, body in pieces:
-                name = f"_rules_{len(out) - 1}"
-                lines.append(f"{state} = {name}(values, enabled, updates, {state})")
-                out.append([
-                    f"def {name}(values, enabled, updates, {state}):",
-                    f"    if pc >= {end}:",
-                    f"        return {state}",
-                    *_indent(body),
-                    f"    return {state}",
-                ])
-        lines += [
-            "if clash is not None:",
-            "    clash, p, r, updates = clash",
-            "return enabled, updates, clash, c, p, r",
-        ]
+        inline = len(pieces) == 1 and len(entry) < _PIECE_LINES
+        bodies = [body if inline else [f"if pc >= {end}:", f"    return {state}", *body]
+                  for end, body in pieces]
+        lines = [f"c = {charge.compare}",
+                 *_run_pieces("_rules", "values, enabled, updates", state, bodies, out, inline),
+                 "if clash is not None:",
+                 "    clash, p, r, updates = clash",
+                 "return enabled, updates, clash, c, p, r"]
         entry += [f"    if {cond}:", *_indent(lines, "        ")] if cond else _indent(lines)
-    return out
+    return [entry, *out]
+
+
+def _run_pieces(name: str, params: str, state: str, pieces, out: list, inline: bool) -> list[str]:
+    """The lines that run `pieces` (each the lines of one) in order: the one
+    piece itself when `inline`, else a call `STATE = NAME_<i>(PARAMS, STATE)`
+    per piece, whose function is appended to `out` as its i-th entry.  So the
+    locals a piece changes, the sums among them, pass on as in one body."""
+    if inline:
+        return pieces[0]
+    calls = []
+    for body in pieces:
+        fn = f"{name}_{len(out)}"
+        calls.append(f"{state} = {fn}({params}, {state})")
+        out.append([f"def {fn}({params}, {state}):", *_indent([*body, f"return {state}"])])
+    return calls
 
 
 # A pass puts the charges it sums on the meter before every oracle call, after
 # which it sums from zero again (a flush), and at its end.
-_CHARGE = "meter.charge(probe=p, read=r, compare=c, write=w)"
-_FLUSH = _CHARGE + "; p = r = c = w = 0"
-# What a slot pass reads from the store besides its meter: `_intern`, looked
-# up at each pass so that a wrapper put on later sees every miss, and the
-# index an intern hit is probed in.
-_PASS_HEAD = ["intern = tangle._intern", "index = tangle._index"]
+_FLUSH = "meter.charge(probe=p, read=r, compare=c, write=w); p = r = c = w = 0"
 
 
 def _slot_block(i: int, slot: Slot, parents, sure, dirty: bool) -> list[str]:
@@ -689,17 +688,15 @@ def _slot_block(i: int, slot: Slot, parents, sure, dirty: bool) -> list[str]:
 
 
 def _slot_pieces(slots, parents, sure, dirty: bool) -> list[list[str]]:
-    """A slot pass as blocks, small to big, cut into pieces of bounded size.
-    A slot whose subterms are all constructors never changes, so the dirty
-    pass leaves it out (it is never flagged)."""
-    pieces, i = [], 0
-    while not pieces or i < len(slots):
-        end, body = min(len(slots), i + _PIECE), []
-        while i < end and len(body) < _PIECE_LINES:
-            if not (dirty and sure[i]):
-                body += _slot_block(i, slots[i], parents, sure, dirty)
-            i += 1
-        pieces.append(body)
+    """A slot pass as blocks, small to big, cut into pieces of about
+    _PIECE_LINES lines, none empty unless the pass is.  A slot whose subterms
+    are all constructors never changes, so the dirty pass leaves it out."""
+    pieces: list[list[str]] = [[]]
+    for i, slot in enumerate(slots):
+        if not (dirty and sure[i]):
+            if len(pieces[-1]) >= _PIECE_LINES:
+                pieces.append([])
+            pieces[-1] += _slot_block(i, slot, parents, sure, dirty)
     return pieces
 
 
@@ -740,22 +737,18 @@ def _pass_source(name: str, slots, parents, sure, dirty: bool) -> list[list[str]
     """The slot pass NAME (see the module docstring): `slots_all` computes
     every slot small to big; `slots_dirty` runs the dirty seed, then
     recomputes each flagged slot small to big, a slot whose value changed
-    flagging its parents.  The last charge runs once per pass, so it spells
-    out `CostMeter.charge` on the meter's counters.  A long pass charges the
-    sums, then calls its pieces, `_NAME_<i>(ctx, new, updates, store, dirty,
-    tangle)`, in order, each charging what it sums."""
+    flagging its parents.  It reads the meter, `_intern` and the index an
+    intern hit probes once per pass, so that a wrapper put on `_intern`
+    later sees every miss, and a long pass hands them to its pieces with the
+    sums.  The last charge runs once per pass, so it spells out
+    `CostMeter.charge` on the meter's counters."""
     top = [*_dirty_seed(slots), "new = list(values)"] if dirty else [f"new = [None] * {len(slots)}"]
-    lines = ["tangle = ctx.core.tangle", "meter = tangle.meter", *top]
+    params = f"ctx, new, updates, store, {'dirty, ' if dirty else ''}meter, intern, index"
     pieces, out = _slot_pieces(slots, parents, sure, dirty), []
-    if len(pieces) == 1:
-        lines += [*_PASS_HEAD, *pieces[0], "if meter.enabled:",
-                  "    meter.probe += p; meter.read += r; meter.compare += c; meter.write += w"]
-    else:
-        lines.append(_CHARGE)
-        flags = "dirty" if dirty else "None"
-        for i, body in enumerate(pieces):
-            lines.append(f"_{name}_{i}(ctx, new, updates, store, {flags}, tangle)")
-            out.append([f"def _{name}_{i}(ctx, new, updates, store, dirty, tangle):", *_indent([
-                "meter = tangle.meter", *_PASS_HEAD, "p = r = c = w = 0", *body, _CHARGE])])
+    lines = ["tangle = ctx.core.tangle", "meter = tangle.meter", *top,
+             "intern = tangle._intern", "index = tangle._index",
+             *_run_pieces(f"_{name}", params, "p, r, c, w", pieces, out, len(pieces) == 1),
+             "if meter.enabled:",
+             "    meter.probe += p; meter.read += r; meter.compare += c; meter.write += w"]
     head = f"def {name}(ctx, values, updates, store, p, r, c, w):"
     return [[head, *_indent([*lines, "return new"])], *out]

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from esmtangle.cli import encode_size, input_codec
 from esmtangle.syntax import Program, parse_program_file, validate_program
 from esmtangle.terms import Term, Vocabulary, encode_nat_binary
 
@@ -57,6 +58,18 @@ def string_value(t: Term) -> str:
 
 def binary_input(vocab: Vocabulary, n: int) -> Term:
     return encode_nat_binary(n, vocab)
+
+
+# Per bundled program, the sizes of small inputs, encoded as `esm --random`
+# and `--sweep` encode them (`cli.encode_size`).
+SMALL_SIZES = {
+    "toggle": (), "bin_succ": (9,), "bin_add": (5, 6), "bin_mul": (3, 4),
+    "str_reverse": (3,), "merge_demo": (),
+}
+
+
+def small_inputs(program: Program, name: str) -> list[Term]:
+    return [encode_size(program.vocab, input_codec(program.vocab), n) for n in SMALL_SIZES[name]]
 
 
 @pytest.fixture(scope="session")

@@ -46,6 +46,7 @@ WALK = "tests/test_engine_property.py::test_jumping_code_matches_tree_walk"
 WALK_SMALL = "tests/test_engine_property.py::test_jumping_code_on_empty_branches_and_double_not"
 WALK_BUNDLED = "tests/test_engine_property.py::test_jumping_code_matches_tree_walk_on_bundled_programs"
 SUMS = "tests/test_codegen.py::test_a_pass_charges_the_sums_it_is_given"
+CUT = "tests/test_codegen.py::test_cutting_into_pieces_changes_no_charge"
 
 MUTANTS = [
     Mutant("menu: an intern hit reads no child", "cost.py",
@@ -141,6 +142,22 @@ MUTANTS = [
            "        if s.kind == SLOT_DYN:\n",
            "        if s.kind == SLOT_DYN and not s.child_slots:\n",
            ("tests/test_engine.py::test_dirty_slots_seeded_by_updates_with_arguments",)),
+    Mutant("a slot pass drops the sums its pieces return", "codegen.py",
+           'calls.append(f"{state} = {fn}({params}, {state})")',
+           'calls.append(f"{fn}({params}, {state})" if "w" in state'
+           ' else f"{state} = {fn}({params}, {state})")', (CUT,)),
+    Mutant("the fast engine keeps a dynamic slot's old value on an update-set miss", "codegen.py",
+           'f"{pad}    v = store.get(key)",',
+           'f"{pad}    v = " + (f"new[{i}]" if dirty else "store.get(key)"),',
+           ("tests/test_engine.py::test_stale_read_is_exact_on_both_engines",
+            "tests/test_cli.py::test_compare_stale_read_is_equivalent")),
+    Mutant("a changed slot flags only its first parent", "codegen.py",
+           'dirty[{q}] = True; {flag}" for q in above)',
+           'dirty[{q}] = True; {flag}" for q in above[:1])',
+           ("tests/test_cost.py::test_the_engines_agree_record_by_record[bin_succ-inline]",)),
+    Mutant("the fuel check lets one more transition run", "engine.py",
+           "if not enabled or core.fuel_left <= 0:", "if not enabled or core.fuel_left < 0:",
+           ("tests/test_cost.py::test_a_run_cut_by_fuel_is_a_prefix_of_the_full_run",)),
     Mutant("critical_terms overwrites a first occurrence", "syntax.py",
            "occurrence.setdefault(sub, len(occurrence))",
            "occurrence[sub] = len(occurrence)",

@@ -10,7 +10,7 @@ from types import ModuleType
 
 import pytest
 
-from conftest import binary_input, load_corpus
+from conftest import binary_input, load_corpus, small_inputs
 
 from esmtangle import codegen
 from esmtangle.codegen import SLOT_ORACLE
@@ -28,7 +28,7 @@ from esmtangle.engine import (
 )
 from esmtangle.syntax import parse_program
 from esmtangle.tangle import Tangle
-from esmtangle.terms import Term
+from esmtangle.terms import Term, format_term
 
 
 def _report(program, inputs):
@@ -268,3 +268,58 @@ def test_a_dispatch_is_made_only_while_the_code_stays_small():
     assert not any("d = values[" in line for line in lines)
     assert sum(" if " in line and " else " in line for line in lines) == 60  # a test per rule
     assert compare_engines(p, fuel=70).equivalent
+
+
+def _small_runs(name):
+    """Output, text trace and JSON report of a small run of a bundled
+    program, on each engine in each oracle mode."""
+    p = load_corpus(name)
+    inputs = small_inputs(p, name)
+    out = []
+    for engine in ("critical", "reference"):
+        for mode in ("inline", "unit"):
+            trace = io.StringIO()
+            r = run(p, inputs, engine=engine, oracle_mode=mode, trace=trace)
+            output = None if r.output is None else format_term(r.output)
+            out.append((r.outcome, output, trace.getvalue(), emit_report(r.cost)))
+    return out
+
+
+_CUT = ["toggle", "bin_succ", "bin_add", "bin_mul", "str_reverse"]
+
+
+@pytest.mark.parametrize("piece, lines", [(1, 1), (4, 8)])
+def test_cutting_into_pieces_changes_no_charge(monkeypatch, piece, lines):
+    # A function too long for one piece calls its pieces in order, and each
+    # takes and returns the locals it changes, the step's sums among them.
+    # So the bundled programs, whose functions fit in one piece, run the
+    # same when every function is cut into tiny pieces: the same output,
+    # trace and report, on both engines and in both oracle modes.
+    monkeypatch.setattr(codegen, "_compiled", {})
+    whole = {name: _small_runs(name) for name in _CUT}
+    monkeypatch.setattr(codegen, "_PIECE", piece)
+    monkeypatch.setattr(codegen, "_PIECE_LINES", lines)
+    monkeypatch.setattr(codegen, "_compiled", {})
+    ns = build_plan(load_corpus("bin_mul")).slots_all.__globals__
+    assert {"_rules_1", "_slots_all_1", "_slots_dirty_1"} <= set(ns)
+    for name in _CUT:
+        assert _small_runs(name) == whole[name], name
+
+
+def test_a_long_dirty_pass_calls_no_empty_piece():
+    # The 10,000-deep term of `test_run_deep_programs` makes 10,002 slots,
+    # so `slots_all` is cut into pieces.  Every slot of the deep term is a
+    # constructor term that never changes, so the dirty pass leaves them out
+    # and is left with a few lines: one function, calling no piece.
+    n = 10_000
+    p = parse_program(f"""
+vocab {{ constructors {{ eps/0; d1/1 }} dynamic {{ b/0 }} }}
+inputs {{ }}
+output {{ b }}
+rules {{ if b = undef then {{ b := d1(eps) }}
+        if b = eps then {{ b := {"d1(" * n}eps{")" * n} }} }}
+""")
+    plan = build_plan(p)
+    assert len(plan.slots) > n
+    assert "_slots_all_1" in plan.slots_all.__globals__
+    assert not [k for k in plan.slots_dirty.__globals__ if k.startswith("_slots_dirty_")]

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from conftest import binary_input, load_corpus, write_clashing_host
+from conftest import CORPUS, binary_input, load_corpus, small_inputs, write_clashing_host
 
 from esmtangle import codegen, cost
 from esmtangle.cost import (
@@ -359,6 +359,46 @@ def test_a_second_run_on_a_reused_store_interns_no_miss(name, values, mode, engi
     assert [second[k] for k in ("probe", "read", "compare")] == [
         first[k] for k in ("probe", "read", "compare")]
     assert first["write"] - second["write"] == first["alloc"] + edges1
+
+
+def _shape(rec: StepCost) -> tuple[int, int, int]:
+    return rec.i, rec.vertices, rec.edges
+
+
+@pytest.mark.parametrize("mode", ["inline", "unit"])
+@pytest.mark.parametrize("name", CORPUS)
+def test_the_engines_agree_record_by_record(name, mode):
+    # The two engines build one store step by step: each record of their
+    # series has the same index, vertices and edges.  (Their ops differ: the
+    # reference engine recomputes every slot.)
+    p = load_corpus(name)
+    inputs = small_inputs(p, name)
+    fast, ref = (run(p, inputs, engine=e, oracle_mode=mode).cost.per_step
+                 for e in ("critical", "reference"))
+    assert len(fast) > 1 and list(map(_shape, fast)) == list(map(_shape, ref))
+
+
+# Fuel bounds nested oracle transitions too, so a run of bin_mul cut by fuel
+# stops inside an oracle call (inline mode, at fuel 2) or halts its
+# initialization (unit mode, at fuel 0): it is left out of the relation.
+@pytest.mark.parametrize("engine", ["critical", "reference"])
+@pytest.mark.parametrize("mode", ["inline", "unit"])
+@pytest.mark.parametrize("name", [n for n in CORPUS if n != "bin_mul"])
+def test_a_run_cut_by_fuel_is_a_prefix_of_the_full_run(name, mode, engine):
+    # With fuel f below the full run's T steps, a run takes f steps and its
+    # series is the full run's first f + 1 records.  Only the last one's ops
+    # differ: it also holds the rules that found no fuel left, where the full
+    # run's goes on to the next step.
+    p = load_corpus(name)
+    inputs = small_inputs(p, name)
+    full = run(p, inputs, engine=engine, oracle_mode=mode)
+    steps = full.steps
+    for fuel in sorted({f for f in (0, 1, 2, steps // 2, steps - 1) if 0 <= f < steps}):
+        cut = run(p, inputs, fuel=fuel, engine=engine, oracle_mode=mode)
+        series = cut.cost.per_step
+        assert (cut.outcome, cut.steps, len(series)) == (FUEL_EXHAUSTED, fuel, fuel + 1), fuel
+        assert series[:-1] == full.cost.per_step[:fuel], fuel
+        assert _shape(series[-1]) == _shape(full.cost.per_step[fuel]), fuel
 
 
 def test_run_all_checks_on_real_runs():
