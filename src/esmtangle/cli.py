@@ -96,21 +96,23 @@ def input_codec(vocab: Vocabulary) -> str | None:
     return None
 
 
+def _chain(vocab: Vocabulary, base: str, names) -> Term:
+    """`base` under the unary constructors `names`, the first innermost."""
+    t = Term(vocab.get(base))
+    for name in names:
+        t = Term(vocab.get(name), (t,))
+    return t
+
+
 def encode_size(vocab: Vocabulary, codec: str, size: int) -> Term:
     if codec == "binary":
         return encode_nat_binary(size, vocab)
     if codec == "unary":
         if size < 0:
             raise ValueError(f"unary numerals encode natural numbers, got {size}")
-        t = Term(vocab.get("zero"))
-        for _ in range(size):
-            t = Term(vocab.get("s"), (t,))
-        return t
+        return _chain(vocab, "zero", "s" * size)
     if codec == "string":
-        t = Term(vocab.get("eps"))
-        for i in range(size):
-            t = Term(vocab.get("a" if i % 2 else "b"), (t,))
-        return t
+        return _chain(vocab, "eps", ("a" if i % 2 else "b" for i in range(size)))
     raise ValueError(f"no input codec for {codec!r}")
 
 
@@ -133,13 +135,9 @@ def random_input(vocab: Vocabulary, rng: random.Random) -> Term:
     if codec == "binary":
         return encode_nat_binary(rng.randint(1, 16), vocab)
     if codec == "unary":
-        return encode_size(vocab, "unary", rng.randint(0, 24))
+        return _chain(vocab, "zero", "s" * rng.randint(0, 24))
     if codec == "string":
-        length = rng.randint(0, 5)
-        t = Term(vocab.get("eps"))
-        for _ in range(length):
-            t = Term(vocab.get(rng.choice("ab")), (t,))
-        return t
+        return _chain(vocab, "eps", [rng.choice("ab") for _ in range(rng.randint(0, 5))])
     raise ValueError("program has no input codec; give explicit --input")
 
 
@@ -160,7 +158,11 @@ def parse_inputs(program: Program, pairs: list[str], as_nat: bool) -> list[Term]
             codec = input_codec(program.vocab)
             if codec not in ("binary", "unary"):
                 raise ValueError("program has no numeral input codec")
-            given[name] = encode_size(program.vocab, codec, int(text))
+            try:
+                size = int(text)
+            except ValueError:
+                raise ValueError(f"--nat input {name} is not an integer: {text!r}") from None
+            given[name] = encode_size(program.vocab, codec, size)
         else:
             given[name] = parse_term(text, program.vocab)
     missing = [s.name for s in program.inputs if s.name not in given]
@@ -194,21 +196,17 @@ def _trials(program: Program, args) -> list[tuple[int | None, list[Term]]]:
     vocab, inputs = program.vocab, program.inputs
     given, seed = getattr(args, "input", []), getattr(args, "seed", None)
     sweep, count = getattr(args, "sweep", None), getattr(args, "random", None)
-    if sweep and given:
-        raise ValueError("--sweep and --input are exclusive; give one of them")
-    if count is not None and given:
-        raise ValueError("--random and --input are exclusive; give one of them")
-    if seed is not None and given:
-        raise ValueError("--seed and --input are exclusive; give one of them")
+    for flag, value in (("--sweep", sweep), ("--random", count), ("--seed", seed)):
+        if value is not None and given:
+            raise ValueError(f"{flag} and --input are exclusive; give one of them")
+        if value is not None and not inputs:
+            raise ValueError(f"{flag} applies only to a program with inputs; "
+                             f"{program.name} has none")
     if getattr(args, "nat", False) and not given and args.command != "run":
         raise ValueError("--nat applies only to --input values")  # and to run's output
     if count is not None and count < 1:
         raise ValueError(f"--random expects a count of at least 1, got {count}")
-    for flag, value in (("--sweep", sweep), ("--random", count), ("--seed", seed)):
-        if value is not None and not inputs:
-            raise ValueError(f"{flag} applies only to a program with inputs; "
-                             f"{program.name} has none")
-    if sweep:
+    if sweep is not None:
         codec = input_codec(vocab)
         if codec is None:
             raise ValueError("program has no input codec to sweep")
@@ -311,7 +309,7 @@ def cmd_verify(args) -> int:
 
 def cmd_bench(args) -> int:
     program = load_program(args.program)
-    if not args.sweep:
+    if args.sweep is None:
         raise ValueError("bench requires --sweep LO:HI")
     rows = ["size,n,steps,init_ops,total_ops,word_bits_max"]
     for size, inputs in _trials(program, args):

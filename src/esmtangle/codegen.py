@@ -401,13 +401,13 @@ def _flow(code, sure, d: int = UNDEF_SLOT, fact: int | tuple[int, ...] = ()):
     another sure slot or undef they fail.  In the branch of none of them
     (`fact`, the constants), a test of `d` against one of them fails.
 
-    Returns the folded code (None where no path reaches), the reached
-    instructions in order, and per instruction: whether a jump from a
+    Returns the folded code, which holds each reached instruction once and
+    None where no path reaches, and per instruction: whether a jump from a
     reached instruction before it lands past it (it is guarded) and how many
     reached instructions jump to it."""
     n = len(code)
     folded: list = [None] * n
-    order, entries, guarded = [], [0] * (n + 1), [False] * n
+    entries, guarded = [0] * (n + 1), [False] * n
     reach = 0
     for k in range(n):  # jumps go forward, so k's entries are all counted by now
         if k and not entries[k]:
@@ -428,12 +428,11 @@ def _flow(code, sure, d: int = UNDEF_SLOT, fact: int | tuple[int, ...] = ()):
             ins = Test(lhs, rhs, then, orelse)
             targets = (then,) if then == orelse else (then, orelse)
         folded[k] = ins
-        order.append(k)
         guarded[k] = reach > k
         for t in targets:
             entries[t] += 1
         reach = max(reach, *targets)
-    return folded, order, guarded, entries
+    return folded, guarded, entries
 
 
 def _test_run(code, k: int, end: int, entries, sure) -> tuple[int, Ops, list[str]]:
@@ -523,9 +522,9 @@ def _branch_pieces(flow, sure) -> tuple[int, list[tuple[int, list[str]]]]:
     charged with the branch's, so an unguarded static jump is no line at
     all; and a block does not set `pc` to the next block when that one is
     unguarded, since nothing reads it."""
-    code, order, guarded, entries = flow
-    n, i = len(code), 0  # order[i] is the next reached instruction
-    charge, pieces, k = Ops(), [], order[0] if order else n
+    code, guarded, entries = flow
+    n = len(code)
+    charge, pieces, k = Ops(), [], 0  # the entry is always reached
     while not pieces or k < n:
         end, body = min(n, k + _PIECE), []
         while k < end and len(body) < _PIECE_LINES:
@@ -537,9 +536,8 @@ def _branch_pieces(flow, sure) -> tuple[int, list[tuple[int, list[str]]]]:
                 j, compares, block, goto = k + 1, cost.GUARD_ATOM, [], ins.then
             else:
                 j, compares, block = _test_run(code, k, end, entries, sure)
-            while i < len(order) and order[i] < j:
-                i += 1
-            j = order[i] if i < len(order) else n
+            while j < n and code[j] is None:  # unreached
+                j += 1
             if goto is not None and not (goto == j and (j == n or not guarded[j])):
                 block.append(f"pc = {goto}")
             if guarded[k]:

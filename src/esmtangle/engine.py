@@ -128,10 +128,6 @@ class _RunCore:
     start_ops: int = 0  # the store meter's count when the run began
     last_ops: int = 0
 
-    def __post_init__(self):
-        if self.mode not in (MODE_UNIT, MODE_INLINE):
-            raise ValueError(f"unknown oracle cost mode {self.mode!r}")
-
     def record_point(self):
         if self.record:
             tangle = self.tangle
@@ -292,6 +288,8 @@ def _setup(
     """
     if engine not in ("critical", "reference"):
         raise ValueError(f"unknown engine {engine!r}")
+    if oracle_mode not in (MODE_UNIT, MODE_INLINE):
+        raise ValueError(f"unknown oracle cost mode {oracle_mode!r}")
     if fuel < 0:
         raise ValueError(f"fuel must be at least 0, got {fuel}")
     if plan is None:
@@ -497,18 +495,16 @@ def run(
     )
     core = ctx.core
     meter = core.tangle.meter
-    halt = None
+    halt = baseline = None  # baseline: the series' length when initialization ended
     try:
         state = _init_state(ctx, inputs)
-    except _Halt as stop:  # an oracle call halted initialization: all of it is init
+        baseline = len(core.series)
+        state = _drive(ctx, state)
+    except _Halt as stop:
         halt = stop
-        core.record_point()
-    baseline_index = len(core.series) - 1
-    if halt is None:
-        try:
-            state = _drive(ctx, state)
-        except _Halt as stop:
-            halt = stop
+        if baseline is None:  # an oracle call halted initialization: all of it is init
+            core.record_point()
+            baseline = len(core.series)
 
     # Fold trailing guard-probe ops (terminal detection) into the last record
     # so that total_ops is exactly the sum of the per-step series.  init_ops
@@ -518,8 +514,7 @@ def run(
     if tail:
         last = core.series[-1]
         core.series[-1] = StepCost(last.i, last.ops + tail, last.vertices, last.edges)
-        core.last_ops = meter.ram_ops
-    init_ops = sum(rec.ops for rec in core.series[: baseline_index + 1])
+    init_ops = sum(rec.ops for rec in core.series[:baseline])
 
     outcome, output_term = UNDEF_OUTPUT, None
     if halt is not None:

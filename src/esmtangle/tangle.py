@@ -74,7 +74,7 @@ class Tangle:
         self.meter = meter if meter is not None else CostMeter()
         self.tag = next(_store_tags)
         self._nodes: list[Node] = [Node(None, ())]
-        self._symbols = {sym.name: sym for sym in vocab}
+        self._symbols = vocab._by_name  # the vocabulary's name table, read by `_intern`
         self._index: dict[tuple[str, tuple[int, ...]], int] = {}
         self._edges = 0
         self._extract_cache: dict[int, Term] = {}
@@ -149,8 +149,7 @@ class Tangle:
         this store's vocabulary, which `intern` requires of its label.  Code
         that probes `_index` by name for a symbol checks it here first."""
         for label in symbols:
-            known = self._symbols.get(label.name)
-            if known is not label and known != label:
+            if label not in self.vocab:
                 raise TangleError(f"symbol {label!r} is not in this tangle's vocabulary")
 
     def node_eq(self, a: NodeId, b: NodeId) -> bool:

@@ -74,13 +74,18 @@ MUTANTS = [
     Mutant("invoke_oracle converts its arguments without checking them", "engine.py",
            'ids = tuple(tangle._own(a, "oracle argument") for a in args)',
            "ids = tuple(a.index for a in args)", (FOREIGN_ARG,)),
+    Mutant("`_setup` skips the oracle-mode check", "engine.py",
+           "    if oracle_mode not in (MODE_UNIT, MODE_INLINE):\n"
+           '        raise ValueError(f"unknown oracle cost mode {oracle_mode!r}")\n', "",
+           ("tests/test_oracles.py::test_invoke_oracle_charges_the_store_meter",)),
     Mutant("setup skips check_vocabulary", "engine.py",
            "    tangle.check_vocabulary(plan.interned)  # intern hits are probed by name\n", "",
            ("tests/test_engine.py::test_a_given_store_must_hold_every_symbol_the_plan_interns",)),
     Mutant("`not` stops swapping its targets", "codegen.py",
            "g, then, orelse = g.sub, orelse, then", "g = g.sub", (WALK_SMALL, WALK)),
     Mutant("a halted initialization records no baseline point", "engine.py",
-           "        halt = stop\n        core.record_point()\n", "        halt = stop\n",
+           "            core.record_point()\n            baseline = len(core.series)\n",
+           "            baseline = len(core.series)\n",
            (INIT_HALT, HALTED_INIT,
             "tests/test_cli.py::test_run_halting_in_a_unit_mode_oracle_during_init")),
     Mutant("invoke_oracle lets the engine's private halt escape", "engine.py",
@@ -111,6 +116,12 @@ MUTANTS = [
            "    except _Halt as halt:\n        return StepOutcome(halt.outcome, None, halt.clash)\n",
            "    except _Halt:\n        raise\n",
            (STEP_HALT,)),
+    Mutant("an `if` with two empty branches compiles to no test", "codegen.py",
+           "                k = guard(s.guard, stmts(s.then, k), orelse)\n",
+           "                then = stmts(s.then, k)\n"
+           "                k = k if then == orelse == k else guard(s.guard, then, orelse)\n",
+           ("tests/test_cost.py::test_a_duplicated_test_charges_one_compare_per_pass_of_the_rules",
+            WALK_SMALL)),
     Mutant("`or` compiles as `and`", "codegen.py",
            "g, orelse = g.left, guard(g.right, then, orelse)",
            "g, then = g.left, guard(g.right, then, orelse)", (WALK_SMALL, WALK)),

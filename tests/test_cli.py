@@ -409,6 +409,7 @@ def _fixtures(tmp_path):
     ("run bin_succ --input x4", "--input expects NAME=TERM, got 'x4'"),
     ("run bin_add --input x=4 --input x=5 --nat", "duplicate --input for 'x'"),
     ("run str_reverse --input x=3 --nat", "program has no numeral input codec"),
+    ("run bin_succ --nat --input x=abc", "--nat input x is not an integer: 'abc'"),
 ])
 def test_bad_input_exits_one_with_one_line(tmp_path, capsys, argv, message):
     _fixtures(tmp_path)
@@ -417,6 +418,12 @@ def test_bad_input_exits_one_with_one_line(tmp_path, capsys, argv, message):
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1
     assert message.format(tmp=tmp_path) in err
+
+
+@pytest.mark.parametrize("command", ["verify", "bench"])
+def test_an_empty_sweep_is_a_bad_range(capsys, command):
+    # The argv is a list: the table above splits on spaces, which drops ''.
+    assert invoke(capsys, command, "bin_succ", "--sweep", "") == (1, "", "bad sweep range ''\n")
 
 
 def test_unary_nat_input(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Cost model: meter bookkeeping, bound checkers, report serialization."""
 
+import dataclasses
 import json
 import math
 import random
@@ -24,7 +25,7 @@ from esmtangle.cost import (
     run_all_checks,
 )
 from esmtangle.engine import CLASH, FUEL_EXHAUSTED, compare_engines, run
-from esmtangle.syntax import parse_program_file
+from esmtangle.syntax import Cond, GAtom, GNot, parse_program_file
 from esmtangle.tangle import new_tangle
 from esmtangle.terms import parse_term
 
@@ -376,6 +377,40 @@ def test_the_engines_agree_record_by_record(name, mode):
     fast, ref = (run(p, inputs, engine=e, oracle_mode=mode).cost.per_step
                  for e in ("critical", "reference"))
     assert len(fast) > 1 and list(map(_shape, fast)) == list(map(_shape, ref))
+
+
+def _first_atom(rules):
+    guard = next(s.guard for s in rules if isinstance(s, Cond))
+    while not isinstance(guard, GAtom):
+        guard = guard.sub if isinstance(guard, GNot) else guard.left
+    return guard
+
+
+@pytest.mark.parametrize("engine", ["critical", "reference"])
+@pytest.mark.parametrize("mode", ["inline", "unit"])
+@pytest.mark.parametrize("name", CORPUS)
+def test_a_duplicated_test_charges_one_compare_per_pass_of_the_rules(name, mode, engine):
+    # `if A then { }` after the rules, with A their first guard atom, changes
+    # no value and no transition: the series keeps its shape, and
+    # initialization and the nested oracle runs keep their ops.  Each host
+    # transition evaluates it once, and so does the terminal pass folded into
+    # the last record: T + 1 compares and nothing else, T the host's steps.
+    p = load_corpus(name)
+    dup = dataclasses.replace(p, rules=(*p.rules, Cond(_first_atom(p.rules), ())))
+    inputs = small_inputs(p, name)
+    host_steps = run(p, inputs, engine=engine, oracle_mode="unit").steps
+    base_meter, dup_meter = CostMeter(), CostMeter()
+    base = run(p, inputs, engine=engine, oracle_mode=mode, meter=base_meter)
+    after = run(dup, inputs, engine=engine, oracle_mode=mode, meter=dup_meter)
+    assert (after.outcome, after.steps) == (base.outcome, base.steps)
+    old, new = base.cost.per_step, after.cost.per_step
+    assert list(map(_shape, new)) == list(map(_shape, old))
+    assert after.cost.init_ops == base.cost.init_ops
+    diffs = [b.ops - a.ops for a, b in zip(old, new)]
+    assert diffs[0] == 0 and diffs[-1] == 2 and set(diffs[:-1]) <= {0, 1}
+    assert diffs.count(1) == host_steps - 1
+    assert dup_meter.categories() == {**base_meter.categories(),
+                                      "compare": base_meter.compare + host_steps + 1}
 
 
 # Fuel bounds nested oracle transitions too, so a run of bin_mul cut by fuel
