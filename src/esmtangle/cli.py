@@ -16,6 +16,7 @@ from .cost import DEFAULT_BOUNDS, emit_report, run_all_checks
 from .engine import CLASH, FUEL_EXHAUSTED, OUTPUT, UNDEF_OUTPUT, compare_engines, run
 from .syntax import Program, parse_program_file, validate_program
 from .terms import (
+    Symbol,
     Term,
     Vocabulary,
     decode_nat_binary,
@@ -78,21 +79,20 @@ def _fail(message: str) -> int:
 
 
 # --- Input codecs -----------------------------------------------------------------
-# Inferred from the program's constructor signature; binary numerals win when
-# several match (bin_* programs also carry the unary counters).
+# Inferred from the program's constructor signature: the first codec whose
+# constructors it declares wins (bin_* programs also carry the unary counters).
+
+_CODECS = {
+    "binary": (Symbol("eps", 0), Symbol("d0", 1), Symbol("d1", 1)),
+    "string": (Symbol("eps", 0), Symbol("a", 1), Symbol("b", 1)),
+    "unary": (Symbol("zero", 0), Symbol("s", 1)),
+}
 
 
 def input_codec(vocab: Vocabulary) -> str | None:
-    def has(name, arity, kind="constructor"):
-        s = vocab.get(name)
-        return s is not None and s.arity == arity and s.kind == kind
-
-    if has("eps", 0) and has("d0", 1) and has("d1", 1):
-        return "binary"
-    if has("eps", 0) and has("a", 1) and has("b", 1):
-        return "string"
-    if has("zero", 0) and has("s", 1):
-        return "unary"
+    for codec, constructors in _CODECS.items():
+        if all(vocab.get(c.name) == c for c in constructors):
+            return codec
     return None
 
 
@@ -148,9 +148,7 @@ def parse_inputs(program: Program, pairs: list[str], as_nat: bool) -> list[Term]
             raise ValueError(f"--input expects NAME=TERM, got {pair!r}")
         name, _, text = pair.partition("=")
         name = name.strip()
-        if program.vocab.get(name) is None or not any(
-            s.name == name for s in program.inputs
-        ):
+        if not any(s.name == name for s in program.inputs):
             raise ValueError(f"{name!r} is not an input of this program")
         if name in given:
             raise ValueError(f"duplicate --input for {name!r}")

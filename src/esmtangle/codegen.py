@@ -125,9 +125,9 @@ class ClashInfo:
         return f"{self.symbol}({','.join(map(str, self.args))})"
 
 
-@dataclass
+@dataclass(eq=False)
 class ExecPlan:
-    """A program compiled against its ordered tracked-term list."""
+    """A program compiled against its ordered tracked-term list; a memo key by identity."""
 
     program: Program
     criticals: CriticalTerms
@@ -226,17 +226,15 @@ def build_plan(program: Program) -> ExecPlan:
     c_program = sum(
         sizes[i.rhs_slot] for i in code if type(i) is CAssign and i.rhs_slot != UNDEF_SLOT
     )
+    interned = {s.sym: None for s in slots if s.kind == SLOT_CONS}
     for oplan in oracle_plans.values():
         c_program += max(oplan.c_program, oplan.init_weight)
+        interned.update(dict.fromkeys(oplan.interned))
 
     init_weight = sum(sizes)
     for a in program.init:
         init_weight += sum(compact_size(arg) for arg in a.head_args)
         init_weight += 0 if a.rhs is None else compact_size(a.rhs)
-
-    interned = {s.sym: None for s in slots if s.kind == SLOT_CONS}
-    for oplan in oracle_plans.values():
-        interned.update(dict.fromkeys(oplan.interned))
 
     slots = tuple(slots)
     parents = tuple(tuple(p) for p in parents)

@@ -212,11 +212,11 @@ def fit_affine(points: list[tuple[int, int]]) -> tuple[float, float]:
 
 
 def _step_checks(
-    report: CostReport, c: int, bounds: FrozenBounds
+    report: CostReport, bounds: FrozenBounds
 ) -> tuple[Verdict, Verdict, tuple[float, float]]:
     """check_growth and check_step_linearity from one pass over the steps,
     each with its own first failure, and the fitted (a, b)."""
-    series = report.per_step
+    series, c = report.per_step, report.c_program
     growth = linear = None  # the first failure of each
     sizes, ops = [], []
     if series:
@@ -252,14 +252,14 @@ def _step_checks(
 
 def check_growth(report: CostReport) -> Verdict:
     """Per-record vertex growth stays within the program-derived constant."""
-    return _step_checks(report, report.c_program, DEFAULT_BOUNDS)[0]
+    return _step_checks(report, DEFAULT_BOUNDS)[0]
 
 
 def check_step_linearity(
     report: CostReport, bounds: FrozenBounds = DEFAULT_BOUNDS
 ) -> tuple[Verdict, tuple[float, float]]:
     """Each step's ops stay within an affine function of the live store size."""
-    _, verdict, fitted = _step_checks(report, report.c_program, bounds)
+    _, verdict, fitted = _step_checks(report, bounds)
     return verdict, fitted
 
 
@@ -293,7 +293,7 @@ def run_all_checks(
     )
     last = vars(report).get("_checked")
     if last is None or last[0] != key:
-        growth, step_v, (a, b) = _step_checks(report, report.c_program, bounds)
+        growth, step_v, (a, b) = _step_checks(report, bounds)
         total_v, (a2, b2) = check_total_bound(report, bounds)
         verdicts = {"growth": growth, "step_linear": step_v, "total_bound": total_v}
         fitted = {"a": a, "b": b, "a2": a2, "b2": b2}

@@ -29,7 +29,7 @@ its dirty slots: the tracked terms of every updated dynamic symbol, and then,
 in increasing order so children come first, each term with a child whose
 value changed.  Any other term keeps its value, since its recomputation would
 return it unchanged, an oracle application too: the run's memo keeps its
-result per argument ids.  Initialization recomputes every slot.
+result per body and argument ids.  Initialization recomputes every slot.
 `compare_engines` runs both engines in lockstep over one shared store and
 reports the first step where any tracked term's value differs, which with
 maximal sharing is an id comparison.
@@ -62,11 +62,12 @@ same store and meter, through one call path: the generated slot passes call
 are paused for the nested run and the call is charged as a unit call, so its
 inner transitions are left out of the reported step count and the trace; in
 "inline" mode the nested run's full metered cost and transitions are charged.
-Every result is kept in the run's memo per (oracle, argument ids), so an
-oracle application is a function of its children's values, as a constructor
-application is; its memo probe is charged in both modes.  Every charge is
-an entry of the menu in `cost`, batched by the one rule `codegen` states:
-summed in locals, charged at once, never across an oracle call.
+Every result is kept in the run's memo per (body, argument ids), the body
+being the plan its caller declares under the oracle's name (two may share
+one), so an oracle application is a function of its children's values, as a
+constructor application is; its memo probe is charged in both modes.  Every
+charge is an entry of the menu in `cost`, batched by the one rule `codegen`
+states: summed in locals, charged at once, never across an oracle call.
 """
 
 from __future__ import annotations
@@ -139,15 +140,14 @@ class _RunCore:
 
     def trace_line(self, index: int, enabled, updates):
         """The trace line of reported step `index`: its enabled assignments,
-        its update set, the store's size and the operations since the run
-        began."""
+        its update set, and the store's size and the operations since the
+        run began, read off the step's record."""
         parts = [f"{name}({','.join(map(str, args))}):{'undef' if val is None else val}"
                  for (name, args), val in updates.items()]
-        st = self.tangle.stats()
+        rec = self.series[-1]
         self.trace.write(
             f"i={index} enabled={len(enabled)} updates={';'.join(parts)} "
-            f"vertices={st.vertices} edges={st.edges} "
-            f"ops={self.tangle.meter.ram_ops - self.start_ops}\n"
+            f"vertices={rec.vertices} edges={rec.edges} ops={self.last_ops - self.start_ops}\n"
         )
 
 
@@ -161,11 +161,11 @@ class RunContext:
         """An oracle call inside a run: memo probe, then the call on a miss.
         The generated slot passes make every oracle call through this."""
         core = self.core
-        key = (name, argids)
+        plan = self.plan.oracle_plans[name]
+        key = (plan, argids)
         core.tangle.meter.charge(*cost.MEMO_PROBE)
         if key not in core.memo:
-            oracle = RunContext(core, self.plan.oracle_plans[name], self.engine)
-            core.memo[key] = _call_oracle(oracle, argids)
+            core.memo[key] = _call_oracle(RunContext(core, plan, self.engine), argids)
         return core.memo[key]
 
     def check_state(self, values, store):
@@ -231,22 +231,18 @@ def _call_oracle(ctx: RunContext, argids: tuple[int, ...]) -> int | None:
     run adds still count toward the run's word size, its store's at its end.
     """
     core = ctx.core
-    if core.mode != MODE_UNIT:
-        return _run_nested(ctx, argids)
+    unit = core.mode == MODE_UNIT
     meter = core.tangle.meter
     saved = meter.enabled, core.record
-    meter.enabled = core.record = False
+    if unit:
+        meter.enabled = core.record = False
     try:
-        value = _run_nested(ctx, argids)
+        state = _drive(ctx, _init_state(ctx, input_ids=argids))
     finally:
         meter.enabled, core.record = saved
-    meter.charge(*cost.UNIT_CALL)
-    return value
-
-
-def _run_nested(ctx: RunContext, argids: tuple[int, ...]) -> int | None:
-    state = _init_state(ctx, input_ids=argids)
-    return _drive(ctx, state).values[ctx.plan.z_slot]
+    if unit:
+        meter.charge(*cost.UNIT_CALL)
+    return state.values[ctx.plan.z_slot]
 
 
 # --- Setup and initialization ------------------------------------------------------

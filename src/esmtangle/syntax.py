@@ -9,8 +9,8 @@ Grammar (whitespace and newlines insignificant):
     output  := "output" "{" IDENT "}"
     init    := "init" "{" (assign ";")* "}"
     oracles := "oracles" "{" (IDENT "/" NAT "=" STRING ";")* "}"
-    rules   := "rules" "{" stmt* "}"
-    stmt    := assign | "if" guard "then" "{" stmt* "}" ("else" "{" stmt* "}")?
+    rules   := "rules" block             block := "{" stmt* "}"
+    stmt    := assign | "if" guard "then" block ("else" block)?
     assign  := term ":=" (term | "undef")
     guard   := atom | "not" guard | guard ("and"|"or") guard | "(" guard ")"
     atom    := (term | "undef") "=" (term | "undef")
@@ -107,6 +107,7 @@ class Cond:
 
 
 Stmt = Assign | Cond
+Block = tuple[Stmt, ...]
 
 
 @dataclass(frozen=True)
@@ -255,25 +256,24 @@ def _parse_assign(cur: TokenCursor, i: int, symbols: dict[str, Symbol]) -> tuple
     return Assign(head_term.head, head_term.args, rhs), i
 
 
-def _parse_stmt(cur: TokenCursor, i: int, symbols: dict[str, Symbol]) -> tuple[Stmt, int]:
+def _parse_block(cur: TokenCursor, i: int, symbols: dict[str, Symbol]) -> tuple[Block, int]:
+    """`{ stmt* }`, read from its `{`: an `if` reads each branch as a block,
+    so each level of nesting costs one frame."""
     toks = cur.toks
-    if toks[i] != "if":
-        return _parse_assign(cur, i, symbols)
-    guard, i = _parse_guard(cur, i + 1, symbols)
-    i = cur.expect(cur.expect(i, "then"), "{")
-    then = []
+    i = cur.expect(i, "{")
+    block: list[Stmt] = []
     while toks[i] != "}":
-        stmt, i = _parse_stmt(cur, i, symbols)
-        then.append(stmt)
-    i += 1
-    orelse: list[Stmt] = []
-    if toks[i] == "else":
-        i = cur.expect(i + 1, "{")
-        while toks[i] != "}":
-            stmt, i = _parse_stmt(cur, i, symbols)
-            orelse.append(stmt)
-        i += 1
-    return Cond(guard, tuple(then), tuple(orelse)), i
+        if toks[i] != "if":
+            stmt, i = _parse_assign(cur, i, symbols)
+        else:
+            guard, i = _parse_guard(cur, i + 1, symbols)
+            then, i = _parse_block(cur, cur.expect(i, "then"), symbols)
+            orelse: Block = ()
+            if toks[i] == "else":
+                orelse, i = _parse_block(cur, i + 1, symbols)
+            stmt = Cond(guard, then, orelse)
+        block.append(stmt)
+    return tuple(block), i + 1
 
 
 def parse_program(
@@ -358,12 +358,7 @@ def parse_program(
             oracles.append(OracleDef(sym, path, body))
         i += 1
 
-    i = cur.expect(cur.expect(i, "rules"), "{")
-    rules: list[Stmt] = []
-    while toks[i] != "}":
-        stmt, i = _parse_stmt(cur, i, names)
-        rules.append(stmt)
-    i += 1
+    rules, i = _parse_block(cur, cur.expect(i, "rules"), names)
     if toks[i] is not END:
         cur.err(f"unexpected {toks[i]!r} after rules", i)
 
@@ -372,7 +367,7 @@ def parse_program(
         inputs=tuple(inputs),
         output=output,
         init=tuple(init),
-        rules=tuple(rules),
+        rules=rules,
         oracles=tuple(oracles),
         name=name,
         parsed=cur.terms,
@@ -531,17 +526,18 @@ def _format_assign(a: Assign) -> str:
     return f"{head} := {rhs}"
 
 
-def _format_stmt(stmt: Stmt, indent: str) -> list[str]:
-    if isinstance(stmt, Assign):
-        return [f"{indent}{_format_assign(stmt)}"]
-    lines = [f"{indent}if {_format_guard(stmt.guard)} then {{"]
-    for s in stmt.then:
-        lines.extend(_format_stmt(s, indent + "  "))
-    if stmt.orelse:
-        lines.append(f"{indent}}} else {{")
-        for s in stmt.orelse:
-            lines.extend(_format_stmt(s, indent + "  "))
-    lines.append(f"{indent}}}")
+def _format_block(block: Block, indent: str) -> list[str]:
+    lines = []
+    for stmt in block:
+        if isinstance(stmt, Assign):
+            lines.append(f"{indent}{_format_assign(stmt)}")
+            continue
+        lines.append(f"{indent}if {_format_guard(stmt.guard)} then {{")
+        lines += _format_block(stmt.then, indent + "  ")
+        if stmt.orelse:
+            lines.append(f"{indent}}} else {{")
+            lines += _format_block(stmt.orelse, indent + "  ")
+        lines.append(f"{indent}}}")
     return lines
 
 
@@ -565,8 +561,5 @@ def format_program(p: Program) -> str:
         for o in p.oracles:
             lines.append(f'  {o.symbol.name}/{o.symbol.arity} = "{o.path}";')
         lines.append("}")
-    lines.append("rules {")
-    for stmt in p.rules:
-        lines.extend(_format_stmt(stmt, "  "))
-    lines.append("}")
+    lines += ["rules {", *_format_block(p.rules, "  "), "}"]
     return "\n".join(lines) + "\n"

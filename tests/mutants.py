@@ -169,6 +169,22 @@ MUTANTS = [
     Mutant("the fuel check lets one more transition run", "engine.py",
            "if not enabled or core.fuel_left <= 0:", "if not enabled or core.fuel_left < 0:",
            ("tests/test_cost.py::test_a_run_cut_by_fuel_is_a_prefix_of_the_full_run",)),
+    Mutant("the oracle memo keys a call by its name alone", "engine.py",
+           "key = (plan, argids)", "key = (name, argids)",
+           ("tests/test_oracles.py::test_two_bodies_that_declare_one_name_are_two_oracles",
+            "tests/test_cost.py::test_renaming_symbols_changes_no_run[shared_name]")),
+    Mutant("an inline oracle call pauses the meter as a unit call does", "engine.py",
+           "    if unit:\n        meter.enabled = core.record = False\n",
+           "    meter.enabled = core.record = False\n",
+           ("tests/test_oracles.py::test_inline_cost_grows_with_input",)),
+    Mutant("the block reader drops an `else` block", "syntax.py",
+           "orelse, i = _parse_block(cur, i + 1, symbols)",
+           "_, i = _parse_block(cur, i + 1, symbols)",
+           ("tests/test_engine_property.py::test_location_written_at_init_is_read_later",)),
+    Mutant("the block printer indents a `then` block as its `if`", "syntax.py",
+           'lines += _format_block(stmt.then, indent + "  ")',
+           "lines += _format_block(stmt.then, indent)",
+           ("tests/test_golden.py::test_golden_parse_sample",)),
     Mutant("critical_terms overwrites a first occurrence", "syntax.py",
            "occurrence.setdefault(sub, len(occurrence))",
            "occurrence[sub] = len(occurrence)",

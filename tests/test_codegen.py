@@ -150,7 +150,7 @@ def test_a_class_level_invoke_wrapper_sees_every_oracle_call(monkeypatch, mode):
         assert calls == _changed_oracle_slots(plan, before, after)
     assert sum(len(calls) for _, _, calls in first) == 7
     seen = at_init + [call for _, _, calls in first for call in calls]
-    assert set(seen) == set(memo)
+    assert {(plan.oracle_plans[name], args) for name, args in seen} == set(memo)
 
 
 def test_generated_code_refers_to_no_module():

@@ -4,10 +4,14 @@ import dataclasses
 import json
 import math
 import random
+import re
+from pathlib import Path
 
 import pytest
 
-from conftest import CORPUS, binary_input, load_corpus, small_inputs, write_clashing_host
+from conftest import (
+    CORPUS, binary_input, corpus_path, load_corpus, small_inputs, write_clashing_host,
+)
 
 from esmtangle import codegen, cost
 from esmtangle.cost import (
@@ -28,6 +32,8 @@ from esmtangle.engine import CLASH, FUEL_EXHAUSTED, compare_engines, run
 from esmtangle.syntax import Cond, GAtom, GNot, parse_program_file
 from esmtangle.tangle import new_tangle
 from esmtangle.terms import parse_term
+
+DATA = Path(__file__).parent / "data"
 
 
 def synthetic_report(deltas, ops=None, n=1, c_program=3):
@@ -434,6 +440,42 @@ def test_a_run_cut_by_fuel_is_a_prefix_of_the_full_run(name, mode, engine):
         assert (cut.outcome, cut.steps, len(series)) == (FUEL_EXHAUSTED, fuel, fuel + 1), fuel
         assert series[:-1] == full.cost.per_step[:fuel], fuel
         assert _shape(series[-1]) == _shape(full.cost.per_step[fuel]), fuel
+
+
+_WORD = re.compile(r'"[^"\n]*"|[A-Za-z_][A-Za-z0-9_]*')  # a quoted path, or a name
+
+
+def _write_renamed(src: Path, dst: Path):
+    """Write the program at `src`, and the oracle bodies it loads, to `dst`
+    and beside it under their own paths, with each dynamic and oracle symbol
+    renamed to a name unique to its file.  Constructors keep their names,
+    since a host and its bodies share them."""
+    program = parse_program_file(src)
+    symbols = [*program.vocab.dynamics, *(o.symbol for o in program.oracles)]
+    names = {s.name: f"{s.name}_{src.stem}" for s in symbols}
+    dst.parent.mkdir(parents=True, exist_ok=True)
+    dst.write_text(_WORD.sub(lambda m: names.get(m[0], m[0]), src.read_text()))
+    for o in program.oracles:
+        _write_renamed(src.parent / o.path, dst.parent / o.path)
+
+
+@pytest.mark.parametrize("name", [*CORPUS, "shared_name"])
+def test_renaming_symbols_changes_no_run(tmp_path, name):
+    # A symbol's name means nothing to a run: with every dynamic and oracle
+    # symbol renamed, file by file, the outcome, the output, the steps, every
+    # record and the report stay, on both engines in both modes.  The
+    # shared_name host's `f` and its body's `f` are two oracles; renamed,
+    # they are two names.
+    src = corpus_path(name) if name in CORPUS else DATA / name / "host.esm"
+    _write_renamed(src, tmp_path / src.name)
+    p, renamed = parse_program_file(src), parse_program_file(tmp_path / src.name)
+    inputs = small_inputs(p, name) if name in CORPUS else []
+    for engine in ("critical", "reference"):
+        for mode in ("inline", "unit"):
+            a, b = (run(q, inputs, engine=engine, oracle_mode=mode) for q in (p, renamed))
+            assert (b.outcome, b.output, b.steps) == (a.outcome, a.output, a.steps), (engine, mode)
+            assert b.cost.per_step == a.cost.per_step, (engine, mode)
+            assert emit_report(b.cost) == emit_report(a.cost), (engine, mode)
 
 
 def test_run_all_checks_on_real_runs():

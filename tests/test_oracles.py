@@ -10,8 +10,8 @@ from conftest import (
 
 from esmtangle.cost import CostMeter
 from esmtangle.engine import (
-    CLASH, FUEL_EXHAUSTED, OUTPUT, StepOutcome, init_critical, init_ref, invoke_oracle, run,
-    step_critical, step_ref,
+    CLASH, FUEL_EXHAUSTED, OUTPUT, StepOutcome, compare_engines, init_critical, init_ref,
+    invoke_oracle, run, step_critical, step_ref,
 )
 from esmtangle.syntax import parse_program, parse_program_file
 from esmtangle.tangle import NodeId, TangleError, new_tangle
@@ -293,6 +293,23 @@ rules {{
     assert r.outcome == OUTPUT and format_term(r.output) == "d0(eps)"
     r_ref = run(p, [one, one], engine="reference")
     assert format_term(r_ref.output) == "d1(eps)"
+
+
+@pytest.mark.parametrize("engine", ["critical", "reference"])
+@pytest.mark.parametrize("mode, steps", [("inline", 4), ("unit", 1)])
+def test_two_bodies_that_declare_one_name_are_two_oracles(engine, mode, steps):
+    # The host's `f` is a.esm, whose own `f` is b.esm, the identity.  The
+    # host's f(zero) is s(zero), after a.esm's f(zero), which is zero.  Its
+    # f(s(zero)) makes a.esm ask for its f(zero) again: a memo hit that must
+    # give b.esm's zero, not the host's s(zero).  So z is s(zero), a.esm's
+    # output on s(zero) alone, and the engines agree on it.
+    host = parse_program_file(DATA / "shared_name" / "host.esm")
+    body = parse_program_file(DATA / "shared_name" / "a.esm")
+    r = run(host, engine=engine, oracle_mode=mode)
+    alone = run(body, [parse_term("s(zero)", body.vocab)], engine=engine, oracle_mode=mode)
+    assert (r.outcome, format_term(r.output), r.steps) == (OUTPUT, "s(zero)", steps)
+    assert format_term(alone.output) == "s(zero)"
+    assert compare_engines(host, oracle_mode=mode).equivalent
 
 
 def test_reference_engine_runs_oracles(mul):
