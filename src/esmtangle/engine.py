@@ -41,17 +41,17 @@ intern hit skips `Tangle._intern`'s vocabulary check, it checks once that
 every symbol the plan and its oracle plans intern is in the store's
 vocabulary, with the error `intern` raises.  `_init_state` is the one
 initializer (nested oracle runs use it too).  `_transition`, the same for
-every program and called by `step_critical` and `step_ref`, is the one
-place that decides how a transition ends: with a successor (NEXT), or with
-none because no assignment is enabled (TERMINAL), an update clashed (CLASH)
-or the fuel ran out with one enabled (FUEL_EXHAUSTED), in the step or in an
-oracle call its pass made.  Fuel is charged when a transition commits,
-after its clash check and before its writes and oracle calls.  `_states`
-is the one loop that steps an engine; it raises the private `_Halt` for a
-clash or for fuel exhaustion.  `_drive` drains it for `run` and for nested
-oracle runs, and `compare_engines` zips two of its trajectories.  No public
-function lets `_Halt` escape: `run` and `compare_engines` report it as
-their outcome, and the initializers and `invoke_oracle` raise RuntimeError.
+every program, is the one transition loop and the one place that decides
+how a transition ends: with a successor (NEXT), or with none because no
+assignment is enabled (TERMINAL), an update clashed (CLASH) or the fuel ran
+out with one enabled (FUEL_EXHAUSTED), in the step or in an oracle call its
+pass made.  Fuel is charged when a transition commits, after its clash
+check and before its writes and oracle calls.  `_drive` calls it once per
+run and nested oracle run; `_states` steps it one transition at a time for
+`compare_engines`, which zips two trajectories.  Both raise the private
+`_Halt` for a clash or for fuel exhaustion, and no public function lets it
+escape: `run` and `compare_engines` report it as their outcome, and the
+initializers and `invoke_oracle` raise RuntimeError.
 Every run is metered by its store's meter, which is fixed when the store is
 made: a run reports the operations that meter gains during the run, so two
 runs on one store each report only their own work.
@@ -102,8 +102,8 @@ MODE_INLINE = "inline"
 
 class _Halt(Exception):
     """A run stopped early: fuel ran out with assignments still enabled, or an
-    update clashed.  `_states` raises it, and a transition whose oracle call
-    raised it ends with its kind, so it reaches the outermost run."""
+    update clashed.  `_drive` and `_states` raise it, and a transition whose
+    oracle call raised it ends with its kind, so it reaches the outermost run."""
 
     def __init__(self, outcome: str, clash: ClashInfo | None = None):
         self.outcome = outcome  # FUEL_EXHAUSTED | CLASH
@@ -237,7 +237,7 @@ def _call_oracle(ctx: RunContext, argids: tuple[int, ...]) -> int | None:
     if unit:
         meter.enabled = core.record = False
     try:
-        state = _drive(ctx, _init_state(ctx, input_ids=argids))
+        state = _drive(_init_state(ctx, input_ids=argids))
     finally:
         meter.enabled, core.record = saved
     if unit:
@@ -372,62 +372,75 @@ def init_ref(
 
 # --- Transitions -----------------------------------------------------------------
 
-# Makes a transition's named tuples without their Python-level `__new__`, and
-# its record reads the meter's and the store's counters directly: each would
-# cost a call per transition.  For the same reason a committed update-set
-# entry's writes, into the set and into the map, are read off the menu once.
+# A run's transitions share one frame, which makes a state and an outcome
+# only when it returns.  Its named tuples skip their Python-level `__new__`
+# and its record reads the meter's and the store's counters directly: each
+# would cost a call per transition.  So, too, a committed update-set entry's
+# writes, into the set and into the map, are read off the menu once.
 _new = tuple.__new__
 _WRITTEN = (cost.UPDATE_ENTRY + cost.MAP_WRITE).write
 
 
-def _transition(state: EngineState) -> StepOutcome:
-    """One transition of the state's engine.  With no assignment enabled or
-    no fuel left it ends after the rules, charging their compares only; on a
-    clash, their update set too.  Otherwise it commits its fuel, writes the
-    update set into the location map (a copy for the reference engine) and
-    recomputes, every slot or the dirty slots, in one pass that charges the
-    step's sums with its own.  An oracle call there that halts ends the
-    step with the halt's kind.  Then come the invariant check
-    (unmetered, off unless asked for) and the record and trace line."""
+def _transition(state: EngineState, limit: int | None = 1) -> StepOutcome:
+    """Up to `limit` transitions of the state's engine, or with None all until
+    one has no successor.  With no assignment enabled or no fuel left one ends
+    after the rules, charging their compares only; on a clash, their update
+    set too.  Otherwise it commits its fuel, writes the update set into the
+    location map (a copy for the reference engine) and recomputes, every
+    slot or the dirty slots, in one pass that charges the step's sums with
+    its own; an oracle call there that halts ends it with the halt's kind.
+    Then come the invariant check (unmetered, off unless asked for) and the
+    record and trace line.  It returns the last transition's outcome: NEXT
+    with the successor, or a kind with no state, or with `limit` None the
+    state the run ended in."""
     ctx = state.ctx
     core = ctx.core
     plan = ctx.plan
-    enabled, updates, clash, c, p, r = plan.rules(state.values)
-    meter = core.tangle.meter
-    if not enabled or core.fuel_left <= 0:
-        meter.charge(compare=c)
-        return StepOutcome(FUEL_EXHAUSTED if enabled else TERMINAL)
-    if clash is not None:
-        meter.charge(probe=p, read=r, compare=c, write=cost.UPDATE_ENTRY.write * len(updates))
-        return StepOutcome(CLASH, None, clash)
-    core.fuel_left -= 1
+    rules = plan.rules
     fast = ctx.engine == "critical"
-    store = state.store if fast else dict(state.store)
-    store.update(updates)
-    if None in updates.values():  # undef: the location leaves the finite support
-        for key, v in updates.items():
-            if v is None:
-                del store[key]
-    w = _WRITTEN * len(updates)
-    try:
-        new = (plan.slots_dirty if fast else plan.slots_all)(ctx, state.values, updates, store,
-                                                             p, r, c, w)
-        if core.check:
-            ctx.check_state(new, store)
-    except _Halt as halt:
-        return StepOutcome(halt.outcome, None, halt.clash)
+    slots = plan.slots_dirty if fast else plan.slots_all
     tangle = core.tangle
-    at = state.step_index + 1
-    if core.record:
-        core.steps_reported += 1
-        ops = meter.probe + meter.alloc + meter.read + meter.compare + meter.write
-        series = core.series
-        series.append(_new(StepCost, (len(series), ops - core.last_ops, len(tangle._nodes),
-                                      tangle._edges)))
-        core.last_ops = ops
-        if core.trace is not None:
-            core.trace_line(at, enabled, updates)
-    return _new(StepOutcome, (NEXT, EngineState(ctx, new, store, at), None))
+    meter = tangle.meter
+    series = core.series
+    values, store, at = state.values, state.store, state.step_index
+    stop = -1 if limit is None else at + limit
+    while True:
+        enabled, updates, clash, c, p, r = rules(values)
+        if not enabled or core.fuel_left <= 0:
+            meter.charge(compare=c)
+            kind, clash = FUEL_EXHAUSTED if enabled else TERMINAL, None
+            break
+        if clash is not None:
+            meter.charge(probe=p, read=r, compare=c, write=cost.UPDATE_ENTRY.write * len(updates))
+            kind = CLASH
+            break
+        core.fuel_left -= 1
+        if not fast:
+            store = dict(store)
+        store.update(updates)
+        if None in updates.values():  # undef: the location leaves the finite support
+            for key, v in updates.items():
+                if v is None:
+                    del store[key]
+        try:
+            values = slots(ctx, values, updates, store, p, r, c, _WRITTEN * len(updates))
+            if core.check:
+                ctx.check_state(values, store)
+        except _Halt as halt:
+            kind, clash = halt.outcome, halt.clash
+            break
+        at += 1
+        if core.record:
+            core.steps_reported += 1
+            ops = meter.probe + meter.alloc + meter.read + meter.compare + meter.write
+            series.append(_new(StepCost, (len(series), ops - core.last_ops, len(tangle._nodes),
+                                          tangle._edges)))
+            core.last_ops = ops
+            if core.trace is not None:
+                core.trace_line(at, enabled, updates)
+        if at == stop:
+            return _new(StepOutcome, (NEXT, EngineState(ctx, values, store, at), None))
+    return StepOutcome(kind, EngineState(ctx, values, store, at) if limit is None else None, clash)
 
 
 def step_critical(program: Program, state: EngineState) -> StepOutcome:
@@ -441,10 +454,10 @@ def step_ref(program: Program, state: EngineState) -> StepOutcome:
 
 
 def _states(ctx: RunContext, state: EngineState):
-    """The one transition loop: yield `state` and each successor until a
-    transition ends without one.  It returns when none was enabled and
-    raises _Halt when the fuel ran out or an update clashed, here or in a
-    nested run."""
+    """Yield `state` and each successor, one transition at a time, until a
+    transition ends without one: for `compare_engines`, which steps two
+    engines in lockstep.  It returns when none was enabled and raises _Halt
+    when the fuel ran out or an update clashed, here or in a nested run."""
     program = ctx.plan.program
     step = step_critical if ctx.engine == "critical" else step_ref
     while True:
@@ -457,11 +470,12 @@ def _states(ctx: RunContext, state: EngineState):
         state = out.state
 
 
-def _drive(ctx: RunContext, state: EngineState) -> EngineState:
-    """Step to the end and return the last state (see `_states`)."""
-    for state in _states(ctx, state):
-        pass
-    return state
+def _drive(state: EngineState) -> EngineState:
+    """Step a run to its end in one `_transition`; raise _Halt as `_states` does."""
+    out = _transition(state, None)
+    if out.kind != TERMINAL:
+        raise _Halt(out.kind, out.clash)
+    return out.state
 
 
 # --- Whole runs ------------------------------------------------------------------
@@ -495,7 +509,7 @@ def run(
     try:
         state = _init_state(ctx, inputs)
         baseline = len(core.series)
-        state = _drive(ctx, state)
+        state = _drive(state)
     except _Halt as stop:
         halt = stop
         if baseline is None:  # an oracle call halted initialization: all of it is init

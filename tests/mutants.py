@@ -94,28 +94,45 @@ MUTANTS = [
            "    except _Halt:\n        raise\n",
            ("tests/test_oracles.py::test_invoke_oracle_raises_when_the_body_halts",)),
     Mutant("fuel is checked after the clash check", "engine.py",
-           "    if not enabled or core.fuel_left <= 0:\n"
-           "        meter.charge(compare=c)\n"
-           "        return StepOutcome(FUEL_EXHAUSTED if enabled else TERMINAL)\n"
-           "    if clash is not None:\n"
-           "        meter.charge(probe=p, read=r, compare=c, write=cost.UPDATE_ENTRY.write * len(updates))\n"
-           "        return StepOutcome(CLASH, None, clash)\n",
-           "    if clash is not None:\n"
-           "        meter.charge(probe=p, read=r, compare=c, write=cost.UPDATE_ENTRY.write * len(updates))\n"
-           "        return StepOutcome(CLASH, None, clash)\n"
-           "    if not enabled or core.fuel_left <= 0:\n"
-           "        meter.charge(compare=c)\n"
-           "        return StepOutcome(FUEL_EXHAUSTED if enabled else TERMINAL)\n",
+           "        if not enabled or core.fuel_left <= 0:\n"
+           "            meter.charge(compare=c)\n"
+           "            kind, clash = FUEL_EXHAUSTED if enabled else TERMINAL, None\n"
+           "            break\n"
+           "        if clash is not None:\n"
+           "            meter.charge(probe=p, read=r, compare=c, write=cost.UPDATE_ENTRY.write * len(updates))\n"
+           "            kind = CLASH\n"
+           "            break\n",
+           "        if clash is not None:\n"
+           "            meter.charge(probe=p, read=r, compare=c, write=cost.UPDATE_ENTRY.write * len(updates))\n"
+           "            kind = CLASH\n"
+           "            break\n"
+           "        if not enabled or core.fuel_left <= 0:\n"
+           "            meter.charge(compare=c)\n"
+           "            kind, clash = FUEL_EXHAUSTED if enabled else TERMINAL, None\n"
+           "            break\n",
            (FUEL_FIRST, STEP_HALT)),
     Mutant("an out-of-fuel step charges its probes and reads", "engine.py",
-           "        meter.charge(compare=c)\n        return StepOutcome(FUEL_EXHAUSTED",
-           "        meter.charge(probe=p if enabled else 0, read=r if enabled else 0, compare=c)\n"
-           "        return StepOutcome(FUEL_EXHAUSTED",
+           "            meter.charge(compare=c)\n            kind, clash = FUEL_EXHAUSTED",
+           "            meter.charge(probe=p if enabled else 0, read=r if enabled else 0, compare=c)\n"
+           "            kind, clash = FUEL_EXHAUSTED",
            (FUEL_FIRST,)),
     Mutant("a transition lets an oracle call's halt escape", "engine.py",
-           "    except _Halt as halt:\n        return StepOutcome(halt.outcome, None, halt.clash)\n",
-           "    except _Halt:\n        raise\n",
+           "        except _Halt as halt:\n            kind, clash = halt.outcome, halt.clash\n",
+           "        except _Halt:\n            raise\n",
            (STEP_HALT,)),
+    Mutant("the run loop keeps undef locations in the map", "engine.py",
+           "        if None in updates.values():  # undef: the location leaves the finite support\n"
+           "            for key, v in updates.items():\n"
+           "                if v is None:\n"
+           "                    del store[key]\n", "",
+           ("tests/test_engine.py::test_an_undef_update_takes_its_location_out_of_the_map",)),
+    Mutant("the run loop skips the invariant check", "engine.py",
+           "            if core.check:\n                ctx.check_state(values, store)\n", "",
+           ("tests/test_engine.py::test_invariant_checks_catch_a_slot_left_stale",)),
+    Mutant("the run loop writes no trace line", "engine.py",
+           "            if core.trace is not None:\n"
+           "                core.trace_line(at, enabled, updates)\n", "",
+           ("tests/test_engine.py::test_trace_format",)),
     Mutant("an `if` with two empty branches compiles to no test", "codegen.py",
            "                k = guard(s.guard, stmts(s.then, k), orelse)\n",
            "                then = stmts(s.then, k)\n"

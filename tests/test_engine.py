@@ -9,7 +9,7 @@ import pytest
 import esmtangle.engine as engine_mod
 import esmtangle.tangle as tangle_mod
 from esmtangle import codegen
-from conftest import binary_input, load_corpus, string_term, unary_term
+from conftest import CORPUS, binary_input, load_corpus, small_inputs, string_term, unary_term
 
 from esmtangle.cost import CostMeter
 from esmtangle.engine import (
@@ -718,3 +718,90 @@ def test_compare_ends_where_run_ends_at_every_fuel():
         assert cmp.outcome in _COMPARE_ENDINGS[r.outcome], case
         if mode == "unit":
             assert cmp.steps == r.steps, case
+
+
+# --- The run loop and the stepper ------------------------------------------------
+
+
+def _end_two_ways(p, inputs, engine, mode, fuel):
+    """The run driven to its end in one loop, and stepped one transition at
+    a time, each from a fresh setup: per way, the last state's values and
+    location map (the first state's map for a halt, since a fast-engine run
+    writes one map), the halt, the series and the counters."""
+    ends = []
+    for drive in (True, False):
+        ctx = engine_mod._setup(p, engine, oracle_mode=mode, fuel=fuel)
+        core, state, halt = ctx.core, None, None
+        try:
+            state = first = engine_mod._init_state(ctx, inputs)
+            if drive:
+                state = engine_mod._drive(state)
+            else:
+                for state in engine_mod._states(ctx, state):
+                    pass
+        except engine_mod._Halt as stop:
+            halt = (stop.outcome, stop.clash)
+        if halt is None:
+            last = (state.values, state.store, state.step_index)
+        else:
+            last = None if state is None or engine != "critical" else first.store
+        ends.append((last, halt, list(core.series), core.steps_reported, core.fuel_left,
+                     core.tangle.meter.ram_ops, len(core.tangle)))
+    return ends
+
+
+@pytest.mark.parametrize("mode", ["unit", "inline"])
+@pytest.mark.parametrize("engine", ["critical", "reference"])
+@pytest.mark.parametrize("name", CORPUS)
+def test_the_run_loop_and_the_stepper_agree(name, engine, mode):
+    # `_drive` runs every transition in one `_transition` frame and `_states`
+    # one per call; they must end alike at every fuel, bin_mul's halts inside
+    # nested oracle transitions included.
+    p = load_corpus(name)
+    inputs = small_inputs(p, name)
+    full = _end_two_ways(p, inputs, engine, mode, 10**6)
+    assert full[0] == full[1]
+    spent = 10**6 - full[0][4]
+    for fuel in (0, 1, spent // 2):
+        drive, states = _end_two_ways(p, inputs, engine, mode, fuel)
+        assert drive == states, (fuel, spent)
+
+
+@pytest.mark.parametrize("engine", ["critical", "reference"])
+def test_an_undef_update_takes_its_location_out_of_the_map(engine):
+    # `f(x) := undef` and `x := undef` leave the finite support: the keys go,
+    # and no map holds None, through the run loop and a public step alike.
+    # (The program has a directory of its own, as shared_name does, so the
+    # golden parse digest over data/*.esm stays as recorded.)
+    p = parse_program_file(DATA / "undef_write" / "undef_write.esm")
+    assert run(p, engine=engine).outcome == OUTPUT
+    ctx = engine_mod._setup(p, engine, oracle_mode="inline")
+    state = engine_mod._init_state(ctx)
+    assert {name for name, _ in state.store} == {"pc", "x", "f"}
+    ended = engine_mod._drive(state)
+    init, step = (init_critical, step_critical) if engine == "critical" else (init_ref, step_ref)
+    stepped = step(p, init(p)).state
+    for store, names in ((ended.store, {"pc", "z"}), (stepped.store, {"pc"})):
+        assert {name for name, _ in store} == names
+        assert None not in store.values()
+
+
+_LATE_CLASH = """
+vocab { constructors { c0/0; c1/0; c2/0 } dynamic { pc/0; f/1; z/0 } }
+inputs { } output { z }
+init { pc := c0; }
+rules {
+  if pc = c0 then { pc := c1 }
+  if pc = c1 then { f(pc) := c0 f(pc) := c2 }
+}
+"""
+
+
+@pytest.mark.parametrize("engine", ["critical", "reference"])
+def test_the_run_loop_and_the_stepper_agree_on_a_clash(engine):
+    p = parse_program(_LATE_CLASH)
+    for fuel in (1, 2, 10**6):
+        drive, states = _end_two_ways(p, [], engine, "inline", fuel)
+        assert drive == states, fuel
+    kind, clash = drive[1]
+    assert (kind, clash.symbol, drive[3]) == (CLASH, "f", 1)
