@@ -64,17 +64,18 @@ it calls the store's `_intern` and the run context's `invoke` (an oracle
 call: memo probe, then a nested run) through their attributes, looked up at
 every pass, so wrappers put on them later see every call.
 
-The code objects are cached by plan structure, the (jumping code, slots,
-parents) tuples, so a plan of a structure seen before compiles nothing.  Each
-plan binds them to its own symbols and assignments, so the store's
-vocabulary check passes them on identity, and the cache keeps no plan,
-program or store alive.  Compiling a function costs time and memory in
-proportion to its size, so a long one is generated as pieces that its entry
-calls in order, each taking and returning the locals it changes, the sums
-among them (`_run_pieces`).  No nesting grows with the program, so Python's
-limits on indentation and parentheses are never met.  Each plan's source is
-registered with `linecache` as `<esmtangle plan NAME>`, so tracebacks,
-profilers and debuggers show the generated lines.
+Equal programs share one plan: `build_plan` keeps each plan under a key it
+reads off the program before planning (`_plan_key`), so a program parsed
+again, its oracle bodies included, plans and compiles nothing.  A plan's
+functions are bound to its own symbols and assignments, and a run's store
+takes the plan's vocabulary, so the store's checks pass them on identity;
+the cache keeps no store alive.  Compiling a function costs time and memory
+in proportion to its size, so a long one is generated as pieces that its
+entry calls in order, each taking and returning the locals it changes, the
+sums among them (`_run_pieces`).  No nesting grows with the program, so
+Python's limits on indentation and parentheses are never met.  Each plan's
+source is registered with `linecache` as `<esmtangle plan NAME>`, so
+tracebacks, profilers and debuggers show the generated lines.
 """
 
 from __future__ import annotations
@@ -82,12 +83,13 @@ from __future__ import annotations
 import linecache
 from dataclasses import dataclass, field
 from itertools import count
+from operator import attrgetter
 from types import CodeType, FunctionType
 from typing import Callable, NamedTuple, Sequence
 
 from . import cost
 from .cost import Ops
-from .syntax import Assign, CriticalTerms, GAnd, GAtom, GNot, Program, Stmt, critical_terms
+from .syntax import Assign, Cond, CriticalTerms, GAnd, GAtom, GNot, Program, Stmt, critical_terms
 from .terms import KIND_CONSTRUCTOR, KIND_DYNAMIC, KIND_ORACLE, Symbol, Term, compact_size
 
 UNDEF_SLOT = -1
@@ -204,7 +206,75 @@ def _dyn_slots(slots) -> dict[str, list[int]]:
     return found
 
 
+_SIGNATURE = attrgetter("name", "arity", "kind")
+
+
+def _plan_key(program: Program) -> tuple:
+    """The plan cache's key: equal for two programs only if they are equal
+    in every field but `parsed`, oracle bodies included, and read off the
+    program before planning, without recursion.  `shape` lists the
+    programs, each body after its host: name, field lengths and oracle
+    paths, then the statements and guards in prefix order, each as its
+    class, with an `if`'s two block lengths and an assignment's argument
+    count.  `syms` and `terms` list the symbols and terms it names, then
+    each new term's head and arguments.  The key numbers each symbol and
+    term object by its first place and gives each symbol's signature, so a
+    lookup compares ints, strings and classes only, and no term.  Objects
+    are told apart by identity, so two equal programs whose terms are
+    shared differently get two plans."""
+    shape, syms, terms = [], [], [None]
+    queue = [program]
+    for p in queue:
+        shape += (p.name, len(p.vocab), len(p.inputs), len(p.init), len(p.rules), len(p.oracles))
+        syms += (*p.vocab, *p.inputs, p.output)
+        for o in p.oracles:
+            shape.append(o.path)
+            syms.append(o.symbol)
+            queue.append(o.body)
+        stack = [*reversed(p.rules), *reversed(p.init)]
+        while stack:
+            node = stack.pop()
+            cls = type(node)
+            shape.append(cls)
+            if cls is GAtom:
+                terms += (node.lhs, node.rhs)
+            elif cls is Assign:
+                shape.append(len(node.head_args))
+                syms.append(node.head)
+                terms += (*node.head_args, node.rhs)
+            elif cls is Cond:
+                shape += (len(node.then), len(node.orelse))
+                stack += (*reversed(node.orelse), *reversed(node.then), node.guard)
+            elif cls is GNot:
+                stack.append(node.sub)
+            else:
+                stack += (node.right, node.left)
+    seen = {id(None): None}
+    for t in terms:  # grows by the arguments of each term seen first
+        if id(t) not in seen:
+            seen[id(t)] = t
+            syms.append(t.head)
+            terms += t.args
+    sym_objs = dict(zip(map(id, syms), syms))
+    term_no, sym_no = dict(zip(seen, count())), dict(zip(sym_objs, count()))
+    return (tuple(shape), tuple(map(_SIGNATURE, sym_objs.values())),
+            tuple(map(sym_no.__getitem__, map(id, syms))),
+            tuple(map(term_no.__getitem__, map(id, terms))))
+
+
 def build_plan(program: Program) -> ExecPlan:
+    """The plan of `program`: the cached one of an equal program, else a new one."""
+    key = _plan_key(program)
+    plan = _compiled.get(key)
+    if plan is None:
+        plan = _new_plan(program)
+        if len(_compiled) >= _COMPILED_MAX:
+            linecache.cache.pop(_compiled.pop(next(iter(_compiled))).rules.__code__.co_filename, None)
+        _compiled[key] = plan
+    return plan
+
+
+def _new_plan(program: Program) -> ExecPlan:
     ct = critical_terms(program)
     pos, sizes = ct.position, ct.sizes
 
@@ -266,32 +336,28 @@ def build_plan(program: Program) -> ExecPlan:
 _PIECE = 256
 _PIECE_LINES = 400
 
-# (jumping code, slots, parents) -> the code objects generated for them.  Only
-# code objects: each plan binds them to its own symbols and assignments, so
-# the cache keeps no plan, program or store alive.  The oldest entry goes
-# when it is full.
-_compiled: dict[tuple, tuple[CodeType, ...]] = {}
+# Equal programs share one plan: a program's plan is kept under its
+# `_plan_key`, so a program parsed again, and each oracle body it declares,
+# gets back the same plan object, which the oracle memo keys calls by.  A
+# plan holds its program and generated functions but no store, so the cache
+# keeps no store alive.  The oldest plan goes, with its source's `linecache`
+# entry, when the cache is full.
+_compiled: dict[tuple, ExecPlan] = {}
 _COMPILED_MAX = 256
-_file_serial = count(2)  # tells apart two structures generated for one name
+_file_serial = count(2)  # tells apart two plans generated for one name
 
 
 def generate(name: str, code, slots, parents) -> dict[str, Callable]:
     """The functions generated for a plan, by name, bound to the one class
     they make, `ClashInfo`, and to the plan's constants: its assignments as
     `A<index>`, the symbols of its constructor slots as `S<index>` and, as
-    SEED, the first slot of each dynamic symbol.  Code objects come from the
-    cache when a plan of the same structure was generated before."""
-    key = (code, slots, parents)
-    codes = _compiled.get(key)
-    if codes is None:
-        if len(_compiled) >= _COMPILED_MAX:
-            linecache.cache.pop(_compiled.pop(next(iter(_compiled)))[0].co_filename, None)
-        sure = _sure(slots)
-        codes = _compiled[key] = _compile(name, [
-            *_rules_source(code, sure),
-            *_pass_source("slots_all", slots, parents, sure, dirty=False),
-            *_pass_source("slots_dirty", slots, parents, sure, dirty=True),
-        ])
+    SEED, the first slot of each dynamic symbol."""
+    sure = _sure(slots)
+    codes = _compile(name, [
+        *_rules_source(code, sure),
+        *_pass_source("slots_all", slots, parents, sure, dirty=False),
+        *_pass_source("slots_dirty", slots, parents, sure, dirty=True),
+    ])
     ns = {"ClashInfo": ClashInfo}
     ns["SEED"] = {name: found[0] for name, found in _dyn_slots(slots).items()}
     ns.update((f"A{k}", ins) for k, ins in enumerate(code) if type(ins) is CAssign)

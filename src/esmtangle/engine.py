@@ -6,8 +6,9 @@ finite location map from (symbol, argument ids) to value ids outside it.
 Inside a run an id is an int vertex index of its store (values, locations,
 memo keys, a clash's `ClashInfo.args`); `NodeId`s, tagged with the store,
 appear only at the API, as `invoke_oracle`'s arguments and result.
-They run a plan, which `codegen.build_plan` makes once per program: the
-tracked terms as slots, the rules as jumping code, and the functions
+They run a plan, which `codegen.build_plan` makes once per program (equal
+programs share one plan; the plan cache keeps no store alive): the tracked
+terms as slots, the rules as jumping code, and the functions
 generated from them for what depends on the program, `rules` and two slot
 passes of one signature, `slots_all`, which computes every slot, and
 `slots_dirty`, the fast engine's; each starts from the sums its caller has
@@ -36,7 +37,8 @@ maximal sharing is an id comparison.
 
 Every run takes one path.  `_setup` sets up every run (`run`, the public
 initializers, `compare_engines`, `invoke_oracle`): it checks the arguments,
-compiles the plan and makes the run core, the run's state; since an inline
+takes the plan from `build_plan` and makes the run core, the run's state,
+over a given store or a new one of the plan's vocabulary; since an inline
 intern hit skips `Tangle._intern`'s vocabulary check, it checks once that
 every symbol the plan and its oracle plans intern is in the store's
 vocabulary, with the error `intern` raises.  `_init_state` is the one
@@ -276,9 +278,9 @@ def _setup(
     trace=None,
     check_invariants: bool = False,
 ) -> RunContext:
-    """The one place a run is set up: check the arguments, compile the plan
-    (unless one is given) and make the run context over a given store or a
-    new one metered by `meter`.  A given store runs on its own meter; naming
+    """The one place a run is set up: check the arguments, take the plan
+    (unless one is given) from `build_plan` and make the run context over a
+    given store or a new one of the plan's vocabulary, metered by `meter`.  A given store runs on its own meter; naming
     a different meter for it is an error, and so is a negative fuel (fuel 0
     runs no transition).
     """
@@ -291,7 +293,7 @@ def _setup(
     if plan is None:
         plan = build_plan(program)
     if tangle is None:
-        tangle = new_tangle(program.vocab, meter)
+        tangle = new_tangle(plan.program.vocab, meter)
     elif meter is not None and meter is not tangle.meter:
         raise ValueError("a given tangle runs on its own meter; pass one or the other")
     tangle.check_vocabulary(plan.interned)  # intern hits are probed by name

@@ -2,10 +2,12 @@
 `intern`, their life span, their source lines and the branches of `rules`
 (see `esmtangle.codegen`)."""
 
+import dataclasses
 import gc
 import io
 import linecache
 import weakref
+from pathlib import Path
 from types import ModuleType
 
 import pytest
@@ -26,9 +28,11 @@ from esmtangle.engine import (
     step_critical,
     step_ref,
 )
-from esmtangle.syntax import parse_program
+from esmtangle.syntax import parse_program, parse_program_file
 from esmtangle.tangle import Tangle
 from esmtangle.terms import Term, format_term
+
+DATA = Path(__file__).parent / "data"
 
 
 def _report(program, inputs):
@@ -49,6 +53,85 @@ def test_a_reparsed_program_compiles_nothing_new(monkeypatch):
     again = load_corpus("bin_mul")
     assert again is not first
     assert _report(again, inputs) == before
+
+
+def test_a_reparsed_program_gets_back_its_plan():
+    # Equal programs share one plan object, and so do their oracle bodies,
+    # each of which is also the plan its own body gets on its own.
+    plan = build_plan(load_corpus("bin_mul"))
+    again = load_corpus("bin_mul")
+    assert build_plan(again) is plan
+    assert plan.oracle_plans and all(
+        build_plan(o.body) is plan.oracle_plans[o.symbol.name] for o in again.oracles
+    )
+
+
+def test_a_changed_program_gets_its_own_plan():
+    p = load_corpus("bin_add")
+    changed = dataclasses.replace(p, rules=p.rules[1:])
+    assert changed != p
+    assert build_plan(changed) is not build_plan(p)
+    assert build_plan(dataclasses.replace(p, rules=(*p.rules,))) is build_plan(p)
+
+
+def _nested(rules: str):
+    return parse_program(f"""
+vocab {{ constructors {{ eps/0 }} dynamic {{ b/0; c/0 }} }}
+inputs {{ }} output {{ c }}
+rules {{ {rules} }}
+""")
+
+
+def test_block_lengths_tell_a_statement_in_a_branch_from_one_after_it():
+    # The two programs list the same statements and guards in the same
+    # order; only where the inner `if` ends tells them apart.
+    inside = _nested("if c = undef then { if b = undef then { b := eps c := eps } }")
+    after = _nested("if c = undef then { if b = undef then { b := eps } c := eps }")
+    assert inside != after
+    assert build_plan(inside).code != build_plan(after).code
+
+
+def test_oracle_bodies_are_part_of_the_key(tmp_path):
+    # Two hosts of one text, name and oracle path, whose bodies differ.
+    host = """
+vocab { constructors { zero/0; s/1 } dynamic { y/0 } }
+inputs { } output { y }
+oracles { f/1 = "body.esm"; }
+rules { if y = undef then { y := f(zero) } }
+"""
+    outputs = []
+    for value in ("x", "s(x)"):
+        folder = tmp_path / value.replace("(", "_").replace(")", "")
+        folder.mkdir()
+        (folder / "host.esm").write_text(host)
+        (folder / "body.esm").write_text(f"""
+vocab {{ constructors {{ zero/0; s/1 }} dynamic {{ x/0; y/0 }} }}
+inputs {{ x }} output {{ y }}
+rules {{ if y = undef then {{ y := {value} }} }}
+""")
+        program = parse_program_file(folder / "host.esm")
+        outputs.append((build_plan(program), format_term(run(program).output)))
+    (first, zero), (second, one) = outputs
+    assert first is not second and (zero, one) == ("zero", "s(zero)")
+
+
+def test_a_host_and_a_body_that_declare_one_name_get_two_plans():
+    plan = build_plan(parse_program_file(DATA / "shared_name" / "host.esm"))
+    body = plan.oracle_plans["f"]
+    assert body.program.name == "a.esm" and body.oracle_plans["f"].program.name == "b.esm"
+    assert len({id(plan), id(body), id(body.oracle_plans["f"])}) == 3
+
+
+def test_a_full_cache_drops_its_oldest_plan_and_its_source(monkeypatch):
+    monkeypatch.setattr(codegen, "_compiled", {})
+    monkeypatch.setattr(codegen, "_COMPILED_MAX", 3)
+    programs = [_phase_program(2, plain) for plain in range(4)]
+    plans = [build_plan(p) for p in programs]
+    files = [plan.rules.__code__.co_filename for plan in plans]
+    assert list(codegen._compiled.values()) == plans[1:]
+    assert files[0] not in linecache.cache and all(f in linecache.cache for f in files[1:])
+    assert build_plan(programs[1]) is plans[1]
+    assert build_plan(programs[0]) is not plans[0]
 
 
 def _step_interns(monkeypatch, program, inputs, init, step, wrap_first):
@@ -189,16 +272,17 @@ def test_a_pass_charges_the_sums_it_is_given(monkeypatch, name):
         }
 
 
-def test_the_cache_keeps_no_plan_alive():
+def test_the_cache_keeps_no_store_alive():
+    # The cache keeps the run's plan, and nothing in a plan refers to a
+    # store, so the run's store goes with its last state.
     p = load_corpus("bin_succ")
     state = init_critical(p, [binary_input(p.vocab, 5)])
-    plan = weakref.ref(state.ctx.plan)
-    rules = weakref.ref(state.ctx.plan.rules)
+    store = weakref.ref(state.ctx.core.tangle)
     for _ in range(3):
         state = step_critical(p, state).state
     del state
     gc.collect()
-    assert plan() is None and rules() is None
+    assert store() is None
 
 
 @pytest.mark.parametrize("name", ["bin_add", "str_reverse"])

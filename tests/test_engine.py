@@ -805,3 +805,20 @@ def test_the_run_loop_and_the_stepper_agree_on_a_clash(engine):
         assert drive == states, fuel
     kind, clash = drive[1]
     assert (kind, clash.symbol, drive[3]) == (CLASH, "f", 1)
+
+
+def test_the_star_import_binds_the_public_names():
+    ns = {}
+    exec("from esmtangle import *", ns)
+    del ns["__builtins__"]
+    assert sorted(ns) == [
+        "Assign", "Cond", "CostMeter", "CostReport", "CriticalTerms", "Divergence",
+        "EngineComparison", "EngineState", "FrozenBounds", "NodeId", "OracleDef", "Program",
+        "RunResult", "StepCost", "StepOutcome", "Symbol", "Tangle", "TangleStats", "Term",
+        "TermSyntaxError", "UndefNodeError", "Verdict", "Vocabulary", "check_growth",
+        "check_step_linearity", "check_total_bound", "compact_size", "compare_engines",
+        "critical_terms", "decode_nat_binary", "emit_report", "encode_nat_binary",
+        "format_program", "format_term", "init_critical", "init_ref", "invoke_oracle",
+        "new_tangle", "parse_program", "parse_program_file", "parse_term", "run",
+        "step_critical", "step_ref", "symbol_count", "validate_program",
+    ]

@@ -41,12 +41,15 @@ texts with
 which parses seeded token-level mutants (a token dropped, duplicated or
 swapped with another, a character inserted, the text cut short; one to
 three of them each) of every bundled program and oracle body, of every
-program under data/ and of input term texts, and hashes each as its
-canonical text or as the `type: message` of the error it raises.  It prints
-two digests, of the first PARSE_SAMPLE mutants of each text and of all
-PARSE_MUTANTS, and exits 1 unless they match data/golden_parse.sha256;
-`--parse` alone only prints them, in that file's format.  The suite checks
-the first.  A change to the generated code runs all four checks with
+program under data/, its subdirectories included, and of input term texts,
+and hashes each as its canonical text or as the `type: message` of the
+error it raises.  It prints one line per program file, and one for the
+input term texts, with two digests, of the first PARSE_SAMPLE mutants of
+each text and of all PARSE_MUTANTS, and exits 1 unless they match
+data/golden_parse.sha256; `--parse` alone only prints them, in that file's
+format.  The suite checks the first digest of every line, so a new program
+file needs its own line, and no other line changes.  A change to the
+generated code runs all four checks with
 
     PYTHONPATH=src python tests/test_golden.py --check
 
@@ -246,15 +249,21 @@ def _mutate(text: str, rng: random.Random) -> str:
     return text
 
 
-def _parse_sources():
-    """(name, text, parse) for each text whose mutants are hashed; `parse`
-    returns the canonical text of what it parsed."""
-    data = Path(__file__).parent / "data"
-    for path in sorted(PROGRAMS_DIR.glob("*.esm")) + sorted(data.glob("*.esm")):
-        def parse(text, base=path.parent, name=path.name):
-            return format_program(parse_program(text, base_dir=base, name=name))
+DATA = Path(__file__).parent / "data"
 
-        yield path.name, path.read_text(encoding="utf-8"), parse
+
+def _parse_sources():
+    """(file, name, text, parse) for each text whose mutants are hashed,
+    `file` being the line it is hashed into: a program's path under its
+    directory, or "inputs" for an input term text; `parse` returns the
+    canonical text of what it parsed."""
+    for root in (PROGRAMS_DIR, DATA):
+        for path in sorted(root.rglob("*.esm")):
+            def parse(text, base=path.parent, name=path.name):
+                return format_program(parse_program(text, base_dir=base, name=name))
+
+            name = path.relative_to(root).as_posix()
+            yield name, name, path.read_text(encoding="utf-8"), parse
     for name in ("bin_succ", "bin_mul", "str_reverse", "add_unary"):
         vocab = parse_program_file(PROGRAMS_DIR / f"{name}.esm").vocab
         codec = input_codec(vocab)
@@ -265,29 +274,39 @@ def _parse_sources():
                 def parse(text, vocab=vocab):
                     return format_term(parse_term(text, vocab))
 
-                yield f"{name} input {size}/{k}", src, parse
+                yield "inputs", f"{name} input {size}/{k}", src, parse
 
 
-def parse_digest(per_text: int) -> str:
-    """The mutant count and one sha256 over the first `per_text` mutants of
-    each source text, as a line of data/golden_parse.sha256."""
-    h, mutants = hashlib.sha256(), 0
-    hide = str(PROGRAMS_DIR.parent)
-    for name, text, parse in _parse_sources():
+def parse_digests(per_text: int) -> dict[str, str]:
+    """Per line of data/golden_parse.sha256, the mutant count and one sha256
+    over the first `per_text` mutants of each of its texts."""
+    hashes: dict[str, tuple] = {}
+    hide = {str(PROGRAMS_DIR.parent): "<dir>", str(DATA): "<data>"}
+    for file, name, text, parse in _parse_sources():
+        h, mutants = hashes.get(file, (hashlib.sha256(), 0))
         for k in range(per_text):
             mutant = _mutate(text, random.Random(f"{name}/{k}"))
             try:
                 out = parse(mutant)
             except Exception as exc:  # every outcome is hashed, errors too
-                out = f"{type(exc).__name__}: {exc}".replace(hide, "<dir>")
+                out = f"{type(exc).__name__}: {exc}"
+                for path, label in hide.items():
+                    out = out.replace(path, label)
             h.update(f"{name}/{k}\n{out}\n".encode())
-            mutants += 1
-    return f"{mutants} mutants sha256={h.hexdigest()}"
+        hashes[file] = h, mutants + per_text
+    return {file: f"{mutants} mutants sha256={h.hexdigest()}" for file, (h, mutants) in hashes.items()}
+
+
+def parse_lines() -> list[str]:
+    """The lines of data/golden_parse.sha256: per file, its sample and full digests."""
+    sample, full = parse_digests(PARSE_SAMPLE), parse_digests(PARSE_MUTANTS)
+    return [f"{file} sample {sample[file]} full {full[file]}" for file in sample]
 
 
 def test_golden_parse_sample():
-    expected = GOLDEN_PARSE.read_text().splitlines()[0]
-    assert f"sample {parse_digest(PARSE_SAMPLE)}" == expected
+    recorded = dict(line.split(" full ")[0].split(" sample ") for line in
+                    GOLDEN_PARSE.read_text().splitlines())
+    assert parse_digests(PARSE_SAMPLE) == recorded
 
 
 def test_generated_code_reads_the_run_core_only_for_its_store(monkeypatch):
@@ -348,7 +367,7 @@ def _source_check(check: bool) -> list[str]:
 
 
 def _parse_check(check: bool) -> list[str]:
-    lines = [f"sample {parse_digest(PARSE_SAMPLE)}", f"full {parse_digest(PARSE_MUTANTS)}"]
+    lines = parse_lines()
     print("\n".join(lines))
     if check and lines != GOLDEN_PARSE.read_text().splitlines():
         return [f"parse digest differs from {GOLDEN_PARSE}"]

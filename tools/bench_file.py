@@ -14,6 +14,12 @@ processes, one at a time:
   reference engine, the median of 5 runs: steps, total_ops, wall seconds,
   and seconds and us/step scaled to nominal host speed by perfbench's
   `jobs.HostSpeed`, as run.py scales its times;
+* per bundled program, the CPython bytecodes of two `build_plan` calls,
+  each counted in a child process of its own by `sys.settrace` opcode
+  events, with the Python version: a cold one, with `codegen._compiled`
+  cleared, and one on the program parsed again, which an equal program's
+  plan (or compiled code) may serve.  Unlike wall time, the counts repeat
+  exactly from run to run on one Python version;
 * the tier-1 suite (`pytest -q --continue-on-collection-errors`): its wall
   time and its summary line;
 * the line count of `src/esmtangle/*.py`.
@@ -64,6 +70,34 @@ for engine in ("critical", "reference"):
                       "us_per_step": round(run_s / result.steps * 1e6, 3)}))
 """
 
+# Runs in CHECKOUT's sources; prints the bytecodes of a cold `build_plan` of
+# the bundled program argv[1] and of one on the program parsed again.
+_PLAN_BYTECODES = """
+import json, sys
+from esmtangle import codegen
+from esmtangle.cli import load_program
+
+def bytecodes(call):
+    count = 0
+    def tracer(frame, event, arg):
+        nonlocal count
+        frame.f_trace_opcodes, frame.f_trace_lines = True, False
+        count += event == "opcode"
+        return tracer
+    sys.settrace(tracer)
+    try:
+        call()
+    finally:
+        sys.settrace(None)
+    return count
+
+codegen._compiled.clear()
+program = load_program(sys.argv[1])
+cold = bytecodes(lambda: codegen.build_plan(program))
+again = load_program(sys.argv[1])
+print(json.dumps({"cold": cold, "reparsed": bytecodes(lambda: codegen.build_plan(again))}))
+"""
+
 
 def _python(checkout: Path, args: list[str]) -> str:
     env = {**os.environ, "PYTHONPATH": str(checkout / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
@@ -95,6 +129,13 @@ def bin_add_256(checkout: Path) -> dict:
     return {row.pop("engine"): row for row in map(json.loads, lines)}
 
 
+def plan_bytecodes(checkout: Path) -> dict:
+    version, *names = _python(checkout, ["-c", "import platform; from esmtangle.cli import "
+                                         "BUNDLED; print(platform.python_version(), *BUNDLED)"]).split()
+    return {"python": version,
+            **{name: json.loads(_python(checkout, ["-c", _PLAN_BYTECODES, name])) for name in names}}
+
+
 def tier1(checkout: Path) -> dict:
     start = time.perf_counter()
     out = _python(checkout, ["-m", "pytest", "-q", "--continue-on-collection-errors",
@@ -118,6 +159,7 @@ def main(argv=None) -> int:
                          for p in sorted((checkout / "src" / "esmtangle").glob("*.py"))),
         "workloads": workloads(checkout),
         "bin_add_256": bin_add_256(checkout),
+        "plan_bytecodes": plan_bytecodes(checkout),
         "tier1": tier1(checkout),
     }
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
