@@ -64,9 +64,9 @@ it calls the store's `_intern` and the run context's `invoke` (an oracle
 call: memo probe, then a nested run) through their attributes, looked up at
 every pass, so wrappers put on them later see every call.
 
-Equal programs share one plan: `build_plan` keeps each plan under a key it
-reads off the program before planning (`_plan_key`), so a program parsed
-again, its oracle bodies included, plans and compiles nothing.  A plan's
+Equal programs share one plan: `build_plan` plans the oracle bodies first,
+then looks a program up under a key of its own parts and its bodies' plans
+(`_plan_key`), so a program parsed again plans and compiles nothing.  A plan's
 functions are bound to its own symbols and assignments, and a run's store
 takes the plan's vocabulary, so the store's checks pass them on identity;
 the cache keeps no store alive.  Compiling a function costs time and memory
@@ -209,72 +209,64 @@ def _dyn_slots(slots) -> dict[str, list[int]]:
 _SIGNATURE = attrgetter("name", "arity", "kind")
 
 
-def _plan_key(program: Program) -> tuple:
-    """The plan cache's key: equal for two programs only if they are equal
-    in every field but `parsed`, oracle bodies included, and read off the
-    program before planning, without recursion.  `shape` lists the
-    programs, each body after its host: name, field lengths and oracle
-    paths, then the statements and guards in prefix order, each as its
-    class, with an `if`'s two block lengths and an assignment's argument
-    count.  `syms` and `terms` list the symbols and terms it names, then
-    each new term's head and arguments.  The key numbers each symbol and
-    term object by its first place and gives each symbol's signature, so a
-    lookup compares ints, strings and classes only, and no term.  Objects
-    are told apart by identity, so two equal programs whose terms are
-    shared differently get two plans."""
-    shape, syms, terms = [], [], [None]
-    queue = [program]
-    for p in queue:
-        shape += (p.name, len(p.vocab), len(p.inputs), len(p.init), len(p.rules), len(p.oracles))
-        syms += (*p.vocab, *p.inputs, p.output)
-        for o in p.oracles:
-            shape.append(o.path)
-            syms.append(o.symbol)
-            queue.append(o.body)
-        stack = [*reversed(p.rules), *reversed(p.init)]
-        while stack:
-            node = stack.pop()
-            cls = type(node)
-            shape.append(cls)
-            if cls is GAtom:
-                terms += (node.lhs, node.rhs)
-            elif cls is Assign:
-                shape.append(len(node.head_args))
-                syms.append(node.head)
-                terms += (*node.head_args, node.rhs)
-            elif cls is Cond:
-                shape += (len(node.then), len(node.orelse))
-                stack += (*reversed(node.orelse), *reversed(node.then), node.guard)
-            elif cls is GNot:
-                stack.append(node.sub)
-            else:
-                stack += (node.right, node.left)
+def _plan_key(p: Program, oracle_plans: dict[str, ExecPlan]) -> tuple:
+    """The plan cache's key, as the store keys a vertex by its label and its
+    children's vertices: equal for two programs only if they are equal in
+    every field but `parsed`, each oracle body given by its plan.  `shape`
+    lists the name, field lengths and each oracle's path and plan, then the
+    statements and guards in prefix order, each as its class, with an `if`'s
+    block lengths and an assignment's argument count.  `syms` and `terms`
+    list the symbols and terms named, then each new term's head and
+    arguments.  A symbol enters as its signature and a term as the number of
+    its first place, by identity, so a lookup compares no term, and two
+    equal programs whose terms are shared differently get two plans."""
+    shape = [p.name, len(p.vocab), len(p.inputs), len(p.init), len(p.rules), len(p.oracles)]
+    syms, terms = [*p.vocab, *p.inputs, p.output], [None]
+    for o in p.oracles:
+        shape += (o.path, oracle_plans[o.symbol.name])
+        syms.append(o.symbol)
+    stack = [*reversed(p.rules), *reversed(p.init)]
+    while stack:
+        node = stack.pop()
+        cls = type(node)
+        shape.append(cls)
+        if cls is GAtom:
+            terms += (node.lhs, node.rhs)
+        elif cls is Assign:
+            shape.append(len(node.head_args))
+            syms.append(node.head)
+            terms += (*node.head_args, node.rhs)
+        elif cls is Cond:
+            shape += (len(node.then), len(node.orelse))
+            stack += (*reversed(node.orelse), *reversed(node.then), node.guard)
+        elif cls is GNot:
+            stack.append(node.sub)
+        else:
+            stack += (node.right, node.left)
     seen = {id(None): None}
     for t in terms:  # grows by the arguments of each term seen first
         if id(t) not in seen:
             seen[id(t)] = t
             syms.append(t.head)
             terms += t.args
-    sym_objs = dict(zip(map(id, syms), syms))
-    term_no, sym_no = dict(zip(seen, count())), dict(zip(sym_objs, count()))
-    return (tuple(shape), tuple(map(_SIGNATURE, sym_objs.values())),
-            tuple(map(sym_no.__getitem__, map(id, syms))),
-            tuple(map(term_no.__getitem__, map(id, terms))))
+    term_no = map(dict(zip(seen, count())).__getitem__, map(id, terms))
+    return tuple(shape), tuple(map(_SIGNATURE, syms)), tuple(term_no)
 
 
 def build_plan(program: Program) -> ExecPlan:
     """The plan of `program`: the cached one of an equal program, else a new one."""
-    key = _plan_key(program)
+    oracle_plans = {o.symbol.name: build_plan(o.body) for o in program.oracles}
+    key = _plan_key(program, oracle_plans)
     plan = _compiled.get(key)
     if plan is None:
-        plan = _new_plan(program)
+        plan = _new_plan(program, oracle_plans)
         if len(_compiled) >= _COMPILED_MAX:
             linecache.cache.pop(_compiled.pop(next(iter(_compiled))).rules.__code__.co_filename, None)
         _compiled[key] = plan
     return plan
 
 
-def _new_plan(program: Program) -> ExecPlan:
+def _new_plan(program: Program, oracle_plans: dict[str, ExecPlan]) -> ExecPlan:
     ct = critical_terms(program)
     pos, sizes = ct.position, ct.sizes
 
@@ -286,7 +278,6 @@ def _new_plan(program: Program) -> ExecPlan:
         for c in set(child_slots):
             parents[c].append(i)
 
-    oracle_plans = {o.symbol.name: build_plan(o.body) for o in program.oracles}
     code = _compile_rules(program.rules, pos)
 
     # Growth constant: the sum of right-hand-side compact sizes bounds what a
@@ -336,12 +327,10 @@ def _new_plan(program: Program) -> ExecPlan:
 _PIECE = 256
 _PIECE_LINES = 400
 
-# Equal programs share one plan: a program's plan is kept under its
-# `_plan_key`, so a program parsed again, and each oracle body it declares,
-# gets back the same plan object, which the oracle memo keys calls by.  A
-# plan holds its program and generated functions but no store, so the cache
-# keeps no store alive.  The oldest plan goes, with its source's `linecache`
-# entry, when the cache is full.
+# Plans by `_plan_key`, which gives each oracle body by its plan: a program
+# parsed again, each body too, gets back the plan object that the oracle memo
+# keys calls by, and a host whose body's plan has gone is planned again.  No
+# store is kept alive; when full, the oldest plan goes with its `linecache` entry.
 _compiled: dict[tuple, ExecPlan] = {}
 _COMPILED_MAX = 256
 _file_serial = count(2)  # tells apart two plans generated for one name

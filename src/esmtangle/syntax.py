@@ -405,6 +405,8 @@ def validate_program(p: Program) -> list[str]:
             diags.append(f"{what} {sym.name!r} must be a dynamic symbol")
         if sym.arity != 0:
             diags.append(f"{what} {sym.name!r} must be nullary (arity {sym.arity})")
+    for sym in dict.fromkeys(s for i, s in enumerate(p.inputs) if s in p.inputs[:i]):
+        diags.append(f"duplicate input {sym.name!r}")
 
     for a in p.init:
         if a.head.kind != KIND_DYNAMIC:

@@ -195,10 +195,13 @@ MUTANTS = [
            "    meter.enabled = core.record = False\n",
            ("tests/test_oracles.py::test_inline_cost_grows_with_input",)),
     Mutant("the plan key leaves out oracle bodies", "codegen.py",
-           "            queue.append(o.body)\n", "",
+           "shape += (o.path, oracle_plans[o.symbol.name])", "shape.append(o.path)",
            ("tests/test_codegen.py::test_oracle_bodies_are_part_of_the_key",)),
+    Mutant("the plan key gives a symbol by its name alone", "codegen.py",
+           '_SIGNATURE = attrgetter("name", "arity", "kind")', '_SIGNATURE = attrgetter("name")',
+           ("tests/test_codegen.py::test_a_symbols_kind_and_arity_are_part_of_the_key",)),
     Mutant("the plan key leaves out block lengths", "codegen.py",
-           "                shape += (len(node.then), len(node.orelse))\n", "",
+           "            shape += (len(node.then), len(node.orelse))\n", "",
            ("tests/test_codegen.py::test_block_lengths_tell_a_statement_in_a_branch_from_one_after_it",)),
     Mutant("the block reader drops an `else` block", "syntax.py",
            "orelse, i = _parse_block(cur, i + 1, symbols)",

@@ -137,6 +137,29 @@ rules { }
     assert "must be nullary" in err
 
 
+def test_a_repeated_input_exits_one(tmp_path, capsys):
+    # Neither a host with `inputs { x, x }` nor a body with them under `f/2`
+    # runs: the body would drop its first argument.
+    (tmp_path / "host.esm").write_text("""
+vocab { constructors { c/0; d/0 } dynamic { x/0; z/0 } }
+inputs { x, x }
+output { z }
+rules { if z = undef then { z := x } }
+""")
+    code, out, err = invoke(capsys, "run", str(tmp_path / "host.esm"), "--input", "x=c")
+    assert (code, out) == (1, "") and err.endswith(": duplicate input 'x'\n")
+    (tmp_path / "f.esm").write_text((tmp_path / "host.esm").read_text())
+    (tmp_path / "host.esm").write_text("""
+vocab { constructors { c/0; d/0 } dynamic { z/0 } }
+inputs { }
+output { z }
+oracles { f/2 = "f.esm"; }
+rules { if z = undef then { z := f(c, d) } }
+""")
+    code, out, err = invoke(capsys, "run", str(tmp_path / "host.esm"))
+    assert (code, out) == (1, "") and err.endswith(": oracle 'f': duplicate input 'x'\n")
+
+
 def test_run_clash_exit_code(tmp_path, capsys):
     prog = tmp_path / "clash.esm"
     prog.write_text(

@@ -115,6 +115,39 @@ rules {{ if y = undef then {{ y := {value} }} }}
     assert first is not second and (zero, one) == ("zero", "s(zero)")
 
 
+def test_a_symbols_kind_and_arity_are_part_of_the_key():
+    # `y` is unused and each pair lists the vocabulary in one order, so only
+    # y's kind, then its arity, tells the programs apart.
+    def program(vocab):
+        return parse_program(f"""
+vocab {{ {vocab} }}
+inputs {{ }} output {{ x }}
+rules {{ if x = undef then {{ x := c }} }}
+""")
+
+    for first, second in [("constructors { c/0; y/0 } dynamic { x/0 }",
+                           "constructors { c/0 } dynamic { y/0; x/0 }"),
+                          ("constructors { c/0; y/0 } dynamic { x/0 }",
+                           "constructors { c/0; y/1 } dynamic { x/0 }")]:
+        a, b = program(first), program(second)
+        assert a != b and build_plan(a) is not build_plan(b)
+        assert (build_plan(a).program, build_plan(b).program) == (a, b)
+
+
+def test_a_hosts_oracle_plans_are_its_bodies_own_plans_after_eviction(monkeypatch):
+    # A host's key holds its bodies' plans, so when a body's plan has left
+    # the cache, the host parsed again misses too, and takes the body's new
+    # plan rather than keep the old one.
+    monkeypatch.setattr(codegen, "_compiled", {})
+    monkeypatch.setattr(codegen, "_COMPILED_MAX", 4)
+    build_plan(load_corpus("bin_mul"))  # its three bodies' plans, then its own
+    build_plan(load_corpus("toggle"))  # drops the oldest, a body's plan
+    again = load_corpus("bin_mul")
+    plan = build_plan(again)
+    assert len(again.oracles) == 3
+    assert all(plan.oracle_plans[o.symbol.name] is build_plan(o.body) for o in again.oracles)
+
+
 def test_a_host_and_a_body_that_declare_one_name_get_two_plans():
     plan = build_plan(parse_program_file(DATA / "shared_name" / "host.esm"))
     body = plan.oracle_plans["f"]

@@ -204,6 +204,15 @@ def test_oracle_body_diagnostics_name_the_oracle(tmp_path):
     assert validate_program(p) == ["oracle 'probe': output 'eps' must be a dynamic symbol"]
 
 
+def test_a_repeated_input_is_a_diagnostic(tmp_path):
+    # A diagnostic, not a parse error; in a body it names the oracle.
+    twice = MINI.replace("inputs { x }", "inputs { x, x }")
+    assert validate_program(parse_program(twice)) == ["duplicate input 'x'"]
+    (tmp_path / "body.esm").write_text(twice)
+    p = parse_program(HOST.replace("probe/1", "probe/2"), base_dir=tmp_path)
+    assert validate_program(p) == ["oracle 'probe': duplicate input 'x'"]
+
+
 def test_assign_to_oracle_rejected(tmp_path):
     (tmp_path / "body.esm").write_text(MINI)
     with pytest.raises(TermSyntaxError, match="cannot assign to oracle 'probe'"):

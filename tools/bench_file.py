@@ -2,6 +2,7 @@
 """Measure one source checkout and record the numbers in a BENCH file.
 
     python3 tools/bench_file.py CHECKOUT --out BENCH_<n>.json [--label NAME]
+    python3 tools/bench_file.py CHECKOUT --check OLD.json
 
 CHECKOUT is the root of a source tree of this repository (this one, or a copy
 of another commit).  Everything runs from CHECKOUT's own sources, in child
@@ -11,15 +12,21 @@ processes, one at a time:
   `perfbench/jobs.py` at seeds 1 and 2026, keeping the end-to-end metrics
   of the last line;
 * bin_add with both inputs 256 (`bin_add[256]`) on the fast and the
-  reference engine, the median of 5 runs: steps, total_ops, wall seconds,
-  and seconds and us/step scaled to nominal host speed by perfbench's
-  `jobs.HostSpeed`, as run.py scales its times;
+  reference engine, 5 runs: steps, total_ops, the median wall seconds, and
+  the median, min and max of the seconds scaled to nominal host speed by
+  perfbench's `jobs.HostSpeed`, as run.py scales its times, and the median
+  us/step.  This figure is not a bar: one process's scaled times spread
+  widely, and two generations on one tree have differed by more than a
+  change's effect, so a wall-clock claim rests on alternating pairs of
+  `perfbench/run.py` runs;
 * per bundled program, the CPython bytecodes of two `build_plan` calls,
   each counted in a child process of its own by `sys.settrace` opcode
-  events, with the Python version: a cold one, with `codegen._compiled`
-  cleared, and one on the program parsed again, which an equal program's
-  plan (or compiled code) may serve.  Unlike wall time, the counts repeat
-  exactly from run to run on one Python version;
+  events: a cold one, with `codegen._compiled` cleared, and one on the
+  program parsed again, which an equal program's plan (or compiled code)
+  may serve (`plan_bytecodes`);
+* the bytecodes and Python frames (trace call events) per step of a `run`,
+  for each run of STEP_RUNS, one child process per run, traced only around
+  a `run` whose plan is already cached (`step_counts`);
 * the tier-1 suite (`pytest -q --continue-on-collection-errors`): its wall
   time and its summary line;
 * the line count of `src/esmtangle/*.py`.
@@ -27,6 +34,14 @@ processes, one at a time:
 The numbers go into FILE under `--label` (default: CHECKOUT's directory
 name), next to the labels already there, so two runs, one per checkout, make
 a before/after file.  Wall-clock numbers are for the host named in the file.
+
+The counts are recorded with the Python version and, unlike wall time,
+repeat exactly from run to run on one version.  `--check OLD.json` counts
+CHECKOUT again (the counts only) and compares them with the last label of
+OLD.json: it names every count that rose by more than 1% and exits 1 if
+one did, or exits 2 if OLD.json's counts were taken on another Python
+version.  Since an upgrade moves every count, it is not part of the test
+suite.
 """
 
 from __future__ import annotations
@@ -43,6 +58,10 @@ from pathlib import Path
 SEEDS = (1, 2026)
 SECONDS = 8  # run.py's --seconds per workload and seed
 REPEAT = 5  # bin_add[256] runs per engine
+# (program, size of every input, oracle mode) of each per-step count
+STEP_RUNS = [("bin_succ", 64, "inline"), ("bin_add", 64, "inline"), ("bin_mul", 8, "unit"),
+             ("bin_mul", 8, "inline"), ("str_reverse", 4, "inline")]
+RISE = 0.01  # the share by which `--check` lets a count rise
 
 # Runs in CHECKOUT's sources; prints one JSON line per engine.
 _BIN_ADD = """
@@ -67,35 +86,58 @@ for engine in ("critical", "reference"):
     print(json.dumps({"engine": engine, "steps": result.steps,
                       "total_ops": result.cost.total_ops,
                       "wall_s": round(statistics.median(wall), 4), "run_s": round(run_s, 4),
+                      "run_s_min": round(min(scaled), 4), "run_s_max": round(max(scaled), 4),
                       "us_per_step": round(run_s / result.steps * 1e6, 3)}))
 """
 
-# Runs in CHECKOUT's sources; prints the bytecodes of a cold `build_plan` of
-# the bundled program argv[1] and of one on the program parsed again.
-_PLAN_BYTECODES = """
+# Runs in CHECKOUT's sources, ahead of the two scripts below: `counts(call)`
+# is the bytecodes and frames of `call()`, as `sys.settrace` opcode and call
+# events.
+_COUNTS = """
 import json, sys
-from esmtangle import codegen
-from esmtangle.cli import load_program
 
-def bytecodes(call):
-    count = 0
+def counts(call):
+    bytecodes = frames = 0
     def tracer(frame, event, arg):
-        nonlocal count
+        nonlocal bytecodes, frames
         frame.f_trace_opcodes, frame.f_trace_lines = True, False
-        count += event == "opcode"
+        bytecodes += event == "opcode"
+        frames += event == "call"
         return tracer
     sys.settrace(tracer)
     try:
         call()
     finally:
         sys.settrace(None)
-    return count
+    return bytecodes, frames
+"""
 
+# Prints the bytecodes of a cold `build_plan` of the bundled program argv[1]
+# and of one on the program parsed again.
+_PLAN_BYTECODES = _COUNTS + """
+from esmtangle import codegen
+from esmtangle.cli import load_program
 codegen._compiled.clear()
 program = load_program(sys.argv[1])
-cold = bytecodes(lambda: codegen.build_plan(program))
+cold = counts(lambda: codegen.build_plan(program))[0]
 again = load_program(sys.argv[1])
-print(json.dumps({"cold": cold, "reparsed": bytecodes(lambda: codegen.build_plan(again))}))
+print(json.dumps({"cold": cold, "reparsed": counts(lambda: codegen.build_plan(again))[0]}))
+"""
+
+# Prints the bytecodes and frames per step of a run of the bundled program
+# argv[1], every input of size argv[2], in oracle mode argv[3].
+_STEP_COUNTS = _COUNTS + """
+from esmtangle.cli import encode_size, input_codec, load_program
+from esmtangle.engine import run
+name, size, mode = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+program = load_program(name)
+inputs = [encode_size(program.vocab, input_codec(program.vocab), size)] * len(program.inputs)
+run(program, inputs, oracle_mode=mode)  # so the counted run's plan is a cache hit
+done = []
+bytecodes, frames = counts(lambda: done.append(run(program, inputs, oracle_mode=mode)))
+steps = done[0].steps
+print(json.dumps({"steps": steps, "bytecodes_per_step": round(bytecodes / steps, 2),
+                  "frames_per_step": round(frames / steps, 3)}))
 """
 
 
@@ -136,6 +178,34 @@ def plan_bytecodes(checkout: Path) -> dict:
             **{name: json.loads(_python(checkout, ["-c", _PLAN_BYTECODES, name])) for name in names}}
 
 
+def step_counts(checkout: Path) -> dict:
+    # The children run on this interpreter, sys.executable.
+    return {"python": platform.python_version(),
+            **{f"{name}[{size}] {mode}": json.loads(_python(
+                checkout, ["-c", _STEP_COUNTS, name, str(size), mode]))
+               for name, size, mode in STEP_RUNS}}
+
+
+def rises(old: dict, new: dict) -> list[str] | None:
+    """Each count of `new` (an entry's `plan_bytecodes` and `step_counts`)
+    that rose by more than RISE over its value in `old`, as a line; None if
+    a part was counted on two Python versions."""
+    found = []
+    for part, fields in (("plan_bytecodes", ("cold", "reparsed")),
+                         ("step_counts", ("bytecodes_per_step", "frames_per_step"))):
+        was, now = old.get(part, {}), new[part]
+        if was and was["python"] != now["python"]:
+            return None
+        for run, row in now.items():
+            if run == "python":
+                continue
+            for f in fields:
+                if f in was.get(run, {}) and row[f] > was[run][f] * (1 + RISE):
+                    found.append(f"{part} {run} {f}: {was[run][f]} -> {row[f]} "
+                                 f"(+{row[f] / was[run][f] - 1:.2%})")
+    return found
+
+
 def tier1(checkout: Path) -> dict:
     start = time.perf_counter()
     out = _python(checkout, ["-m", "pytest", "-q", "--continue-on-collection-errors",
@@ -147,10 +217,21 @@ def tier1(checkout: Path) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("checkout", type=Path)
-    parser.add_argument("--out", type=Path, required=True)
+    target = parser.add_mutually_exclusive_group(required=True)
+    target.add_argument("--out", type=Path)
+    target.add_argument("--check", type=Path, metavar="OLD.json")
     parser.add_argument("--label")
     args = parser.parse_args(argv)
     checkout = args.checkout.resolve()
+    if args.check:
+        old = list(json.loads(args.check.read_text()).values())[-1]
+        found = rises(old, {"plan_bytecodes": plan_bytecodes(checkout),
+                            "step_counts": step_counts(checkout)})
+        if found is None:
+            print(f"{args.check}: counted on another Python version", file=sys.stderr)
+            return 2
+        print("\n".join(found) or "no count rose by more than 1%")
+        return 1 if found else 0
     entry = {
         "measured": time.strftime("%Y-%m-%d %H:%M:%S %Z"),
         "host": {"cpus": os.cpu_count(), "python": platform.python_version(),
@@ -160,6 +241,7 @@ def main(argv=None) -> int:
         "workloads": workloads(checkout),
         "bin_add_256": bin_add_256(checkout),
         "plan_bytecodes": plan_bytecodes(checkout),
+        "step_counts": step_counts(checkout),
         "tier1": tier1(checkout),
     }
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
