@@ -16,6 +16,8 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cache
+from io import BytesIO
+from itertools import chain
 from typing import NamedTuple
 
 
@@ -301,34 +303,42 @@ def run_all_checks(
     return dict(last[1]), dict(last[2])
 
 
-_STEP_JSON = '    {\n      "i": %d,\n      "ops": %d,\n      "vertices": %d,\n      "edges": %d\n    }'
+# One record as json.dumps(indent=2) writes it in the report's list.  The
+# series goes out _CHUNK records at a time, each chunk made by one bytes `%`
+# over the template repeated and written once, into the report's buffer.
+_STEP_JSON = b'    {\n      "i": %d,\n      "ops": %d,\n      "vertices": %d,\n      "edges": %d\n    }'
+_CHUNK = 1024
 
 
 def emit_report(report: CostReport, format: str = "json") -> bytes:
     """Serialize a report, its verdicts against the frozen bounds included.
-    Identical runs serialize byte-identically."""
+    Identical runs serialize byte-identically.  The per-step series, most of
+    a report, is formatted in chunks straight to bytes and written once into
+    the one buffer that is returned, between a head and a tail (for JSON,
+    the halves of json.dumps(indent=2) of the document with no series)."""
+    series = report.per_step
     if format == "json":
         verdicts, fitted = run_all_checks(report)
-        doc = {
-            "n": report.n,
-            "steps": report.steps,
-            "init_ops": report.init_ops,
-            "total_ops": report.total_ops,
-            "word_bits_max": report.word_bits_max,
-            "c_program": report.c_program,
-            "per_step": None,
-            "verdicts": {name: v.passed for name, v in verdicts.items()},
-            "fitted": fitted,
-        }
-        # The per-step records, one per transition, are most of a report:
-        # they are formatted here as json.dumps(indent=2) would format them.
-        steps = ",\n".join(_STEP_JSON % r for r in report.per_step)
-        text = json.dumps(doc, indent=2, sort_keys=False).replace(
-            '"per_step": null', f'"per_step": [\n{steps}\n  ]' if steps else '"per_step": []', 1
-        )
-        return (text + "\n").encode()
-    if format == "csv":
-        # One row per step; the i=0 baseline record is JSON-only.
-        rows = ["i,ops,vertices,edges"] + ["%d,%d,%d,%d" % r for r in report.per_step if r.i]
-        return ("\n".join(rows) + "\n").encode()
-    raise ValueError(f"unknown report format {format!r}")
+        doc = {"n": report.n, "steps": report.steps, "init_ops": report.init_ops,
+               "total_ops": report.total_ops, "word_bits_max": report.word_bits_max,
+               "c_program": report.c_program, "per_step": None,
+               "verdicts": {name: v.passed for name, v in verdicts.items()}, "fitted": fitted}
+        head, tail = json.dumps(doc, indent=2).encode().split(b'"per_step": null')
+        opening, closing = (b"[\n", b"\n  ]") if series else (b"[", b"]")
+        head, tail = head + b'"per_step": ' + opening, closing + tail + b"\n"
+        template, sep = _STEP_JSON, b",\n"
+    elif format == "csv":
+        # One row per record after the baseline: the i=0 records are JSON-only.
+        series = [r for r in series if r.i]
+        head, template, sep, tail = b"i,ops,vertices,edges\n", b"%d,%d,%d,%d\n", b"", b""
+    else:
+        raise ValueError(f"unknown report format {format!r}")
+    out = BytesIO()
+    out.write(head)
+    for start in range(0, len(series), _CHUNK):
+        chunk = series[start:start + _CHUNK]
+        if start:
+            out.write(sep)
+        out.write(sep.join([template] * len(chunk)) % tuple(chain.from_iterable(chunk)))
+    out.write(tail)
+    return out.getvalue()

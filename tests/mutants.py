@@ -47,6 +47,7 @@ WALK_SMALL = "tests/test_engine_property.py::test_jumping_code_on_empty_branches
 WALK_BUNDLED = "tests/test_engine_property.py::test_jumping_code_matches_tree_walk_on_bundled_programs"
 SUMS = "tests/test_codegen.py::test_a_pass_charges_the_sums_it_is_given"
 CUT = "tests/test_codegen.py::test_cutting_into_pieces_changes_no_charge"
+CHUNKS = "tests/test_cost.py::test_the_chunked_report_is_exact_at_chunk_boundaries"
 
 MUTANTS = [
     Mutant("menu: an intern hit reads no child", "cost.py",
@@ -227,6 +228,11 @@ MUTANTS = [
            "_format_guard(g.right, binds + 1)", "_format_guard(g.right, binds)",
            ("tests/test_syntax.py::test_guards_roundtrip_through_the_printer[A or (B or C)]",
             "tests/test_syntax.py::test_guards_roundtrip_through_the_printer[A and (B and C)]")),
+    Mutant("the report drops the last partial chunk", "cost.py",
+           "for start in range(0, len(series), _CHUNK):",
+           "for start in range(0, len(series) // _CHUNK * _CHUNK, _CHUNK):", (CHUNKS,)),
+    Mutant("the report joins chunks without `,\\n`", "cost.py",
+           "        if start:\n            out.write(sep)\n", "", (CHUNKS,)),
 ]
 
 

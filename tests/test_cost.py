@@ -600,3 +600,49 @@ def test_fit_affine_matches_the_reference_fit():
         cases.append(points)
     for points in cases:
         assert repr(fit_affine(points)) == repr(_ref_fit_affine(points)), points
+
+
+def _hand_made_report(length: int, container) -> CostReport:
+    """`length` records: every third has i == 0, every other one ops at or
+    above 2^53, every fifth a negative vertex count, and record 0 all three."""
+    records = container(
+        StepCost(0 if k % 3 == 0 else k, 2**53 + k if k % 2 == 0 else k,
+                 -k - 1 if k % 5 == 0 else 7 * k, 10**18 + k)
+        for k in range(length)
+    )
+    return CostReport(n=3, steps=length, init_ops=0, total_ops=sum(r.ops for r in records),
+                      word_bits_max=5, c_program=3, per_step=records)
+
+
+@pytest.mark.parametrize("container", [list, tuple])
+@pytest.mark.parametrize("length", [0, 1, cost._CHUNK - 1, cost._CHUNK, cost._CHUNK + 1,
+                                    2 * cost._CHUNK + 1])
+def test_the_chunked_report_is_exact_at_chunk_boundaries(length, container):
+    # emit_report formats the series in chunks of cost._CHUNK records; at and
+    # around each boundary both formats equal their one-record-at-a-time text.
+    rep = _hand_made_report(length, container)
+    verdicts, fitted = run_all_checks(rep)
+    doc = {
+        "n": rep.n, "steps": rep.steps, "init_ops": rep.init_ops,
+        "total_ops": rep.total_ops, "word_bits_max": rep.word_bits_max,
+        "c_program": rep.c_program,
+        "per_step": [
+            {"i": r.i, "ops": r.ops, "vertices": r.vertices, "edges": r.edges}
+            for r in rep.per_step
+        ],
+        "verdicts": {name: v.passed for name, v in verdicts.items()},
+        "fitted": fitted,
+    }
+    assert emit_report(rep) == (json.dumps(doc, indent=2) + "\n").encode()
+    rows = ["i,ops,vertices,edges"] + ["%d,%d,%d,%d" % r for r in rep.per_step if r.i]
+    assert emit_report(rep, format="csv") == "".join(row + "\n" for row in rows).encode()
+
+
+def test_the_csv_has_one_row_per_record_after_the_baseline():
+    # Inline bin_mul's series also holds its nested runs' records, so its CSV
+    # has more rows than the run has steps: 55 rows for 49 steps on (3, 2).
+    p = load_corpus("bin_mul")
+    r = run(p, [binary_input(p.vocab, 3), binary_input(p.vocab, 2)], oracle_mode="inline")
+    rows = emit_report(r.cost, format="csv").decode().splitlines()[1:]
+    assert rows == ["%d,%d,%d,%d" % rec for rec in r.cost.per_step if rec.i]
+    assert (len(rows), r.steps) == (55, 49)

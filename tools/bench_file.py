@@ -27,6 +27,12 @@ processes, one at a time:
 * the bytecodes and Python frames (trace call events) per step of a `run`,
   for each run of STEP_RUNS, one child process per run, traced only around
   a `run` whose plan is already cached (`step_counts`);
+* for the report of a fast-engine bin_add[256] run (`report_counts`): its
+  JSON length in bytes, the bytecodes of `run_all_checks` then
+  `emit_report` on it, the tracemalloc peak of `emit_report` in bytes,
+  each in a child process of its own, and the median milliseconds of
+  REPORT_REPEAT `emit_report` calls.  The peak is measured in two child
+  processes and kept only if both give the same value, else it is null;
 * the tier-1 suite (`pytest -q --continue-on-collection-errors`): its wall
   time and its summary line;
 * the line count of `src/esmtangle/*.py`.
@@ -62,6 +68,7 @@ REPEAT = 5  # bin_add[256] runs per engine
 STEP_RUNS = [("bin_succ", 64, "inline"), ("bin_add", 64, "inline"), ("bin_mul", 8, "unit"),
              ("bin_mul", 8, "inline"), ("str_reverse", 4, "inline")]
 RISE = 0.01  # the share by which `--check` lets a count rise
+REPORT_REPEAT = 15  # timed emit_report calls per report
 
 # Runs in CHECKOUT's sources; prints one JSON line per engine.
 _BIN_ADD = """
@@ -140,6 +147,36 @@ print(json.dumps({"steps": steps, "bytecodes_per_step": round(bytecodes / steps,
                   "frames_per_step": round(frames / steps, 3)}))
 """
 
+# Prints, for the report of a fast-engine bin_add[256] run, what argv[1]
+# names: "bytecodes" (of run_all_checks then emit_report), "peak" (the
+# tracemalloc peak of emit_report, the checks already done) or "time" (the
+# report's length and the median ms of argv[2] emit_report calls).
+_REPORT_COUNTS = _COUNTS + """
+import statistics, time, tracemalloc
+from esmtangle.cli import load_program
+from esmtangle.cost import emit_report, run_all_checks
+from esmtangle.engine import run
+from esmtangle.terms import encode_nat_binary
+program = load_program("bin_add")
+report = run(program, [encode_nat_binary(256, program.vocab)] * 2).cost
+what = sys.argv[1]
+if what == "bytecodes":
+    print(counts(lambda: (run_all_checks(report), emit_report(report)))[0])
+    sys.exit()
+run_all_checks(report)
+if what == "peak":
+    tracemalloc.start()
+    emit_report(report)
+    print(tracemalloc.get_traced_memory()[1])
+    sys.exit()
+seconds = []
+for _ in range(int(sys.argv[2])):
+    start = time.perf_counter()
+    size = len(emit_report(report))
+    seconds.append(time.perf_counter() - start)
+print(size, round(statistics.median(seconds) * 1e3, 2))
+"""
+
 
 def _python(checkout: Path, args: list[str]) -> str:
     env = {**os.environ, "PYTHONPATH": str(checkout / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
@@ -186,13 +223,27 @@ def step_counts(checkout: Path) -> dict:
                for name, size, mode in STEP_RUNS}}
 
 
+def report_counts(checkout: Path) -> dict:
+    def child(*args) -> str:
+        return _python(checkout, ["-c", _REPORT_COUNTS, *map(str, args)]).strip()
+
+    size, ms = child("time", REPORT_REPEAT).split()
+    peaks = {int(child("peak")) for _ in range(2)}
+    return {"python": platform.python_version(),
+            "bin_add[256]": {"report_bytes": int(size), "bytecodes": int(child("bytecodes")),
+                             "peak_bytes": peaks.pop() if len(peaks) == 1 else None,
+                             "emit_ms": float(ms)}}
+
+
 def rises(old: dict, new: dict) -> list[str] | None:
-    """Each count of `new` (an entry's `plan_bytecodes` and `step_counts`)
-    that rose by more than RISE over its value in `old`, as a line; None if
-    a part was counted on two Python versions."""
+    """Each count of `new` (an entry's `plan_bytecodes`, `step_counts` and
+    `report_counts`) that rose by more than RISE over its value in `old`, as
+    a line; None if a part was counted on two Python versions.  A count
+    missing or null on either side is not compared."""
     found = []
     for part, fields in (("plan_bytecodes", ("cold", "reparsed")),
-                         ("step_counts", ("bytecodes_per_step", "frames_per_step"))):
+                         ("step_counts", ("bytecodes_per_step", "frames_per_step")),
+                         ("report_counts", ("report_bytes", "bytecodes", "peak_bytes"))):
         was, now = old.get(part, {}), new[part]
         if was and was["python"] != now["python"]:
             return None
@@ -200,7 +251,9 @@ def rises(old: dict, new: dict) -> list[str] | None:
             if run == "python":
                 continue
             for f in fields:
-                if f in was.get(run, {}) and row[f] > was[run][f] * (1 + RISE):
+                if None in (row[f], was.get(run, {}).get(f)):
+                    continue
+                if row[f] > was[run][f] * (1 + RISE):
                     found.append(f"{part} {run} {f}: {was[run][f]} -> {row[f]} "
                                  f"(+{row[f] / was[run][f] - 1:.2%})")
     return found
@@ -226,7 +279,8 @@ def main(argv=None) -> int:
     if args.check:
         old = list(json.loads(args.check.read_text()).values())[-1]
         found = rises(old, {"plan_bytecodes": plan_bytecodes(checkout),
-                            "step_counts": step_counts(checkout)})
+                            "step_counts": step_counts(checkout),
+                            "report_counts": report_counts(checkout)})
         if found is None:
             print(f"{args.check}: counted on another Python version", file=sys.stderr)
             return 2
@@ -242,6 +296,7 @@ def main(argv=None) -> int:
         "bin_add_256": bin_add_256(checkout),
         "plan_bytecodes": plan_bytecodes(checkout),
         "step_counts": step_counts(checkout),
+        "report_counts": report_counts(checkout),
         "tier1": tier1(checkout),
     }
     data = json.loads(args.out.read_text()) if args.out.exists() else {}
