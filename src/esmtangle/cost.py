@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from io import BytesIO
-from itertools import chain
-from typing import NamedTuple
+from itertools import chain, islice
+from typing import NamedTuple, Sequence
 
 
 class Ops(NamedTuple):
@@ -120,7 +120,7 @@ class StepCost(NamedTuple):
 
 @dataclass
 class CostReport:
-    """Everything a finished run reports about its cost."""
+    """Everything a finished run reports about its cost; a run's series is a tuple."""
 
     n: int
     steps: int
@@ -128,7 +128,7 @@ class CostReport:
     total_ops: int
     word_bits_max: int
     c_program: int
-    per_step: list[StepCost] = field(default_factory=list)
+    per_step: Sequence[StepCost] = ()
 
     def check_additivity(self) -> bool:
         return self.total_ops == sum(rec.ops for rec in self.per_step)
@@ -224,7 +224,7 @@ def _step_checks(
     if series:
         base = prev = series[0].vertices
         step_a, step_b = bounds.step_a, bounds.step_b
-        for i, o, v, e in series[1:]:
+        for i, o, v, e in islice(series, 1, None):
             if growth is None:
                 if v - prev > c:
                     growth = f"step {i}: vertex growth {v - prev} > c(p) = {c}"
@@ -287,8 +287,8 @@ def run_all_checks(
     report: CostReport, bounds: FrozenBounds = DEFAULT_BOUNDS
 ) -> tuple[dict[str, Verdict], dict[str, float]]:
     """All three checks.  `esm verify --report` checks a run and then emits
-    its report, which checks the same figures again, so the report keeps the
-    last results under everything the checks read."""
+    its report, which checks it again, so the report keeps the last results
+    under all the checks read: a run's series, a tuple, as it is; a list, copied."""
     key = (
         bounds, report.n, report.steps, report.total_ops, report.word_bits_max,
         report.c_program, tuple(report.per_step),

@@ -544,7 +544,7 @@ def run(
         total_ops=meter.ram_ops - core.start_ops,
         word_bits_max=word_bits(len(core.tangle)),  # the store only grows
         c_program=ctx.plan.c_program,
-        per_step=core.series,
+        per_step=tuple(core.series),
     )
     clash = None if halt is None else halt.clash
     return RunResult(outcome, output_term, core.steps_reported, n, report, clash)

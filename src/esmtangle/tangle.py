@@ -6,6 +6,10 @@ always point at strictly smaller indices, and nothing is ever deleted, so
 indices stay stable for the lifetime of the store and equality of represented
 terms is a single int comparison.
 
+Each vertex is kept once: its record in the vertex table `_nodes` is the
+tuple `(name, children)` that keys it in the index `_index`, and its label
+is the vocabulary symbol of that name.  Undef's record is `(None, ())`.
+
 Inside the store and inside a run, ids are plain int vertex indices.  At the
 API (`intern`, `import_term`, `extract_term`, `node_eq`, `undef`) they are
 `NodeId`s, which also carry the store's tag, so an id of another store is
@@ -50,11 +54,6 @@ class NodeId(NamedTuple):
     index: int
 
 
-class Node(NamedTuple):
-    label: Symbol | None  # None marks the undef vertex
-    children: tuple[int, ...]
-
-
 @dataclass(frozen=True)
 class TangleStats:
     vertices: int
@@ -73,11 +72,10 @@ class Tangle:
         self.max_arity = vocab.max_arity
         self.meter = meter if meter is not None else CostMeter()
         self.tag = next(_store_tags)
-        self._nodes: list[Node] = [Node(None, ())]
-        self._symbols = vocab._by_name  # the vocabulary's name table, read by `_intern`
+        self._nodes: list[tuple[str | None, tuple[int, ...]]] = [(None, ())]
+        self._symbols = vocab._by_name  # the vocabulary's name table: a record's label
         self._index: dict[tuple[str, tuple[int, ...]], int] = {}
         self._edges = 0
-        self._extract_cache: dict[int, Term] = {}
 
     @property
     def undef(self) -> NodeId:
@@ -129,7 +127,7 @@ class Tangle:
                 if not 0 < c < nid:
                     raise TangleError(f"child id {c} is out of range" if c else
                                       "undef cannot be a child; callers handle strictness")
-            nodes.append(Node(known, children))
+            nodes.append(key)
             self._edges += len(children)
             self._index[key] = nid
             probe, alloc, read, compare, write = cost.intern_miss(len(children))
@@ -187,21 +185,22 @@ class Tangle:
         index = self._own(nid)
         if index == 0:
             raise UndefNodeError("the undef vertex has no term form")
-        cache = self._extract_cache
+        nodes, symbols = self._nodes, self._symbols
+        memo: dict[int, Term] = {}
         stack = [index]
         while stack:
             i = stack[-1]
-            if i in cache:
+            if i in memo:
                 stack.pop()
                 continue
-            node = self._nodes[i]
-            pending = [c for c in node.children if c not in cache]
+            name, children = nodes[i]
+            pending = [c for c in children if c not in memo]
             if pending:
                 stack.extend(pending)
                 continue
             stack.pop()
-            cache[i] = Term(node.label, tuple(map(cache.__getitem__, node.children)))
-        return cache[index]
+            memo[i] = Term(symbols[name], tuple(map(memo.__getitem__, children)))
+        return memo[index]
 
     def stats(self) -> TangleStats:
         return TangleStats(
@@ -211,18 +210,19 @@ class Tangle:
         )
 
     def check_invariants(self):
-        """Assert minimality, acyclicity, and the edge bound.  Test hook."""
-        seen: dict[tuple[Symbol | None, tuple[int, ...]], int] = {}
+        """Assert minimality (the vertex table and the index agree),
+        acyclicity, and the edge bound.  Test hook."""
+        nodes, index = self._nodes, self._index
+        if len(index) != len(nodes) - 1:
+            raise AssertionError(f"{len(index)} index keys for {len(nodes) - 1} vertices")
         edges = 0
-        for i, node in enumerate(self._nodes):
-            key = (node.label, node.children)
-            if key in seen:
-                raise AssertionError(f"duplicate node {key} at {seen[key]} and {i}")
-            seen[key] = i
-            for c in node.children:
+        for i, key in enumerate(nodes[1:], 1):
+            if index.get(key) != i:
+                raise AssertionError(f"vertex {i} {key} is indexed as {index.get(key)}")
+            for c in key[1]:
                 if c >= i:
                     raise AssertionError(f"node {i} has non-decreasing child {c}")
-            edges += len(node.children)
+            edges += len(key[1])
         if edges != self._edges:
             raise AssertionError(f"edge counter {self._edges} != recount {edges}")
         if edges > self.max_arity * len(self._nodes):
@@ -231,10 +231,9 @@ class Tangle:
     def dump(self) -> str:
         """One line per node: "id<TAB>label<TAB>child ids", ids ascending."""
         lines = []
-        for i, node in enumerate(self._nodes):
-            label = "undef" if node.label is None else node.label.name
-            kids = " ".join(map(str, node.children))
-            lines.append(f"{i}\t{label}\t{kids}")
+        for i, (name, children) in enumerate(self._nodes):
+            kids = " ".join(map(str, children))
+            lines.append(f"{i}\t{'undef' if name is None else name}\t{kids}")
         return "\n".join(lines) + "\n"
 
 

@@ -48,6 +48,8 @@ WALK_BUNDLED = "tests/test_engine_property.py::test_jumping_code_matches_tree_wa
 SUMS = "tests/test_codegen.py::test_a_pass_charges_the_sums_it_is_given"
 CUT = "tests/test_codegen.py::test_cutting_into_pieces_changes_no_charge"
 CHUNKS = "tests/test_cost.py::test_the_chunked_report_is_exact_at_chunk_boundaries"
+LIST_EDIT = "tests/test_cost.py::test_the_check_cache_sees_an_edit_to_a_series_given_as_a_list"
+NO_COPY = "tests/test_cost.py::test_a_repeated_check_of_a_run_copies_nothing"
 
 MUTANTS = [
     Mutant("menu: an intern hit reads no child", "cost.py",
@@ -233,6 +235,14 @@ MUTANTS = [
            "for start in range(0, len(series) // _CHUNK * _CHUNK, _CHUNK):", (CHUNKS,)),
     Mutant("the report joins chunks without `,\\n`", "cost.py",
            "        if start:\n            out.write(sep)\n", "", (CHUNKS,)),
+    Mutant("the check cache keys a report by its list object", "cost.py",
+           "report.c_program, tuple(report.per_step),", "report.c_program, report.per_step,",
+           (LIST_EDIT,)),
+    Mutant("`run` hands out its series list", "engine.py",
+           "per_step=tuple(core.series),", "per_step=core.series,", (NO_COPY,)),
+    Mutant("a vertex record drops its name", "tangle.py",
+           "nodes.append(key)", "nodes.append((None, children))",
+           ("tests/test_tangle.py::test_extract_roundtrip", "tests/test_tangle.py::test_dump_format")),
 ]
 
 

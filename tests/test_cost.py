@@ -5,6 +5,7 @@ import json
 import math
 import random
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -485,6 +486,36 @@ def test_run_all_checks_on_real_runs():
         verdicts, fitted = run_all_checks(r.cost)
         assert all(v.passed for v in verdicts.values()), verdicts
         assert fitted["a"] >= 0 and fitted["a2"] >= 0
+
+
+def test_the_check_cache_sees_an_edit_to_a_series_given_as_a_list():
+    # A hand-made report may keep its series in a list and edit it after a
+    # check: the cached verdicts must follow a record replaced in place and a
+    # changed total, as a fresh report's check does.
+    rep = synthetic_report([1, 1, 1])
+    assert all(v.passed for v in run_all_checks(rep)[0].values())
+    rep.per_step[2] = rep.per_step[2]._replace(ops=10**6)
+    assert run_all_checks(rep) == run_all_checks(dataclasses.replace(rep))
+    assert not run_all_checks(rep)[0]["step_linear"].passed
+    rep.total_ops = 10**6
+    assert run_all_checks(rep) == run_all_checks(dataclasses.replace(rep))
+    assert not run_all_checks(rep)[0]["total_bound"].passed
+
+
+def test_a_repeated_check_of_a_run_copies_nothing():
+    # A run's series is a tuple, which the cache keys on as it is: checking
+    # the run again copies none of its 1,673 records.
+    p = load_corpus("bin_add")
+    report = run(p, [binary_input(p.vocab, v) for v in (40, 30)]).cost
+    first = run_all_checks(report)
+    tracemalloc.start()
+    try:
+        again = run_all_checks(report)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert again == first
+    assert peak < 1024, peak
 
 
 # The checks as they were written before they shared one pass over the steps:

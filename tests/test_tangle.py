@@ -287,6 +287,22 @@ def test_determinism_replay():
     assert meters[0] == meters[1]
 
 
+@pytest.mark.parametrize("corrupt", ["remap", "extra key"])
+def test_check_invariants_catches_an_index_that_disagrees_with_the_vertices(corrupt):
+    # Each vertex record is its own index key: the index must map every
+    # record back to its vertex and hold no other key.
+    v = vocab_fc()
+    g = new_tangle(v)
+    g.import_term(parse_term("g(f(c,c),d0(eps))", v))
+    g.check_invariants()
+    if corrupt == "remap":
+        g._index[g._nodes[2]] = 3
+    else:
+        g._index[("d1", (1,))] = 1
+    with pytest.raises(AssertionError):
+        g.check_invariants()
+
+
 def test_dump_format():
     v = vocab_fc()
     g = new_tangle(v)

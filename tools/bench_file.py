@@ -29,10 +29,12 @@ processes, one at a time:
   a `run` whose plan is already cached (`step_counts`);
 * for the report of a fast-engine bin_add[256] run (`report_counts`): its
   JSON length in bytes, the bytecodes of `run_all_checks` then
-  `emit_report` on it, the tracemalloc peak of `emit_report` in bytes,
-  each in a child process of its own, and the median milliseconds of
-  REPORT_REPEAT `emit_report` calls.  The peak is measured in two child
-  processes and kept only if both give the same value, else it is null;
+  `emit_report` on it, the tracemalloc peaks in bytes of `emit_report`
+  (`peak_bytes`) and of a second `run_all_checks` (`hit_bytes`, a cache
+  hit, so a copy of the series in the check path shows), each in a child
+  process of its own, and the median milliseconds of REPORT_REPEAT
+  `emit_report` calls.  Each peak is measured in two child processes and
+  kept only if both give the same value, else it is null;
 * the tier-1 suite (`pytest -q --continue-on-collection-errors`): its wall
   time and its summary line;
 * the line count of `src/esmtangle/*.py`.
@@ -149,8 +151,9 @@ print(json.dumps({"steps": steps, "bytecodes_per_step": round(bytecodes / steps,
 
 # Prints, for the report of a fast-engine bin_add[256] run, what argv[1]
 # names: "bytecodes" (of run_all_checks then emit_report), "peak" (the
-# tracemalloc peak of emit_report, the checks already done) or "time" (the
-# report's length and the median ms of argv[2] emit_report calls).
+# tracemalloc peak of emit_report, the checks already done), "hit" (that of
+# run_all_checks, done already) or "time" (the report's length and the
+# median ms of argv[2] emit_report calls).
 _REPORT_COUNTS = _COUNTS + """
 import statistics, time, tracemalloc
 from esmtangle.cli import load_program
@@ -164,9 +167,9 @@ if what == "bytecodes":
     print(counts(lambda: (run_all_checks(report), emit_report(report)))[0])
     sys.exit()
 run_all_checks(report)
-if what == "peak":
+if what in ("peak", "hit"):
     tracemalloc.start()
-    emit_report(report)
+    emit_report(report) if what == "peak" else run_all_checks(report)
     print(tracemalloc.get_traced_memory()[1])
     sys.exit()
 seconds = []
@@ -227,11 +230,14 @@ def report_counts(checkout: Path) -> dict:
     def child(*args) -> str:
         return _python(checkout, ["-c", _REPORT_COUNTS, *map(str, args)]).strip()
 
+    def peak(what: str) -> int | None:
+        peaks = {int(child(what)) for _ in range(2)}
+        return peaks.pop() if len(peaks) == 1 else None
+
     size, ms = child("time", REPORT_REPEAT).split()
-    peaks = {int(child("peak")) for _ in range(2)}
     return {"python": platform.python_version(),
             "bin_add[256]": {"report_bytes": int(size), "bytecodes": int(child("bytecodes")),
-                             "peak_bytes": peaks.pop() if len(peaks) == 1 else None,
+                             "peak_bytes": peak("peak"), "hit_bytes": peak("hit"),
                              "emit_ms": float(ms)}}
 
 
@@ -243,7 +249,8 @@ def rises(old: dict, new: dict) -> list[str] | None:
     found = []
     for part, fields in (("plan_bytecodes", ("cold", "reparsed")),
                          ("step_counts", ("bytecodes_per_step", "frames_per_step")),
-                         ("report_counts", ("report_bytes", "bytecodes", "peak_bytes"))):
+                         ("report_counts", ("report_bytes", "bytecodes", "peak_bytes",
+                                            "hit_bytes"))):
         was, now = old.get(part, {}), new[part]
         if was and was["python"] != now["python"]:
             return None
