@@ -89,7 +89,8 @@ from typing import Callable, NamedTuple, Sequence
 
 from . import cost
 from .cost import Ops
-from .syntax import Assign, Cond, CriticalTerms, GAnd, GAtom, GNot, Program, Stmt, critical_terms
+from .syntax import (Assign, Cond, CriticalTerms, GAnd, GAtom, GNot, Program, Stmt, critical_terms,
+                     validate_program)
 from .terms import KIND_CONSTRUCTOR, KIND_DYNAMIC, KIND_ORACLE, Symbol, Term, compact_size
 
 UNDEF_SLOT = -1
@@ -254,11 +255,14 @@ def _plan_key(p: Program, oracle_plans: dict[str, ExecPlan]) -> tuple:
 
 
 def build_plan(program: Program) -> ExecPlan:
-    """The plan of `program`: the cached one of an equal program, else a new one."""
+    """The plan of `program`: the cached one of an equal program, else a new
+    one; a program that fails validation is a ValueError, one diagnostic a line."""
     oracle_plans = {o.symbol.name: build_plan(o.body) for o in program.oracles}
     key = _plan_key(program, oracle_plans)
     plan = _compiled.get(key)
     if plan is None:
+        if diags := validate_program(program):
+            raise ValueError("\n".join(diags))
         plan = _new_plan(program, oracle_plans)
         if len(_compiled) >= _COMPILED_MAX:
             linecache.cache.pop(_compiled.pop(next(iter(_compiled))).rules.__code__.co_filename, None)

@@ -44,16 +44,17 @@ every symbol the plan and its oracle plans intern is in the store's
 vocabulary, with the error `intern` raises.  `_init_state` is the one
 initializer (nested oracle runs use it too).  `_transition`, the same for
 every program, is the one transition loop and the one place that decides
-how a transition ends: with a successor (NEXT), or with none because no
-assignment is enabled (TERMINAL), an update clashed (CLASH) or the fuel ran
-out with one enabled (FUEL_EXHAUSTED), in the step or in an oracle call its
-pass made.  Fuel is charged when a transition commits, after its clash
-check and before its writes and oracle calls.  `_drive` calls it once per
-run and nested oracle run; `_states` steps it one transition at a time for
-`compare_engines`, which zips two trajectories.  Both raise the private
-`_Halt` for a clash or for fuel exhaustion, and no public function lets it
-escape: `run` and `compare_engines` report it as their outcome, and the
-initializers and `invoke_oracle` raise RuntimeError.
+how a transition ends: with a successor (NEXT) or none enabled (TERMINAL),
+which it returns, or by raising the private `_Halt` where an update clashed
+(CLASH) or the fuel ran out with one enabled (FUEL_EXHAUSTED).  A halt in
+an oracle call passes through every nested run unchanged.  Fuel is charged
+when a transition commits, after its clash check and before its writes and
+oracle calls.  A run, and each nested oracle run, takes all its transitions
+in one call of it; `step_critical` and `step_ref` take one, and
+`compare_engines` steps both engines through them.  No public function lets
+a halt escape: `run` and `compare_engines` report it as their outcome, the
+steppers as their step's kind, and the initializers and `invoke_oracle`
+raise RuntimeError.
 Every run is metered by its store's meter, which is fixed when the store is
 made: a run reports the operations that meter gains during the run, so two
 runs on one store each report only their own work.
@@ -104,8 +105,8 @@ MODE_INLINE = "inline"
 
 class _Halt(Exception):
     """A run stopped early: fuel ran out with assignments still enabled, or an
-    update clashed.  `_drive` and `_states` raise it, and a transition whose
-    oracle call raised it ends with its kind, so it reaches the outermost run."""
+    update clashed.  `_transition` raises it, and it passes unchanged through
+    every nested oracle run to the public function that reports it."""
 
     def __init__(self, outcome: str, clash: ClashInfo | None = None):
         self.outcome = outcome  # FUEL_EXHAUSTED | CLASH
@@ -239,7 +240,7 @@ def _call_oracle(ctx: RunContext, argids: tuple[int, ...]) -> int | None:
     if unit:
         meter.enabled = core.record = False
     try:
-        state = _drive(_init_state(ctx, input_ids=argids))
+        state = _transition(_init_state(ctx, input_ids=argids), None).state
     finally:
         meter.enabled, core.record = saved
     if unit:
@@ -390,11 +391,10 @@ def _transition(state: EngineState, limit: int | None = 1) -> StepOutcome:
     set too.  Otherwise it commits its fuel, writes the update set into the
     location map (a copy for the reference engine) and recomputes, every
     slot or the dirty slots, in one pass that charges the step's sums with
-    its own; an oracle call there that halts ends it with the halt's kind.
-    Then come the invariant check (unmetered, off unless asked for) and the
-    record and trace line.  It returns the last transition's outcome: NEXT
-    with the successor, or a kind with no state, or with `limit` None the
-    state the run ended in."""
+    its own.  Then come the invariant check (unmetered, off unless asked for)
+    and the record and trace line.  It returns NEXT with the last successor,
+    or TERMINAL, with `limit` None with the state the run ended in; fuel
+    exhaustion and a clash, here or in an oracle call, raise _Halt."""
     ctx = state.ctx
     core = ctx.core
     plan = ctx.plan
@@ -410,12 +410,12 @@ def _transition(state: EngineState, limit: int | None = 1) -> StepOutcome:
         enabled, updates, clash, c, p, r = rules(values)
         if not enabled or core.fuel_left <= 0:
             meter.charge(compare=c)
-            kind, clash = FUEL_EXHAUSTED if enabled else TERMINAL, None
-            break
+            if enabled:
+                raise _Halt(FUEL_EXHAUSTED)
+            return StepOutcome(TERMINAL, EngineState(ctx, values, store, at) if limit is None else None)
         if clash is not None:
             meter.charge(probe=p, read=r, compare=c, write=cost.UPDATE_ENTRY.write * len(updates))
-            kind = CLASH
-            break
+            raise _Halt(CLASH, clash)
         core.fuel_left -= 1
         if not fast:
             store = dict(store)
@@ -424,13 +424,9 @@ def _transition(state: EngineState, limit: int | None = 1) -> StepOutcome:
             for key, v in updates.items():
                 if v is None:
                     del store[key]
-        try:
-            values = slots(ctx, values, updates, store, p, r, c, _WRITTEN * len(updates))
-            if core.check:
-                ctx.check_state(values, store)
-        except _Halt as halt:
-            kind, clash = halt.outcome, halt.clash
-            break
+        values = slots(ctx, values, updates, store, p, r, c, _WRITTEN * len(updates))
+        if core.check:
+            ctx.check_state(values, store)
         at += 1
         if core.record:
             core.steps_reported += 1
@@ -442,42 +438,24 @@ def _transition(state: EngineState, limit: int | None = 1) -> StepOutcome:
                 core.trace_line(at, enabled, updates)
         if at == stop:
             return _new(StepOutcome, (NEXT, EngineState(ctx, values, store, at), None))
-    return StepOutcome(kind, EngineState(ctx, values, store, at) if limit is None else None, clash)
+
+
+def _step(state: EngineState) -> StepOutcome:
+    """The public steppers' one body: a halt becomes the outcome's kind."""
+    try:
+        return _transition(state)
+    except _Halt as halt:
+        return StepOutcome(halt.outcome, None, halt.clash)
 
 
 def step_critical(program: Program, state: EngineState) -> StepOutcome:
     """One fast-engine transition (`_transition` steps a state by its engine)."""
-    return _transition(state)
+    return _step(state)
 
 
 def step_ref(program: Program, state: EngineState) -> StepOutcome:
     """One reference-engine transition, over a copy of the location map."""
-    return _transition(state)
-
-
-def _states(ctx: RunContext, state: EngineState):
-    """Yield `state` and each successor, one transition at a time, until a
-    transition ends without one: for `compare_engines`, which steps two
-    engines in lockstep.  It returns when none was enabled and raises _Halt
-    when the fuel ran out or an update clashed, here or in a nested run."""
-    program = ctx.plan.program
-    step = step_critical if ctx.engine == "critical" else step_ref
-    while True:
-        yield state
-        out = step(program, state)
-        if out.kind != NEXT:
-            if out.kind == TERMINAL:
-                return
-            raise _Halt(out.kind, out.clash)
-        state = out.state
-
-
-def _drive(state: EngineState) -> EngineState:
-    """Step a run to its end in one `_transition`; raise _Halt as `_states` does."""
-    out = _transition(state, None)
-    if out.kind != TERMINAL:
-        raise _Halt(out.kind, out.clash)
-    return out.state
+    return _step(state)
 
 
 # --- Whole runs ------------------------------------------------------------------
@@ -511,7 +489,7 @@ def run(
     try:
         state = _init_state(ctx, inputs)
         baseline = len(core.series)
-        state = _drive(state)
+        state = _transition(state, None).state
     except _Halt as stop:
         halt = stop
         if baseline is None:  # an oracle call halted initialization: all of it is init
@@ -618,16 +596,6 @@ def _valuation_divergence(step, ctx: RunContext, sc: EngineState, sr: EngineStat
     return None
 
 
-def _trajectory(ctx: RunContext, inputs: Sequence[Term]):
-    """An engine's states from initialization on, then how it ended:
-    TERMINAL, or the text of the halt that stopped it."""
-    try:
-        yield from _states(ctx, _init_state(ctx, inputs))
-        yield TERMINAL
-    except _Halt as halt:
-        yield str(halt)
-
-
 def compare_engines(
     program: Program,
     inputs: Sequence[Term] = (),
@@ -653,21 +621,29 @@ def compare_engines(
         program, "reference", fuel=fuel, oracle_mode=oracle_mode,
         plan=ctx.plan, tangle=ctx.core.tangle, record=False,
     )
-    pairs = zip(_trajectory(ctx, inputs), _trajectory(ref_ctx, inputs))
-    for index, (sc, sr) in enumerate(pairs):
-        if type(sc) is EngineState and type(sr) is EngineState:
-            div = _valuation_divergence(index, ctx, sc, sr)
-            if div is not None:
-                return EngineComparison(False, index, "diverged", div)
-            continue
-        end_c, end_r = (NEXT if type(x) is EngineState else x for x in (sc, sr))
-        if end_c != end_r:
-            reason = "outcome differs" if index else "initialization differs"
-            return EngineComparison(
-                False, max(index - 1, 0), "diverged",
-                Divergence(index, None, end_c, end_r, reason),
-            )
-        if index == 0:
-            return EngineComparison(True, 0, f"init {end_c}")
-        ending = {TERMINAL: "terminal", FUEL_EXHAUSTED: "fuel_limited"}.get(end_c, CLASH)
-        return EngineComparison(True, index - 1, ending)
+    outs = []
+    for c in (ctx, ref_ctx):
+        try:
+            outs.append(StepOutcome(NEXT, _init_state(c, inputs)))
+        except _Halt as halt:
+            outs.append(StepOutcome(halt.outcome, None, halt.clash))
+    out_c, out_r = outs
+    program, index = ctx.plan.program, 0
+    while out_c.kind == NEXT and out_r.kind == NEXT:
+        div = _valuation_divergence(index, ctx, out_c.state, out_r.state)
+        if div is not None:
+            return EngineComparison(False, index, "diverged", div)
+        out_c = step_critical(program, out_c.state)
+        out_r = step_ref(program, out_r.state)
+        index += 1
+    end_c, end_r = str(_Halt(out_c.kind, out_c.clash)), str(_Halt(out_r.kind, out_r.clash))
+    if end_c != end_r:
+        reason = "outcome differs" if index else "initialization differs"
+        return EngineComparison(
+            False, max(index - 1, 0), "diverged",
+            Divergence(index, None, end_c, end_r, reason),
+        )
+    if index == 0:
+        return EngineComparison(True, 0, f"init {end_c}")
+    ending = {TERMINAL: "terminal", FUEL_EXHAUSTED: "fuel_limited"}.get(end_c, CLASH)
+    return EngineComparison(True, index - 1, ending)

@@ -99,29 +99,29 @@ MUTANTS = [
     Mutant("fuel is checked after the clash check", "engine.py",
            "        if not enabled or core.fuel_left <= 0:\n"
            "            meter.charge(compare=c)\n"
-           "            kind, clash = FUEL_EXHAUSTED if enabled else TERMINAL, None\n"
-           "            break\n"
+           "            if enabled:\n"
+           "                raise _Halt(FUEL_EXHAUSTED)\n"
+           "            return StepOutcome(TERMINAL, EngineState(ctx, values, store, at) if limit is None else None)\n"
            "        if clash is not None:\n"
            "            meter.charge(probe=p, read=r, compare=c, write=cost.UPDATE_ENTRY.write * len(updates))\n"
-           "            kind = CLASH\n"
-           "            break\n",
+           "            raise _Halt(CLASH, clash)\n",
            "        if clash is not None:\n"
            "            meter.charge(probe=p, read=r, compare=c, write=cost.UPDATE_ENTRY.write * len(updates))\n"
-           "            kind = CLASH\n"
-           "            break\n"
+           "            raise _Halt(CLASH, clash)\n"
            "        if not enabled or core.fuel_left <= 0:\n"
            "            meter.charge(compare=c)\n"
-           "            kind, clash = FUEL_EXHAUSTED if enabled else TERMINAL, None\n"
-           "            break\n",
+           "            if enabled:\n"
+           "                raise _Halt(FUEL_EXHAUSTED)\n"
+           "            return StepOutcome(TERMINAL, EngineState(ctx, values, store, at) if limit is None else None)\n",
            (FUEL_FIRST, STEP_HALT)),
     Mutant("an out-of-fuel step charges its probes and reads", "engine.py",
-           "            meter.charge(compare=c)\n            kind, clash = FUEL_EXHAUSTED",
+           "            meter.charge(compare=c)\n            if enabled:",
            "            meter.charge(probe=p if enabled else 0, read=r if enabled else 0, compare=c)\n"
-           "            kind, clash = FUEL_EXHAUSTED",
+           "            if enabled:",
            (FUEL_FIRST,)),
-    Mutant("a transition lets an oracle call's halt escape", "engine.py",
-           "        except _Halt as halt:\n            kind, clash = halt.outcome, halt.clash\n",
-           "        except _Halt:\n            raise\n",
+    Mutant("a public step lets the halt escape", "engine.py",
+           "    except _Halt as halt:\n        return StepOutcome(halt.outcome, None, halt.clash)\n",
+           "    except _Halt:\n        raise\n",
            (STEP_HALT,)),
     Mutant("the run loop keeps undef locations in the map", "engine.py",
            "        if None in updates.values():  # undef: the location leaves the finite support\n"
@@ -130,7 +130,7 @@ MUTANTS = [
            "                    del store[key]\n", "",
            ("tests/test_engine.py::test_an_undef_update_takes_its_location_out_of_the_map",)),
     Mutant("the run loop skips the invariant check", "engine.py",
-           "            if core.check:\n                ctx.check_state(values, store)\n", "",
+           "        if core.check:\n            ctx.check_state(values, store)\n", "",
            ("tests/test_engine.py::test_invariant_checks_catch_a_slot_left_stale",)),
     Mutant("the run loop writes no trace line", "engine.py",
            "            if core.trace is not None:\n"
@@ -238,6 +238,10 @@ MUTANTS = [
     Mutant("the check cache keys a report by its list object", "cost.py",
            "report.c_program, tuple(report.per_step),", "report.c_program, report.per_step,",
            (LIST_EDIT,)),
+    Mutant("compare_engines compares endings by kind alone", "engine.py",
+           "str(_Halt(out_c.kind, out_c.clash)), str(_Halt(out_r.kind, out_r.clash))",
+           "str(_Halt(out_c.kind)), str(_Halt(out_r.kind))",
+           ("tests/test_engine.py::test_compare_reports_two_clashes_at_different_locations",)),
     Mutant("`run` hands out its series list", "engine.py",
            "per_step=tuple(core.series),", "per_step=core.series,", (NO_COPY,)),
     Mutant("a vertex record drops its name", "tangle.py",

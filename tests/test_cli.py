@@ -1,12 +1,16 @@
 """End-to-end CLI coverage: every subcommand and every exit code."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from conftest import corpus_path, write_clashing_host
 
+import esmtangle
 from esmtangle.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -521,3 +525,27 @@ rules {
     assert code == 2
     assert out == ""
     assert err.startswith("clash at location z()") and err.count("\n") == 1
+
+
+def test_output_does_not_depend_on_the_hash_seed(tmp_path):
+    # Identical invocations are byte-identical across interpreters too: no
+    # output may follow the order of a set or dict of hashed strings.
+    src = str(Path(esmtangle.__file__).resolve().parents[1])
+    commands = [["run", "bin_mul", "--input", "x=3", "--input", "y=2", "--nat",
+                 "--report", "REPORT"],
+                ["compare", "str_reverse", "--random", "3"],
+                ["verify", "bin_succ", "--sweep", "4:16"]]
+    seen = []
+    for seed in ("0", "12345"):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+        report = tmp_path / f"report-{seed}.json"
+        outputs = []
+        for command in commands:
+            argv = [str(report) if a == "REPORT" else a for a in command]
+            done = subprocess.run([sys.executable, "-m", "esmtangle.cli", *argv], env=env,
+                                  capture_output=True, timeout=120)
+            outputs.append((command[0], done.returncode, done.stdout, done.stderr))
+        outputs.append(("report", report.read_bytes()))
+        seen.append(outputs)
+    assert seen[0] == seen[1]
+    assert [out[1] for out in seen[0][:3]] == [0, 0, 0]

@@ -15,6 +15,7 @@ from esmtangle.cost import CostMeter
 from esmtangle.engine import (
     CLASH,
     FUEL_EXHAUSTED,
+    NEXT,
     OUTPUT,
     TERMINAL,
     UNDEF_OUTPUT,
@@ -388,6 +389,44 @@ def test_compare_reports_an_initialization_that_differs(monkeypatch):
     )
 
 
+def test_compare_reports_two_clashes_at_different_locations(monkeypatch):
+    # Both engines clash in their second transition, each at a location of
+    # its own: the kinds agree, and only the locations tell the endings apart.
+    p = load_corpus("toggle")
+    for name, symbol in (("step_critical", "a"), ("step_ref", "b")):
+        def clashes(program, state, real=getattr(engine_mod, name), symbol=symbol):
+            if state.step_index == 1:
+                return engine_mod.StepOutcome(CLASH, None, codegen.ClashInfo(symbol, ()))
+            return real(program, state)
+
+        monkeypatch.setattr(engine_mod, name, clashes)
+    cmp = compare_engines(p)
+    assert (cmp.equivalent, cmp.steps, cmp.outcome) == (False, 1, "diverged")
+    assert cmp.divergence == engine_mod.Divergence(
+        2, None, "clash a()", "clash b()", "outcome differs"
+    )
+
+
+_INPUT_AS_INIT_VALUE = """
+vocab { constructors { zero/0; s/1 } dynamic { x/0; r/0 } }
+inputs { x } output { r }
+init { r := x; }
+rules { }
+"""
+
+
+def test_the_api_refuses_a_program_that_fails_validation():
+    # `init { r := x; }` reads an input where a constructor term must stand.
+    # Run, it would output the dynamic symbol `x` itself as a value.
+    p = parse_program(_INPUT_AS_INIT_VALUE)
+    inputs = [unary_term(p.vocab, 1)]
+    calls = [lambda: run(p, inputs), lambda: compare_engines(p, inputs),
+             lambda: init_critical(p, inputs), lambda: init_ref(p, inputs)]
+    for call in calls:
+        with pytest.raises(ValueError, match="^init value 'x' is not a constructor term$"):
+            call()
+
+
 # --- Whole-run properties --------------------------------------------------------
 
 
@@ -725,9 +764,10 @@ def test_compare_ends_where_run_ends_at_every_fuel():
 
 def _end_two_ways(p, inputs, engine, mode, fuel):
     """The run driven to its end in one loop, and stepped one transition at
-    a time, each from a fresh setup: per way, the last state's values and
-    location map (the first state's map for a halt, since a fast-engine run
-    writes one map), the halt, the series and the counters."""
+    a time by the public stepper, each from a fresh setup: per way, the last
+    state's values and location map (the first state's map for a halt, since
+    a fast-engine run writes one map), the halt, the series and the counters."""
+    step = step_critical if engine == "critical" else step_ref
     ends = []
     for drive in (True, False):
         ctx = engine_mod._setup(p, engine, oracle_mode=mode, fuel=fuel)
@@ -735,10 +775,12 @@ def _end_two_ways(p, inputs, engine, mode, fuel):
         try:
             state = first = engine_mod._init_state(ctx, inputs)
             if drive:
-                state = engine_mod._drive(state)
+                state = engine_mod._transition(state, None).state
             else:
-                for state in engine_mod._states(ctx, state):
-                    pass
+                while (out := step(p, state)).kind == NEXT:
+                    state = out.state
+                if out.kind != TERMINAL:
+                    raise engine_mod._Halt(out.kind, out.clash)
         except engine_mod._Halt as stop:
             halt = (stop.outcome, stop.clash)
         if halt is None:
@@ -754,9 +796,9 @@ def _end_two_ways(p, inputs, engine, mode, fuel):
 @pytest.mark.parametrize("engine", ["critical", "reference"])
 @pytest.mark.parametrize("name", CORPUS)
 def test_the_run_loop_and_the_stepper_agree(name, engine, mode):
-    # `_drive` runs every transition in one `_transition` frame and `_states`
-    # one per call; they must end alike at every fuel, bin_mul's halts inside
-    # nested oracle transitions included.
+    # A run takes every transition in one `_transition` frame and a public
+    # step one per call; they must end alike at every fuel, bin_mul's halts
+    # inside nested oracle transitions included.
     p = load_corpus(name)
     inputs = small_inputs(p, name)
     full = _end_two_ways(p, inputs, engine, mode, 10**6)
@@ -778,7 +820,7 @@ def test_an_undef_update_takes_its_location_out_of_the_map(engine):
     ctx = engine_mod._setup(p, engine, oracle_mode="inline")
     state = engine_mod._init_state(ctx)
     assert {name for name, _ in state.store} == {"pc", "x", "f"}
-    ended = engine_mod._drive(state)
+    ended = engine_mod._transition(state, None).state
     init, step = (init_critical, step_critical) if engine == "critical" else (init_ref, step_ref)
     stepped = step(p, init(p)).state
     for store, names in ((ended.store, {"pc", "z"}), (stepped.store, {"pc"})):

@@ -26,7 +26,9 @@ processes, one at a time:
   may serve (`plan_bytecodes`);
 * the bytecodes and Python frames (trace call events) per step of a `run`,
   for each run of STEP_RUNS, one child process per run, traced only around
-  a `run` whose plan is already cached (`step_counts`);
+  a `run` whose plan is already cached (`step_counts`), and the same per
+  compared step of `compare_engines` on each of COMPARE_RUNS
+  (`compare_counts`);
 * for the report of a fast-engine bin_add[256] run (`report_counts`): its
   JSON length in bytes, the bytecodes of `run_all_checks` then
   `emit_report` on it, the tracemalloc peaks in bytes of `emit_report`
@@ -69,6 +71,7 @@ REPEAT = 5  # bin_add[256] runs per engine
 # (program, size of every input, oracle mode) of each per-step count
 STEP_RUNS = [("bin_succ", 64, "inline"), ("bin_add", 64, "inline"), ("bin_mul", 8, "unit"),
              ("bin_mul", 8, "inline"), ("str_reverse", 4, "inline")]
+COMPARE_RUNS = [("bin_add", 64, "inline")]  # the same, for each compare_engines count
 RISE = 0.01  # the share by which `--check` lets a count rise
 REPORT_REPEAT = 15  # timed emit_report calls per report
 
@@ -133,17 +136,19 @@ again = load_program(sys.argv[1])
 print(json.dumps({"cold": cold, "reparsed": counts(lambda: codegen.build_plan(again))[0]}))
 """
 
-# Prints the bytecodes and frames per step of a run of the bundled program
-# argv[1], every input of size argv[2], in oracle mode argv[3].
+# Prints the bytecodes and frames per step of a `run` (argv[4] "run") or a
+# `compare_engines` (argv[4] "compare") of the bundled program argv[1], every
+# input of size argv[2], in oracle mode argv[3].
 _STEP_COUNTS = _COUNTS + """
 from esmtangle.cli import encode_size, input_codec, load_program
-from esmtangle.engine import run
+from esmtangle.engine import compare_engines, run
 name, size, mode = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+call = run if sys.argv[4] == "run" else compare_engines
 program = load_program(name)
 inputs = [encode_size(program.vocab, input_codec(program.vocab), size)] * len(program.inputs)
-run(program, inputs, oracle_mode=mode)  # so the counted run's plan is a cache hit
+call(program, inputs, oracle_mode=mode)  # so the counted call's plan is a cache hit
 done = []
-bytecodes, frames = counts(lambda: done.append(run(program, inputs, oracle_mode=mode)))
+bytecodes, frames = counts(lambda: done.append(call(program, inputs, oracle_mode=mode)))
 steps = done[0].steps
 print(json.dumps({"steps": steps, "bytecodes_per_step": round(bytecodes / steps, 2),
                   "frames_per_step": round(frames / steps, 3)}))
@@ -218,12 +223,12 @@ def plan_bytecodes(checkout: Path) -> dict:
             **{name: json.loads(_python(checkout, ["-c", _PLAN_BYTECODES, name])) for name in names}}
 
 
-def step_counts(checkout: Path) -> dict:
+def step_counts(checkout: Path, runs=STEP_RUNS, what: str = "run") -> dict:
     # The children run on this interpreter, sys.executable.
     return {"python": platform.python_version(),
             **{f"{name}[{size}] {mode}": json.loads(_python(
-                checkout, ["-c", _STEP_COUNTS, name, str(size), mode]))
-               for name, size, mode in STEP_RUNS}}
+                checkout, ["-c", _STEP_COUNTS, name, str(size), mode, what]))
+               for name, size, mode in runs}}
 
 
 def report_counts(checkout: Path) -> dict:
@@ -242,13 +247,15 @@ def report_counts(checkout: Path) -> dict:
 
 
 def rises(old: dict, new: dict) -> list[str] | None:
-    """Each count of `new` (an entry's `plan_bytecodes`, `step_counts` and
-    `report_counts`) that rose by more than RISE over its value in `old`, as
-    a line; None if a part was counted on two Python versions.  A count
-    missing or null on either side is not compared."""
+    """Each count of `new` (an entry's `plan_bytecodes`, `step_counts`,
+    `compare_counts` and `report_counts`) that rose by more than RISE over
+    its value in `old`, as a line; None if a part was counted on two Python
+    versions.  A count missing or null on either side, or in a part `old`
+    lacks, is not compared."""
     found = []
     for part, fields in (("plan_bytecodes", ("cold", "reparsed")),
                          ("step_counts", ("bytecodes_per_step", "frames_per_step")),
+                         ("compare_counts", ("bytecodes_per_step", "frames_per_step")),
                          ("report_counts", ("report_bytes", "bytecodes", "peak_bytes",
                                             "hit_bytes"))):
         was, now = old.get(part, {}), new[part]
@@ -287,6 +294,7 @@ def main(argv=None) -> int:
         old = list(json.loads(args.check.read_text()).values())[-1]
         found = rises(old, {"plan_bytecodes": plan_bytecodes(checkout),
                             "step_counts": step_counts(checkout),
+                            "compare_counts": step_counts(checkout, COMPARE_RUNS, "compare"),
                             "report_counts": report_counts(checkout)})
         if found is None:
             print(f"{args.check}: counted on another Python version", file=sys.stderr)
@@ -303,6 +311,7 @@ def main(argv=None) -> int:
         "bin_add_256": bin_add_256(checkout),
         "plan_bytecodes": plan_bytecodes(checkout),
         "step_counts": step_counts(checkout),
+        "compare_counts": step_counts(checkout, COMPARE_RUNS, "compare"),
         "report_counts": report_counts(checkout),
         "tier1": tier1(checkout),
     }
