@@ -31,9 +31,9 @@ in increasing order so children come first, each term with a child whose
 value changed.  Any other term keeps its value, since its recomputation would
 return it unchanged, an oracle application too: the run's memo keeps its
 result per body and argument ids.  Initialization recomputes every slot.
-`compare_engines` runs both engines in lockstep over one shared store and
-reports the first step where any tracked term's value differs, which with
-maximal sharing is an id comparison.
+`compare_engines` runs both engines over one shared store, `_CHUNK`
+transitions at a time, and reports the first step where a tracked term's
+value differs, which with maximal sharing is an id comparison.
 
 Every run takes one path.  `_setup` sets up every run (`run`, the public
 initializers, `compare_engines`, `invoke_oracle`): it checks the arguments,
@@ -50,11 +50,10 @@ which it returns, or by raising the private `_Halt` where an update clashed
 an oracle call passes through every nested run unchanged.  Fuel is charged
 when a transition commits, after its clash check and before its writes and
 oracle calls.  A run, and each nested oracle run, takes all its transitions
-in one call of it; `step_critical` and `step_ref` take one, and
-`compare_engines` steps both engines through them.  No public function lets
-a halt escape: `run` and `compare_engines` report it as their outcome, the
-steppers as their step's kind, and the initializers and `invoke_oracle`
-raise RuntimeError.
+in one call of it, and `step_critical` and `step_ref` take one.  No public
+function lets a halt escape: `run` and `compare_engines` report it as their
+outcome, the steppers as their step's kind, and the initializers and
+`invoke_oracle` raise RuntimeError.
 Every run is metered by its store's meter, which is fixed when the store is
 made: a run reports the operations that meter gains during the run, so two
 runs on one store each report only their own work.
@@ -159,6 +158,7 @@ class RunContext:
     core: _RunCore
     plan: ExecPlan
     engine: str  # "critical" | "reference"
+    keep: object = None  # takes each committed step's values; a nested run's is None
 
     def invoke(self, name: str, argids: tuple[int, ...]) -> int | None:
         """An oracle call inside a run: memo probe, then the call on a miss.
@@ -382,6 +382,7 @@ def init_ref(
 # writes, into the set and into the map, are read off the menu once.
 _new = tuple.__new__
 _WRITTEN = (cost.UPDATE_ENTRY + cost.MAP_WRITE).write
+_CHUNK = 16  # the transitions `compare_engines` runs per engine between two comparisons
 
 
 def _transition(state: EngineState, limit: int | None = 1) -> StepOutcome:
@@ -404,7 +405,7 @@ def _transition(state: EngineState, limit: int | None = 1) -> StepOutcome:
     tangle = core.tangle
     meter = tangle.meter
     series = core.series
-    values, store, at = state.values, state.store, state.step_index
+    values, store, at, keep = state.values, state.store, state.step_index, ctx.keep
     stop = -1 if limit is None else at + limit
     while True:
         enabled, updates, clash, c, p, r = rules(values)
@@ -427,6 +428,8 @@ def _transition(state: EngineState, limit: int | None = 1) -> StepOutcome:
         values = slots(ctx, values, updates, store, p, r, c, _WRITTEN * len(updates))
         if core.check:
             ctx.check_state(values, store)
+        if keep is not None:
+            keep(values)
         at += 1
         if core.record:
             core.steps_reported += 1
@@ -440,10 +443,10 @@ def _transition(state: EngineState, limit: int | None = 1) -> StepOutcome:
             return _new(StepOutcome, (NEXT, EngineState(ctx, values, store, at), None))
 
 
-def _step(state: EngineState) -> StepOutcome:
-    """The public steppers' one body: a halt becomes the outcome's kind."""
+def _step(state: EngineState, limit: int = 1) -> StepOutcome:
+    """Up to `limit` transitions, with a halt as the outcome's kind: the steppers' one body."""
     try:
-        return _transition(state)
+        return _transition(state, limit)
     except _Halt as halt:
         return StepOutcome(halt.outcome, None, halt.clash)
 
@@ -578,22 +581,14 @@ class EngineComparison:
     divergence: Divergence | None = None
 
 
-def _valuation_divergence(step, ctx: RunContext, sc: EngineState, sr: EngineState):
-    """The first tracked term whose two values differ, or None.  Both states
-    live in one maximally shared store, so equal values have equal indices;
-    terms are extracted only to describe a difference."""
-    if sc.values == sr.values:
-        return None
+def _valuation_divergence(step, ctx: RunContext, vc: list, vr: list) -> Divergence:
+    """The first tracked term whose values differ in two differing value lists."""
     tangle = ctx.core.tangle
-
-    def show(v):
-        return "undef" if v is None else format_term(tangle.extract_term(NodeId(tangle.tag, v)))
-
-    for i, (a, b) in enumerate(zip(sc.values, sr.values)):
-        if a != b:
-            reason = "definedness differs" if a is None or b is None else "value differs"
-            return Divergence(step, ctx.plan.criticals.terms[i], show(a), show(b), reason)
-    return None
+    i = next(i for i, (a, b) in enumerate(zip(vc, vr)) if a != b)
+    a, b = ("undef" if v is None else format_term(tangle.extract_term(NodeId(tangle.tag, v)))
+            for v in (vc[i], vr[i]))
+    reason = "definedness differs" if None in (vc[i], vr[i]) else "value differs"
+    return Divergence(step, ctx.plan.criticals.terms[i], a, b, reason)
 
 
 def compare_engines(
@@ -602,16 +597,18 @@ def compare_engines(
     fuel: int = 10**6,
     oracle_mode: str = MODE_INLINE,
 ) -> EngineComparison:
-    """Run both engines in lockstep; report the first step where they differ.
+    """Run both engines side by side; report the first step where they differ.
 
     The engines share one plan and one store, each with its own fuel and
-    oracle memo, so their values are compared as vertex indices.  Fuel bounds each
+    oracle memo, so their values are compared as vertex indices.  Each takes
+    `_CHUNK` transitions at a time through the run loop, keeping each step's
+    values, and the chunks are compared step by step; up to `_CHUNK - 1`
+    transitions past the first difference run unreported.  Fuel bounds each
     engine's transitions as it bounds a run's, nested oracle runs included, so
     a comparison ends where `run` at the same fuel ends: "terminal" for an
     output or undef output, "fuel_limited" (or "init fuel_exhausted") for fuel
     exhaustion, "clash" for a clash, and in unit mode after as many steps.
-    Nothing reads the cost of a comparison, so the store's meter is disabled
-    and neither engine records a per-step series.
+    Nothing reads a comparison's cost: its meter is off and no series is recorded.
     """
     ctx = _setup(
         program, "critical", fuel=fuel, oracle_mode=oracle_mode,
@@ -627,22 +624,25 @@ def compare_engines(
             outs.append(StepOutcome(NEXT, _init_state(c, inputs)))
         except _Halt as halt:
             outs.append(StepOutcome(halt.outcome, None, halt.clash))
-    out_c, out_r = outs
-    program, index = ctx.plan.program, 0
-    while out_c.kind == NEXT and out_r.kind == NEXT:
-        div = _valuation_divergence(index, ctx, out_c.state, out_r.state)
-        if div is not None:
-            return EngineComparison(False, index, "diverged", div)
-        out_c = step_critical(program, out_c.state)
-        out_r = step_ref(program, out_r.state)
-        index += 1
-    end_c, end_r = str(_Halt(out_c.kind, out_c.clash)), str(_Halt(out_r.kind, out_r.clash))
+    seen_c, seen_r = ([] if o.state is None else [o.state.values] for o in outs)
+    ctx.keep, ref_ctx.keep = seen_c.append, seen_r.append
+    (out_c, out_r), index = outs, 0
+    while True:
+        for vc, vr in zip(seen_c, seen_r):
+            if vc != vr:
+                return EngineComparison(False, index, "diverged",
+                                        _valuation_divergence(index, ctx, vc, vr))
+            index += 1
+        if out_c.kind != NEXT or out_r.kind != NEXT:
+            break
+        del seen_c[:], seen_r[:]
+        out_c, out_r = _step(out_c.state, _CHUNK), _step(out_r.state, _CHUNK)
+    end_c = NEXT if len(seen_c) > len(seen_r) else str(_Halt(out_c.kind, out_c.clash))
+    end_r = NEXT if len(seen_r) > len(seen_c) else str(_Halt(out_r.kind, out_r.clash))
     if end_c != end_r:
         reason = "outcome differs" if index else "initialization differs"
-        return EngineComparison(
-            False, max(index - 1, 0), "diverged",
-            Divergence(index, None, end_c, end_r, reason),
-        )
+        div = Divergence(index, None, end_c, end_r, reason)
+        return EngineComparison(False, max(index - 1, 0), "diverged", div)
     if index == 0:
         return EngineComparison(True, 0, f"init {end_c}")
     ending = {TERMINAL: "terminal", FUEL_EXHAUSTED: "fuel_limited"}.get(end_c, CLASH)

@@ -50,6 +50,7 @@ CUT = "tests/test_codegen.py::test_cutting_into_pieces_changes_no_charge"
 CHUNKS = "tests/test_cost.py::test_the_chunked_report_is_exact_at_chunk_boundaries"
 LIST_EDIT = "tests/test_cost.py::test_the_check_cache_sees_an_edit_to_a_series_given_as_a_list"
 NO_COPY = "tests/test_cost.py::test_a_repeated_check_of_a_run_copies_nothing"
+CHUNKED = "tests/test_engine_property.py::test_chunked_compare_matches_one_step_at_a_time_on_bundled_programs"
 
 MUTANTS = [
     Mutant("menu: an intern hit reads no child", "cost.py",
@@ -239,9 +240,21 @@ MUTANTS = [
            "report.c_program, tuple(report.per_step),", "report.c_program, report.per_step,",
            (LIST_EDIT,)),
     Mutant("compare_engines compares endings by kind alone", "engine.py",
-           "str(_Halt(out_c.kind, out_c.clash)), str(_Halt(out_r.kind, out_r.clash))",
-           "str(_Halt(out_c.kind)), str(_Halt(out_r.kind))",
+           "else str(_Halt(out_c.kind, out_c.clash))\n"
+           "    end_r = NEXT if len(seen_r) > len(seen_c) else str(_Halt(out_r.kind, out_r.clash))\n",
+           "else str(_Halt(out_c.kind))\n"
+           "    end_r = NEXT if len(seen_r) > len(seen_c) else str(_Halt(out_r.kind))\n",
            ("tests/test_engine.py::test_compare_reports_two_clashes_at_different_locations",)),
+    Mutant("compare checks only the last kept state of each chunk", "engine.py",
+           "            if vc != vr:\n", "            if vc != vr and vc is seen_c[-1]:\n",
+           ("tests/test_engine.py::test_compare_reports_a_difference_that_lasts_one_step",)),
+    Mutant("invoke passes `keep` on to nested oracle runs", "engine.py",
+           "RunContext(core, plan, self.engine)", "RunContext(core, plan, self.engine, self.keep)",
+           (CHUNKED + "[bin_mul-inline]", CHUNKED + "[bin_mul-unit]")),
+    Mutant("the longer chunk's engine counts as ended", "engine.py",
+           "    end_c = NEXT if len(seen_c) > len(seen_r) else str(",
+           "    end_c = str(",
+           ("tests/test_engine.py::test_compare_reports_an_ending_that_differs",)),
     Mutant("`run` hands out its series list", "engine.py",
            "per_step=tuple(core.series),", "per_step=core.series,", (NO_COPY,)),
     Mutant("a vertex record drops its name", "tangle.py",

@@ -261,17 +261,18 @@ def test_compare_random(capsys):
 def test_compare_divergence_exit(capsys, monkeypatch):
     # A fast engine that corrupts the first tracked value (b) after its second
     # step stands in for an engine bug.
-    import esmtangle.engine as engine_mod
+    from conftest import load_corpus
+    from esmtangle.codegen import build_plan
 
-    real = engine_mod.step_critical
+    plan = build_plan(load_corpus("toggle"))
+    real, calls = plan.slots_dirty, []
 
-    def broken(program, state):
-        out = real(program, state)
-        if out.kind == "next" and out.state.step_index == 2:
-            out.state.values = [None] + out.state.values[1:]
-        return out
+    def broken(ctx, *args):
+        values = real(ctx, *args)
+        calls.append(None)
+        return [None] + values[1:] if len(calls) == 2 else values
 
-    monkeypatch.setattr(engine_mod, "step_critical", broken)
+    monkeypatch.setattr(plan, "slots_dirty", broken)
     code, out, err = invoke(capsys, "compare", "toggle")
     assert (code, out) == (4, "")
     assert err == "divergence on trial 0: step 2, b: critical=undef reference=d0(eps)\n"

@@ -1,7 +1,9 @@
 """Engine semantics: both interpreters, oracles aside (see test_oracles)."""
 
+import gc
 import io
 import random
+import weakref
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,8 @@ from esmtangle.cost import CostMeter
 from esmtangle.engine import (
     CLASH,
     FUEL_EXHAUSTED,
+    MODE_INLINE,
+    MODE_UNIT,
     NEXT,
     OUTPUT,
     TERMINAL,
@@ -338,34 +342,51 @@ def test_invariant_checks_catch_a_slot_left_stale(monkeypatch):
 
 def test_mutated_fast_engine_is_caught(monkeypatch):
     p = load_corpus("toggle")
-    real = engine_mod.step_critical
+    plan = build_plan(p)
+    real, calls = plan.slots_dirty, []
 
-    def broken(program, state):
-        out = real(program, state)
-        if out.kind == "next" and out.state.step_index == 2:
-            bad = list(out.state.values)
-            bad[0] = None  # corrupt the first tracked value
-            out.state.values = bad
-        return out
+    def broken(ctx, *args):
+        values = real(ctx, *args)
+        calls.append(None)
+        if len(calls) == 2:  # the fast engine's second transition
+            values[0] = None  # corrupt the first tracked value
+        return values
 
-    monkeypatch.setattr(engine_mod, "step_critical", broken)
+    monkeypatch.setattr(plan, "slots_dirty", broken)
     cmp = engine_mod.compare_engines(p)
     assert not cmp.equivalent
     assert cmp.divergence.step == 2
+
+
+def _end_transition_at(monkeypatch, engine, step, end):
+    """Patch `_transition` so that `engine`'s transition from step `step`
+    ends with `end`, an outcome it returns or a halt it raises.  The engine's
+    other transitions run one at a time through the real one, as many as
+    `limit` asks for."""
+    real = engine_mod._transition
+
+    def transition(state, limit=1):
+        if state.ctx.engine != engine or limit is None:
+            return real(state, limit)
+        for _ in range(limit):
+            if state.step_index == step:
+                if isinstance(end, Exception):
+                    raise end
+                return end
+            out = real(state, 1)
+            if out.kind != NEXT:
+                break
+            state = out.state
+        return out
+
+    monkeypatch.setattr(engine_mod, "_transition", transition)
 
 
 def test_compare_reports_an_ending_that_differs(monkeypatch):
     # The reference engine ends one transition early: both hold state 1, then
     # the fast engine steps on where the reference engine has terminated.
     p = load_corpus("toggle")
-    real = engine_mod.step_ref
-
-    def ends_early(program, state):
-        if state.step_index == 1:
-            return engine_mod.StepOutcome(TERMINAL)
-        return real(program, state)
-
-    monkeypatch.setattr(engine_mod, "step_ref", ends_early)
+    _end_transition_at(monkeypatch, "reference", 1, engine_mod.StepOutcome(TERMINAL))
     cmp = compare_engines(p)
     assert (cmp.equivalent, cmp.steps, cmp.outcome) == (False, 1, "diverged")
     assert cmp.divergence == engine_mod.Divergence(2, None, "next", "terminal", "outcome differs")
@@ -393,18 +414,86 @@ def test_compare_reports_two_clashes_at_different_locations(monkeypatch):
     # Both engines clash in their second transition, each at a location of
     # its own: the kinds agree, and only the locations tell the endings apart.
     p = load_corpus("toggle")
-    for name, symbol in (("step_critical", "a"), ("step_ref", "b")):
-        def clashes(program, state, real=getattr(engine_mod, name), symbol=symbol):
-            if state.step_index == 1:
-                return engine_mod.StepOutcome(CLASH, None, codegen.ClashInfo(symbol, ()))
-            return real(program, state)
-
-        monkeypatch.setattr(engine_mod, name, clashes)
+    for engine, symbol in (("critical", "a"), ("reference", "b")):
+        clash = engine_mod._Halt(CLASH, codegen.ClashInfo(symbol, ()))
+        _end_transition_at(monkeypatch, engine, 1, clash)
     cmp = compare_engines(p)
     assert (cmp.equivalent, cmp.steps, cmp.outcome) == (False, 1, "diverged")
     assert cmp.divergence == engine_mod.Divergence(
         2, None, "clash a()", "clash b()", "outcome differs"
     )
+
+
+def _wrong_at(monkeypatch, plan, at):
+    """Make the fast engine's values wrong after its transition `at` only:
+    its first defined slot comes out undef, and its next transition reads
+    the true values again, so the difference lasts one step."""
+    real_rules, real_slots, calls, wrong = plan.rules, plan.slots_dirty, [], []
+
+    def true(values):
+        return wrong[1] if wrong and values is wrong[0] else values
+
+    def slots_dirty(ctx, values, *args):
+        new = real_slots(ctx, true(values), *args)
+        calls.append(None)
+        if len(calls) != at:
+            return new
+        i = next(i for i, v in enumerate(new) if v is not None)
+        wrong[:] = new[:i] + [None] + new[i + 1:], new
+        return wrong[0]
+
+    monkeypatch.setattr(plan, "rules", lambda values: real_rules(true(values)))
+    monkeypatch.setattr(plan, "slots_dirty", slots_dirty)
+
+
+@pytest.mark.parametrize("at", [2, engine_mod._CHUNK + 3])
+def test_compare_reports_a_difference_that_lasts_one_step(monkeypatch, at):
+    # The engines agree again after step `at`; a comparison that checked
+    # fewer steps than each engine takes would miss the difference.
+    p = load_corpus("bin_add")
+    inputs = small_inputs(p, "bin_add")
+    assert compare_engines(p, inputs).steps > at
+    _wrong_at(monkeypatch, build_plan(p), at)
+    cmp = compare_engines(p, inputs)
+    assert (cmp.equivalent, cmp.steps, cmp.outcome) == (False, at, "diverged")
+    div = cmp.divergence
+    assert (div.step, div.critical_value, div.reason) == (at, "undef", "definedness differs")
+
+
+@pytest.mark.parametrize("mode", [MODE_INLINE, MODE_UNIT])
+def test_nothing_outlives_a_comparison(monkeypatch, mode):
+    # No object of a comparison refers back to its context, so its store goes
+    # with the last reference to it, without a cycle collection.
+    real, made = engine_mod.new_tangle, []
+
+    def new_tangle(*args):
+        tangle = real(*args)
+        made.append(weakref.ref(tangle))
+        return tangle
+
+    monkeypatch.setattr(engine_mod, "new_tangle", new_tangle)
+    p = load_corpus("bin_mul")
+    gc.disable()
+    try:
+        assert compare_engines(p, small_inputs(p, "bin_mul"), oracle_mode=mode).equivalent
+        assert len(made) == 1 and made[0]() is None
+    finally:
+        gc.enable()
+
+
+def test_invariant_checks_cover_nested_oracle_runs_against_their_own_plans(monkeypatch):
+    p = load_corpus("bin_mul")
+    plan, checked = build_plan(p), set()
+    real = engine_mod.RunContext.check_state
+
+    def check_state(ctx, values, store):
+        assert len(values) == len(ctx.plan.slots) and ctx.keep is None
+        checked.add(ctx.plan)
+        return real(ctx, values, store)
+
+    monkeypatch.setattr(engine_mod.RunContext, "check_state", check_state)
+    run(p, small_inputs(p, "bin_mul"), oracle_mode=MODE_INLINE, check_invariants=True)
+    assert checked == {plan, *plan.oracle_plans.values()}
 
 
 _INPUT_AS_INIT_VALUE = """

@@ -1,8 +1,9 @@
 """Property: on random well-formed programs the fast engine agrees with the
 reference engine at every step, a comparison ends where a run ends at the
-same fuel, the compiled jumping code enables what a tree walk over the rules
-does (on the bundled programs too), and the canonical text form parses back
-to the same program.
+same fuel and as one that steps each engine a transition at a time (on the
+bundled programs too), the compiled jumping code enables what a tree walk
+over the rules does (on the bundled programs too), and the canonical text
+form parses back to the same program.
 
 Programs draw on a small vocabulary (nullary and unary constructors, dynamic
 symbols of arity 0 and 1), so that locations written at one step are read
@@ -14,23 +15,34 @@ draw is cheap and Hypothesis shrinks a failure toward zero bytes, which
 decode to the first choice everywhere: fewer symbols, atoms, shallow terms.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PROGRAMS_DIR
+from conftest import CORPUS, PROGRAMS_DIR, load_corpus, small_inputs
 
-from esmtangle.cli import encode_size, input_codec
+import esmtangle.engine as engine_mod
+from esmtangle.cli import encode_size, input_codec, random_input
+from esmtangle.cost import CostMeter
 from esmtangle.engine import (
     CLASH,
     FUEL_EXHAUSTED,
+    MODE_INLINE,
+    MODE_UNIT,
     NEXT,
     OUTPUT,
+    TERMINAL,
     UNDEF_OUTPUT,
+    Divergence,
+    EngineComparison,
+    StepOutcome,
     compare_engines,
     init_critical,
     run,
     step_critical,
+    step_ref,
 )
 from esmtangle.syntax import (
     Assign,
@@ -306,4 +318,62 @@ def test_compare_ends_where_run_ends(p):
         r = run(p, fuel=fuel)
         cmp = compare_engines(p, fuel=fuel)
         assert (cmp.outcome, cmp.steps) == (_COMPARE_ENDING[r.outcome], r.steps), \
+            (format_program(p), fuel)
+
+
+def _compare_step_by_step(p, inputs=(), fuel=10**6, oracle_mode=MODE_INLINE):
+    """`compare_engines` one transition at a time: both engines set up and
+    initialized as it does them, then stepped in turn through the public
+    steppers, and their values compared after every step."""
+    ctx = engine_mod._setup(p, "critical", fuel=fuel, oracle_mode=oracle_mode,
+                            meter=CostMeter(enabled=False), record=False)
+    ref = engine_mod._setup(p, "reference", fuel=fuel, oracle_mode=oracle_mode,
+                            plan=ctx.plan, tangle=ctx.core.tangle, record=False)
+    outs = []
+    for c in (ctx, ref):
+        try:
+            outs.append(StepOutcome(NEXT, engine_mod._init_state(c, inputs)))
+        except engine_mod._Halt as halt:
+            outs.append(StepOutcome(halt.outcome, None, halt.clash))
+    (out_c, out_r), index = outs, 0
+    while out_c.kind == NEXT == out_r.kind:
+        vc, vr = out_c.state.values, out_r.state.values
+        if vc != vr:
+            div = engine_mod._valuation_divergence(index, ctx, vc, vr)
+            return EngineComparison(False, index, "diverged", div)
+        out_c, out_r = step_critical(p, out_c.state), step_ref(p, out_r.state)
+        index += 1
+    end_c, end_r = (str(engine_mod._Halt(o.kind, o.clash)) for o in (out_c, out_r))
+    if end_c != end_r:
+        reason = "outcome differs" if index else "initialization differs"
+        div = Divergence(index, None, end_c, end_r, reason)
+        return EngineComparison(False, max(index - 1, 0), "diverged", div)
+    if index == 0:
+        return EngineComparison(True, 0, f"init {end_c}")
+    ending = {TERMINAL: "terminal", FUEL_EXHAUSTED: "fuel_limited"}.get(end_c, CLASH)
+    return EngineComparison(True, index - 1, ending)
+
+
+# Fuels around the chunk `compare_engines` steps each engine by, and the default.
+_CHUNK = engine_mod._CHUNK
+_FUELS = (0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK, 10**6)
+
+
+@pytest.mark.parametrize("mode", [MODE_INLINE, MODE_UNIT])
+@pytest.mark.parametrize("name", CORPUS)
+def test_chunked_compare_matches_one_step_at_a_time_on_bundled_programs(name, mode):
+    p = load_corpus(name)
+    rng = random.Random(name)
+    draws = [[random_input(p.vocab, rng) for _ in p.inputs] for _ in range(3)]
+    for inputs in [small_inputs(p, name), *draws]:
+        for fuel in _FUELS:
+            assert compare_engines(p, inputs, fuel, mode) == \
+                _compare_step_by_step(p, inputs, fuel, mode), (inputs, fuel)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(p=st.binary(min_size=64, max_size=256).map(_program))
+def test_chunked_compare_matches_one_step_at_a_time_on_random_programs(p):
+    for fuel in _FUELS[:-1]:  # a random program often runs until its fuel is spent
+        assert compare_engines(p, fuel=fuel) == _compare_step_by_step(p, fuel=fuel), \
             (format_program(p), fuel)

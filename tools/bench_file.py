@@ -71,7 +71,8 @@ REPEAT = 5  # bin_add[256] runs per engine
 # (program, size of every input, oracle mode) of each per-step count
 STEP_RUNS = [("bin_succ", 64, "inline"), ("bin_add", 64, "inline"), ("bin_mul", 8, "unit"),
              ("bin_mul", 8, "inline"), ("str_reverse", 4, "inline")]
-COMPARE_RUNS = [("bin_add", 64, "inline")]  # the same, for each compare_engines count
+# the same, for each compare_engines count; bin_mul's compared steps include nested runs
+COMPARE_RUNS = [("bin_add", 64, "inline"), ("bin_mul", 8, "inline"), ("bin_mul", 8, "unit")]
 RISE = 0.01  # the share by which `--check` lets a count rise
 REPORT_REPEAT = 15  # timed emit_report calls per report
 
