@@ -132,13 +132,12 @@ def decode_nat(t: Term) -> int | None:
 
 def random_input(vocab: Vocabulary, rng: random.Random) -> Term:
     codec = input_codec(vocab)
-    if codec == "binary":
-        return encode_nat_binary(rng.randint(1, 16), vocab)
-    if codec == "unary":
-        return _chain(vocab, "zero", "s" * rng.randint(0, 24))
     if codec == "string":
         return _chain(vocab, "eps", [rng.choice("ab") for _ in range(rng.randint(0, 5))])
-    raise ValueError("program has no input codec; give explicit --input")
+    if codec is None:
+        raise ValueError("program has no input codec; give explicit --input")
+    size = rng.randint(1, 16) if codec == "binary" else rng.randint(0, 24)
+    return encode_size(vocab, codec, size)
 
 
 def parse_inputs(program: Program, pairs: list[str], as_nat: bool) -> list[Term]:

@@ -11,7 +11,8 @@ of interpreting the plan's data.  The transition itself, the same for every
 program, is the engine's (`engine._transition`), which calls them:
 
 * `rules(values)` runs the jumping code and returns the enabled assignments,
-  the update set (or the first clash) and the compares, probes and reads it
+  the update set, the first clash (None, or its `ClashInfo` with the probes,
+  reads and update-set size then) and the compares, probes and reads it
   charged.  Every jump goes forward, so the code runs top to bottom over a
   program counter; a run of tests that short-circuits as one `and` or `or`
   chain is one expression, and assignments that follow one another are one
@@ -207,7 +208,7 @@ def _dyn_slots(slots) -> dict[str, list[int]]:
     return found
 
 
-_SIGNATURE = attrgetter("name", "arity", "kind")
+_SIGNATURE = attrgetter("_sig")  # one tuple per symbol, shared by every key
 
 
 def _plan_key(p: Program, oracle_plans: dict[str, ExecPlan]) -> tuple:
@@ -537,9 +538,9 @@ def _assign_block(code, k: int, end: int, entries, sure) -> tuple[int, list[str]
     as one block: they are enabled together and each goes into the update
     set (strictness: an undef argument names no location).  The reads of
     each, and the probes of locations sure to be defined, are charged once
-    for the block.  Each insert is checked for a clash, and the first clash
-    keeps the update set and the charges as they stood then.  Later
-    assignments are still enabled and may still insert, which nothing reads.
+    for the block.  Each insert is checked for a clash, and the first is kept
+    as one record: its `ClashInfo`, probes, reads and update-set size then.
+    Later assignments may still insert, but a location keeps its first value.
     The block ends before its jump to the last assignment's successor."""
     j = k + 1
     while j < end and entries[j] == 1 and type(code[j]) is CAssign and code[j - 1].next == j:
@@ -565,7 +566,7 @@ def _assign_block(code, k: int, end: int, entries, sure) -> tuple[int, list[str]
         lines += [
             f"{pad}if updates.setdefault({key}, v := {value}) != v and clash is None:",
             f"{pad}    clash = (ClashInfo(*{key}), p + {probes.probe}, r + {reads.read},"
-            " dict(updates))",
+            " len(updates))",
         ]
     return j, [*lines, _adds(reads), *([_adds(probes)] if any(probes) else [])]
 
@@ -618,14 +619,14 @@ _DISPATCH_GROWTH = 2
 
 def _rules_source(code, sure) -> list[list[str]]:
     """`rules(values)`: the jumping code as straight-line code over a
-    program counter `pc`, returning (enabled assignments, update set, clash,
-    compares, probes, reads).  With a dispatch slot, it reads that slot once
-    and runs one branch per constant it may hold, or the branch for none of
-    them, each the code folded under that fact; without one, or when the
-    branches would grow too big, the one branch is the code folded under no
-    fact.  The dispatch is a flat run of `if`s, each branch returning; once
-    the entry function holds _PIECE_LINES lines, a branch is called as
-    pieces even if it has one."""
+    program counter `pc`, returning (enabled assignments, update set, clash
+    record or None, compares, probes, reads).  With a dispatch slot, it
+    reads that slot once and runs one branch per constant it may hold, or
+    the branch for none of them, each the code folded under that fact;
+    without one, or when the branches would grow too big, the one branch is
+    the code folded under no fact.  The dispatch is a flat run of `if`s,
+    each branch returning; once the entry function holds _PIECE_LINES
+    lines, a branch is called as pieces even if it has one."""
     def size(branch) -> int:
         return sum(len(body) for _, body in branch[1])
 
@@ -658,8 +659,6 @@ def _rules_source(code, sure) -> list[list[str]]:
                   for end, body in pieces]
         lines = [f"c = {charge.compare}",
                  *_run_pieces("_rules", "values, enabled, updates", state, bodies, out, inline),
-                 "if clash is not None:",
-                 "    clash, p, r, updates = clash",
                  "return enabled, updates, clash, c, p, r"]
         entry += [f"    if {cond}:", *_indent(lines, "        ")] if cond else _indent(lines)
     return [entry, *out]

@@ -388,9 +388,9 @@ _CHUNK = 16  # the transitions `compare_engines` runs per engine between two com
 def _transition(state: EngineState, limit: int | None = 1) -> StepOutcome:
     """Up to `limit` transitions of the state's engine, or with None all until
     one has no successor.  With no assignment enabled or no fuel left one ends
-    after the rules, charging their compares only; on a clash, their update
-    set too.  Otherwise it commits its fuel, writes the update set into the
-    location map (a copy for the reference engine) and recomputes, every
+    after the rules, charging their compares only; a clash charges the sums
+    in its record.  Otherwise it commits its fuel, writes the update set into
+    the location map (a copy for the reference engine) and recomputes, every
     slot or the dirty slots, in one pass that charges the step's sums with
     its own.  Then come the invariant check (unmetered, off unless asked for)
     and the record and trace line.  It returns NEXT with the last successor,
@@ -415,7 +415,8 @@ def _transition(state: EngineState, limit: int | None = 1) -> StepOutcome:
                 raise _Halt(FUEL_EXHAUSTED)
             return StepOutcome(TERMINAL, EngineState(ctx, values, store, at) if limit is None else None)
         if clash is not None:
-            meter.charge(probe=p, read=r, compare=c, write=cost.UPDATE_ENTRY.write * len(updates))
+            clash, p, r, entries = clash
+            meter.charge(probe=p, read=r, compare=c, write=cost.UPDATE_ENTRY.write * entries)
             raise _Halt(CLASH, clash)
         core.fuel_left -= 1
         if not fast:

@@ -36,9 +36,9 @@ class TermSyntaxError(ValueError):
 
 @dataclass(frozen=True)
 class Symbol:
-    """A vocabulary entry: fixed name, fixed arity, fixed kind.  Its hash, the
-    hash of (name, arity, kind) as a frozen dataclass has it, is computed once
-    and kept, since every `Term` hashes its head."""
+    """A vocabulary entry: fixed name, fixed arity, fixed kind.  Its signature
+    `_sig`, (name, arity, kind), and its hash are built once and kept, since
+    every `Term` hashes its head and every plan key holds the signature."""
 
     name: str
     arity: int
@@ -53,7 +53,8 @@ class Symbol:
             raise ValueError(f"symbol {self.name}: negative arity")
         if self.kind not in _KINDS:
             raise ValueError(f"symbol {self.name}: unknown kind {self.kind!r}")
-        object.__setattr__(self, "_hash", hash((self.name, self.arity, self.kind)))
+        object.__setattr__(self, "_sig", (self.name, self.arity, self.kind))
+        object.__setattr__(self, "_hash", hash(self._sig))
 
     def __hash__(self):
         return self._hash

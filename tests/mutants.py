@@ -104,10 +104,12 @@ MUTANTS = [
            "                raise _Halt(FUEL_EXHAUSTED)\n"
            "            return StepOutcome(TERMINAL, EngineState(ctx, values, store, at) if limit is None else None)\n"
            "        if clash is not None:\n"
-           "            meter.charge(probe=p, read=r, compare=c, write=cost.UPDATE_ENTRY.write * len(updates))\n"
+           "            clash, p, r, entries = clash\n"
+           "            meter.charge(probe=p, read=r, compare=c, write=cost.UPDATE_ENTRY.write * entries)\n"
            "            raise _Halt(CLASH, clash)\n",
            "        if clash is not None:\n"
-           "            meter.charge(probe=p, read=r, compare=c, write=cost.UPDATE_ENTRY.write * len(updates))\n"
+           "            clash, p, r, entries = clash\n"
+           "            meter.charge(probe=p, read=r, compare=c, write=cost.UPDATE_ENTRY.write * entries)\n"
            "            raise _Halt(CLASH, clash)\n"
            "        if not enabled or core.fuel_left <= 0:\n"
            "            meter.charge(compare=c)\n"
@@ -115,6 +117,9 @@ MUTANTS = [
            "                raise _Halt(FUEL_EXHAUSTED)\n"
            "            return StepOutcome(TERMINAL, EngineState(ctx, values, store, at) if limit is None else None)\n",
            (FUEL_FIRST, STEP_HALT)),
+    Mutant("a clash charges the final update set", "engine.py",
+           "write=cost.UPDATE_ENTRY.write * entries", "write=cost.UPDATE_ENTRY.write * len(updates)",
+           ("tests/test_engine.py::test_a_clash_charges_the_update_set_as_it_stood_at_the_first_clash",)),
     Mutant("an out-of-fuel step charges its probes and reads", "engine.py",
            "            meter.charge(compare=c)\n            if enabled:",
            "            meter.charge(probe=p if enabled else 0, read=r if enabled else 0, compare=c)\n"
@@ -201,8 +206,8 @@ MUTANTS = [
     Mutant("the plan key leaves out oracle bodies", "codegen.py",
            "shape += (o.path, oracle_plans[o.symbol.name])", "shape.append(o.path)",
            ("tests/test_codegen.py::test_oracle_bodies_are_part_of_the_key",)),
-    Mutant("the plan key gives a symbol by its name alone", "codegen.py",
-           '_SIGNATURE = attrgetter("name", "arity", "kind")', '_SIGNATURE = attrgetter("name")',
+    Mutant("the plan key gives a symbol by its name alone", "terms.py",
+           '"_sig", (self.name, self.arity, self.kind)', '"_sig", (self.name,)',
            ("tests/test_codegen.py::test_a_symbols_kind_and_arity_are_part_of_the_key",)),
     Mutant("the plan key leaves out block lengths", "codegen.py",
            "            shape += (len(node.then), len(node.orelse))\n", "",

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,9 @@ import pytest
 from conftest import corpus_path, write_clashing_host
 
 import esmtangle
-from esmtangle.cli import main
+from esmtangle.cli import encode_size, load_program, main, random_input
+from esmtangle.syntax import parse_program
+from esmtangle.terms import format_term
 
 DATA = Path(__file__).parent / "data"
 
@@ -403,6 +406,7 @@ rules { if b = undef then { b := d1(eps) } }
 
 def _fixtures(tmp_path):
     (tmp_path / "un.esm").write_text(UNARY)
+    (tmp_path / "nocodec.esm").write_text(UNARY.replace("s/1", "t/1").replace("s(x)", "t(x)"))
     (tmp_path / "latin.esm").write_bytes(b"\xff\xfe vocab")
     (tmp_path / "host.esm").write_text(HOST)
 
@@ -434,6 +438,7 @@ def _fixtures(tmp_path):
      "--seed applies only to a program with inputs; merge_demo.esm has none"),
     ("verify toggle --sweep 4:16",
      "--sweep applies only to a program with inputs; toggle.esm has none"),
+    ("verify {tmp}/nocodec.esm --sweep 4:8", "program has no input codec to sweep"),
     ("run bin_succ --input x4", "--input expects NAME=TERM, got 'x4'"),
     ("run bin_add --input x=4 --input x=5 --nat", "duplicate --input for 'x'"),
     ("run str_reverse --input x=3 --nat", "program has no numeral input codec"),
@@ -446,6 +451,22 @@ def test_bad_input_exits_one_with_one_line(tmp_path, capsys, argv, message):
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1
     assert message.format(tmp=tmp_path) in err
+
+
+def test_random_draws_a_unary_input_once(tmp_path, capsys):
+    # One `randint(0, 24)` per unary input, so a seed gives the same inputs
+    # whichever way they are encoded.
+    vocab, rng, twin = parse_program(UNARY).vocab, random.Random(3), random.Random(3)
+    for _ in range(30):
+        n = twin.randint(0, 24)
+        assert format_term(random_input(vocab, rng)) == "s(" * n + "zero" + ")" * n
+    _fixtures(tmp_path)
+    assert invoke(capsys, "compare", str(tmp_path / "un.esm"), "--random", "3")[0] == 0
+
+
+def test_encode_size_rejects_an_unknown_codec():
+    with pytest.raises(ValueError, match="no input codec for 'octal'"):
+        encode_size(load_program("bin_succ").vocab, "octal", 3)
 
 
 @pytest.mark.parametrize("command", ["verify", "bench"])

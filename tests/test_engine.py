@@ -157,6 +157,23 @@ rules {
     assert r.outcome == CLASH and str(r.clash) == "z()"
 
 
+@pytest.mark.parametrize("engine", ["critical", "reference"])
+def test_a_clash_charges_the_update_set_as_it_stood_at_the_first_clash(engine):
+    # `z := d` clashes while the update set holds one entry.  `w := c` still
+    # inserts after it, and the clash charges no write for that entry.
+    p = parse_program(
+        """
+vocab { constructors { c/0; d/0 } dynamic { z/0; w/0; x/0 } }
+inputs { } output { x }
+rules { z := c  z := d  w := c }
+"""
+    )
+    meter = CostMeter()
+    r = run(p, engine=engine, meter=meter)
+    assert (r.outcome, str(r.clash)) == (CLASH, "z()")
+    assert (r.cost.total_ops, meter.categories()["write"]) == (17, 3)
+
+
 def test_agreeing_duplicate_updates_do_not_clash():
     p = parse_program(
         """
@@ -815,6 +832,11 @@ def test_negative_fuel_is_rejected():
     ):
         with pytest.raises(ValueError, match="fuel must be at least 0, got -1"):
             call()
+
+
+def test_an_unknown_engine_is_rejected():
+    with pytest.raises(ValueError, match="unknown engine 'bogus'"):
+        run(load_corpus("toggle"), engine="bogus")
 
 
 _COMPARE_ENDINGS = {

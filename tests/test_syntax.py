@@ -1,5 +1,7 @@
 """Program DSL: parsing, validation, critical-term extraction, round-trip."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +24,7 @@ from esmtangle.syntax import (
 )
 from esmtangle.terms import (
     KIND_DYNAMIC,
+    Term,
     TermSyntaxError,
     compact_size,
     distinct_subterms,
@@ -154,6 +157,15 @@ def test_validate_init_constraints():
     text = MINI.replace("rules {", "init { x := z; }\nrules {")
     p = parse_program(text)
     assert any("not a constructor term" in d for d in validate_program(p))
+
+
+def test_validate_rejects_an_init_that_assigns_to_a_constructor():
+    # The parser refuses such an assignment, so the program is built through
+    # the API.
+    p = parse_program(MINI)
+    eps = p.vocab.get("eps")
+    bad = dataclasses.replace(p, init=(Assign(eps, (), Term(eps)),))
+    assert "init assigns to non-dynamic symbol 'eps'" in validate_program(bad)
 
 
 def test_validate_no_nullary_constructor():
@@ -416,6 +428,12 @@ def test_oracle_body_failure_names_the_body(tmp_path, body, inner):
     assert str(info.value).startswith(
         f"line 8, col 21: cannot load oracle body 'body.esm': {inner}"
     )
+
+
+def test_an_oracle_body_needs_a_base_directory():
+    # Program text given as a string has no directory to find a body in.
+    with pytest.raises(TermSyntaxError, match="cannot load oracle 'probe': no base directory"):
+        parse_program(HOST)
 
 
 def test_missing_oracle_body_is_reported(tmp_path):

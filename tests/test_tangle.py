@@ -303,6 +303,30 @@ def test_check_invariants_catches_an_index_that_disagrees_with_the_vertices(corr
         g.check_invariants()
 
 
+@pytest.mark.parametrize("corrupt, message", [
+    ("child", "node 2 has non-decreasing child 2"),
+    ("counter", "edge counter 3 != recount 2"),
+    ("bound", "edge bound |E| <= max_arity * |V| violated"),
+])
+def test_check_invariants_catches_a_cycle_or_a_wrong_edge_count(corrupt, message):
+    # f(c,c) is vertex 2 over vertex 1, with 2 edges.
+    v = vocab_fc()
+    g = new_tangle(v)
+    g.import_term(parse_term("f(c,c)", v))
+    g.check_invariants()
+    if corrupt == "child":
+        del g._index[g._nodes[2]]
+        g._nodes[2] = ("f", (2, 1))
+        g._index[g._nodes[2]] = 2
+    elif corrupt == "counter":
+        g._edges += 1
+    else:
+        g.max_arity = 0
+    with pytest.raises(AssertionError) as caught:
+        g.check_invariants()
+    assert str(caught.value) == message
+
+
 def test_dump_format():
     v = vocab_fc()
     g = new_tangle(v)
