@@ -5,10 +5,9 @@ critical terms (`syntax.critical_terms`) as `Slot`s, compiles the rules into
 jumping code, a tuple of `Test` atoms (an id comparison that jumps to one of
 two targets) and `CAssign` assignments (each naming its successor), builds
 the oracles' plans, and takes its growth constants from the terms' compact
-sizes.  `generate` turns the code and the slots into the three functions
+sizes.  `generate` turns the code and the slots into the four functions
 that depend on the program, so a transition runs straight-line code instead
-of interpreting the plan's data.  The transition itself, the same for every
-program, is the engine's (`engine._transition`), which calls them:
+of interpreting the plan's data:
 
 * `rules(values)` runs the jumping code and returns the enabled assignments,
   the update set, the first clash (None, or its `ClashInfo` with the probes,
@@ -30,18 +29,22 @@ program, is the engine's (`engine._transition`), which calls them:
   branches would take more than _DISPATCH_GROWTH times the lines of the
   code folded under no fact, has one branch, that code.
 * `slots_all(ctx, values, updates, store, p, r, c, w)` computes every slot
-  (initialization and the reference engine) and ignores `values`.
-* `slots_dirty(ctx, values, updates, store, p, r, c, w)` is the fast
-  engine's pass: the dirty seed (the slots of each updated symbol, written
-  in as constants), then the dirty slots recomputed (a slot, an oracle
-  application too, is recomputed when it is seeded or a child's value
-  changed).
+  (initialization and the reference engine) into a new list, starting from
+  the step's sums `p`, `r`, `c` and `w` (zeros at initialization), and
+  ignores `values`.
+* `critical(ctx, values, store, at, stop)` and `reference(...)`, the
+  engines' transition loops from one template (`_loop_source`), take a
+  run's transitions, or a chunk of them, in one call.  The reference loop
+  calls `rules` and `slots_all` and copies the location map.  The critical
+  loop holds the lines of `rules`, each assignment followed by its
+  symbol's `_seed` (its slots flagged dirty, as constants), then its dirty
+  pass: the flagged slots recomputed small to big, in place in `values` (a
+  slot, an oracle application too, is flagged when seeded or when a
+  child's value changed).
 
-The two slot passes are one template, `_pass_source`, with one protocol:
-each takes the step's sums `p`, `r`, `c` and `w` (zeros at initialization)
-and returns the new values.  Each slot is an unrolled block: its children,
-the strictness test, then an intern, a dynamic read or an oracle call, then,
-in the dirty pass, the flagging of its parents.
+Each slot is an unrolled block: its children, the strictness test, then an
+intern, a dynamic read or an oracle call, then, in the dirty pass, the
+flagging of its parents.
 
 An intern hit is one inline probe of the store's index; only a miss calls
 the store's `_intern`, which allocates and charges itself.  So a wrapper put
@@ -59,11 +62,16 @@ the meter when it records a point of the series, and unit cost mode
 switches the meter off for the call, so a charge carried past it would land
 in the wrong record or be dropped.  So `rules` returns its sums, a slot pass
 starts from the step's, and it charges what it has summed before every
-oracle call and once at its end.  The generated
-code refers to no module and reads the run's state only as `ctx.core.tangle`:
-it calls the store's `_intern` and the run context's `invoke` (an oracle
-call: memo probe, then a nested run) through their attributes, looked up at
-every pass, so wrappers put on them later see every call.
+oracle call and once at its end.  The generated code refers to no module.
+It reads the run's state only as `ctx.core.tangle`, but for the loops,
+which read `core = ctx.core` and the fields of a transition: the store,
+the series, `fuel_left`, `check`, `record`, `steps_reported`, `last_ops`
+and `trace`.  The fuel and the switches are read at every step, since
+nested runs spend the fuel and unit-mode oracle calls switch the meter and
+the record.  The store's `_intern` is looked up once per `_transition`
+call (and per `slots_all` call), and the run context's `invoke` (an oracle
+call: memo probe, then a nested run) at every call, so wrappers put on them
+before a run see every call.
 
 Equal programs share one plan: `build_plan` plans the oracle bodies first,
 then looks a program up under a key of its own parts and its bodies' plans
@@ -82,14 +90,15 @@ tracebacks, profilers and debuggers show the generated lines.
 from __future__ import annotations
 
 import linecache
+import re
 from dataclasses import dataclass, field
-from itertools import count
+from itertools import count, filterfalse
 from operator import attrgetter
 from types import CodeType, FunctionType
 from typing import Callable, NamedTuple, Sequence
 
 from . import cost
-from .cost import Ops
+from .cost import Ops, StepCost
 from .syntax import (Assign, Cond, CriticalTerms, GAnd, GAtom, GNot, Program, Stmt, critical_terms,
                      validate_program)
 from .terms import KIND_CONSTRUCTOR, KIND_DYNAMIC, KIND_ORACLE, Symbol, Term, compact_size
@@ -144,10 +153,11 @@ class ExecPlan:
     init_weight: int  # growth headroom of this plan's own initialization
     interned: tuple[Symbol, ...]  # the constructors it and its oracle plans intern
     # The generated functions: the rules, the slot pass that computes every
-    # slot, and the fast engine's seed and dirty pass.
+    # slot, and each engine's transition loop.
     rules: Callable = field(repr=False, compare=False)
     slots_all: Callable = field(repr=False, compare=False)
-    slots_dirty: Callable = field(repr=False, compare=False)
+    critical: Callable = field(repr=False, compare=False)
+    reference: Callable = field(repr=False, compare=False)
 
 
 # --- The plan ------------------------------------------------------------------
@@ -197,15 +207,6 @@ def _compile_rules(rules: Sequence[Stmt], pos) -> tuple[Test | CAssign, ...]:
 
 
 _SLOT_KINDS = {KIND_CONSTRUCTOR: SLOT_CONS, KIND_DYNAMIC: SLOT_DYN, KIND_ORACLE: SLOT_ORACLE}
-
-
-def _dyn_slots(slots) -> dict[str, list[int]]:
-    """Per dynamic symbol name, its slots in increasing order."""
-    found: dict[str, list[int]] = {}
-    for i, s in enumerate(slots):
-        if s.kind == SLOT_DYN:
-            found.setdefault(s.sym.name, []).append(i)
-    return found
 
 
 _SIGNATURE = attrgetter("_sig")  # one tuple per symbol, shared by every key
@@ -318,7 +319,8 @@ def _new_plan(program: Program, oracle_plans: dict[str, ExecPlan]) -> ExecPlan:
         interned=tuple(interned),
         rules=fns["rules"],
         slots_all=fns["slots_all"],
-        slots_dirty=fns["slots_dirty"],
+        critical=fns["critical"],
+        reference=fns["reference"],
     )
 
 
@@ -342,18 +344,23 @@ _file_serial = count(2)  # tells apart two plans generated for one name
 
 
 def generate(name: str, code, slots, parents) -> dict[str, Callable]:
-    """The functions generated for a plan, by name, bound to the one class
-    they make, `ClashInfo`, and to the plan's constants: its assignments as
-    `A<index>`, the symbols of its constructor slots as `S<index>` and, as
-    SEED, the first slot of each dynamic symbol."""
-    sure = _sure(slots)
+    """The functions generated for a plan, by name, bound to the classes
+    they make, `ClashInfo` and `StepCost`, and to the plan's constants: its
+    assignments as `A<index>` and the symbols of its constructor slots as
+    `S<index>`."""
+    sure, found = _sure(slots), {}
+    for i, s in enumerate(slots):  # per dynamic symbol name, its slots in increasing order
+        if s.kind == SLOT_DYN:
+            found.setdefault(s.sym.name, []).append(i)
+    seeds = {name: _seed(dyn) for name, dyn in found.items()}
+    branches = _rules_branches(code, sure, seeds)
     codes = _compile(name, [
-        *_rules_source(code, sure),
-        *_pass_source("slots_all", slots, parents, sure, dirty=False),
-        *_pass_source("slots_dirty", slots, parents, sure, dirty=True),
+        *_rules_source(code, sure, branches),
+        *_pass_source(slots, parents, sure),
+        *_loop_source("critical", slots, parents, sure, branches),
+        *_loop_source("reference", slots, parents, sure),
     ])
-    ns = {"ClashInfo": ClashInfo}
-    ns["SEED"] = {name: found[0] for name, found in _dyn_slots(slots).items()}
+    ns = {"ClashInfo": ClashInfo, "StepCost": StepCost, "new_tuple": tuple.__new__}
     ns.update((f"A{k}", ins) for k, ins in enumerate(code) if type(ins) is CAssign)
     ns.update((f"S{i}", s.sym) for i, s in enumerate(slots) if s.kind == SLOT_CONS)
     for c in codes:
@@ -373,7 +380,7 @@ def _compile(name: str, functions: list[list[str]]) -> tuple[CodeType, ...]:
         module = compile("\n".join(lines), filename, "exec")
         fn = next(c for c in module.co_consts if type(c) is CodeType)
         codes.append(fn.replace(co_firstlineno=fn.co_firstlineno + len(text)))
-        text.extend(line + "\n" for line in lines)
+        text += map("{}\n".format, lines)
     linecache.cache[filename] = (sum(map(len, text)), None, text, filename)
     return tuple(codes)
 
@@ -533,7 +540,7 @@ def _test_run(code, k: int, end: int, entries, sure) -> tuple[int, Ops, list[str
                       "pc = {} if k else {}".format(*exits)]
 
 
-def _assign_block(code, k: int, end: int, entries, sure) -> tuple[int, list[str]]:
+def _assign_block(code, k: int, end: int, entries, sure, seeds) -> tuple[int, list[str]]:
     """The assignments from k that follow one another with no other way in,
     as one block: they are enabled together and each goes into the update
     set (strictness: an undef argument names no location).  The reads of
@@ -541,37 +548,42 @@ def _assign_block(code, k: int, end: int, entries, sure) -> tuple[int, list[str]
     for the block.  Each insert is checked for a clash, and the first is kept
     as one record: its `ClashInfo`, probes, reads and update-set size then.
     Later assignments may still insert, but a location keeps its first value.
-    The block ends before its jump to the last assignment's successor."""
+    Each insert is followed by its symbol's line in `seeds` (its `_seed`),
+    if it has one, under the same strictness test.  The block ends before
+    its jump to the last assignment's successor."""
     j = k + 1
     while j < end and entries[j] == 1 and type(code[j]) is CAssign and code[j - 1].next == j:
         j += 1
     lines = [f"enabled.append(A{k})" if j == k + 1 else
              f"enabled += ({''.join(f'A{i}, ' for i in range(k, j))})"]
-    reads = probes = Ops()  # the block's constant charges so far
+    reads = probes = 0  # the block's ASSIGN_READs and constant LOCATION_PROBEs so far
     for i in range(k, j):
         a = code[i]
         name = repr(a.sym.name)
         value = "None" if a.rhs_slot == UNDEF_SLOT else f"values[{a.rhs_slot}]"
-        reads += cost.ASSIGN_READ * (len(a.arg_slots) + 1)
+        reads += len(a.arg_slots) + 1
         pad, key = "", f"({name}, ())"
         defined = _defined(a.arg_slots, sure, "values")
         if defined:
             lines += [f"if {defined}:", f"    {_adds(cost.LOCATION_PROBE)}"]
             pad = "    "
         else:
-            probes += cost.LOCATION_PROBE
+            probes += 1
         if a.arg_slots:
             lines.append(f"{pad}key = ({name}, ({''.join(f'values[{s}], ' for s in a.arg_slots)}))")
             key = "key"
         lines += [
             f"{pad}if updates.setdefault({key}, v := {value}) != v and clash is None:",
-            f"{pad}    clash = (ClashInfo(*{key}), p + {probes.probe}, r + {reads.read},"
-            " len(updates))",
+            f"{pad}    clash = (ClashInfo(*{key}), p + {cost.LOCATION_PROBE.probe * probes},"
+            f" r + {cost.ASSIGN_READ.read * reads}, len(updates))",
         ]
-    return j, [*lines, _adds(reads), *([_adds(probes)] if any(probes) else [])]
+        if a.sym.name in seeds:
+            lines.append(pad + seeds[a.sym.name])
+    return j, [*lines, _adds(cost.ASSIGN_READ * reads),
+               *([_adds(cost.LOCATION_PROBE * probes)] if probes else [])]
 
 
-def _branch_pieces(flow, sure) -> tuple[int, list[tuple[int, list[str]]]]:
+def _branch_pieces(flow, sure, seeds) -> tuple[int, list[tuple[int, list[str]]]]:
     """One branch of `rules`, from its `_flow`: the compares it charges on
     every path, and its blocks as pieces of bounded size, each with the
     instruction after it.  Each block is a run of tests, a static jump or a
@@ -579,7 +591,7 @@ def _branch_pieces(flow, sure) -> tuple[int, list[tuple[int, list[str]]]]:
     jump passes over it.  An unguarded block's constant compares are
     charged with the branch's, so an unguarded static jump is no line at
     all; and a block does not set `pc` to the next block when that one is
-    unguarded, since nothing reads it."""
+    unguarded, since nothing reads it.  `seeds` goes to `_assign_block`."""
     code, guarded, entries = flow
     n = len(code)
     charge, pieces, k = Ops(), [], 0  # the entry is always reached
@@ -588,7 +600,7 @@ def _branch_pieces(flow, sure) -> tuple[int, list[tuple[int, list[str]]]]:
         while k < end and len(body) < _PIECE_LINES:
             ins, goto = code[k], None
             if type(ins) is CAssign:
-                j, block = _assign_block(code, k, end, entries, sure)
+                j, block = _assign_block(code, k, end, entries, sure, seeds)
                 compares, goto = Ops(), code[j - 1].next
             elif ins.then == ins.orelse:
                 j, compares, block, goto = k + 1, cost.GUARD_ATOM, [], ins.then
@@ -617,51 +629,71 @@ _DISPATCH_MAX = 64
 _DISPATCH_GROWTH = 2
 
 
-def _rules_source(code, sure) -> list[list[str]]:
-    """`rules(values)`: the jumping code as straight-line code over a
-    program counter `pc`, returning (enabled assignments, update set, clash
-    record or None, compares, probes, reads).  With a dispatch slot, it
-    reads that slot once and runs one branch per constant it may hold, or
-    the branch for none of them, each the code folded under that fact;
-    without one, or when the branches would grow too big, the one branch is
-    the code folded under no fact.  The dispatch is a flat run of `if`s,
-    each branch returning; once the entry function holds _PIECE_LINES
-    lines, a branch is called as pieces even if it has one."""
+def _rules_branches(code, sure, seeds) -> tuple[list[str], list]:
+    """The branches of `rules`, each as its condition (empty for the last)
+    and its `_branch_pieces` with `seeds`: with a dispatch slot, one per
+    constant it may hold and one for none of them, each the code folded
+    under that fact; without one, or when the branches would grow too big,
+    the one branch is the code folded under no fact.  And the line that
+    reads the dispatch slot as `d`, none without one."""
     def size(branch) -> int:
-        return sum(len(body) for _, body in branch[1])
+        return sum(len(body) for _, body in branch[1][1])
 
-    branches = [("", _branch_pieces(_flow(code, sure), sure))]
+    branches = [("", _branch_pieces(_flow(code, sure), sure, seeds))]
     dispatch = _dispatch(code, sure)
     if dispatch and len(dispatch[1]) <= _DISPATCH_MAX:
         d, consts = dispatch
-        found, budget = [], _DISPATCH_GROWTH * size(branches[0][1])
+        found, budget = [], _DISPATCH_GROWTH * size(branches[0])
         for fact in [*consts, tuple(consts)]:
-            found.append(_branch_pieces(_flow(code, sure, d, fact), sure))
+            found.append((f"d == values[{fact}]" if type(fact) is int else "",
+                          _branch_pieces(_flow(code, sure, d, fact), sure, seeds)))
             budget -= size(found[-1]) + 1
             if budget < 0:
                 break
         else:
-            branches = [(f"d == values[{c}]", b) for c, b in zip(consts, found)]
-            branches.append(("", found[-1]))
-    entry = [
-        "def rules(values):",
-        "    enabled = []",
-        "    updates = {}",
-        "    pc = r = p = 0",
-        "    clash = None",
-    ]
-    if len(branches) > 1:
-        entry.append(f"    d = values[{d}]")
-    state, out = "pc, c, r, p, clash", []
-    for cond, (charge, pieces) in branches:
-        inline = len(pieces) == 1 and len(entry) < _PIECE_LINES
-        bodies = [body if inline else [f"if pc >= {end}:", f"    return {state}", *body]
-                  for end, body in pieces]
-        lines = [f"c = {charge.compare}",
-                 *_run_pieces("_rules", "values, enabled, updates", state, bodies, out, inline),
-                 "return enabled, updates, clash, c, p, r"]
-        entry += [f"    if {cond}:", *_indent(lines, "        ")] if cond else _indent(lines)
-    return [entry, *out]
+            return [f"d = values[{d}]"], found
+    return [], branches
+
+
+def _rules_body(head: list[str], branches, seeded: bool, out: list, end: str = "") -> list[str]:
+    """The jumping code as straight-line code over a program counter `pc`,
+    leaving in locals the enabled assignments, the update set, the clash
+    record or None and the compares, probes and reads (`c`, `p` and `r`,
+    and with `seeded` the flag writes `w` of its `_seed`s, else left out):
+    the dispatch (`head`), then `_rules_branches` as one `if`/`elif`/`else`,
+    or with an `end` line, as a flat run of `if`s, each branch ending with
+    that line.  A branch is called as pieces, appended to `out`, when it
+    has more than one or the lines before it hold _PIECE_LINES."""
+    state = "pc, c, r, p, clash, w" if seeded else "pc, c, r, p, clash"
+    params = "values, enabled, updates, dirty" if seeded else "values, enabled, updates"
+    name = "_critical_rules" if seeded else "_rules"
+    lines = list(head)
+    for k, (cond, (charge, pieces)) in enumerate(branches):
+        if not seeded:
+            pieces = [(stop, [*filterfalse(_SEEDED, body)]) for stop, body in pieces]
+        inline = len(pieces) == 1 and len(lines) < _PIECE_LINES
+        bodies = [body if inline else [f"if pc >= {stop}:", f"    return {state}", *body]
+                  for stop, body in pieces]
+        body = [f"c = {charge.compare}", *_run_pieces(name, params, state, bodies, out, inline)]
+        if end:
+            body.append(end)
+        if cond:
+            body = [f"elif {cond}:" if k and not end else f"if {cond}:", *_indent(body)]
+        elif k and not end:
+            body = ["else:", *_indent(body)]
+        lines += body
+    return lines
+
+
+def _rules_source(code, sure, branches=None) -> list[list[str]]:
+    """`rules(values)`: `_rules_body` unseeded, each branch returning what
+    the module docstring says.  `branches` is `_rules_branches`, made with
+    no seeds if not given."""
+    head, branches = branches or _rules_branches(code, sure, {})
+    out: list = []
+    body = _rules_body(head, branches, False, out, "return enabled, updates, clash, c, p, r")
+    lines = ["enabled = []", "updates = {}", "pc = r = p = 0", "clash = None", *body]
+    return [["def rules(values):", *_indent(lines)], *out]
 
 
 def _run_pieces(name: str, params: str, state: str, pieces, out: list, inline: bool) -> list[str]:
@@ -680,8 +712,12 @@ def _run_pieces(name: str, params: str, state: str, pieces, out: list, inline: b
 
 
 # A pass puts the charges it sums on the meter before every oracle call, after
-# which it sums from zero again (a flush), and at its end.
+# which it sums from zero again (a flush), and at its end.  The last charge
+# runs once per transition, so it spells out `CostMeter.charge` on the
+# meter's counters.
 _FLUSH = "meter.charge(probe=p, read=r, compare=c, write=w); p = r = c = w = 0"
+_CHARGE = "meter.probe += p; meter.read += r; meter.compare += c; meter.write += w"
+_PASS_PARAMS = "ctx, new, updates, store, meter, intern, index"
 
 
 def _slot_block(i: int, slot: Slot, parents, sure, dirty: bool) -> list[str]:
@@ -714,7 +750,7 @@ def _slot_block(i: int, slot: Slot, parents, sure, dirty: bool) -> list[str]:
     elif kind == SLOT_ORACLE:
         lines += [f"{pad}{_FLUSH}", f"{pad}v = ctx.invoke({name}, {args})"]
     elif dirty and not kids:
-        # Only the seed flags it, for an update of its one location.
+        # Only its assignments flag it, each an update of its one location.
         lines += [f"v = updates[({name}, ())]", _adds(cost.READ_UPDATES)]
     else:
         lines += [
@@ -755,54 +791,87 @@ def _slot_pieces(slots, parents, sure, dirty: bool) -> list[list[str]]:
 
 
 def _indent(lines, pad: str = "    ") -> list[str]:
-    return [pad + line for line in lines]
+    return list(map(pad.__add__, lines))
 
 
-def _dirty_seed(slots) -> list[str]:
-    """The lines that flag, as `dirty`, the slots a fast-engine transition
-    recomputes before propagation: the dynamic slots of every updated
-    symbol.  Every other slot, an oracle application included, is flagged
-    only by a child whose value changed.  A probe per update-set key in SEED
-    (per dynamic symbol name, its first slot) flags that slot; then each
-    symbol with more slots flags the rest along with its first, as
-    constants.  Before the pass only the seed flags slots, so a first slot
-    flagged means its symbol was updated."""
-    lines = [f"dirty = [False] * {len(slots)}", _adds(cost.SEED_PROBE, "len(updates)")]
-    found = _dyn_slots(slots)
-    if found:
-        lines += [
-            "for name, _ in updates:",
-            "    i = SEED.get(name)",
-            "    if i is not None and not dirty[i]:",
-            "        dirty[i] = True",
-            f"        {_adds(cost.FLAG_WRITE)}",
-        ]
-    for first, *rest in found.values():
-        if rest:
-            lines += [
-                f"if dirty[{first}]:",
-                f"    {''.join(f'dirty[{i}] = ' for i in rest)}True",
-                f"    {_adds(cost.FLAG_WRITE * len(rest))}",
-            ]
-    return lines
+_SEEDED = re.compile(r" *if not dirty\[").match  # a `_seed` line, at any indentation
 
 
-def _pass_source(name: str, slots, parents, sure, dirty: bool) -> list[list[str]]:
-    """The slot pass NAME (see the module docstring): `slots_all` computes
-    every slot small to big; `slots_dirty` runs the dirty seed, then
-    recomputes each flagged slot small to big, a slot whose value changed
-    flagging its parents.  It reads the meter, `_intern` and the index an
-    intern hit probes once per pass, so that a wrapper put on `_intern`
-    later sees every miss, and a long pass hands them to its pieces with the
-    sums.  The last charge runs once per pass, so it spells out
-    `CostMeter.charge` on the meter's counters."""
-    top = [*_dirty_seed(slots), "new = list(values)"] if dirty else [f"new = [None] * {len(slots)}"]
-    params = f"ctx, new, updates, store, {'dirty, ' if dirty else ''}meter, intern, index"
-    pieces, out = _slot_pieces(slots, parents, sure, dirty), []
-    lines = ["tangle = ctx.core.tangle", "meter = tangle.meter", *top,
+def _seed(found: list[int]) -> str:
+    """An assignment site's line in the critical loop, after its insert into
+    the update set: the first of a transition to a symbol flags the symbol's
+    slots `found`, a FLAG_WRITE each, as a SEED_PROBE per update-set key of
+    its first slot would (charged with the update set's writes)."""
+    return (f"if not dirty[{found[0]}]: {''.join(f'dirty[{i}] = ' for i in found)}True; "
+            f"{_adds(cost.FLAG_WRITE * len(found))}")
+
+
+def _pass_source(slots, parents, sure) -> list[list[str]]:
+    """`slots_all` (see the module docstring), every slot small to big.  It
+    reads the meter, `_intern` and the index once per call, and a long pass
+    hands them to its pieces with the sums."""
+    pieces, out = _slot_pieces(slots, parents, sure, False), []
+    lines = ["tangle = ctx.core.tangle", "meter = tangle.meter", f"new = [None] * {len(slots)}",
              "intern = tangle._intern", "index = tangle._index",
-             *_run_pieces(f"_{name}", params, "p, r, c, w", pieces, out, len(pieces) == 1),
-             "if meter.enabled:",
-             "    meter.probe += p; meter.read += r; meter.compare += c; meter.write += w"]
-    head = f"def {name}(ctx, values, updates, store, p, r, c, w):"
+             *_run_pieces("_slots_all", _PASS_PARAMS, "p, r, c, w", pieces, out, len(pieces) == 1),
+             "if meter.enabled:", f"    {_CHARGE}"]
+    head = "def slots_all(ctx, values, updates, store, p, r, c, w):"
     return [[head, *_indent([*lines, "return new"])], *out]
+
+
+def _loop_source(engine: str, slots, parents, sure, rules=None) -> list[list[str]]:
+    """ENGINE(ctx, values, store, at, stop): the engine's transitions from
+    the state after step `at` (see the module docstring).  One with none
+    enabled, no fuel or a clash returns (values, store, at, enabled, clash
+    record, compares) for `engine._transition` to charge.  One that commits
+    writes the update set into the location map and recomputes the slots
+    with the step's sums, then runs the invariant check (off unless asked
+    for), `keep` (on a copy of the critical loop's values), the record and
+    the trace line; at step `stop` it returns (values, store, at, None,
+    None, 0).  The critical loop calls its rules and dirty pass as pieces
+    when long, the dirty pass also when the loop would reach _PIECE_LINES."""
+    out: list = []
+    if engine == "critical":
+        step = [f"dirty = [False] * {len(slots)}", "enabled = []", "updates = {}",
+                "pc = r = p = w = 0", "clash = None", *_rules_body(*rules, True, out)]
+        pieces, rest = _slot_pieces(slots, parents, sure, True), []
+        recompute = [
+            _adds(cost.UPDATE_ENTRY + cost.MAP_WRITE + cost.SEED_PROBE, "len(updates)"),
+            *_run_pieces("_slots_dirty", f"{_PASS_PARAMS}, dirty", "p, r, c, w", pieces, rest,
+                         len(pieces) == 1 and len(step) + len(pieces[0]) < _PIECE_LINES),
+            "if meter.enabled:", f"    {_CHARGE}",
+        ]
+        top, kept = ["new = values", "intern = tangle._intern", "index = tangle._index"], "values[:]"
+    else:
+        step = ["enabled, updates, clash, c, p, r = rules(values)"]
+        writes = _times((cost.UPDATE_ENTRY + cost.MAP_WRITE).write, "len(updates)")
+        recompute = [f"values = slots_all(ctx, values, updates, store, p, r, c, {writes})"]
+        top, kept, rest = [], "values", []
+    body = [
+        *step,
+        "if not enabled or core.fuel_left <= 0 or clash is not None:",
+        "    return values, store, at, enabled, clash, c",
+        "core.fuel_left -= 1", *(["store = dict(store)"] if engine == "reference" else []),
+        "store.update(updates)",
+        "if None in updates.values():  # undef: the location leaves the finite support",
+        "    for key, v in updates.items():",
+        "        if v is None:",
+        "            del store[key]",
+        *recompute,
+        "if core.check:",
+        "    ctx.check_state(values, store)",
+        "if keep is not None:", f"    keep({kept})",
+        "at += 1",
+        "if core.record:",
+        "    core.steps_reported += 1",
+        "    ops = meter.probe + meter.alloc + meter.read + meter.compare + meter.write",
+        "    series.append(new_tuple(StepCost, (len(series), ops - core.last_ops, len(nodes),"
+        " tangle._edges)))",
+        "    core.last_ops = ops",
+        "    if core.trace is not None:",
+        "        core.trace_line(at, enabled, updates)",
+        "if at == stop:", "    return values, store, at, None, None, 0",
+    ]
+    lines = ["core = ctx.core", "keep = ctx.keep", "tangle = core.tangle", "meter = tangle.meter",
+             "series = core.series", "nodes = tangle._nodes", *top, "while True:", *_indent(body)]
+    return [[f"def {engine}(ctx, values, store, at, stop):", *_indent(lines)], *out, *rest]

@@ -31,10 +31,10 @@ class Ops(NamedTuple):
     write: int = 0
 
     def __add__(self, other: Ops) -> Ops:
-        return Ops(*(a + b for a, b in zip(self, other)))
+        return Ops(*map(int.__add__, self, other))
 
     def __mul__(self, k: int) -> Ops:
-        return Ops(*(x * k for x in self))
+        return Ops(*map(k.__mul__, self))
 
 
 CATEGORIES = Ops._fields

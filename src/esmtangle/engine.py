@@ -9,10 +9,10 @@ appear only at the API, as `invoke_oracle`'s arguments and result.
 They run a plan, which `codegen.build_plan` makes once per program (equal
 programs share one plan; the plan cache keeps no store alive): the tracked
 terms as slots, the rules as jumping code, and the functions
-generated from them for what depends on the program, `rules` and two slot
-passes of one signature, `slots_all`, which computes every slot, and
-`slots_dirty`, the fast engine's; each starts from the sums its caller has
-not charged yet.  A transition runs the rules, which collect the assignments
+generated from them for what depends on the program: `rules`, `slots_all`,
+which computes every slot starting from the sums its caller has not charged
+yet, and each engine's transition loop, `critical` and `reference`.  A
+transition runs the rules, which collect the assignments
 they pass into an update set, writes the update set into the location map,
 and recomputes tracked values in order: constructor applications intern,
 oracle applications call, and a dynamic read probes the update set and, on
@@ -26,11 +26,13 @@ engine writes into a copy of the map and recomputes every tracked term, so
 its states stay functional; it is the semantic oracle the fast engine is
 differentially tested against.  The fast engine writes into its one map in
 place, so a fast-engine state can be stepped only once, and recomputes only
-its dirty slots: the tracked terms of every updated dynamic symbol, and then,
-in increasing order so children come first, each term with a child whose
-value changed.  Any other term keeps its value, since its recomputation would
-return it unchanged, an oracle application too: the run's memo keeps its
-result per body and argument ids.  Initialization recomputes every slot.
+its dirty slots: the tracked terms of every assigned dynamic symbol, and
+then, in increasing order so children come first, each term with a child
+whose value changed.  Any other term keeps its value, since its
+recomputation would return it unchanged, an oracle application too: the
+run's memo keeps its result per body and argument ids.  Its loop updates
+the values in place, on a copy taken per `_transition` call, so an old
+state keeps its values.  Initialization recomputes every slot.
 `compare_engines` runs both engines over one shared store, `_CHUNK`
 transitions at a time, and reports the first step where a tracked term's
 value differs, which with maximal sharing is an id comparison.
@@ -43,14 +45,15 @@ intern hit skips `Tangle._intern`'s vocabulary check, it checks once that
 every symbol the plan and its oracle plans intern is in the store's
 vocabulary, with the error `intern` raises.  `_init_state` is the one
 initializer (nested oracle runs use it too).  `_transition`, the same for
-every program, is the one transition loop and the one place that decides
-how a transition ends: with a successor (NEXT) or none enabled (TERMINAL),
-which it returns, or by raising the private `_Halt` where an update clashed
-(CLASH) or the fuel ran out with one enabled (FUEL_EXHAUSTED).  A halt in
-an oracle call passes through every nested run unchanged.  Fuel is charged
-when a transition commits, after its clash check and before its writes and
-oracle calls.  A run, and each nested oracle run, takes all its transitions
-in one call of it, and `step_critical` and `step_ref` take one.  No public
+every program, calls the engine's generated loop and is the one place that
+decides how a transition ends: with a successor (NEXT) or none enabled
+(TERMINAL), which it returns, or by raising the private `_Halt` where an
+update clashed (CLASH) or the fuel ran out with one enabled
+(FUEL_EXHAUSTED).  A halt in an oracle call passes through every nested run
+unchanged.  Fuel is charged when a transition commits, after its clash
+check and before its writes and oracle calls.  A run, and each nested
+oracle run, takes all its transitions in one call of it, and `step_critical`
+and `step_ref` take one.  No public
 function lets a halt escape: `run` and `compare_engines` report it as their
 outcome, the steppers as their step's kind, and the initializers and
 `invoke_oracle` raise RuntimeError.
@@ -59,7 +62,7 @@ made: a run reports the operations that meter gains during the run, so two
 runs on one store each report only their own work.
 
 Oracle symbols are realized by nested runs of their body programs over the
-same store and meter, through one call path: the generated slot passes call
+same store and meter, through one call path: the generated code calls
 `RunContext.invoke`.  In "unit" cost mode the meter and the per-step series
 are paused for the nested run and the call is charged as a unit call, so its
 inner transitions are left out of the reported step count and the trace; in
@@ -162,7 +165,7 @@ class RunContext:
 
     def invoke(self, name: str, argids: tuple[int, ...]) -> int | None:
         """An oracle call inside a run: memo probe, then the call on a miss.
-        The generated slot passes make every oracle call through this."""
+        The generated code makes every oracle call through this."""
         core = self.core
         plan = self.plan.oracle_plans[name]
         key = (plan, argids)
@@ -375,73 +378,35 @@ def init_ref(
 
 # --- Transitions -----------------------------------------------------------------
 
-# A run's transitions share one frame, which makes a state and an outcome
-# only when it returns.  Its named tuples skip their Python-level `__new__`
-# and its record reads the meter's and the store's counters directly: each
-# would cost a call per transition.  So, too, a committed update-set entry's
-# writes, into the set and into the map, are read off the menu once.
-_new = tuple.__new__
-_WRITTEN = (cost.UPDATE_ENTRY + cost.MAP_WRITE).write
 _CHUNK = 16  # the transitions `compare_engines` runs per engine between two comparisons
 
 
 def _transition(state: EngineState, limit: int | None = 1) -> StepOutcome:
     """Up to `limit` transitions of the state's engine, or with None all until
-    one has no successor.  With no assignment enabled or no fuel left one ends
-    after the rules, charging their compares only; a clash charges the sums
-    in its record.  Otherwise it commits its fuel, writes the update set into
-    the location map (a copy for the reference engine) and recomputes, every
-    slot or the dirty slots, in one pass that charges the step's sums with
-    its own.  Then come the invariant check (unmetered, off unless asked for)
-    and the record and trace line.  It returns NEXT with the last successor,
-    or TERMINAL, with `limit` None with the state the run ended in; fuel
-    exhaustion and a clash, here or in an oracle call, raise _Halt."""
-    ctx = state.ctx
-    core = ctx.core
-    plan = ctx.plan
-    rules = plan.rules
+    one has no successor, in one call of its loop (`ExecPlan.critical` or
+    `.reference`), the fast engine's on a copy of the state's values.  A
+    transition with no assignment enabled or no fuel left ends after the
+    rules, charging their compares only; a clash charges the sums in its
+    record.  It returns NEXT with the last successor, or TERMINAL, with
+    `limit` None with the state the run ended in; fuel exhaustion and a
+    clash, here or in an oracle call, raise _Halt."""
+    ctx, at = state.ctx, state.step_index
     fast = ctx.engine == "critical"
-    slots = plan.slots_dirty if fast else plan.slots_all
-    tangle = core.tangle
-    meter = tangle.meter
-    series = core.series
-    values, store, at, keep = state.values, state.store, state.step_index, ctx.keep
+    values = state.values[:] if fast else state.values
     stop = -1 if limit is None else at + limit
-    while True:
-        enabled, updates, clash, c, p, r = rules(values)
-        if not enabled or core.fuel_left <= 0:
-            meter.charge(compare=c)
-            if enabled:
-                raise _Halt(FUEL_EXHAUSTED)
-            return StepOutcome(TERMINAL, EngineState(ctx, values, store, at) if limit is None else None)
-        if clash is not None:
-            clash, p, r, entries = clash
-            meter.charge(probe=p, read=r, compare=c, write=cost.UPDATE_ENTRY.write * entries)
-            raise _Halt(CLASH, clash)
-        core.fuel_left -= 1
-        if not fast:
-            store = dict(store)
-        store.update(updates)
-        if None in updates.values():  # undef: the location leaves the finite support
-            for key, v in updates.items():
-                if v is None:
-                    del store[key]
-        values = slots(ctx, values, updates, store, p, r, c, _WRITTEN * len(updates))
-        if core.check:
-            ctx.check_state(values, store)
-        if keep is not None:
-            keep(values)
-        at += 1
-        if core.record:
-            core.steps_reported += 1
-            ops = meter.probe + meter.alloc + meter.read + meter.compare + meter.write
-            series.append(_new(StepCost, (len(series), ops - core.last_ops, len(tangle._nodes),
-                                          tangle._edges)))
-            core.last_ops = ops
-            if core.trace is not None:
-                core.trace_line(at, enabled, updates)
-        if at == stop:
-            return _new(StepOutcome, (NEXT, EngineState(ctx, values, store, at), None))
+    loop = ctx.plan.critical if fast else ctx.plan.reference
+    values, store, at, enabled, clash, c = loop(ctx, values, state.store, at, stop)
+    if enabled is None:
+        return StepOutcome(NEXT, EngineState(ctx, values, store, at))
+    meter = ctx.core.tangle.meter
+    if not enabled or ctx.core.fuel_left <= 0:
+        meter.charge(compare=c)
+        if enabled:
+            raise _Halt(FUEL_EXHAUSTED)
+        return StepOutcome(TERMINAL, EngineState(ctx, values, store, at) if limit is None else None)
+    clash, p, r, entries = clash
+    meter.charge(probe=p, read=r, compare=c, write=cost.UPDATE_ENTRY.write * entries)
+    raise _Halt(CLASH, clash)
 
 
 def _step(state: EngineState, limit: int = 1) -> StepOutcome:

@@ -59,6 +59,9 @@ class Symbol:
     def __hash__(self):
         return self._hash
 
+    def __reduce__(self):  # rebuilt, so the hash is of the loading process
+        return Symbol, self._sig
+
     def __repr__(self):
         return f"{self.name}/{self.arity}"
 
@@ -142,6 +145,9 @@ class Term:
 
     def __hash__(self):
         return self._hash
+
+    def __reduce__(self):  # rebuilt, so the hash is of the loading process
+        return Term, (self.head, self.args)
 
     def __eq__(self, other):
         if self is other:

@@ -1,4 +1,4 @@
-"""Shared helpers: corpus loading and input codecs used across the suite."""
+"""Shared helpers: corpus loading, input codecs and a broken fast engine used across the suite."""
 
 from pathlib import Path
 
@@ -101,3 +101,40 @@ def write_clashing_host(directory: Path) -> Path:
     host = directory / "host.esm"
     host.write_text(CLASHING_HOST)
     return host
+
+
+def break_fast_engine(monkeypatch, at: int, lasting: bool):
+    """Make the fast engine's values wrong after its transition `at`: its
+    first defined slot comes out undef.  With `lasting` its later
+    transitions run from the wrong values, else from the true ones, so the
+    difference lasts one step.  `engine._transition` is patched so that the
+    fast engine's chunks of transitions run one at a time through the real
+    one, each step's values handed to the run's `keep` as its loop hands them."""
+    import esmtangle.engine as engine_mod
+
+    real = engine_mod._transition
+
+    def transition(state, limit=1):
+        ctx = state.ctx
+        if ctx.engine != "critical" or limit is None:
+            return real(state, limit)
+        keep, ctx.keep = ctx.keep, None
+        try:
+            for _ in range(limit):
+                out = real(state, 1)
+                if out.kind != engine_mod.NEXT:
+                    return out
+                state = out.state
+                values = state.values
+                if state.step_index == at:
+                    values = values[:]
+                    values[next(i for i, v in enumerate(values) if v is not None)] = None
+                    if lasting:
+                        state.values = values
+                if keep is not None:
+                    keep(values[:])
+        finally:
+            ctx.keep = keep
+        return out
+
+    monkeypatch.setattr(engine_mod, "_transition", transition)

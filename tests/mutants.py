@@ -98,49 +98,38 @@ MUTANTS = [
            "    except _Halt:\n        raise\n",
            ("tests/test_oracles.py::test_invoke_oracle_raises_when_the_body_halts",)),
     Mutant("fuel is checked after the clash check", "engine.py",
-           "        if not enabled or core.fuel_left <= 0:\n"
-           "            meter.charge(compare=c)\n"
-           "            if enabled:\n"
-           "                raise _Halt(FUEL_EXHAUSTED)\n"
-           "            return StepOutcome(TERMINAL, EngineState(ctx, values, store, at) if limit is None else None)\n"
-           "        if clash is not None:\n"
-           "            clash, p, r, entries = clash\n"
-           "            meter.charge(probe=p, read=r, compare=c, write=cost.UPDATE_ENTRY.write * entries)\n"
-           "            raise _Halt(CLASH, clash)\n",
-           "        if clash is not None:\n"
-           "            clash, p, r, entries = clash\n"
-           "            meter.charge(probe=p, read=r, compare=c, write=cost.UPDATE_ENTRY.write * entries)\n"
-           "            raise _Halt(CLASH, clash)\n"
-           "        if not enabled or core.fuel_left <= 0:\n"
-           "            meter.charge(compare=c)\n"
-           "            if enabled:\n"
-           "                raise _Halt(FUEL_EXHAUSTED)\n"
-           "            return StepOutcome(TERMINAL, EngineState(ctx, values, store, at) if limit is None else None)\n",
+           "    meter = ctx.core.tangle.meter\n    if not enabled or ctx.core.fuel_left <= 0:\n",
+           "    meter = ctx.core.tangle.meter\n"
+           "    if clash is not None:\n"
+           "        clash, p, r, entries = clash\n"
+           "        meter.charge(probe=p, read=r, compare=c, write=cost.UPDATE_ENTRY.write * entries)\n"
+           "        raise _Halt(CLASH, clash)\n"
+           "    if not enabled or ctx.core.fuel_left <= 0:\n",
            (FUEL_FIRST, STEP_HALT)),
-    Mutant("a clash charges the final update set", "engine.py",
-           "write=cost.UPDATE_ENTRY.write * entries", "write=cost.UPDATE_ENTRY.write * len(updates)",
+    Mutant("a clash charges the final update set", "codegen.py",
+           '"    return values, store, at, enabled, clash, c",',
+           '"    return values, store, at, enabled, clash and (*clash[:3], len(updates)), c",',
            ("tests/test_engine.py::test_a_clash_charges_the_update_set_as_it_stood_at_the_first_clash",)),
-    Mutant("an out-of-fuel step charges its probes and reads", "engine.py",
-           "            meter.charge(compare=c)\n            if enabled:",
-           "            meter.charge(probe=p if enabled else 0, read=r if enabled else 0, compare=c)\n"
-           "            if enabled:",
+    Mutant("an out-of-fuel step charges its probes and reads", "codegen.py",
+           '"    return values, store, at, enabled, clash, c",',
+           '"    return values, store, at, enabled, clash, c + p + r",',
            (FUEL_FIRST,)),
     Mutant("a public step lets the halt escape", "engine.py",
            "    except _Halt as halt:\n        return StepOutcome(halt.outcome, None, halt.clash)\n",
            "    except _Halt:\n        raise\n",
            (STEP_HALT,)),
-    Mutant("the run loop keeps undef locations in the map", "engine.py",
-           "        if None in updates.values():  # undef: the location leaves the finite support\n"
-           "            for key, v in updates.items():\n"
-           "                if v is None:\n"
-           "                    del store[key]\n", "",
+    Mutant("the run loop keeps undef locations in the map", "codegen.py",
+           '        "if None in updates.values():  # undef: the location leaves the finite support",\n'
+           '        "    for key, v in updates.items():",\n'
+           '        "        if v is None:",\n'
+           '        "            del store[key]",\n', "",
            ("tests/test_engine.py::test_an_undef_update_takes_its_location_out_of_the_map",)),
-    Mutant("the run loop skips the invariant check", "engine.py",
-           "        if core.check:\n            ctx.check_state(values, store)\n", "",
+    Mutant("the run loop skips the invariant check", "codegen.py",
+           '        "if core.check:",\n        "    ctx.check_state(values, store)",\n', "",
            ("tests/test_engine.py::test_invariant_checks_catch_a_slot_left_stale",)),
-    Mutant("the run loop writes no trace line", "engine.py",
-           "            if core.trace is not None:\n"
-           "                core.trace_line(at, enabled, updates)\n", "",
+    Mutant("the run loop writes no trace line", "codegen.py",
+           '        "    if core.trace is not None:",\n'
+           '        "        core.trace_line(at, enabled, updates)",\n', "",
            ("tests/test_engine.py::test_trace_format",)),
     Mutant("an `if` with two empty branches compiles to no test", "codegen.py",
            "                k = guard(s.guard, stmts(s.then, k), orelse)\n",
@@ -155,8 +144,8 @@ MUTANTS = [
            'lines += [f"{pad}{_FLUSH}", f"{pad}v = ctx.invoke({name}, {args})"]',
            'lines += [f"{pad}v = ctx.invoke({name}, {args})"]', (GOLDEN,)),
     Mutant("`slots_all` starts its sums from zero", "codegen.py",
-           '[f"new = [None] * {len(slots)}"]',
-           '[f"new = [None] * {len(slots)}", "p = r = c = w = 0"]', (SUMS, GOLDEN)),
+           'f"new = [None] * {len(slots)}",',
+           'f"new = [None] * {len(slots)}", "p = r = c = w = 0",', (SUMS, GOLDEN)),
     Mutant("a single-piece pass leaves `c` out of its last charge", "codegen.py",
            "meter.read += r; meter.compare += c; meter.write += w",
            "meter.read += r; meter.write += w",
@@ -171,17 +160,17 @@ MUTANTS = [
            "j, compares, block, goto = k + 1, cost.GUARD_ATOM, [], ins.then",
            "j, compares, block, goto = k + 1, Ops(), [], ins.then",
            (WALK_SMALL, WALK_BUNDLED + "[bin_succ]")),
-    Mutant("the dirty seed flags the oracle slots", "codegen.py",
-           'lines = [f"dirty = [False] * {len(slots)}",',
-           'lines = [f"dirty = {[s.kind == SLOT_ORACLE for s in slots]!r}",',
+    Mutant("a critical transition starts with the oracle slots flagged", "codegen.py",
+           'f"dirty = [False] * {len(slots)}"',
+           'f"dirty = {[s.kind == SLOT_ORACLE for s in slots]!r}"',
            ("tests/test_codegen.py::test_a_class_level_invoke_wrapper_sees_every_oracle_call",)),
-    Mutant("the dirty seed flags the slots of nullary symbols only", "codegen.py",
+    Mutant("the assignment sites flag the slots of nullary symbols only", "codegen.py",
            "        if s.kind == SLOT_DYN:\n",
            "        if s.kind == SLOT_DYN and not s.child_slots:\n",
            ("tests/test_engine.py::test_dirty_slots_seeded_by_updates_with_arguments",)),
     Mutant("a slot pass drops the sums its pieces return", "codegen.py",
            'calls.append(f"{state} = {fn}({params}, {state})")',
-           'calls.append(f"{fn}({params}, {state})" if "w" in state'
+           'calls.append(f"{fn}({params}, {state})" if state == "p, r, c, w"'
            ' else f"{state} = {fn}({params}, {state})")', (CUT,)),
     Mutant("the fast engine keeps a dynamic slot's old value on an update-set miss", "codegen.py",
            'f"{pad}    v = store.get(key)",',
@@ -192,8 +181,8 @@ MUTANTS = [
            'dirty[{q}] = True; {flag}" for q in above)',
            'dirty[{q}] = True; {flag}" for q in above[:1])',
            ("tests/test_cost.py::test_the_engines_agree_record_by_record[bin_succ-inline]",)),
-    Mutant("the fuel check lets one more transition run", "engine.py",
-           "if not enabled or core.fuel_left <= 0:", "if not enabled or core.fuel_left < 0:",
+    Mutant("the fuel check lets one more transition run", "codegen.py",
+           "if not enabled or core.fuel_left <= 0 or", "if not enabled or core.fuel_left < 0 or",
            ("tests/test_cost.py::test_a_run_cut_by_fuel_is_a_prefix_of_the_full_run",)),
     Mutant("the oracle memo keys a call by its name alone", "engine.py",
            "key = (plan, argids)", "key = (name, argids)",
@@ -260,6 +249,16 @@ MUTANTS = [
            "    end_c = NEXT if len(seen_c) > len(seen_r) else str(",
            "    end_c = str(",
            ("tests/test_engine.py::test_compare_reports_an_ending_that_differs",)),
+    Mutant("`keep` gets the list the loop updates in place", "codegen.py",
+           '"index = tangle._index"], "values[:]"', '"index = tangle._index"], "values"',
+           ("tests/test_engine.py::test_the_fast_engine_keeps_a_copy_of_each_step",)),
+    Mutant("`_transition` does not copy `values` on entry", "engine.py",
+           "values = state.values[:] if fast else state.values", "values = state.values",
+           ("tests/test_engine.py::test_a_fast_step_leaves_the_old_state_as_it_was",)),
+    Mutant("an assignment site flags its symbol's first slot only", "codegen.py",
+           "for i in found)}True; \"\n            f\"{_adds(cost.FLAG_WRITE * len(found))}\"",
+           "for i in found[:1])}True; \"\n            f\"{_adds(cost.FLAG_WRITE)}\"",
+           ("tests/test_engine.py::test_an_updated_symbol_flags_each_of_its_slots_once",)),
     Mutant("`run` hands out its series list", "engine.py",
            "per_step=tuple(core.series),", "per_step=core.series,", (NO_COPY,)),
     Mutant("a vertex record drops its name", "tangle.py",

@@ -264,18 +264,9 @@ def test_compare_random(capsys):
 def test_compare_divergence_exit(capsys, monkeypatch):
     # A fast engine that corrupts the first tracked value (b) after its second
     # step stands in for an engine bug.
-    from conftest import load_corpus
-    from esmtangle.codegen import build_plan
+    from conftest import break_fast_engine
 
-    plan = build_plan(load_corpus("toggle"))
-    real, calls = plan.slots_dirty, []
-
-    def broken(ctx, *args):
-        values = real(ctx, *args)
-        calls.append(None)
-        return [None] + values[1:] if len(calls) == 2 else values
-
-    monkeypatch.setattr(plan, "slots_dirty", broken)
+    break_fast_engine(monkeypatch, 2, lasting=True)
     code, out, err = invoke(capsys, "compare", "toggle")
     assert (code, out) == (4, "")
     assert err == "divergence on trial 0: step 2, b: critical=undef reference=d0(eps)\n"

@@ -29,7 +29,7 @@ from esmtangle.engine import (
     step_ref,
 )
 from esmtangle.syntax import parse_program, parse_program_file
-from esmtangle.tangle import Tangle
+from esmtangle.tangle import Tangle, new_tangle
 from esmtangle.terms import Term, format_term
 
 DATA = Path(__file__).parent / "data"
@@ -273,36 +273,55 @@ def test_generated_code_refers_to_no_module():
     plans = [build_plan(load_corpus("bin_mul"))]
     plans += plans[0].oracle_plans.values()
     for plan in plans:
-        for fn in (plan.rules, plan.slots_all, plan.slots_dirty):
+        for fn in (plan.rules, plan.slots_all, plan.critical, plan.reference):
             assert not any(type(v) is ModuleType for v in fn.__globals__.values())
 
 
 @pytest.mark.parametrize("name", ["bin_mul", "bin_add"])
 def test_a_pass_charges_the_sums_it_is_given(monkeypatch, name):
-    # Both slot passes start from the sums their caller has not charged yet
-    # and put them on the meter with their own: bin_mul's passes before an
-    # oracle call, bin_add's at their end.  So a pass given (p, r, c, w)
-    # charges exactly that much more than one given zeros, and computes the
-    # same values.  The passes run on the first step's update set, once
-    # before they are measured so that their interns and oracle calls hit.
+    # `slots_all` starts from the sums its caller has not charged yet and
+    # puts them on the meter with its own: bin_mul's before an oracle call,
+    # bin_add's at its end.  So given (p, r, c, w) it charges exactly that
+    # much more than given zeros, and computes the same values.  Through the
+    # loops: a reference step gives it the rules' compares, probes and reads
+    # and the update set's writes, so it charges exactly those more; a
+    # critical step's dirty pass charges no compare, so the step charges the
+    # rules' compares exactly, and on top of their probes and reads and the
+    # update set's writes its own.  Both come to the values `slots_all`
+    # computes.  Everything runs on the first step's update set, once before
+    # it is measured so that its interns and oracle calls hit.
     p = load_corpus(name)
-    state = init_critical(p, [binary_input(p.vocab, 3), binary_input(p.vocab, 5)])
+    inputs = [binary_input(p.vocab, 3), binary_input(p.vocab, 5)]
+    state = init_critical(p, inputs)
     ctx, plan = state.ctx, state.ctx.plan
     meter = ctx.core.tangle.meter
-    updates = plan.rules(state.values)[1]
+    _, updates, _, c, probes, reads = plan.rules(state.values)
     store = {k: v for k, v in {**state.store, **updates}.items() if v is not None}
-    for fn in (plan.slots_all, plan.slots_dirty):
-        fn(ctx, state.values, updates, store, 0, 0, 0, 0)
-        seen = []
-        for sums in [(0, 0, 0, 0), (1, 2, 3, 4)]:
-            before = meter.categories()
-            values = fn(ctx, state.values, updates, store, *sums)
-            seen.append((values, {k: v - before[k] for k, v in meter.categories().items()}))
-        (zero, base), (given, charged) = seen
-        assert given == zero and sum(base.values()) > 0
-        assert {k: charged[k] - base[k] for k in base} == {
-            "probe": 1, "alloc": 0, "read": 2, "compare": 3, "write": 4,
-        }
+
+    def charged(call, meter=meter):
+        call()
+        before = meter.categories()
+        out = call()
+        return out, {k: v - before[k] for k, v in meter.categories().items()}
+
+    seen = [charged(lambda: plan.slots_all(ctx, state.values, updates, store, *sums))
+            for sums in [(0, 0, 0, 0), (1, 2, 3, 4)]]
+    (zero, base), (given, sums) = seen
+    assert given == zero and sum(base.values()) > 0
+    assert {k: sums[k] - base[k] for k in base} == {
+        "probe": 1, "alloc": 0, "read": 2, "compare": 3, "write": 4,
+    }
+    steps = {"probe": probes, "alloc": 0, "read": reads, "compare": c, "write": 2 * len(updates)}
+    ref = init_ref(p, inputs)
+    ref_meter = ref.ctx.core.tangle.meter
+    ref_values, ref_step = charged(lambda: plan.reference(ref.ctx, ref.values, ref.store, 0, 1)[0],
+                                   ref_meter)
+    ref_base = charged(lambda: plan.slots_all(ref.ctx, ref.values, updates, store, 0, 0, 0, 0),
+                       ref_meter)[1]
+    assert ref_values == zero and {k: ref_step[k] - ref_base[k] for k in steps} == steps
+    values, step = charged(lambda: plan.critical(ctx, state.values[:], dict(state.store), 0, 1)[0])
+    assert values == zero and step["compare"] == c
+    assert all(step[k] >= steps[k] + len(updates) * (k == "probe") for k in steps)
 
 
 def test_the_cache_keeps_no_store_alive():
@@ -324,7 +343,8 @@ def test_generated_source_is_registered_with_linecache(name):
     for fn, head in [
         (plan.rules, "def rules("),
         (plan.slots_all, "def slots_all("),
-        (plan.slots_dirty, "def slots_dirty("),
+        (plan.critical, "def critical("),
+        (plan.reference, "def reference("),
     ]:
         code = fn.__code__
         assert code.co_filename.startswith(f"<esmtangle plan {name}.esm")
@@ -423,11 +443,56 @@ def test_cutting_into_pieces_changes_no_charge(monkeypatch, piece, lines):
         assert _small_runs(name) == whole[name], name
 
 
+@pytest.mark.parametrize("piece, lines", [(1, 1), (4, 8)])
+def test_a_loop_that_calls_pieces_charges_the_same(monkeypatch, piece, lines):
+    # Under the forced pieces of `test_cutting_into_pieces_changes_no_charge`
+    # the critical loop calls its rules and its dirty pass as pieces, which
+    # take the dirty flags and return the flag writes with the other sums;
+    # it runs as the loop with both inline: the same output, trace and
+    # report, on both engines and in both oracle modes.
+    def called(plan) -> set[str]:
+        return {name.rsplit("_", 1)[0] for name in plan.critical.__code__.co_names
+                if name.startswith(("_critical_rules_", "_slots_dirty_"))}
+
+    monkeypatch.setattr(codegen, "_compiled", {})
+    whole = _small_runs("bin_add")
+    assert called(build_plan(load_corpus("bin_add"))) == set()
+    monkeypatch.setattr(codegen, "_PIECE", piece)
+    monkeypatch.setattr(codegen, "_PIECE_LINES", lines)
+    monkeypatch.setattr(codegen, "_compiled", {})
+    assert called(build_plan(load_corpus("bin_add"))) == {"_critical_rules", "_slots_dirty"}
+    assert _small_runs("bin_add") == whole
+
+
+@pytest.mark.parametrize("engine", ["critical", "reference"])
+@pytest.mark.parametrize("name", ["bin_add", "bin_mul"])
+def test_an_intern_wrapper_put_on_before_a_run_sees_every_miss(monkeypatch, name, engine):
+    # Each call of a transition loop or a slot pass looks `_intern` up on the
+    # store, so a wrapper put on the class before `run` sees every vertex the
+    # run allocates, its nested oracle runs' included, in the order of their
+    # indices.
+    p = load_corpus(name)
+    real, misses = Tangle._intern, []
+
+    def counted(self, label, children):
+        before = len(self)
+        nid = real(self, label, children)
+        if len(self) > before:
+            misses.append(nid)
+        return nid
+
+    tangle = new_tangle(p.vocab)
+    monkeypatch.setattr(Tangle, "_intern", counted)
+    assert run(p, small_inputs(p, name), engine=engine, tangle=tangle).outcome == "output"
+    assert len(misses) > 10 and misses == list(range(1, len(tangle)))
+
+
 def test_a_long_dirty_pass_calls_no_empty_piece():
     # The 10,000-deep term of `test_run_deep_programs` makes 10,002 slots,
     # so `slots_all` is cut into pieces.  Every slot of the deep term is a
     # constructor term that never changes, so the dirty pass leaves them out
-    # and is left with a few lines: one function, calling no piece.
+    # and is left with a few lines, inline in the critical loop, which calls
+    # no piece.
     n = 10_000
     p = parse_program(f"""
 vocab {{ constructors {{ eps/0; d1/1 }} dynamic {{ b/0 }} }}
@@ -439,4 +504,4 @@ rules {{ if b = undef then {{ b := d1(eps) }}
     plan = build_plan(p)
     assert len(plan.slots) > n
     assert "_slots_all_1" in plan.slots_all.__globals__
-    assert not [k for k in plan.slots_dirty.__globals__ if k.startswith("_slots_dirty_")]
+    assert not [k for k in plan.critical.__globals__ if k.startswith("_slots_dirty_")]

@@ -10,8 +10,9 @@ import pytest
 
 import esmtangle.engine as engine_mod
 import esmtangle.tangle as tangle_mod
-from esmtangle import codegen
-from conftest import CORPUS, binary_input, load_corpus, small_inputs, string_term, unary_term
+from esmtangle import codegen, cost
+from conftest import (CORPUS, binary_input, break_fast_engine, load_corpus, small_inputs, string_term,
+                      unary_term)
 
 from esmtangle.cost import CostMeter
 from esmtangle.engine import (
@@ -343,15 +344,12 @@ def test_invariant_checks_hold_outside_a_transition(name, init, step):
 
 
 def test_invariant_checks_catch_a_slot_left_stale(monkeypatch):
-    # A fast engine that recomputes only oracle slots keeps pc at its old
-    # value while the location map moves on.  The seed is generated into each
-    # plan's step, so the mutated one is generated afresh.
+    # A fast engine whose assignment sites flag no slot recomputes only the
+    # slots a changed child flags, so it keeps pc at its old value while the
+    # location map moves on.  The sites are generated into each plan's
+    # critical loop, so the mutated one is generated afresh.
     p = data_program("stale_read")
-
-    def oracles_only(slots):
-        return [f"dirty = {[s.kind == codegen.SLOT_ORACLE for s in slots]!r}"]
-
-    monkeypatch.setattr(codegen, "_dirty_seed", oracles_only)
+    monkeypatch.setattr(codegen, "_seed", lambda found: "pass")
     monkeypatch.setattr(codegen, "_compiled", {})
     with pytest.raises(AssertionError, match="location map disagrees"):
         run(p, check_invariants=True)
@@ -359,17 +357,8 @@ def test_invariant_checks_catch_a_slot_left_stale(monkeypatch):
 
 def test_mutated_fast_engine_is_caught(monkeypatch):
     p = load_corpus("toggle")
-    plan = build_plan(p)
-    real, calls = plan.slots_dirty, []
-
-    def broken(ctx, *args):
-        values = real(ctx, *args)
-        calls.append(None)
-        if len(calls) == 2:  # the fast engine's second transition
-            values[0] = None  # corrupt the first tracked value
-        return values
-
-    monkeypatch.setattr(plan, "slots_dirty", broken)
+    # After the fast engine's second transition, corrupt the first tracked value.
+    break_fast_engine(monkeypatch, 2, lasting=True)
     cmp = engine_mod.compare_engines(p)
     assert not cmp.equivalent
     assert cmp.divergence.step == 2
@@ -441,28 +430,6 @@ def test_compare_reports_two_clashes_at_different_locations(monkeypatch):
     )
 
 
-def _wrong_at(monkeypatch, plan, at):
-    """Make the fast engine's values wrong after its transition `at` only:
-    its first defined slot comes out undef, and its next transition reads
-    the true values again, so the difference lasts one step."""
-    real_rules, real_slots, calls, wrong = plan.rules, plan.slots_dirty, [], []
-
-    def true(values):
-        return wrong[1] if wrong and values is wrong[0] else values
-
-    def slots_dirty(ctx, values, *args):
-        new = real_slots(ctx, true(values), *args)
-        calls.append(None)
-        if len(calls) != at:
-            return new
-        i = next(i for i, v in enumerate(new) if v is not None)
-        wrong[:] = new[:i] + [None] + new[i + 1:], new
-        return wrong[0]
-
-    monkeypatch.setattr(plan, "rules", lambda values: real_rules(true(values)))
-    monkeypatch.setattr(plan, "slots_dirty", slots_dirty)
-
-
 @pytest.mark.parametrize("at", [2, engine_mod._CHUNK + 3])
 def test_compare_reports_a_difference_that_lasts_one_step(monkeypatch, at):
     # The engines agree again after step `at`; a comparison that checked
@@ -470,7 +437,7 @@ def test_compare_reports_a_difference_that_lasts_one_step(monkeypatch, at):
     p = load_corpus("bin_add")
     inputs = small_inputs(p, "bin_add")
     assert compare_engines(p, inputs).steps > at
-    _wrong_at(monkeypatch, build_plan(p), at)
+    break_fast_engine(monkeypatch, at, lasting=False)
     cmp = compare_engines(p, inputs)
     assert (cmp.equivalent, cmp.steps, cmp.outcome) == (False, at, "diverged")
     div = cmp.divergence
@@ -820,6 +787,65 @@ def test_dirty_slots_seeded_by_updates_with_arguments():
     assert format_term(fast.output) == format_term(ref.output) == "k(e2)"
     cmp = compare_engines(p)
     assert cmp.equivalent and cmp.outcome == TERMINAL
+
+
+_TWO_READS_OF_F = """
+vocab { constructors { a/0; b/0; c/0 } dynamic { f/1; x/0 } }
+inputs { } output { x }
+rules {
+  if x = undef then { f(a) := c  f(b) := c  x := a  x := a }
+  if f(a) = f(b) then { }
+}
+"""
+
+
+def test_an_updated_symbol_flags_each_of_its_slots_once():
+    # f is read at two arguments, so it has two slots, and x is assigned twice
+    # with the same value.  The step's update set has three keys, each
+    # written into the set and the map; the fast engine also flags f's two
+    # slots and x's one, once each, however often they are assigned, and
+    # recomputes both f slots.
+    p = parse_program(_TWO_READS_OF_F)
+    written = (cost.UPDATE_ENTRY + cost.MAP_WRITE).write * 3
+    for init, flagged in ((init_critical, cost.FLAG_WRITE.write * 3), (init_ref, 0)):
+        state = init(p)
+        meter = state.ctx.core.tangle.meter
+        before = meter.write
+        out = engine_mod._step(state)
+        assert out.kind == NEXT and meter.write - before == written + flagged
+        assert None not in out.state.values
+    assert compare_engines(p).equivalent
+
+
+def test_a_fast_step_leaves_the_old_state_as_it_was():
+    # The fast engine's loop updates its values in place, on a copy taken
+    # when `_transition` is called, so the state it started from keeps its
+    # values (its location map is the one it updates, as before).
+    p = load_corpus("bin_add")
+    state = init_critical(p, small_inputs(p, "bin_add"))
+    for _ in range(3):
+        before = list(state.values)
+        out = step_critical(p, state)
+        assert out.kind == NEXT and state.values == before and out.state.values != before
+        state = out.state
+
+
+def test_the_fast_engine_keeps_a_copy_of_each_step():
+    # `compare_engines` keeps each step's values through `RunContext.keep`;
+    # the fast engine's loop updates one list in place, so it hands `keep` a
+    # copy: a chunk's kept lists are the values of each of its steps.
+    p = load_corpus("bin_add")
+    inputs = small_inputs(p, "bin_add")
+    state, one_by_one = init_critical(p, inputs), []
+    for _ in range(5):
+        state = step_critical(p, state).state
+        one_by_one.append(state.values)
+    state, kept = init_critical(p, inputs), []
+    state.ctx.keep = kept.append
+    out = engine_mod._step(state, 5)
+    assert kept == one_by_one and out.state.values == one_by_one[-1]
+    assert len({id(values) for values in [*kept, out.state.values]}) == 6
+    assert compare_engines(p, inputs).equivalent
 
 
 def test_negative_fuel_is_rejected():

@@ -309,10 +309,16 @@ def test_golden_parse_sample():
     assert parse_digests(PARSE_SAMPLE) == recorded
 
 
+_LOOP_CORE = r"\bcore = ctx\.core\b|\bcore\.(tangle|series|fuel_left|check|record|steps_reported|last_ops|trace|trace_line)\b"
+
+
 def test_generated_code_reads_the_run_core_only_for_its_store(monkeypatch):
-    # A transition, and with it every other field of the run core, is the
-    # engine's: the source generated for each plan of `--plans`, oracle plans
-    # included, names the core only in `ctx.core.tangle`.  The sources are
+    # Every field of the run core but the store is the engine's: the source
+    # generated for each plan of `--plans`, oracle plans included, names the
+    # core only in `ctx.core.tangle`, but for the two transition loops, which
+    # take it as `core = ctx.core` and read only the fields of a transition:
+    # the store, the series, the fuel, the invariant check, the record, the
+    # step count and last count of ops, and the trace.  The sources are
     # checked as they reach the compiler, which is skipped for time; with the
     # cache emptied, a plan that compiles nothing shares a checked source.
     stub = compile("def stub(): pass", "<stub>", "exec").co_consts[0]
@@ -320,7 +326,8 @@ def test_generated_code_reads_the_run_core_only_for_its_store(monkeypatch):
 
     def check(name, functions):
         for lines in functions:
-            text = re.sub(r"\bctx\.core\.tangle\b", "", "\n".join(lines))
+            loop = lines[0].startswith(("def critical(", "def reference("))
+            text = re.sub(_LOOP_CORE if loop else r"\bctx\.core\.tangle\b", "", "\n".join(lines))
             assert not re.search(r"\bcore\b", text), f"{name}: {lines[0]}"
         checked.append(name)
         return tuple(stub.replace(co_name=lines[0][4:lines[0].index("(")]) for lines in functions)

@@ -292,3 +292,42 @@ def test_distinct_subterms_children_first():
     for u in order:
         for a in u.args:
             assert pos[a] < pos[u]
+
+
+_PICKLE_SIDES = """
+import pickle, sys
+from esmtangle.terms import KIND_DYNAMIC, Symbol, Term
+eps, d1, x = Symbol("eps", 0), Symbol("d1", 1), Symbol("x", 0, KIND_DYNAMIC)
+made = [eps, x, Term(eps), Term(d1, (Term(d1, (Term(eps),)),))]
+if sys.argv[1] == "dump":
+    sys.stdout.write(pickle.dumps(made).hex())
+else:
+    loaded = pickle.loads(bytes.fromhex(sys.stdin.read()))
+    for old, new in zip(loaded, made):
+        assert old == new and new == old and hash(old) == hash(new), (old, new)
+        assert len({old, new}) == 1 and new in {old: 1} and old in {new: 1}, (old, new)
+    print(len(loaded))
+"""
+
+
+def test_a_symbol_or_term_pickled_in_one_process_hashes_as_a_fresh_one_in_another():
+    # String hashes differ between processes, so a hash kept across pickle
+    # would tell an unpickled symbol or term from a fresh equal one in sets
+    # and dicts; each is rebuilt through its constructor instead.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import esmtangle
+
+    src = str(Path(esmtangle.__file__).resolve().parents[1])
+
+    def side(seed, *args, stdin=None):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+        done = subprocess.run([sys.executable, "-c", _PICKLE_SIDES, *args], env=env, input=stdin,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    assert side("2", "load", stdin=side("1", "dump")) == "4\n"
